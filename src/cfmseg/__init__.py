@@ -52,7 +52,6 @@ from .pursuit import (
     Candidate,
     PursuitConfig,
     candidate_set,
-    compose_minibatch,
     deterministic_pursuit,
     label_object_samples,
     purity,

@@ -119,12 +119,6 @@ def train_svm(
     return LinearModel(w[:dim].astype(np.float32), w[dim], category), trace
 
 
-def training_accuracy(m: LinearModel, positives, negatives) -> float:
-    hits = sum(score(m, f) > 0 for f in positives)
-    hits += sum(score(m, f) <= 0 for f in negatives)
-    return hits / (len(positives) + len(negatives))
-
-
 def save_model(path: Path | str, m: LinearModel) -> None:
     """JSON descriptor plus a sibling tensor file holding the weight vector."""
     path = Path(path)

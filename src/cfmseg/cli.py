@@ -9,8 +9,10 @@ inputs produce byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -26,11 +28,10 @@ def _print_json(obj) -> None:
 
 
 def _parse_ints(text: str) -> list[int]:
-    return [int(part) for part in text.split(",") if part]
-
-
-def _geometry_from_args(args) -> netgeom.NetGeometry:
-    return netgeom.compose_geometry(netgeom.load_layers(args.geometry))
+    try:
+        return [int(part) for part in text.split(",") if part]
+    except ValueError:
+        raise ValidationError(f"expected comma-separated integers, got {text!r}") from None
 
 
 def _pipeline_config(args) -> pipeline.PipelineConfig:
@@ -69,7 +70,7 @@ def cmd_forward(args) -> None:
 
 
 def cmd_mask_project(args) -> None:
-    g = _geometry_from_args(args)
+    g = netgeom.compose_geometry(netgeom.load_layers(args.geometry))
     mask = formats.load_mask(args.mask)
     fmask = project_mask(g, mask, args.fh, args.fw)
     formats.save_mask_bits(args.out, fmask.bits)
@@ -81,9 +82,11 @@ def cmd_mask_project(args) -> None:
 
 def cmd_pool(args) -> None:
     fm = formats.load_feature_map(args.image)
-    x0, y0, x1, y1 = _parse_ints(args.window)
+    window = _parse_ints(args.window)
+    if len(window) != 4:
+        raise ValidationError(f"--window needs x0,y0,x1,y1, got {args.window!r}")
     pyr = pooling.PyramidSpec(tuple(_parse_ints(args.levels)))
-    pooled = pooling.spp_pool(fm, PixelBox(x0, y0, x1, y1), pyr)
+    pooled = pooling.spp_pool(fm, PixelBox(*window), pyr)
     pooling.save_pooled_feature(args.out, pooled)
     _print_json({"length": int(pooled.values.size), "out": args.out})
 
@@ -97,10 +100,7 @@ def cmd_pursue(args) -> None:
         inhibit_iou=args.inhibit_iou,
     )
     cands = pursuit.candidate_set(proposals, stuff, cfg)
-    if args.mode == "deterministic":
-        picks = pursuit.deterministic_pursuit(cands, cfg)
-    else:
-        picks = pursuit.stochastic_pursuit(cands, cfg, args.seed)
+    picks = pursuit.pursue(cands, cfg, args.mode, args.seed)
     _print_json(
         {
             "mode": args.mode,
@@ -115,8 +115,7 @@ def cmd_pursue(args) -> None:
 
 def cmd_synth(args) -> None:
     if args.spec:
-        spec_obj = json.loads(Path(args.spec).read_text(encoding="utf-8"))
-        spec = _scene_spec_from_json(spec_obj)
+        spec = formats.load_json(args.spec, _scene_spec_from_json)
         corpus_cfg = synth.CorpusConfig(width=spec.width, height=spec.height)
     else:
         corpus_cfg = synth.CorpusConfig()
@@ -201,13 +200,9 @@ def cmd_infer(args) -> None:
 
 def cmd_paste(args) -> None:
     cfg = _pipeline_config(args)
-    entries = json.loads(Path(args.scored).read_text(encoding="utf-8"))
-    base = Path(args.scored).parent
-    scored = []
-    for e in entries:
-        mask = formats.load_mask(base / e["mask"])
-        prop = proposal_from_mask(e["id"], mask)
-        scored.append(pipeline.ScoredRegion(prop, int(e["category"]), float(e["score"])))
+    scored = formats.load_json(
+        args.scored, partial(_scored_regions, Path(args.scored).parent)
+    )
     labeled = pipeline.paste(scored, args.height, args.width, cfg)
     formats.save_label_map(args.out, labeled)
     _print_json(
@@ -240,7 +235,7 @@ def cmd_bench(args) -> None:
             report = pipeline.benchmark(
                 image, proposals[:count], net, g, cfg, threads=threads
             )
-            runs.append(report.as_dict())
+            runs.append(dataclasses.asdict(report))
     _print_json({"runs": runs})
 
 
@@ -281,6 +276,24 @@ def _scene_spec_from_json(obj) -> synth.SceneSpec:
     )
 
 
+def _scored_regions(base: Path, entries) -> list[pipeline.ScoredRegion]:
+    return [
+        pipeline.ScoredRegion(
+            proposal_from_mask(e["id"], formats.load_index_mask(base, e["mask"])),
+            int(e["category"]),
+            float(e["score"]),
+        )
+        for e in entries
+    ]
+
+
+def _instances(base: Path, entries) -> list[InstanceSegment]:
+    return [
+        InstanceSegment(int(e["category"]), formats.load_index_mask(base, e["mask"]))
+        for e in entries
+    ]
+
+
 def write_scene_dir(out: Path, scene: synth.Scene, proposals) -> None:
     out.mkdir(parents=True, exist_ok=True)
     formats.save_feature_map(out / "image.cfmt", scene.image)
@@ -297,11 +310,7 @@ def write_scene_dir(out: Path, scene: synth.Scene, proposals) -> None:
 def read_scene_dir(path: Path) -> pipeline.TrainScene:
     image = formats.load_feature_map(path / "image.cfmt")
     labels = formats.load_label_map(path / "labels.cfml")
-    entries = json.loads((path / "instances.json").read_text(encoding="utf-8"))
-    instances = [
-        InstanceSegment(int(e["category"]), formats.load_mask(path / e["mask"]))
-        for e in entries
-    ]
+    instances = formats.load_json(path / "instances.json", partial(_instances, path))
     proposals = formats.load_proposal_index(path / "proposals.json")
     return pipeline.TrainScene(image, labels, instances, proposals)
 
@@ -349,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pursue", help="select a compact stuff cover")
     p.add_argument("--proposals", required=True, help="proposal index JSON")
     p.add_argument("--stuff", required=True, help="stuff P5 mask")
-    p.add_argument("--mode", choices=("deterministic", "stochastic"),
+    p.add_argument("--mode", choices=pursuit.PURSUIT_MODES,
                    default="deterministic", help="selection rule")
     p.add_argument("--seed", type=int, default=0, help="stochastic draw seed")
     p.add_argument("--purity-pos", dest="purity_pos", type=float, default=0.6,
@@ -374,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated object category indices")
     p.add_argument("--stuff-cats", dest="stuff_cats", required=True,
                    help="comma-separated stuff category indices")
-    p.add_argument("--design", choices=pipeline.DESIGNS, default="B",
+    p.add_argument("--design", choices=pooling.DESIGNS, default="B",
                    help="feature wiring (none = unmasked box pyramid)")
     p.add_argument("--scales", help="comma-separated shorter-edge scales")
     p.add_argument("--levels", help="pyramid grid sizes")
@@ -391,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--image", required=True, help="input CFMT tensor")
     p.add_argument("--proposals", required=True, help="proposal index JSON")
     p.add_argument("--net", required=True, help="network spec JSON")
-    p.add_argument("--design", choices=pipeline.DESIGNS, default="B",
+    p.add_argument("--design", choices=pooling.DESIGNS, default="B",
                    help="feature wiring (none = unmasked box pyramid)")
     p.add_argument("--scales", help="comma-separated shorter-edge scales")
     p.add_argument("--levels", help="pyramid grid sizes")
@@ -425,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--net", required=True, help="network spec JSON")
     p.add_argument("--counts", default="1,10,50,200",
                    help="comma-separated proposal counts to time")
-    p.add_argument("--design", choices=pipeline.DESIGNS, default="B",
+    p.add_argument("--design", choices=pooling.DESIGNS, default="B",
                    help="feature wiring for the shared path")
     p.add_argument("--levels", help="pyramid grid sizes")
     p.add_argument("--warp", type=int, help="baseline crop-and-warp side")

@@ -7,6 +7,7 @@ input with FormatError and round-trips written files exactly.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from pathlib import Path
 
@@ -38,6 +39,20 @@ def dump_json(obj, path: Path | str) -> None:
 
 def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2, separators=(",", ": ")) + "\n"
+
+
+def load_json(path: Path | str, parse):
+    """Decode a JSON config file and build its value with `parse`.
+
+    Text that is not JSON, or a key or value type that `parse` trips over,
+    raises FormatError; ValidationError from `parse` passes through.
+    """
+    try:
+        return parse(json.loads(Path(path).read_text(encoding="utf-8")))
+    except (FormatError, ValidationError):
+        raise
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        raise FormatError(f"{path}: invalid JSON config: {exc!r}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -162,6 +177,21 @@ def load_mask(path: Path | str) -> BinaryMask:
         raise FormatError(f"{path}: {exc}") from exc
 
 
+def load_index_mask(base: Path, rel) -> BinaryMask:
+    """Load a mask that an index file names relative to its own directory.
+
+    An absolute path, or one that climbs out through "..", raises
+    FormatError; the check is lexical, so it follows no symlinks.
+    """
+    if (
+        not isinstance(rel, str)
+        or os.path.isabs(rel)
+        or os.path.normpath(rel).split(os.sep)[0] == os.pardir
+    ):
+        raise FormatError(f"{base}: mask path {rel!r} leaves its directory")
+    return load_mask(base / rel)
+
+
 # ---------------------------------------------------------------------------
 # CFML label maps
 # ---------------------------------------------------------------------------
@@ -217,7 +247,7 @@ def load_proposal_index(index_path: Path | str) -> list[SegmentProposal]:
     for n, entry in enumerate(entries):
         try:
             pid = entry["id"]
-            mask = load_mask(index_path.parent / entry["mask"])
+            mask = load_index_mask(index_path.parent, entry["mask"])
             x0, y0, x1, y1 = entry["box"]
             proposals.append(
                 SegmentProposal(pid, mask, PixelBox(int(x0), int(y0), int(x1), int(y1)))

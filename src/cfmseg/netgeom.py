@@ -8,11 +8,11 @@ always integer or half-integer, so 2*O is exact.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 from .core import PixelBox, ValidationError
+from .formats import load_json
 
 LAYER_KINDS = ("conv", "pool")
 
@@ -116,19 +116,35 @@ def feature_extent(g: NetGeometry, box: PixelBox, fh: int, fw: int) -> PixelBox:
     )
 
 
+def int_fields(entry, names) -> dict[str, int]:
+    """The named integer fields of a JSON layer entry, keyed by name.
+
+    A missing or non-integer field raises ValidationError naming it.
+    """
+    if not isinstance(entry, dict):
+        raise ValidationError(f"layer entry must be a JSON object, got {entry!r}")
+    values = {}
+    for name in names:
+        value = entry.get(name)
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValidationError(
+                f"layer field {name!r} must be an integer, got {value!r}"
+            )
+        values[name] = value
+    return values
+
+
+def layer_from_json(entry) -> LayerSpec:
+    """One {"kind", "kernel", "stride", "pad"} layer entry."""
+    geometry = int_fields(entry, ("kernel", "stride", "pad"))
+    return LayerSpec(entry.get("kind"), **geometry)
+
+
 def layers_from_json(obj) -> list[LayerSpec]:
     if not isinstance(obj, list):
         raise ValidationError("geometry config must be a JSON array of layers")
-    return [
-        LayerSpec(
-            kind=entry["kind"],
-            kernel=int(entry["kernel"]),
-            stride=int(entry["stride"]),
-            pad=int(entry["pad"]),
-        )
-        for entry in obj
-    ]
+    return [layer_from_json(entry) for entry in obj]
 
 
 def load_layers(path: Path | str) -> list[LayerSpec]:
-    return layers_from_json(json.loads(Path(path).read_text(encoding="utf-8")))
+    return load_json(path, layers_from_json)

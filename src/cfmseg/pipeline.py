@@ -26,12 +26,11 @@ from .core import (
     proposal_from_mask,
     resize_nearest,
 )
-from .netgeom import NetGeometry, feature_extent
-from .pooling import PyramidSpec, design_a_features, design_b_features, spp_pool
+from .netgeom import NetGeometry
+from .pooling import DESIGNS, PyramidSpec, design_feature, feature_length, spp_pool
 from .pursuit import PursuitConfig, label_object_samples, stuff_samples
 from . import toynet
 
-DESIGNS = ("A", "B", "none")  # "none" is the unmasked (box-only) ablation
 SCALE_TARGET_AREA = 224 * 224
 
 
@@ -42,9 +41,6 @@ class PipelineConfig:
     design: str = "B"
     pyramid: PyramidSpec = field(default_factory=PyramidSpec)
     warp_side: int = 224  # crop-and-warp resolution of the benchmark baseline
-    # L2-normalize feature vectors fed to the classifiers; keeps margins
-    # comparable across categories and segment sizes
-    normalize_features: bool = True
 
     def __post_init__(self):
         scales = tuple(int(s) for s in self.scales)
@@ -133,29 +129,6 @@ class FeatureCache:
         return self._maps[scale]
 
 
-def design_feature(
-    conv: FeatureMap,
-    p: SegmentProposal,
-    g: NetGeometry,
-    pyr: PyramidSpec,
-    design: str,
-) -> np.ndarray:
-    if design == "A":
-        box_f, seg_f = design_a_features(conv, p, g, pyr)
-        return np.concatenate([box_f.values, seg_f.values])
-    if design == "B":
-        return design_b_features(conv, p, g, pyr).values
-    if design == "none":
-        window = feature_extent(g, p.box, conv.height, conv.width)
-        return spp_pool(conv, window, pyr).values
-    raise ValidationError(f"design must be one of {DESIGNS}")
-
-
-def feature_length(channels: int, pyr: PyramidSpec, design: str) -> int:
-    base = pyr.output_length(channels)
-    return 2 * base if design == "A" else base
-
-
 def _map_ordered(fn, items, threads: int):
     if threads <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
@@ -170,7 +143,11 @@ def proposal_features(
     cfg: PipelineConfig,
     threads: int = 1,
 ) -> list[np.ndarray]:
-    """Per-proposal design feature vectors, conv maps shared per scale."""
+    """Per-proposal design feature vectors, conv maps shared per scale.
+
+    Vectors are L2-normalized, which keeps classifier margins comparable
+    across categories and segment sizes.
+    """
     image = cache.image
     shorter = min(image.height, image.width)
     scales = [assign_scale(p.box, shorter, cfg.scales) for p in proposals]
@@ -182,10 +159,9 @@ def proposal_features(
         conv, (sh, sw) = cache.conv_map(s)
         sp = scale_proposal(p, image.height, image.width, sh, sw)
         vec = design_feature(conv, sp, g, cfg.pyramid, cfg.design)
-        if cfg.normalize_features:
-            norm = float(np.linalg.norm(vec.astype(np.float64)))
-            if norm > 0.0:
-                vec = (vec / norm).astype(np.float32)
+        norm = float(np.linalg.norm(vec.astype(np.float64)))
+        if norm > 0.0:
+            vec = (vec / norm).astype(np.float32)
         return vec
 
     return _map_ordered(one, list(zip(proposals, scales)), threads)
@@ -395,16 +371,6 @@ class BenchmarkReport:
     per_region_ms: float
     ratio: float
     threads: int
-
-    def as_dict(self) -> dict:
-        return {
-            "proposals": self.proposals,
-            "conv_once_ms": self.conv_once_ms,
-            "masking_ms": self.masking_ms,
-            "per_region_ms": self.per_region_ms,
-            "ratio": self.ratio,
-            "threads": self.threads,
-        }
 
 
 def benchmark(

@@ -1,4 +1,4 @@
-"""Spatial pyramid max-pooling over feature windows and the two feature wirings.
+"""Spatial pyramid max-pooling over feature windows and the feature designs.
 
 The pooled vector layout is frozen: pyramid levels in listed order, bins in
 row-major order within a level, and all channels contiguous within a bin.
@@ -19,6 +19,7 @@ from .masking import FeatureMask, apply_mask, project_mask
 from .netgeom import NetGeometry, feature_extent
 
 DEFAULT_LEVELS = (6, 3, 2, 1)
+DESIGNS = ("A", "B", "none")  # "none" is the unmasked (box-only) ablation
 
 
 @dataclass(frozen=True)
@@ -132,6 +133,29 @@ def design_b_features(
     head = values[: finest * finest * conv.channels].reshape(-1, conv.channels)
     head[~grid.reshape(-1)] = 0.0
     return PooledFeature(values, pyr, conv.channels)
+
+
+def design_feature(
+    conv: FeatureMap,
+    p: SegmentProposal,
+    g: NetGeometry,
+    pyr: PyramidSpec,
+    design: str,
+) -> np.ndarray:
+    """One proposal's feature vector under the named design."""
+    if design == "A":
+        box_f, seg_f = design_a_features(conv, p, g, pyr)
+        return np.concatenate([box_f.values, seg_f.values])
+    if design == "B":
+        return design_b_features(conv, p, g, pyr).values
+    if design == "none":
+        return spp_pool(conv, _conv_window(conv, p, g), pyr).values
+    raise ValidationError(f"design must be one of {DESIGNS}")
+
+
+def feature_length(channels: int, pyr: PyramidSpec, design: str) -> int:
+    base = pyr.output_length(channels)
+    return 2 * base if design == "A" else base
 
 
 def save_pooled_feature(path: Path | str, pooled: PooledFeature) -> None:

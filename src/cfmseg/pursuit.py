@@ -20,6 +20,8 @@ from .core import (
     mask_iou,
 )
 
+PURSUIT_MODES = ("deterministic", "stochastic")
+
 
 @dataclass(frozen=True)
 class PursuitConfig:
@@ -91,9 +93,8 @@ def _inhibit(remaining: list[Candidate], pick: Candidate, threshold: float):
     ]
 
 
-def deterministic_pursuit(
-    cands: list[Candidate], cfg: PursuitConfig
-) -> list[Candidate]:
+def _pursue(cands: list[Candidate], cfg: PursuitConfig, pick) -> list[Candidate]:
+    """The shared loop: pick from the eligible candidates, inhibit, repeat."""
     if not cands:
         return []
     floor = _area_floor(cands, cfg)
@@ -103,29 +104,43 @@ def deterministic_pursuit(
         eligible = [c for c in remaining if c.area >= floor]
         if not eligible:
             return selected
-        pick = min(eligible, key=lambda c: (-c.area, c.proposal.id))
-        selected.append(pick)
-        remaining = _inhibit(remaining, pick, cfg.inhibit_iou)
+        chosen = pick(eligible)
+        selected.append(chosen)
+        remaining = _inhibit(remaining, chosen, cfg.inhibit_iou)
+
+
+def _largest(eligible: list[Candidate]) -> Candidate:
+    return min(eligible, key=lambda c: (-c.area, c.proposal.id))
+
+
+def deterministic_pursuit(
+    cands: list[Candidate], cfg: PursuitConfig
+) -> list[Candidate]:
+    return _pursue(cands, cfg, _largest)
 
 
 def stochastic_pursuit(
     cands: list[Candidate], cfg: PursuitConfig, rng_seed: int
 ) -> list[Candidate]:
     """Same loop with area-proportional picks; reproducible from the seed."""
-    if not cands:
-        return []
-    floor = _area_floor(cands, cfg)
     rng = np.random.default_rng(rng_seed)
-    remaining = list(cands)
-    selected = []
-    while True:
-        eligible = [c for c in remaining if c.area >= floor]
-        if not eligible:
-            return selected
+
+    def draw(eligible: list[Candidate]) -> Candidate:
         areas = np.array([c.area for c in eligible], dtype=np.float64)
-        pick = eligible[int(rng.choice(len(eligible), p=areas / areas.sum()))]
-        selected.append(pick)
-        remaining = _inhibit(remaining, pick, cfg.inhibit_iou)
+        return eligible[int(rng.choice(len(eligible), p=areas / areas.sum()))]
+
+    return _pursue(cands, cfg, draw)
+
+
+def pursue(
+    cands: list[Candidate], cfg: PursuitConfig, mode: str, seed: int = 0
+) -> list[Candidate]:
+    """Run the named pursuit mode; the seed only drives stochastic picks."""
+    if mode == "deterministic":
+        return deterministic_pursuit(cands, cfg)
+    if mode == "stochastic":
+        return stochastic_pursuit(cands, cfg, seed)
+    raise ValidationError(f"pursuit mode must be one of {PURSUIT_MODES}")
 
 
 def overlap_label(iou: float) -> int | None:
@@ -175,13 +190,7 @@ def stuff_samples(
     Proposals in the purity band [purity_neg, purity_pos] and unselected
     candidates belong to neither set.
     """
-    cands = candidate_set(proposals, stuff_gt, cfg)
-    if mode == "deterministic":
-        picks = deterministic_pursuit(cands, cfg)
-    elif mode == "stochastic":
-        picks = stochastic_pursuit(cands, cfg, seed)
-    else:
-        raise ValidationError(f"unknown pursuit mode {mode!r}")
+    picks = pursue(candidate_set(proposals, stuff_gt, cfg), cfg, mode, seed)
     positives = [c.proposal for c in picks]
     negatives = [p for p in proposals if purity(p, stuff_gt) < cfg.purity_neg]
     return positives, negatives
@@ -191,39 +200,3 @@ def derive_seed(master_seed: int, *keys: int) -> int:
     """Stable per-image / per-epoch seed stream from one master seed."""
     seq = np.random.SeedSequence([int(master_seed), *[int(k) for k in keys]])
     return int(seq.generate_state(1)[0])
-
-
-def compose_minibatch(
-    object_pool: list,
-    stuff_pool: list,
-    background_pool: list,
-    batch_size: int,
-    seed: int,
-) -> list:
-    """Draw a shuffled 30/30/40 object/stuff/background batch without replacement.
-
-    Counts are floor(0.3*B) for objects and stuff with the remainder going to
-    background. A pool smaller than its requested count is an error.
-    """
-    if batch_size < 1:
-        raise ValidationError("batch size must be >= 1")
-    n_obj = int(0.3 * batch_size)
-    n_stuff = int(0.3 * batch_size)
-    n_bg = batch_size - n_obj - n_stuff
-    rng = np.random.default_rng(seed)
-    batch = []
-    for name, pool, count in (
-        ("object", object_pool, n_obj),
-        ("stuff", stuff_pool, n_stuff),
-        ("background", background_pool, n_bg),
-    ):
-        if count == 0:
-            continue
-        if len(pool) < count:
-            raise ValidationError(
-                f"{name} pool has {len(pool)} samples, batch needs {count}"
-            )
-        idx = rng.choice(len(pool), size=count, replace=False)
-        batch.extend(pool[int(i)] for i in idx)
-    order = rng.permutation(len(batch))
-    return [batch[int(i)] for i in order]

@@ -8,19 +8,30 @@ Same seed, same weights, on every platform.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .core import FeatureMap, PixelBox, ValidationError, resize_nearest
-from .formats import save_feature_map
-from .netgeom import LayerSpec
+from .formats import load_json
+from .netgeom import LayerSpec, int_fields, layer_from_json
+
+
+class _Layer:
+    """A layer's kernel, stride and pad, mapped once to its `geometry`."""
+
+    kind: str
+    geometry: LayerSpec
+
+    def __post_init__(self):
+        geometry = LayerSpec(self.kind, self.kernel, self.stride, self.pad)
+        object.__setattr__(self, "geometry", geometry)
 
 
 @dataclass(frozen=True)
-class ConvLayerSpec:
+class ConvLayerSpec(_Layer):
+    kind = "conv"
     kernel: int
     stride: int
     pad: int
@@ -28,21 +39,25 @@ class ConvLayerSpec:
     out_channels: int
 
     def __post_init__(self):
-        LayerSpec("conv", self.kernel, self.stride, self.pad)  # geometry checks
+        super().__post_init__()
         if self.in_channels < 1 or self.out_channels < 1:
             raise ValidationError("conv channel counts must be >= 1")
 
 
 @dataclass(frozen=True)
-class PoolLayerSpec:
+class PoolLayerSpec(_Layer):
+    kind = "pool"
     kernel: int
     stride: int
     pad: int
 
     def __post_init__(self):
-        LayerSpec("pool", self.kernel, self.stride, self.pad)
+        super().__post_init__()
         if self.pad >= self.kernel:
             raise ValidationError("pool pad must be smaller than its kernel")
+
+
+_LAYER_TYPES = {cls.kind: cls for cls in (ConvLayerSpec, PoolLayerSpec)}
 
 
 @dataclass(frozen=True)
@@ -82,15 +97,7 @@ class ToyNetSpec:
         return channels
 
     def geometry_layers(self) -> list[LayerSpec]:
-        return [
-            LayerSpec(
-                "conv" if isinstance(l, ConvLayerSpec) else "pool",
-                l.kernel,
-                l.stride,
-                l.pad,
-            )
-            for l in self.layers
-        ]
+        return [layer.geometry for layer in self.layers]
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,46 +131,39 @@ def init_toynet(spec: ToyNetSpec) -> ToyNet:
     return ToyNet(spec, tuple(weights))
 
 
-def _conv2d(x: np.ndarray, layer: ConvLayerSpec, w: np.ndarray, b: np.ndarray,
-            index: int) -> np.ndarray:
+def _taps(x: np.ndarray, layer: _Layer, index: int, fill: float) -> list[np.ndarray]:
+    """Pad the input, then take one strided view per kernel tap, row-major."""
     c, h, w_in = x.shape
-    spec = LayerSpec("conv", layer.kernel, layer.stride, layer.pad)
-    out_h, out_w = spec.out_len(h), spec.out_len(w_in)
+    out_h, out_w = layer.geometry.out_len(h), layer.geometry.out_len(w_in)
     if out_h < 1 or out_w < 1:
         raise ValidationError(
-            f"layer {index} (conv k={layer.kernel}): input {h}x{w_in} too small"
+            f"layer {index} ({layer.kind} k={layer.kernel}): input {h}x{w_in} too small"
         )
-    p = layer.pad
-    xp = np.zeros((c, h + 2 * p, w_in + 2 * p), dtype=np.float32)
+    p, s = layer.pad, layer.stride
+    xp = np.full((c, h + 2 * p, w_in + 2 * p), fill, dtype=np.float32)
     xp[:, p : p + h, p : p + w_in] = x
-    out = np.zeros((layer.out_channels, out_h, out_w), dtype=np.float32)
-    s = layer.stride
-    for dy in range(layer.kernel):
-        for dx in range(layer.kernel):
-            view = xp[:, dy : dy + (out_h - 1) * s + 1 : s,
-                      dx : dx + (out_w - 1) * s + 1 : s]
-            out += np.einsum("oc,chw->ohw", w[:, :, dy, dx], view)
+    return [
+        xp[:, dy : dy + (out_h - 1) * s + 1 : s, dx : dx + (out_w - 1) * s + 1 : s]
+        for dy in range(layer.kernel)
+        for dx in range(layer.kernel)
+    ]
+
+
+def _conv2d(x: np.ndarray, layer: ConvLayerSpec, w: np.ndarray, b: np.ndarray,
+            index: int) -> np.ndarray:
+    taps = _taps(x, layer, index, 0.0)
+    out = np.zeros((layer.out_channels, *taps[0].shape[1:]), dtype=np.float32)
+    for t, view in enumerate(taps):
+        dy, dx = divmod(t, layer.kernel)
+        out += np.einsum("oc,chw->ohw", w[:, :, dy, dx], view)
     return out + b[:, None, None]
 
 
 def _maxpool(x: np.ndarray, layer: PoolLayerSpec, index: int) -> np.ndarray:
-    c, h, w_in = x.shape
-    spec = LayerSpec("pool", layer.kernel, layer.stride, layer.pad)
-    out_h, out_w = spec.out_len(h), spec.out_len(w_in)
-    if out_h < 1 or out_w < 1:
-        raise ValidationError(
-            f"layer {index} (pool k={layer.kernel}): input {h}x{w_in} too small"
-        )
-    p = layer.pad
-    xp = np.full((c, h + 2 * p, w_in + 2 * p), -np.inf, dtype=np.float32)
-    xp[:, p : p + h, p : p + w_in] = x
-    out = np.full((c, out_h, out_w), -np.inf, dtype=np.float32)
-    s = layer.stride
-    for dy in range(layer.kernel):
-        for dx in range(layer.kernel):
-            view = xp[:, dy : dy + (out_h - 1) * s + 1 : s,
-                      dx : dx + (out_w - 1) * s + 1 : s]
-            np.maximum(out, view, out=out)
+    taps = _taps(x, layer, index, -np.inf)
+    out = np.full(taps[0].shape, -np.inf, dtype=np.float32)
+    for view in taps:
+        np.maximum(out, view, out=out)
     return out
 
 
@@ -197,72 +197,19 @@ def forward_region(
     return forward(net, FeatureMap(warped))
 
 
-def export_weights(net: ToyNet, out_dir: Path | str) -> list[Path]:
-    """Dump each conv layer's kernel bank as a tensor file for inspection."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
-    for i, params in enumerate(net.weights):
-        if params is None:
-            continue
-        w, _ = params
-        o, c, kh, kw = w.shape
-        path = out_dir / f"layer_{i:02d}_weights.cfmt"
-        save_feature_map(path, FeatureMap(w.reshape(o, c * kh, kw)))
-        written.append(path)
-    return written
-
-
 def spec_from_json(obj) -> ToyNetSpec:
+    """Layer entries are {"kind", ...the layer dataclass's integer fields}."""
     layers = []
     for entry in obj["layers"]:
-        kind = entry["kind"]
-        if kind == "conv":
-            layers.append(
-                ConvLayerSpec(
-                    int(entry["kernel"]),
-                    int(entry["stride"]),
-                    int(entry["pad"]),
-                    int(entry["in_channels"]),
-                    int(entry["out_channels"]),
-                )
-            )
-        elif kind == "pool":
-            layers.append(
-                PoolLayerSpec(
-                    int(entry["kernel"]), int(entry["stride"]), int(entry["pad"])
-                )
-            )
-        else:
-            raise ValidationError(f"unknown layer kind {kind!r}")
+        cls = _LAYER_TYPES[layer_from_json(entry).kind]
+        layers.append(cls(**int_fields(entry, [f.name for f in fields(cls)])))
     return ToyNetSpec(tuple(layers), int(obj.get("seed", 0)))
 
 
 def spec_to_json(spec: ToyNetSpec) -> dict:
-    layers = []
-    for layer in spec.layers:
-        if isinstance(layer, ConvLayerSpec):
-            layers.append(
-                {
-                    "kind": "conv",
-                    "kernel": layer.kernel,
-                    "stride": layer.stride,
-                    "pad": layer.pad,
-                    "in_channels": layer.in_channels,
-                    "out_channels": layer.out_channels,
-                }
-            )
-        else:
-            layers.append(
-                {
-                    "kind": "pool",
-                    "kernel": layer.kernel,
-                    "stride": layer.stride,
-                    "pad": layer.pad,
-                }
-            )
+    layers = [{"kind": layer.kind, **asdict(layer)} for layer in spec.layers]
     return {"seed": spec.seed, "layers": layers}
 
 
 def load_spec(path: Path | str) -> ToyNetSpec:
-    return spec_from_json(json.loads(Path(path).read_text(encoding="utf-8")))
+    return load_json(path, spec_from_json)

@@ -8,7 +8,6 @@ from cfmseg.classify import (
     save_model,
     score,
     train_svm,
-    training_accuracy,
 )
 from cfmseg.core import ValidationError
 
@@ -23,14 +22,17 @@ class TestTrainSvm:
     def test_separable_data_fits_perfectly(self, rng):
         pos, neg = separable_clusters(rng)
         model, trace = train_svm(pos, neg, reg=1e-3, epochs=30, seed=0)
-        assert training_accuracy(model, pos, neg) == 1.0
+        assert all(score(model, f) > 0 for f in pos)
+        assert all(score(model, f) <= 0 for f in neg)
         assert trace[-1] < trace[0]
 
     def test_identical_classes_do_not_crash(self, rng):
         data = list(rng.standard_normal((10, 4)))
         model, _ = train_svm(data, data, reg=1e-2, epochs=5, seed=0)
-        acc = training_accuracy(model, data, data)
-        assert acc <= 0.5 + 1e-9
+        # each sample carries both labels, so one of its two is always wrong
+        hits = sum(score(model, f) > 0 for f in data)
+        hits += sum(score(model, f) <= 0 for f in data)
+        assert hits / (2 * len(data)) <= 0.5 + 1e-9
 
     def test_zero_features_give_bias_only_model(self):
         zeros = [np.zeros(5) for _ in range(8)]

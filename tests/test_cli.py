@@ -206,3 +206,58 @@ class TestEndToEndCli:
                      "--fh", "32", "--fw", "32", "--out", str(out)])
             outs[threads] = out.read_bytes()
         assert outs["1"] == outs["4"]
+
+
+class TestErrorContract:
+    """Malformed configs and flags exit 1 with a JSON error, never a traceback."""
+
+    @staticmethod
+    def error(capsys, argv) -> dict:
+        assert main(argv) == 1
+        return json.loads(capsys.readouterr().err)
+
+    def test_layer_without_kernel(self, capsys, tmp_path):
+        path = tmp_path / "layers.json"
+        path.write_text(json.dumps([{"kind": "conv", "stride": 2, "pad": 1}]))
+        err = self.error(capsys, ["geometry", "--layers", str(path)])
+        assert err["error"] == "ValidationError" and "'kernel'" in err["message"]
+
+    def test_truncated_layers_json(self, capsys, tmp_path):
+        path = tmp_path / "layers.json"
+        path.write_text('[{"kind": "conv", "kernel": 3, "str')
+        err = self.error(capsys, ["geometry", "--layers", str(path)])
+        assert err["error"] == "FormatError"
+
+    def test_truncated_net_spec(self, capsys, tmp_path, net_file):
+        Path(net_file).write_text(Path(net_file).read_text()[:40])
+        formats.save_feature_map(tmp_path / "img.cfmt",
+                                 FeatureMap(np.zeros((3, 8, 8), dtype=np.float32)))
+        err = self.error(capsys, ["forward", "--net", net_file, "--image",
+                                  str(tmp_path / "img.cfmt"), "--out",
+                                  str(tmp_path / "out.cfmt")])
+        assert err["error"] == "FormatError"
+
+    @pytest.mark.parametrize("window", ["1,2", "1,2,3,x"])
+    def test_bad_pool_window(self, capsys, tmp_path, window):
+        formats.save_feature_map(tmp_path / "fm.cfmt",
+                                 FeatureMap(np.ones((2, 4, 4), dtype=np.float32)))
+        err = self.error(capsys, ["pool", "--image", str(tmp_path / "fm.cfmt"),
+                                  "--window", window, "--out", str(tmp_path / "p.cfmt")])
+        assert err["error"] == "ValidationError"
+
+    def test_scene_spec_missing_key(self, capsys, tmp_path):
+        (tmp_path / "spec.json").write_text(json.dumps({"height": 32}))
+        err = self.error(capsys, ["synth", "--spec", str(tmp_path / "spec.json"),
+                                  "--out-dir", str(tmp_path / "out")])
+        assert err["error"] == "FormatError" and "width" in err["message"]
+
+    def test_instance_mask_outside_scene_rejected(self, capsys, tmp_path, scene_dir,
+                                                  net_file):
+        entries = json.loads((scene_dir / "instances.json").read_text())
+        entries[0]["mask"] = str(scene_dir / entries[0]["mask"])  # absolute path
+        (scene_dir / "instances.json").write_text(json.dumps(entries))
+        err = self.error(capsys, ["train", "--corpus", str(scene_dir.parent),
+                                  "--net", net_file, "--object-cats", "1",
+                                  "--stuff-cats", "4", "--scales", "64",
+                                  "--out-dir", str(tmp_path / "models")])
+        assert err["error"] == "FormatError" and "leaves its directory" in err["message"]

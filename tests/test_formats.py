@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -148,3 +150,23 @@ class TestProposalIndex:
         (tmp_path / "p.json").write_text("{}")
         with pytest.raises(FormatError, match="array"):
             formats.load_proposal_index(tmp_path / "p.json")
+
+    @pytest.mark.parametrize("where", ["parent", "absolute"])
+    def test_mask_path_outside_directory_rejected(self, tmp_path, where):
+        # a valid mask outside the index directory, so only containment rejects it
+        outside = tmp_path / "outside" / "secret.pgm"
+        outside.parent.mkdir()
+        formats.save_mask(outside, rect_mask(4, 4, 0, 1, 0, 1))
+        rel = "../outside/secret.pgm" if where == "parent" else str(outside)
+        index = tmp_path / "index" / "proposals.json"
+        index.parent.mkdir()
+        index.write_text(json.dumps([{"id": "p", "mask": rel, "box": [0, 0, 1, 1]}]))
+        with pytest.raises(FormatError, match="leaves its directory"):
+            formats.load_proposal_index(index)
+
+    def test_mask_path_inside_subdirectory_allowed(self, tmp_path):
+        (tmp_path / "masks").mkdir()
+        formats.save_mask(tmp_path / "masks" / "m.pgm", rect_mask(4, 4, 0, 1, 0, 1))
+        entry = {"id": "p", "mask": "masks/../masks/m.pgm", "box": [0, 0, 1, 1]}
+        (tmp_path / "p.json").write_text(json.dumps([entry]))
+        assert formats.load_proposal_index(tmp_path / "p.json")[0].id == "p"

@@ -125,3 +125,16 @@ class TestConfigIO:
     def test_bad_kind_rejected(self):
         with pytest.raises(ValidationError):
             layers_from_json([{"kind": "fc", "kernel": 1, "stride": 1, "pad": 0}])
+
+    @pytest.mark.parametrize("field, value", [("kernel", None), ("stride", "2"),
+                                              ("pad", 1.5), ("kernel", True)])
+    def test_missing_or_non_integer_field_named(self, field, value):
+        entry = {"kind": "conv", "kernel": 3, "stride": 2, "pad": 1, field: value}
+        if value is None:
+            del entry[field]
+        with pytest.raises(ValidationError, match=repr(field)):
+            layers_from_json([entry])
+
+    def test_non_object_entry_rejected(self):
+        with pytest.raises(ValidationError, match="JSON object"):
+            layers_from_json([[3, 2, 1]])

@@ -17,15 +17,13 @@ from cfmseg.pipeline import (
     ScoredRegion,
     assign_scale,
     benchmark,
-    design_feature,
-    feature_length,
     mean_iou,
     paste,
     scale_image,
     scale_proposal,
     score_proposals,
 )
-from cfmseg.pooling import PyramidSpec
+from cfmseg.pooling import PyramidSpec, design_feature, feature_length
 from cfmseg.toynet import default_spec, init_toynet
 from conftest import random_map, rect_mask
 

@@ -12,7 +12,6 @@ from cfmseg.pursuit import (
     Candidate,
     PursuitConfig,
     candidate_set,
-    compose_minibatch,
     derive_seed,
     deterministic_pursuit,
     label_object_samples,
@@ -311,41 +310,11 @@ class TestStuffSamples:
         b, _ = stuff_samples(cells, stuff, PursuitConfig(), mode="stochastic", seed=9)
         assert [p.id for p in a] == [p.id for p in b]
 
-
-class TestComposeMinibatch:
-    def test_ten_splits_3_3_4(self):
-        batch = compose_minibatch(
-            [("o", i) for i in range(5)],
-            [("s", i) for i in range(5)],
-            [("b", i) for i in range(5)],
-            batch_size=10,
-            seed=0,
-        )
-        kinds = [kind for kind, _ in batch]
-        assert len(batch) == 10
-        assert kinds.count("o") == 3 and kinds.count("s") == 3
-        assert kinds.count("b") == 4
-
-    def test_batch_of_one_is_background(self):
-        batch = compose_minibatch(["o"], ["s"], ["b"], batch_size=1, seed=4)
-        assert batch == ["b"]
-
-    def test_same_seed_identical(self):
-        pools = ([f"o{i}" for i in range(9)], [f"s{i}" for i in range(9)],
-                 [f"b{i}" for i in range(9)])
-        a = compose_minibatch(*pools, batch_size=10, seed=11)
-        b = compose_minibatch(*pools, batch_size=10, seed=11)
-        assert a == b
-
-    def test_no_repeats_within_batch(self):
-        pools = ([f"o{i}" for i in range(10)], [f"s{i}" for i in range(10)],
-                 [f"b{i}" for i in range(10)])
-        batch = compose_minibatch(*pools, batch_size=20, seed=3)
-        assert len(set(batch)) == len(batch)
-
-    def test_short_pool_rejected(self):
-        with pytest.raises(ValidationError):
-            compose_minibatch(["o"], [], ["b"], batch_size=10, seed=0)
+    def test_unknown_mode_rejected(self):
+        stuff = block(0, 19, 0, 39)
+        with pytest.raises(ValidationError, match="pursuit mode"):
+            stuff_samples([proposal_from_mask("c", stuff)], stuff, PursuitConfig(),
+                          mode="greedy")
 
 
 class TestDeriveSeed:

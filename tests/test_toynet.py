@@ -9,7 +9,6 @@ from cfmseg.toynet import (
     ToyNet,
     ToyNetSpec,
     default_spec,
-    export_weights,
     forward,
     forward_region,
     init_toynet,
@@ -159,12 +158,3 @@ class TestSpecIO:
         with pytest.raises(ValidationError):
             spec_from_json({"seed": 0, "layers": [{"kind": "norm", "kernel": 1,
                                                    "stride": 1, "pad": 0}]})
-
-    def test_export_weights(self, tmp_path):
-        net = init_toynet(default_spec(3, seed=0))
-        written = export_weights(net, tmp_path)
-        assert len(written) == 3
-        from cfmseg.formats import load_feature_map
-
-        dumped = load_feature_map(written[0])
-        assert dumped.values.tobytes() == net.weights[0][0].tobytes()
