@@ -18,9 +18,10 @@ from .core import (
     bbox_of,
     mask_iou,
     proposal_from_mask,
+    suppress,
 )
 from .formats import FormatError
-from .masking import FeatureMask, apply_mask, brute_force_project, project_mask
+from .masking import apply_mask, brute_force_project, project_mask
 from .netgeom import (
     LayerSpec,
     NetGeometry,

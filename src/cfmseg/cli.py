@@ -122,7 +122,7 @@ def cmd_synth(args) -> None:
         spec = synth.random_scene_spec(corpus_cfg, args.seed)
     scene = synth.generate_scene(spec)
     proposals = synth.scene_proposals(
-        scene, corpus_cfg, pursuit.derive_seed(args.seed, 2)
+        scene, corpus_cfg, synth.derive_seed(args.seed, 2)
     )
     out = Path(args.out_dir)
     write_scene_dir(out, scene, proposals)
@@ -255,25 +255,27 @@ def _write_overlay(path: str, labeled) -> None:
     Path(path).write_bytes(header + gray.tobytes())
 
 
+def _spec_ints(entry, names, **defaults) -> dict[str, int]:
+    """Strict integer fields; an absent required key raises KeyError (FormatError)."""
+    entry = {**defaults, **entry}
+    return formats.int_fields({name: entry[name] for name in names}, names)
+
+
 def _scene_spec_from_json(obj) -> synth.SceneSpec:
+    scene = _spec_ints(obj, ("width", "height", "seed"), seed=0)
+    shape_ints = ("category", "cx", "cy", "half_w", "half_h", "thickness")
     shapes = tuple(
-        synth.ShapeSpec(
-            s["kind"], int(s["category"]), int(s["cx"]), int(s["cy"]),
-            int(s["half_w"]), int(s["half_h"]), int(s.get("thickness", 3)),
-        )
+        synth.ShapeSpec(s["kind"], **_spec_ints(s, shape_ints, thickness=3))
         for s in obj.get("shapes", [])
     )
     bands = tuple(
         synth.BandSpec(
-            int(b["category"]), int(b["row0"]), int(b["row1"]),
-            tuple(b["base_color"]), float(b["noise_amp"]),
+            **_spec_ints(b, ("category", "row0", "row1")),
+            base_color=tuple(b["base_color"]), noise_amp=float(b["noise_amp"]),
         )
         for b in obj.get("bands", [])
     )
-    return synth.SceneSpec(
-        int(obj["width"]), int(obj["height"]), shapes, bands,
-        seed=int(obj.get("seed", 0)),
-    )
+    return synth.SceneSpec(shapes=shapes, bands=bands, **scene)
 
 
 def _scored_regions(base: Path, entries) -> list[pipeline.ScoredRegion]:

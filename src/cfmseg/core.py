@@ -6,7 +6,7 @@ read-only), so values can be shared freely across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,7 +22,7 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class BinaryMask:
-    """Row-major boolean grid at full image resolution."""
+    """Row-major boolean grid over image pixels or feature-map cells."""
 
     bits: np.ndarray
 
@@ -89,19 +89,14 @@ def bbox_of(mask: BinaryMask) -> PixelBox:
 
 @dataclass(frozen=True, eq=False)
 class SegmentProposal:
-    """Binary segment mask with its tight bounding box and an opaque id."""
+    """Binary segment mask with an opaque id; its tight box is derived once."""
 
     id: str
     mask: BinaryMask
-    box: PixelBox
+    box: PixelBox = field(init=False)
 
     def __post_init__(self):
-        tight = bbox_of(self.mask)  # also rejects empty masks
-        if tight != self.box:
-            raise ValidationError(
-                f"proposal {self.id!r}: box {self.box} is not the tight "
-                f"bounding box {tight} of its mask"
-            )
+        object.__setattr__(self, "box", bbox_of(self.mask))  # rejects empty masks
 
     @property
     def area(self) -> int:
@@ -109,7 +104,7 @@ class SegmentProposal:
 
 
 def proposal_from_mask(pid: str, mask: BinaryMask) -> SegmentProposal:
-    return SegmentProposal(pid, mask, bbox_of(mask))
+    return SegmentProposal(pid, mask)
 
 
 @dataclass(frozen=True, eq=False)
@@ -196,6 +191,25 @@ def mask_iou(a: BinaryMask, b: BinaryMask) -> float:
     if union == 0:
         return 0.0
     return inter / union
+
+
+def suppress(masks: list[BinaryMask], threshold: float, pick=None) -> list[int]:
+    """Greedy overlap suppression: the indices of masks kept, in pick order.
+
+    Each round takes `pick(remaining)` (default: the first remaining index)
+    and drops every remaining mask whose IoU with it exceeds the threshold.
+    """
+    remaining = list(range(len(masks)))
+    kept = []
+    while remaining:
+        top = remaining[0] if pick is None else pick(remaining)
+        kept.append(top)
+        remaining = [
+            i
+            for i in remaining
+            if i != top and mask_iou(masks[i], masks[top]) <= threshold
+        ]
+    return kept
 
 
 def resize_nearest(values: np.ndarray, out_h: int, out_w: int) -> np.ndarray:

@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 import os
 import struct
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,6 @@ from .core import (
     BinaryMask,
     FeatureMap,
     LabelMap,
-    PixelBox,
     SegmentProposal,
     ValidationError,
 )
@@ -53,6 +53,23 @@ def load_json(path: Path | str, parse):
         raise
     except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: invalid JSON config: {exc!r}") from exc
+
+
+def int_fields(entry, names) -> dict[str, int]:
+    """The named integer fields of a JSON object, keyed by name.
+
+    A missing field, or one holding anything but a JSON integer (a float, a
+    string, a bool), raises ValidationError naming it.
+    """
+    if not isinstance(entry, dict):
+        raise ValidationError(f"expected a JSON object, got {entry!r}")
+    values = {}
+    for name in names:
+        value = entry.get(name)
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValidationError(f"field {name!r} must be an integer, got {value!r}")
+        values[name] = value
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -237,23 +254,28 @@ def save_proposal_index(index_path: Path | str, proposals) -> None:
 
 def load_proposal_index(index_path: Path | str) -> list[SegmentProposal]:
     index_path = Path(index_path)
-    try:
-        entries = json.loads(index_path.read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:
-        raise FormatError(f"{index_path}: unreadable proposal index") from exc
+    return load_json(index_path, partial(_proposal_entries, index_path))
+
+
+def _proposal_entries(index_path: Path, entries) -> list[SegmentProposal]:
+    """Each entry's proposal; its stored box must be the tight box of its mask."""
     if not isinstance(entries, list):
         raise FormatError(f"{index_path}: proposal index must be a JSON array")
     proposals = []
     for n, entry in enumerate(entries):
         try:
-            pid = entry["id"]
-            mask = load_index_mask(index_path.parent, entry["mask"])
-            x0, y0, x1, y1 = entry["box"]
-            proposals.append(
-                SegmentProposal(pid, mask, PixelBox(int(x0), int(y0), int(x1), int(y1)))
+            p = SegmentProposal(
+                entry["id"], load_index_mask(index_path.parent, entry["mask"])
             )
+            box = entry["box"]
         except FormatError:
             raise
         except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"{index_path}: entry {n} is invalid: {exc}") from exc
+        if box != [p.box.x0, p.box.y0, p.box.x1, p.box.y1]:
+            raise FormatError(
+                f"{index_path}: entry {n} box {box} is not the tight "
+                f"bounding box {p.box} of its mask"
+            )
+        proposals.append(p)
     return proposals

@@ -8,33 +8,10 @@ binary pixel votes reaches 0.5; cells that collect nothing stay unset.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .core import BinaryMask, FeatureMap, ValidationError, _readonly
+from .core import BinaryMask, FeatureMap, ValidationError
 from .netgeom import NetGeometry
-
-
-@dataclass(frozen=True, eq=False)
-class FeatureMask:
-    """Boolean grid with the spatial dims of a feature map."""
-
-    bits: np.ndarray
-
-    def __post_init__(self):
-        arr = np.array(self.bits, dtype=bool)
-        if arr.ndim != 2 or min(arr.shape) < 1:
-            raise ValidationError("feature mask must be 2-D and non-empty")
-        object.__setattr__(self, "bits", _readonly(arr))
-
-    @property
-    def height(self) -> int:
-        return self.bits.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.bits.shape[1]
 
 
 def _axis_assignment(g: NetGeometry, n_pixels: int, n_cells: int) -> np.ndarray:
@@ -50,7 +27,7 @@ def _axis_assignment(g: NetGeometry, n_pixels: int, n_cells: int) -> np.ndarray:
 
 def project_mask(
     g: NetGeometry, image_mask: BinaryMask, fh: int, fw: int
-) -> FeatureMask:
+) -> BinaryMask:
     """Pool the binary image mask into an fh x fw feature-space mask."""
     if fh < 1 or fw < 1:
         raise ValidationError(f"feature dims must be >= 1, got {fh}x{fw}")
@@ -60,12 +37,12 @@ def project_mask(
     totals = np.bincount(cell.ravel(), minlength=fh * fw)
     counts = np.bincount(cell.ravel()[image_mask.bits.ravel()], minlength=fh * fw)
     bits = (2 * counts >= totals) & (totals > 0)
-    return FeatureMask(bits.reshape(fh, fw))
+    return BinaryMask(bits.reshape(fh, fw))
 
 
 def brute_force_project(
     g: NetGeometry, image_mask: BinaryMask, fh: int, fw: int
-) -> FeatureMask:
+) -> BinaryMask:
     """Oracle: per-pixel scan over every cell, no bucketing shortcuts."""
     if fh < 1 or fw < 1:
         raise ValidationError(f"feature dims must be >= 1, got {fh}x{fw}")
@@ -95,10 +72,10 @@ def brute_force_project(
         for u in range(fw):
             if totals[v][u] > 0 and 2 * counts[v][u] >= totals[v][u]:
                 out[v, u] = True
-    return FeatureMask(out)
+    return BinaryMask(out)
 
 
-def apply_mask(f: FeatureMap, m: FeatureMask) -> FeatureMap:
+def apply_mask(f: FeatureMap, m: BinaryMask) -> FeatureMap:
     """Zero every channel of f outside the feature mask."""
     if (f.height, f.width) != (m.height, m.width):
         raise ValidationError(

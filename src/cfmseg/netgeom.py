@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .core import PixelBox, ValidationError
-from .formats import load_json
+from .formats import int_fields, load_json
 
 LAYER_KINDS = ("conv", "pool")
 
@@ -114,24 +114,6 @@ def feature_extent(g: NetGeometry, box: PixelBox, fh: int, fw: int) -> PixelBox:
         hi_index(box.x1, fw),
         hi_index(box.y1, fh),
     )
-
-
-def int_fields(entry, names) -> dict[str, int]:
-    """The named integer fields of a JSON layer entry, keyed by name.
-
-    A missing or non-integer field raises ValidationError naming it.
-    """
-    if not isinstance(entry, dict):
-        raise ValidationError(f"layer entry must be a JSON object, got {entry!r}")
-    values = {}
-    for name in names:
-        value = entry.get(name)
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ValidationError(
-                f"layer field {name!r} must be an integer, got {value!r}"
-            )
-        values[name] = value
-    return values
 
 
 def layer_from_json(entry) -> LayerSpec:

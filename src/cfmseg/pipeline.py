@@ -22,9 +22,10 @@ from .core import (
     PixelBox,
     SegmentProposal,
     ValidationError,
-    mask_iou,
+    mask_iou,  # not used here; kept importable as pipeline.mask_iou
     proposal_from_mask,
     resize_nearest,
+    suppress,
 )
 from .netgeom import NetGeometry
 from .pooling import DESIGNS, PyramidSpec, design_feature, feature_length, spp_pool
@@ -209,14 +210,9 @@ def paste(
         key=lambda r: (-r.score, r.proposal.id, r.category),
     )
     labels = np.zeros((height, width), dtype=np.uint16)
-    while queue:
-        top, rest = queue[0], queue[1:]
+    for i in suppress([r.proposal.mask for r in queue], cfg.paste_inhibit_iou):
+        top = queue[i]
         labels[top.proposal.mask.bits & (labels == 0)] = top.category
-        queue = [
-            r
-            for r in rest
-            if mask_iou(r.proposal.mask, top.proposal.mask) <= cfg.paste_inhibit_iou
-        ]
     return LabelMap(labels)
 
 

@@ -13,9 +13,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import FeatureMap, PixelBox, SegmentProposal, ValidationError
+from .core import BinaryMask, FeatureMap, PixelBox, SegmentProposal, ValidationError
 from .formats import FormatError, dump_json, load_vector, save_vector
-from .masking import FeatureMask, apply_mask, project_mask
+from .masking import apply_mask, project_mask
 from .netgeom import NetGeometry, feature_extent
 
 DEFAULT_LEVELS = (6, 3, 2, 1)
@@ -90,7 +90,7 @@ def spp_pool(f: FeatureMap, window: PixelBox, pyr: PyramidSpec) -> PooledFeature
     return PooledFeature(np.concatenate(blocks), pyr, f.channels)
 
 
-def downsample_mask_to_grid(m: FeatureMask, window: PixelBox, n: int) -> np.ndarray:
+def downsample_mask_to_grid(m: BinaryMask, window: PixelBox, n: int) -> np.ndarray:
     """Thresholded mean of the feature mask over each of the n x n window bins."""
     if window.x1 >= m.width or window.y1 >= m.height:
         raise ValidationError(f"window {window} exceeds mask {m.height}x{m.width}")

@@ -18,6 +18,7 @@ from .core import (
     SegmentProposal,
     ValidationError,
     mask_iou,
+    suppress,
 )
 
 PURSUIT_MODES = ("deterministic", "stochastic")
@@ -60,12 +61,12 @@ def purity(seg: SegmentProposal, stuff: BinaryMask) -> float:
         raise ValidationError(
             f"segment {seg.mask.bits.shape} vs stuff {stuff.bits.shape}"
         )
-    clipped = np.zeros_like(stuff.bits)
     b = seg.box
-    clipped[b.y0 : b.y1 + 1, b.x0 : b.x1 + 1] = stuff.bits[
-        b.y0 : b.y1 + 1, b.x0 : b.x1 + 1
-    ]
-    return mask_iou(seg.mask, BinaryMask(clipped))
+    rows, cols = slice(b.y0, b.y1 + 1), slice(b.x0, b.x1 + 1)
+    # the segment lies inside its box, so box-local counts are the full ones
+    return mask_iou(
+        BinaryMask(seg.mask.bits[rows, cols]), BinaryMask(stuff.bits[rows, cols])
+    )
 
 
 def candidate_set(
@@ -85,32 +86,29 @@ def _area_floor(cands: list[Candidate], cfg: PursuitConfig) -> float:
     return sum(c.area for c in cands) / len(cands)
 
 
-def _inhibit(remaining: list[Candidate], pick: Candidate, threshold: float):
-    return [
-        c
-        for c in remaining
-        if c is not pick and mask_iou(c.proposal.mask, pick.proposal.mask) <= threshold
-    ]
-
-
 def _pursue(cands: list[Candidate], cfg: PursuitConfig, pick) -> list[Candidate]:
-    """The shared loop: pick from the eligible candidates, inhibit, repeat."""
+    """Suppression over the candidates at or above the area floor.
+
+    Smaller candidates are never picked, so they never inhibit anything
+    either. `pick` returns the position of its choice in the list it gets.
+    """
     if not cands:
         return []
     floor = _area_floor(cands, cfg)
-    remaining = list(cands)
-    selected = []
-    while True:
-        eligible = [c for c in remaining if c.area >= floor]
-        if not eligible:
-            return selected
-        chosen = pick(eligible)
-        selected.append(chosen)
-        remaining = _inhibit(remaining, chosen, cfg.inhibit_iou)
+    eligible = [c for c in cands if c.area >= floor]
+    kept = suppress(
+        [c.proposal.mask for c in eligible],
+        cfg.inhibit_iou,
+        lambda remaining: remaining[pick([eligible[i] for i in remaining])],
+    )
+    return [eligible[i] for i in kept]
 
 
-def _largest(eligible: list[Candidate]) -> Candidate:
-    return min(eligible, key=lambda c: (-c.area, c.proposal.id))
+def _largest(eligible: list[Candidate]) -> int:
+    return min(
+        range(len(eligible)),
+        key=lambda i: (-eligible[i].area, eligible[i].proposal.id),
+    )
 
 
 def deterministic_pursuit(
@@ -125,9 +123,9 @@ def stochastic_pursuit(
     """Same loop with area-proportional picks; reproducible from the seed."""
     rng = np.random.default_rng(rng_seed)
 
-    def draw(eligible: list[Candidate]) -> Candidate:
+    def draw(eligible: list[Candidate]) -> int:
         areas = np.array([c.area for c in eligible], dtype=np.float64)
-        return eligible[int(rng.choice(len(eligible), p=areas / areas.sum()))]
+        return int(rng.choice(len(eligible), p=areas / areas.sum()))
 
     return _pursue(cands, cfg, draw)
 
@@ -194,9 +192,3 @@ def stuff_samples(
     positives = [c.proposal for c in picks]
     negatives = [p for p in proposals if purity(p, stuff_gt) < cfg.purity_neg]
     return positives, negatives
-
-
-def derive_seed(master_seed: int, *keys: int) -> int:
-    """Stable per-image / per-epoch seed stream from one master seed."""
-    seq = np.random.SeedSequence([int(master_seed), *[int(k) for k in keys]])
-    return int(seq.generate_state(1)[0])

@@ -22,7 +22,6 @@ from .core import (
     ValidationError,
     proposal_from_mask,
 )
-from .pursuit import derive_seed
 
 SHAPE_KINDS = ("rect", "ellipse", "stripe")
 
@@ -263,6 +262,12 @@ def toy_proposals(
 # ---------------------------------------------------------------------------
 # Corpus generation
 # ---------------------------------------------------------------------------
+
+def derive_seed(master_seed: int, *keys: int) -> int:
+    """Stable per-image / per-epoch seed stream from one master seed."""
+    seq = np.random.SeedSequence([int(master_seed), *[int(k) for k in keys]])
+    return int(seq.generate_state(1)[0])
+
 
 @dataclass(frozen=True)
 class CorpusConfig:

@@ -14,8 +14,8 @@ from pathlib import Path
 import numpy as np
 
 from .core import FeatureMap, PixelBox, ValidationError, resize_nearest
-from .formats import load_json
-from .netgeom import LayerSpec, int_fields, layer_from_json
+from .formats import int_fields, load_json
+from .netgeom import LayerSpec, layer_from_json
 
 
 class _Layer:

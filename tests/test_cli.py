@@ -7,7 +7,6 @@ import pytest
 from cfmseg import formats, synth
 from cfmseg.cli import main, write_scene_dir
 from cfmseg.core import FeatureMap
-from cfmseg.pursuit import derive_seed
 from cfmseg.toynet import default_spec, spec_to_json
 
 
@@ -48,7 +47,7 @@ def scene_dir(tmp_path):
     cfg = synth.CorpusConfig()
     spec = synth.random_scene_spec(cfg, seed=3)
     scene = synth.generate_scene(spec)
-    proposals = synth.scene_proposals(scene, cfg, derive_seed(3, 2))
+    proposals = synth.scene_proposals(scene, cfg, synth.derive_seed(3, 2))
     out = tmp_path / "scene"
     write_scene_dir(out, scene, proposals)
     return out
@@ -159,9 +158,9 @@ class TestEndToEndCli:
         corpus = tmp_path / "corpus"
         cfg = synth.CorpusConfig()
         for i in range(4):
-            spec = synth.random_scene_spec(cfg, seed=derive_seed(50, i))
+            spec = synth.random_scene_spec(cfg, seed=synth.derive_seed(50, i))
             scene = synth.generate_scene(spec)
-            proposals = synth.scene_proposals(scene, cfg, derive_seed(50, i, 1))
+            proposals = synth.scene_proposals(scene, cfg, synth.derive_seed(50, i, 1))
             write_scene_dir(corpus / f"scene_{i:03d}", scene, proposals)
         models_dir = tmp_path / "models"
         report = capjson(
@@ -250,6 +249,35 @@ class TestErrorContract:
         err = self.error(capsys, ["synth", "--spec", str(tmp_path / "spec.json"),
                                   "--out-dir", str(tmp_path / "out")])
         assert err["error"] == "FormatError" and "width" in err["message"]
+
+    @pytest.mark.parametrize("where, value", [
+        ("shape", 10.7), ("shape", "3"), ("shape", True), ("band", 2.5), ("scene", 32.0),
+    ])
+    def test_scene_spec_non_integer_rejected(self, capsys, tmp_path, where, value):
+        spec = {
+            "width": 32, "height": 32,
+            "shapes": [{"kind": "rect", "category": 1, "cx": 10, "cy": 10,
+                        "half_w": 4, "half_h": 4}],
+            "bands": [{"category": 4, "row0": 0, "row1": 5,
+                       "base_color": [0.3, 0.6, 0.8], "noise_amp": 0.2}],
+        }
+        field = {"shape": "cx", "band": "row1", "scene": "width"}[where]
+        target = {"shape": spec["shapes"][0], "band": spec["bands"][0],
+                  "scene": spec}[where]
+        target[field] = value
+        (tmp_path / "spec.json").write_text(json.dumps(spec))
+        err = self.error(capsys, ["synth", "--spec", str(tmp_path / "spec.json"),
+                                  "--out-dir", str(tmp_path / "out")])
+        assert err["error"] == "ValidationError" and repr(field) in err["message"]
+        assert not (tmp_path / "out").exists()
+
+    def test_missing_proposal_index(self, capsys, tmp_path, net_file):
+        formats.save_feature_map(tmp_path / "img.cfmt",
+                                 FeatureMap(np.zeros((3, 8, 8), dtype=np.float32)))
+        err = self.error(capsys, ["bench", "--image", str(tmp_path / "img.cfmt"),
+                                  "--proposals", str(tmp_path / "absent.json"),
+                                  "--net", net_file])
+        assert err["error"] == "FileNotFoundError"
 
     def test_instance_mask_outside_scene_rejected(self, capsys, tmp_path, scene_dir,
                                                   net_file):

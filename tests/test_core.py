@@ -12,6 +12,7 @@ from cfmseg.core import (
     mask_iou,
     proposal_from_mask,
     resize_nearest,
+    suppress,
 )
 from conftest import random_mask, rect_mask
 
@@ -91,13 +92,18 @@ class TestTypes:
         with pytest.raises(ValidationError):
             PixelBox(-1, 0, 2, 1)
 
-    def test_proposal_requires_tight_box(self):
-        m = rect_mask(6, 6, 1, 3, 1, 3)
-        with pytest.raises(ValidationError):
-            SegmentProposal("p", m, PixelBox(0, 0, 5, 5))
-        p = proposal_from_mask("p", m)
+    def test_box_derived_from_mask(self, rng):
+        p = SegmentProposal("p", rect_mask(6, 6, 1, 3, 1, 3))
         assert p.box == PixelBox(1, 1, 3, 3)
         assert p.area == 9
+        for _ in range(20):
+            m = random_mask(rng, 9, 7, density=0.2)
+            if m.bits.any():
+                assert proposal_from_mask("q", m).box == bbox_of(m)
+        with pytest.raises(TypeError):
+            SegmentProposal("p", p.mask, PixelBox(0, 0, 5, 5))
+        with pytest.raises(ValidationError):
+            SegmentProposal("p", BinaryMask(np.zeros((3, 3), dtype=bool)))
 
     def test_feature_map_rejects_non_finite(self):
         bad = np.zeros((1, 2, 2), dtype=np.float32)
@@ -118,6 +124,45 @@ class TestTypes:
         lm.check_categories(4)
         with pytest.raises(ValidationError):
             lm.check_categories(3)
+
+
+class TestSuppress:
+    def test_default_picks_first_remaining(self):
+        a = rect_mask(8, 8, 0, 3, 0, 3)
+        b = rect_mask(8, 8, 0, 3, 0, 2)  # IoU 0.75 with a
+        c = rect_mask(8, 8, 5, 7, 5, 7)  # disjoint from both
+        d = rect_mask(8, 8, 5, 7, 5, 6)  # IoU 2/3 with c
+        assert suppress([a, b, c, d], 0.5) == [0, 2]
+        assert suppress([b, a, d, c], 0.5) == [0, 2]
+        assert suppress([a, b, c, d], 0.8) == [0, 1, 2, 3]
+
+    def test_custom_pick(self):
+        a = rect_mask(8, 8, 0, 3, 0, 3)
+        b = rect_mask(8, 8, 0, 3, 0, 2)
+        c = rect_mask(8, 8, 5, 7, 5, 7)
+        seen = []
+
+        def last(remaining):
+            seen.append(list(remaining))
+            return remaining[-1]
+
+        assert suppress([a, b, c], 0.5, last) == [2, 1]
+        assert seen == [[0, 1, 2], [0, 1]]
+
+    def test_iou_at_threshold_is_kept(self):
+        a = rect_mask(4, 4, 0, 3, 0, 1)
+        b = rect_mask(4, 4, 0, 3, 1, 2)  # 4 shared pixels of 12: IoU 1/3
+        assert mask_iou(a, b) == 1 / 3
+        assert suppress([a, b], 1 / 3) == [0, 1]
+        assert suppress([a, b], 0.33) == [0]
+
+    def test_identical_masks_suppressed(self, rng):
+        m = random_mask(rng, 6, 6, density=0.5)
+        copy = BinaryMask(m.bits.copy())
+        assert suppress([m, copy, m], 0.99) == [0]
+
+    def test_empty_input(self):
+        assert suppress([], 0.5) == []
 
 
 class TestResizeNearest:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cfmseg import formats
-from cfmseg.core import BinaryMask, FeatureMap, LabelMap, PixelBox, SegmentProposal
+from cfmseg.core import BinaryMask, FeatureMap, LabelMap, proposal_from_mask
 from cfmseg.formats import FormatError
 from conftest import random_map, random_mask, rect_mask
 
@@ -124,8 +124,6 @@ class TestProposalIndex:
             m = random_mask(rng, 10, 12, density=0.4)
             if not m.bits.any():
                 continue
-            from cfmseg.core import proposal_from_mask
-
             proposals.append(proposal_from_mask(f"prop-{i}", m))
         index = tmp_path / "proposals.json"
         formats.save_proposal_index(index, proposals)
@@ -137,12 +135,33 @@ class TestProposalIndex:
 
     def test_loose_box_rejected(self, tmp_path):
         m = rect_mask(6, 6, 2, 3, 2, 3)
-        formats.save_proposal_index(tmp_path / "p.json", [SegmentProposal("a", m, PixelBox(2, 2, 3, 3))])
-        import json
-
+        formats.save_proposal_index(tmp_path / "p.json", [proposal_from_mask("a", m)])
         entries = json.loads((tmp_path / "p.json").read_text())
+        assert entries[0]["box"] == [2, 2, 3, 3]
         entries[0]["box"] = [0, 0, 5, 5]
         (tmp_path / "p.json").write_text(json.dumps(entries))
+        with pytest.raises(FormatError):
+            formats.load_proposal_index(tmp_path / "p.json")
+
+    @pytest.mark.parametrize("box", [[2.5, 2, 3, 3], ["2", 2, 3, 3], [2, 2, 3], None])
+    def test_box_must_equal_derived_box(self, tmp_path, box):
+        m = rect_mask(6, 6, 2, 3, 2, 3)
+        formats.save_proposal_index(tmp_path / "p.json", [proposal_from_mask("a", m)])
+        entries = json.loads((tmp_path / "p.json").read_text())
+        entries[0]["box"] = box
+        (tmp_path / "p.json").write_text(json.dumps(entries))
+        with pytest.raises(FormatError, match="entry 0"):
+            formats.load_proposal_index(tmp_path / "p.json")
+
+    def test_missing_index_is_file_not_found(self, tmp_path):
+        # the same error as every other loader gives for a missing file
+        with pytest.raises(FileNotFoundError):
+            formats.load_proposal_index(tmp_path / "absent.json")
+        with pytest.raises(FileNotFoundError):
+            formats.load_mask(tmp_path / "absent.pgm")
+
+    def test_undecodable_index_rejected(self, tmp_path):
+        (tmp_path / "p.json").write_text('[{"id": "a", "mask"')
         with pytest.raises(FormatError):
             formats.load_proposal_index(tmp_path / "p.json")
 

@@ -3,7 +3,6 @@ import pytest
 
 from cfmseg.core import BinaryMask, FeatureMap, ValidationError
 from cfmseg.masking import (
-    FeatureMask,
     apply_mask,
     brute_force_project,
     project_mask,
@@ -99,19 +98,19 @@ class TestProjectMask:
 class TestApplyMask:
     def test_full_mask_is_identity(self, rng):
         f = random_map(rng, 3, 5, 5)
-        m = FeatureMask(np.ones((5, 5), dtype=bool))
+        m = BinaryMask(np.ones((5, 5), dtype=bool))
         assert np.array_equal(apply_mask(f, m).values, f.values)
 
     def test_zero_mask_zeroes_everything(self, rng):
         f = random_map(rng, 3, 5, 5)
-        m = FeatureMask(np.zeros((5, 5), dtype=bool))
+        m = BinaryMask(np.zeros((5, 5), dtype=bool))
         assert not apply_mask(f, m).values.any()
 
     def test_single_cell_survives(self, rng):
         f = random_map(rng, 4, 6, 6)
         bits = np.zeros((6, 6), dtype=bool)
         bits[2, 3] = True
-        out = apply_mask(f, FeatureMask(bits))
+        out = apply_mask(f, BinaryMask(bits))
         assert np.array_equal(out.values[:, 2, 3], f.values[:, 2, 3])
         zeroed = out.values.copy()
         zeroed[:, 2, 3] = 0
@@ -119,7 +118,7 @@ class TestApplyMask:
 
     def test_idempotent(self, rng):
         f = random_map(rng, 2, 4, 4)
-        m = FeatureMask(rng.random((4, 4)) < 0.5)
+        m = BinaryMask(rng.random((4, 4)) < 0.5)
         once = apply_mask(f, m)
         twice = apply_mask(once, m)
         assert np.array_equal(once.values, twice.values)
@@ -127,10 +126,10 @@ class TestApplyMask:
     def test_input_unchanged(self, rng):
         f = random_map(rng, 2, 4, 4)
         before = f.values.copy()
-        apply_mask(f, FeatureMask(np.zeros((4, 4), dtype=bool)))
+        apply_mask(f, BinaryMask(np.zeros((4, 4), dtype=bool)))
         assert np.array_equal(f.values, before)
 
     def test_dim_mismatch_rejected(self, rng):
         f = random_map(rng, 2, 4, 4)
         with pytest.raises(ValidationError):
-            apply_mask(f, FeatureMask(np.ones((4, 5), dtype=bool)))
+            apply_mask(f, BinaryMask(np.ones((4, 5), dtype=bool)))

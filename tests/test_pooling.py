@@ -8,7 +8,7 @@ from cfmseg.core import (
     ValidationError,
     proposal_from_mask,
 )
-from cfmseg.masking import FeatureMask, project_mask
+from cfmseg.masking import project_mask
 from cfmseg.netgeom import NetGeometry, compose_geometry, feature_extent, LayerSpec
 from cfmseg.pooling import (
     PooledFeature,
@@ -88,15 +88,15 @@ class TestSppPool:
 class TestMaskDownsampling:
     def test_full_and_empty(self):
         window = PixelBox(0, 0, 11, 11)
-        full = FeatureMask(np.ones((12, 12), dtype=bool))
-        empty = FeatureMask(np.zeros((12, 12), dtype=bool))
+        full = BinaryMask(np.ones((12, 12), dtype=bool))
+        empty = BinaryMask(np.zeros((12, 12), dtype=bool))
         assert downsample_mask_to_grid(full, window, 6).all()
         assert not downsample_mask_to_grid(empty, window, 6).any()
 
     def test_half_window(self):
         bits = np.zeros((12, 12), dtype=bool)
         bits[:, :6] = True
-        grid = downsample_mask_to_grid(FeatureMask(bits), PixelBox(0, 0, 11, 11), 6)
+        grid = downsample_mask_to_grid(BinaryMask(bits), PixelBox(0, 0, 11, 11), 6)
         assert np.array_equal(grid, np.tile([True] * 3 + [False] * 3, (6, 1)))
 
 

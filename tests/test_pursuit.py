@@ -12,7 +12,6 @@ from cfmseg.pursuit import (
     Candidate,
     PursuitConfig,
     candidate_set,
-    derive_seed,
     deterministic_pursuit,
     label_object_samples,
     overlap_label,
@@ -49,6 +48,28 @@ class TestPurity:
         seg = proposal_from_mask("s", rect_mask(4, 4, 0, 1, 0, 1))
         stuff = rect_mask(4, 4, 0, 3, 0, 0)
         assert purity(seg, stuff) == 0.5
+
+    def test_matches_full_image_clipped_iou(self, rng):
+        def clipped_iou(seg, stuff):
+            # the full-image formula: IoU against the stuff inside the segment's box
+            clipped = np.zeros_like(stuff.bits)
+            b = seg.box
+            clipped[b.y0 : b.y1 + 1, b.x0 : b.x1 + 1] = stuff.bits[
+                b.y0 : b.y1 + 1, b.x0 : b.x1 + 1
+            ]
+            return mask_iou(seg.mask, BinaryMask(clipped))
+
+        checked = 0
+        for _ in range(400):
+            h, w = (int(n) for n in rng.integers(1, 33, size=2))
+            mask = random_mask(rng, h, w, density=float(rng.uniform(0.01, 0.6)))
+            if not mask.bits.any():
+                continue
+            stuff = random_mask(rng, h, w, density=float(rng.uniform(0.0, 1.0)))
+            seg = proposal_from_mask("s", mask)
+            assert purity(seg, stuff) == clipped_iou(seg, stuff)
+            checked += 1
+        assert checked > 300
 
     def test_dim_mismatch_rejected(self):
         seg = proposal_from_mask("s", rect_mask(4, 4, 0, 1, 0, 1))
@@ -127,10 +148,16 @@ class TestDeterministicPursuit:
         assert deterministic_pursuit([], PursuitConfig()) == []
 
 
-def brute_force_pursuit(cands, cfg):
-    """Literal re-evaluation of the selection rules at every step."""
+def brute_force_pursuit(cands, cfg, seed=None):
+    """Literal re-evaluation of the selection rules at every step.
+
+    Every remaining candidate, below the area floor too, stays in the pool
+    until a pick inhibits it. With a seed, each pick is an area-weighted
+    draw over the eligible ones, as stochastic pursuit draws them.
+    """
     if not cands:
         return []
+    rng = None if seed is None else np.random.default_rng(seed)
     threshold = (
         cfg.min_area if cfg.min_area is not None
         else sum(c.area for c in cands) / len(cands)
@@ -141,12 +168,16 @@ def brute_force_pursuit(cands, cfg):
         big = [c for c in pool if c.area >= threshold]
         if not big:
             return chosen
-        best = big[0]
-        for c in big[1:]:
-            if c.area > best.area or (
-                c.area == best.area and c.proposal.id < best.proposal.id
-            ):
-                best = c
+        if rng is not None:
+            areas = np.array([c.area for c in big], dtype=np.float64)
+            best = big[int(rng.choice(len(big), p=areas / areas.sum()))]
+        else:
+            best = big[0]
+            for c in big[1:]:
+                if c.area > best.area or (
+                    c.area == best.area and c.proposal.id < best.proposal.id
+                ):
+                    best = c
         chosen.append(best)
         pool = [
             c for c in pool
@@ -172,6 +203,14 @@ class TestPursuitInvariants:
             cands = random_candidates(rng, int(rng.integers(0, 7)))
             got = deterministic_pursuit(cands, cfg)
             want = brute_force_pursuit(cands, cfg)
+            assert [c.proposal.id for c in got] == [c.proposal.id for c in want]
+
+    def test_stochastic_matches_brute_force_draws(self, rng):
+        for trial in range(200):
+            cfg = PursuitConfig(min_area=None if trial % 2 else 0.0)
+            cands = random_candidates(rng, int(rng.integers(0, 9)))
+            got = stochastic_pursuit(cands, cfg, rng_seed=trial)
+            want = brute_force_pursuit(cands, cfg, seed=trial)
             assert [c.proposal.id for c in got] == [c.proposal.id for c in want]
 
     def test_selection_invariants_both_modes(self, rng):
@@ -315,9 +354,3 @@ class TestStuffSamples:
         with pytest.raises(ValidationError, match="pursuit mode"):
             stuff_samples([proposal_from_mask("c", stuff)], stuff, PursuitConfig(),
                           mode="greedy")
-
-
-class TestDeriveSeed:
-    def test_stable_and_distinct(self):
-        assert derive_seed(5, 1, 2) == derive_seed(5, 1, 2)
-        assert derive_seed(5, 1, 2) != derive_seed(5, 2, 1)

@@ -8,6 +8,7 @@ from cfmseg.synth import (
     CorpusConfig,
     SceneSpec,
     ShapeSpec,
+    derive_seed,
     generate_scene,
     make_corpus,
     scene_proposals,
@@ -134,3 +135,9 @@ class TestCorpus:
                     candidate_set(props, stuff, pursuit_cfg), pursuit_cfg
                 )
                 assert picks, f"no pursuit picks for stuff {c} in scene {i}"
+
+
+class TestDeriveSeed:
+    def test_stable_and_distinct(self):
+        assert derive_seed(5, 1, 2) == derive_seed(5, 1, 2)
+        assert derive_seed(5, 1, 2) != derive_seed(5, 2, 1)
