@@ -53,10 +53,9 @@ from .pursuit import (
     Candidate,
     PursuitConfig,
     candidate_set,
-    deterministic_pursuit,
     label_object_samples,
+    pursue,
     purity,
-    stochastic_pursuit,
     stuff_samples,
 )
 from .classify import LinearModel, hinge_objective, score, train_svm

@@ -8,14 +8,16 @@ triple always yields the same model.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from .core import ValidationError
-from .formats import FormatError, canonical_json, load_vector, save_vector
+from .formats import (
+    contained, dump_json, int_fields, load_json, load_vector, save_vector,
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -34,8 +36,7 @@ class LinearModel:
 
 
 def _vector(feature) -> np.ndarray:
-    values = getattr(feature, "values", feature)
-    return np.asarray(values, dtype=np.float64).reshape(-1)
+    return np.asarray(feature, dtype=np.float64).reshape(-1)
 
 
 def _matrix(features, length: int | None = None) -> np.ndarray:
@@ -125,21 +126,15 @@ def save_model(path: Path | str, m: LinearModel) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     weights_rel = path.stem + "_weights.cfmt"
     save_vector(path.parent / weights_rel, m.weights)
-    path.write_text(
-        canonical_json(
-            {"category": m.category, "bias": m.bias, "weights": weights_rel}
-        ),
-        encoding="ascii",
-    )
+    dump_json({"category": m.category, "bias": m.bias, "weights": weights_rel}, path)
 
 
 def load_model(path: Path | str) -> LinearModel:
     path = Path(path)
-    try:
-        meta = json.loads(path.read_text(encoding="utf-8"))
-        weights = load_vector(path.parent / meta["weights"])
-        return LinearModel(weights, float(meta["bias"]), int(meta["category"]))
-    except FormatError:
-        raise
-    except (OSError, KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"{path}: invalid model file: {exc}") from exc
+    return load_json(path, partial(_model_from_json, path.parent))
+
+
+def _model_from_json(base: Path, meta) -> LinearModel:
+    category = int_fields(meta, ("category",))["category"]
+    weights = load_vector(contained(base, meta["weights"]))
+    return LinearModel(weights, float(meta["bias"]), category)

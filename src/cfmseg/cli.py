@@ -49,6 +49,13 @@ def _pipeline_config(args) -> pipeline.PipelineConfig:
     return pipeline.PipelineConfig(**kwargs)
 
 
+def _pipeline_setup(args):
+    """(net, geometry, config) from the shared --net/--design/--scales/--levels."""
+    net = toynet.init_toynet(toynet.load_spec(args.net))
+    g = netgeom.compose_geometry(net.spec.geometry_layers())
+    return net, g, _pipeline_config(args)
+
+
 # ---------------------------------------------------------------------------
 # subcommand handlers
 # ---------------------------------------------------------------------------
@@ -73,7 +80,7 @@ def cmd_mask_project(args) -> None:
     g = netgeom.compose_geometry(netgeom.load_layers(args.geometry))
     mask = formats.load_mask(args.mask)
     fmask = project_mask(g, mask, args.fh, args.fw)
-    formats.save_mask_bits(args.out, fmask.bits)
+    formats.save_mask(args.out, fmask)
     _print_json(
         {"set_cells": int(fmask.bits.sum()), "fh": args.fh, "fw": args.fw,
          "out": args.out}
@@ -136,9 +143,7 @@ def cmd_synth(args) -> None:
 
 
 def cmd_train(args) -> None:
-    net = toynet.init_toynet(toynet.load_spec(args.net))
-    g = netgeom.compose_geometry(net.spec.geometry_layers())
-    cfg = _pipeline_config(args)
+    net, g, cfg = _pipeline_setup(args)
     scenes = [read_scene_dir(p) for p in sorted(Path(args.corpus).iterdir())
               if p.is_dir()]
     if not scenes:
@@ -170,9 +175,7 @@ def _load_models(models_dir: str) -> list[classify.LinearModel]:
 
 
 def cmd_infer(args) -> None:
-    net = toynet.init_toynet(toynet.load_spec(args.net))
-    g = netgeom.compose_geometry(net.spec.geometry_layers())
-    cfg = _pipeline_config(args)
+    net, g, cfg = _pipeline_setup(args)
     models = _load_models(args.models)
     image = formats.load_feature_map(args.image)
     proposals = formats.load_proposal_index(args.proposals)
@@ -218,9 +221,7 @@ def cmd_eval(args) -> None:
 
 
 def cmd_bench(args) -> None:
-    net = toynet.init_toynet(toynet.load_spec(args.net))
-    g = netgeom.compose_geometry(net.spec.geometry_layers())
-    cfg = _pipeline_config(args)
+    net, g, cfg = _pipeline_setup(args)
     image = formats.load_feature_map(args.image)
     proposals = formats.load_proposal_index(args.proposals)
     counts = _parse_ints(args.counts)
@@ -281,7 +282,7 @@ def _scene_spec_from_json(obj) -> synth.SceneSpec:
 def _scored_regions(base: Path, entries) -> list[pipeline.ScoredRegion]:
     return [
         pipeline.ScoredRegion(
-            proposal_from_mask(e["id"], formats.load_index_mask(base, e["mask"])),
+            proposal_from_mask(formats.string_id(e), _entry_mask(base, e)),
             int(e["category"]),
             float(e["score"]),
         )
@@ -291,9 +292,12 @@ def _scored_regions(base: Path, entries) -> list[pipeline.ScoredRegion]:
 
 def _instances(base: Path, entries) -> list[InstanceSegment]:
     return [
-        InstanceSegment(int(e["category"]), formats.load_index_mask(base, e["mask"]))
-        for e in entries
+        InstanceSegment(int(e["category"]), _entry_mask(base, e)) for e in entries
     ]
+
+
+def _entry_mask(base: Path, entry):
+    return formats.load_mask(formats.contained(base, entry["mask"]))
 
 
 def write_scene_dir(out: Path, scene: synth.Scene, proposals) -> None:
@@ -331,6 +335,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="internal parallelism; results are identical for any value",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # train, infer and bench build the same net, geometry and config
+    pipeline_opts = argparse.ArgumentParser(add_help=False)
+    pipeline_opts.add_argument("--net", required=True, help="network spec JSON")
+    pipeline_opts.add_argument("--design", choices=pooling.DESIGNS, default="B",
+                               help="feature wiring (none = unmasked box pyramid)")
+    pipeline_opts.add_argument("--scales", help="comma-separated shorter-edge scales")
+    pipeline_opts.add_argument("--levels", help="pyramid grid sizes")
 
     p = sub.add_parser("geometry", help="stride / receptive field / offset of a stack")
     p.add_argument("--layers", required=True, help="layer-stack JSON file")
@@ -378,17 +389,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="directory for the scene artifacts")
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("train", help="train per-category classifiers on a corpus")
+    p = sub.add_parser("train", parents=[pipeline_opts],
+                       help="train per-category classifiers on a corpus")
     p.add_argument("--corpus", required=True, help="directory of scene directories")
-    p.add_argument("--net", required=True, help="network spec JSON")
     p.add_argument("--object-cats", dest="object_cats", required=True,
                    help="comma-separated object category indices")
     p.add_argument("--stuff-cats", dest="stuff_cats", required=True,
                    help="comma-separated stuff category indices")
-    p.add_argument("--design", choices=pooling.DESIGNS, default="B",
-                   help="feature wiring (none = unmasked box pyramid)")
-    p.add_argument("--scales", help="comma-separated shorter-edge scales")
-    p.add_argument("--levels", help="pyramid grid sizes")
     p.add_argument("--reg", type=float, default=1e-4,
                    help="L2 regularization strength")
     p.add_argument("--epochs", type=int, default=10, help="training epochs")
@@ -397,15 +404,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="directory for the model files")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("infer", help="score proposals, paste labels, optionally eval")
+    p = sub.add_parser("infer", parents=[pipeline_opts],
+                       help="score proposals, paste labels, optionally eval")
     p.add_argument("--models", required=True, help="directory of model files")
     p.add_argument("--image", required=True, help="input CFMT tensor")
     p.add_argument("--proposals", required=True, help="proposal index JSON")
-    p.add_argument("--net", required=True, help="network spec JSON")
-    p.add_argument("--design", choices=pooling.DESIGNS, default="B",
-                   help="feature wiring (none = unmasked box pyramid)")
-    p.add_argument("--scales", help="comma-separated shorter-edge scales")
-    p.add_argument("--levels", help="pyramid grid sizes")
     p.add_argument("--inhibit", type=float, help="pasting inhibition IoU")
     p.add_argument("--gt", help="ground-truth CFML for evaluation")
     p.add_argument("--out-labels", dest="out_labels", required=True,
@@ -430,17 +433,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="category count including background")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("bench", help="shared-map vs per-region timing comparison")
+    p = sub.add_parser("bench", parents=[pipeline_opts],
+                       help="shared-map vs per-region timing comparison")
     p.add_argument("--image", required=True, help="input CFMT tensor")
     p.add_argument("--proposals", required=True, help="proposal index JSON")
-    p.add_argument("--net", required=True, help="network spec JSON")
     p.add_argument("--counts", default="1,10,50,200",
                    help="comma-separated proposal counts to time")
-    p.add_argument("--design", choices=pooling.DESIGNS, default="B",
-                   help="feature wiring for the shared path")
-    p.add_argument("--levels", help="pyramid grid sizes")
     p.add_argument("--warp", type=int, help="baseline crop-and-warp side")
-    p.add_argument("--scales", help="comma-separated shorter-edge scales")
     p.set_defaults(func=cmd_bench)
 
     return parser

@@ -123,17 +123,9 @@ def load_vector(path: Path | str) -> np.ndarray:
 # P5 binary masks (255 = set, 0 = unset)
 # ---------------------------------------------------------------------------
 
-def save_mask_bits(path: Path | str, bits: np.ndarray) -> None:
-    arr = np.asarray(bits, dtype=bool)
-    if arr.ndim != 2:
-        raise ValidationError("mask payload must be 2-D")
-    h, w = arr.shape
-    header = f"P5\n{w} {h}\n255\n".encode("ascii")
-    Path(path).write_bytes(header + (arr.astype(np.uint8) * 255).tobytes())
-
-
 def save_mask(path: Path | str, mask: BinaryMask) -> None:
-    save_mask_bits(path, mask.bits)
+    header = f"P5\n{mask.width} {mask.height}\n255\n".encode("ascii")
+    Path(path).write_bytes(header + (mask.bits.astype(np.uint8) * 255).tobytes())
 
 
 def _pgm_tokens(data: bytes):
@@ -155,7 +147,7 @@ def _pgm_tokens(data: bytes):
         pos = end
 
 
-def load_mask_bits(path: Path | str) -> np.ndarray:
+def load_mask(path: Path | str) -> BinaryMask:
     data = Path(path).read_bytes()
     tokens = _pgm_tokens(data)
     try:
@@ -184,29 +176,32 @@ def load_mask_bits(path: Path | str) -> np.ndarray:
     if bad.any():
         value = int(raw[bad][0])
         raise FormatError(f"{path}: pixel value {value} is neither 0 nor 255")
-    return raw == 255
+    return BinaryMask(raw == 255)
 
 
-def load_mask(path: Path | str) -> BinaryMask:
-    try:
-        return BinaryMask(load_mask_bits(path))
-    except ValidationError as exc:
-        raise FormatError(f"{path}: {exc}") from exc
+def contained(base: Path, rel) -> Path:
+    """The path a file names relative to its own directory `base`.
 
-
-def load_index_mask(base: Path, rel) -> BinaryMask:
-    """Load a mask that an index file names relative to its own directory.
-
-    An absolute path, or one that climbs out through "..", raises
-    FormatError; the check is lexical, so it follows no symlinks.
+    A non-string, a path naming `base` itself, an absolute path, or one that
+    climbs out through ".." raises FormatError; the check is lexical, so it
+    follows no symlinks.
     """
-    if (
-        not isinstance(rel, str)
-        or os.path.isabs(rel)
-        or os.path.normpath(rel).split(os.sep)[0] == os.pardir
-    ):
-        raise FormatError(f"{base}: mask path {rel!r} leaves its directory")
-    return load_mask(base / rel)
+    if not isinstance(rel, str) or os.path.normpath(rel) == os.curdir:
+        raise FormatError(f"{base}: path {rel!r} names no file in its directory")
+    if os.path.isabs(rel) or os.path.normpath(rel).split(os.sep)[0] == os.pardir:
+        raise FormatError(f"{base}: path {rel!r} leaves its directory")
+    return base / rel
+
+
+def string_id(entry) -> str:
+    """An index entry's "id"; anything but a JSON string is a TypeError.
+
+    `load_json` and the proposal-index parser report that as FormatError.
+    """
+    value = entry["id"]
+    if not isinstance(value, str):
+        raise TypeError(f"id must be a JSON string, got {value!r}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +260,7 @@ def _proposal_entries(index_path: Path, entries) -> list[SegmentProposal]:
     for n, entry in enumerate(entries):
         try:
             p = SegmentProposal(
-                entry["id"], load_index_mask(index_path.parent, entry["mask"])
+                string_id(entry), load_mask(contained(index_path.parent, entry["mask"]))
             )
             box = entry["box"]
         except FormatError:

@@ -7,14 +7,14 @@ With the default {6,3,2,1} pyramid the output length is 50 * channels.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from .core import BinaryMask, FeatureMap, PixelBox, SegmentProposal, ValidationError
-from .formats import FormatError, dump_json, load_vector, save_vector
+from .formats import dump_json, load_json, load_vector, save_vector
 from .masking import apply_mask, project_mask
 from .netgeom import NetGeometry, feature_extent
 
@@ -111,28 +111,27 @@ def _conv_window(conv: FeatureMap, p: SegmentProposal, g: NetGeometry) -> PixelB
 
 def design_a_features(
     conv: FeatureMap, p: SegmentProposal, g: NetGeometry, pyr: PyramidSpec
-) -> tuple[PooledFeature, PooledFeature]:
-    """Two pooling pathways over one window: plain box and masked segment."""
+) -> np.ndarray:
+    """Two pooling pathways over one window: plain box, then masked segment."""
     window = _conv_window(conv, p, g)
     box_feature = spp_pool(conv, window, pyr)
     fmask = project_mask(g, p.mask, conv.height, conv.width)
     segment_feature = spp_pool(apply_mask(conv, fmask), window, pyr)
-    return box_feature, segment_feature
+    return np.concatenate([box_feature.values, segment_feature.values])
 
 
 def design_b_features(
     conv: FeatureMap, p: SegmentProposal, g: NetGeometry, pyr: PyramidSpec
-) -> PooledFeature:
+) -> np.ndarray:
     """Single pathway: pool unmasked, then blank masked-out bins of the finest level."""
     window = _conv_window(conv, p, g)
-    pooled = spp_pool(conv, window, pyr)
+    values = spp_pool(conv, window, pyr).values  # fresh, so zeroed in place below
     fmask = project_mask(g, p.mask, conv.height, conv.width)
     finest = pyr.levels[0]
     grid = downsample_mask_to_grid(fmask, window, finest)
-    values = pooled.values.copy()
     head = values[: finest * finest * conv.channels].reshape(-1, conv.channels)
     head[~grid.reshape(-1)] = 0.0
-    return PooledFeature(values, pyr, conv.channels)
+    return values
 
 
 def design_feature(
@@ -143,11 +142,11 @@ def design_feature(
     design: str,
 ) -> np.ndarray:
     """One proposal's feature vector under the named design."""
+    # no lookup table: a wrapper swapped onto a module attribute must see each call
     if design == "A":
-        box_f, seg_f = design_a_features(conv, p, g, pyr)
-        return np.concatenate([box_f.values, seg_f.values])
+        return design_a_features(conv, p, g, pyr)
     if design == "B":
-        return design_b_features(conv, p, g, pyr).values
+        return design_b_features(conv, p, g, pyr)
     if design == "none":
         return spp_pool(conv, _conv_window(conv, p, g), pyr).values
     raise ValidationError(f"design must be one of {DESIGNS}")
@@ -167,13 +166,10 @@ def save_pooled_feature(path: Path | str, pooled: PooledFeature) -> None:
 
 def load_pooled_feature(path: Path | str) -> PooledFeature:
     values = load_vector(path)
-    try:
-        meta = json.loads(Path(str(path) + ".json").read_text(encoding="utf-8"))
-        pyr = PyramidSpec(tuple(meta["levels"]))
-        channels = int(meta["channels"])
-    except (OSError, KeyError, ValueError) as exc:
-        raise FormatError(f"{path}: missing or invalid pooled-feature sidecar") from exc
-    try:
-        return PooledFeature(values, pyr, channels)
-    except ValidationError as exc:
-        raise FormatError(f"{path}: {exc}") from exc
+    return load_json(str(path) + ".json", partial(_pooled_feature, values))
+
+
+def _pooled_feature(values: np.ndarray, meta) -> PooledFeature:
+    return PooledFeature(
+        values, PyramidSpec(tuple(meta["levels"])), int(meta["channels"])
+    )

@@ -9,6 +9,7 @@ smaller than the mean area of the initial set are never picked.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -80,21 +81,27 @@ def candidate_set(
     ]
 
 
-def _area_floor(cands: list[Candidate], cfg: PursuitConfig) -> float:
-    if cfg.min_area is not None:
-        return cfg.min_area
-    return sum(c.area for c in cands) / len(cands)
-
-
-def _pursue(cands: list[Candidate], cfg: PursuitConfig, pick) -> list[Candidate]:
+def pursue(
+    cands: list[Candidate], cfg: PursuitConfig, mode: str, seed: int = 0
+) -> list[Candidate]:
     """Suppression over the candidates at or above the area floor.
 
     Smaller candidates are never picked, so they never inhibit anything
-    either. `pick` returns the position of its choice in the list it gets.
+    either. "deterministic" picks the largest remaining candidate (ties by
+    id); "stochastic" draws one with probability proportional to area from
+    a generator seeded with `seed`, so a seed always gives the same picks.
     """
+    if mode == "deterministic":
+        pick = _largest
+    elif mode == "stochastic":
+        pick = partial(_draw, np.random.default_rng(seed))
+    else:
+        raise ValidationError(f"pursuit mode must be one of {PURSUIT_MODES}")
     if not cands:
         return []
-    floor = _area_floor(cands, cfg)
+    floor = cfg.min_area
+    if floor is None:
+        floor = sum(c.area for c in cands) / len(cands)
     eligible = [c for c in cands if c.area >= floor]
     kept = suppress(
         [c.proposal.mask for c in eligible],
@@ -111,34 +118,9 @@ def _largest(eligible: list[Candidate]) -> int:
     )
 
 
-def deterministic_pursuit(
-    cands: list[Candidate], cfg: PursuitConfig
-) -> list[Candidate]:
-    return _pursue(cands, cfg, _largest)
-
-
-def stochastic_pursuit(
-    cands: list[Candidate], cfg: PursuitConfig, rng_seed: int
-) -> list[Candidate]:
-    """Same loop with area-proportional picks; reproducible from the seed."""
-    rng = np.random.default_rng(rng_seed)
-
-    def draw(eligible: list[Candidate]) -> int:
-        areas = np.array([c.area for c in eligible], dtype=np.float64)
-        return int(rng.choice(len(eligible), p=areas / areas.sum()))
-
-    return _pursue(cands, cfg, draw)
-
-
-def pursue(
-    cands: list[Candidate], cfg: PursuitConfig, mode: str, seed: int = 0
-) -> list[Candidate]:
-    """Run the named pursuit mode; the seed only drives stochastic picks."""
-    if mode == "deterministic":
-        return deterministic_pursuit(cands, cfg)
-    if mode == "stochastic":
-        return stochastic_pursuit(cands, cfg, seed)
-    raise ValidationError(f"pursuit mode must be one of {PURSUIT_MODES}")
+def _draw(rng: np.random.Generator, eligible: list[Candidate]) -> int:
+    areas = np.array([c.area for c in eligible], dtype=np.float64)
+    return int(rng.choice(len(eligible), p=areas / areas.sum()))
 
 
 def overlap_label(iou: float) -> int | None:

@@ -37,9 +37,8 @@ from cfmseg.pursuit import (
     Candidate,
     PursuitConfig,
     candidate_set,
-    deterministic_pursuit,
     overlap_label,
-    stochastic_pursuit,
+    pursue,
 )
 from cfmseg.toynet import default_spec, init_toynet, spec_to_json
 
@@ -129,8 +128,8 @@ def test_criterion_03_spp_contract():
             .astype(np.float32)
         )
         full = proposal_from_mask("full", BinaryMask(np.ones((32, 32), dtype=bool)))
-        box_f, seg_f = design_a_features(conv, full, g, pyr)
-        assert np.array_equal(box_f.values, seg_f.values)
+        box_f, seg_f = np.split(design_a_features(conv, full, g, pyr), 2)
+        assert np.array_equal(box_f, seg_f)
     report("criterion 3", "lengths 50*C, constant pooling, full-mask identity")
 
 
@@ -184,8 +183,8 @@ def test_criterion_04_pursuit_invariants():
             continue
         mean_area = sum(c.area for c in cands) / len(cands)
 
-        det = deterministic_pursuit(cands, cfg)
-        sto = stochastic_pursuit(cands, cfg, rng_seed=trial)
+        det = pursue(cands, cfg, "deterministic")
+        sto = pursue(cands, cfg, "stochastic", trial)
         stochastic_runs += 1
         for picks in (det, sto):
             for i, a in enumerate(picks):
@@ -220,7 +219,7 @@ def test_criterion_05_stochastic_proportionality():
     draws = 100_000
     hits = 0
     for seed in range(draws):
-        first = stochastic_pursuit([big, s1, s2], cfg, seed)[0]
+        first = pursue([big, s1, s2], cfg, "stochastic", seed)[0]
         if first is big:
             hits += 1
     freq = hits / draws

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from cfmseg.classify import (
     train_svm,
 )
 from cfmseg.core import ValidationError
+from cfmseg.formats import FormatError, save_vector
 
 
 def separable_clusters(rng, n=40, dim=6, gap=4.0):
@@ -149,3 +152,30 @@ class TestModelIO:
         back = load_model(tmp_path / "m.json")
         probe = rng.standard_normal(9).astype(np.float32)
         assert score(back, probe) == score(model, probe)
+
+    @pytest.mark.parametrize("where", ["parent", "absolute"])
+    def test_weights_outside_directory_rejected(self, tmp_path, where):
+        # a valid weight file outside the model directory, so only containment
+        # rejects it
+        outside = tmp_path / "outside" / "w.cfmt"
+        outside.parent.mkdir()
+        save_vector(outside, np.ones(4, dtype=np.float32))
+        rel = "../outside/w.cfmt" if where == "parent" else str(outside)
+        path = tmp_path / "models" / "m.json"
+        path.parent.mkdir()
+        path.write_text(json.dumps({"category": 1, "bias": 0.0, "weights": rel}))
+        with pytest.raises(FormatError, match="leaves its directory"):
+            load_model(path)
+
+    def test_missing_model_is_file_not_found(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            load_model(tmp_path / "absent.json")
+
+    @pytest.mark.parametrize("category", [1.5, "1", True, None])
+    def test_category_must_be_json_integer(self, tmp_path, category):
+        save_model(tmp_path / "m.json", LinearModel(np.ones(3), 0.0, 1))
+        meta = json.loads((tmp_path / "m.json").read_text())
+        meta["category"] = category
+        (tmp_path / "m.json").write_text(json.dumps(meta))
+        with pytest.raises(ValidationError, match="'category'"):
+            load_model(tmp_path / "m.json")

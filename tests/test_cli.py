@@ -289,3 +289,50 @@ class TestErrorContract:
                                   "--stuff-cats", "4", "--scales", "64",
                                   "--out-dir", str(tmp_path / "models")])
         assert err["error"] == "FormatError" and "leaves its directory" in err["message"]
+
+    @staticmethod
+    def two_masks(tmp_path):
+        """Two disjoint equal-area 8x8 masks, a.pgm and b.pgm."""
+        from conftest import rect_mask
+
+        formats.save_mask(tmp_path / "a.pgm", rect_mask(8, 8, 0, 3, 0, 3))
+        formats.save_mask(tmp_path / "b.pgm", rect_mask(8, 8, 4, 7, 4, 7))
+
+    def test_non_string_proposal_id_pursue(self, capsys, tmp_path):
+        # equal areas make pursuit compare the ids: 1 against "x"
+        self.two_masks(tmp_path)
+        index = [{"id": 1, "mask": "a.pgm", "box": [0, 0, 3, 3]},
+                 {"id": "x", "mask": "b.pgm", "box": [4, 4, 7, 7]}]
+        (tmp_path / "p.json").write_text(json.dumps(index))
+        formats.save_mask(tmp_path / "stuff.pgm", formats.load_mask(tmp_path / "a.pgm"))
+        err = self.error(capsys, ["pursue", "--proposals", str(tmp_path / "p.json"),
+                                  "--stuff", str(tmp_path / "stuff.pgm")])
+        assert err["error"] == "FormatError" and "JSON string" in err["message"]
+
+    def test_non_string_region_id_paste(self, capsys, tmp_path):
+        # equal scores make the paste queue compare the ids: 1 against "x"
+        self.two_masks(tmp_path)
+        scored = [{"id": 1, "mask": "a.pgm", "category": 1, "score": 0.5},
+                  {"id": "x", "mask": "b.pgm", "category": 2, "score": 0.5}]
+        (tmp_path / "scored.json").write_text(json.dumps(scored))
+        err = self.error(capsys, ["paste", "--scored", str(tmp_path / "scored.json"),
+                                  "--width", "8", "--height", "8",
+                                  "--out", str(tmp_path / "labels.cfml")])
+        assert err["error"] == "FormatError" and "JSON string" in err["message"]
+
+    def test_model_weights_outside_directory(self, capsys, tmp_path, scene_dir,
+                                             net_file):
+        outside = tmp_path / "outside"
+        outside.mkdir()
+        formats.save_vector(outside / "w.cfmt", np.zeros(3, dtype=np.float32))
+        models = tmp_path / "models"
+        models.mkdir()
+        (models / "category_001.json").write_text(json.dumps(
+            {"category": 1, "bias": 0.0, "weights": "../outside/w.cfmt"}
+        ))
+        err = self.error(capsys, ["infer", "--models", str(models),
+                                  "--image", str(scene_dir / "image.cfmt"),
+                                  "--proposals", str(scene_dir / "proposals.json"),
+                                  "--net", net_file,
+                                  "--out-labels", str(tmp_path / "pred.cfml")])
+        assert err["error"] == "FormatError" and "leaves its directory" in err["message"]

@@ -183,6 +183,21 @@ class TestProposalIndex:
         with pytest.raises(FormatError, match="leaves its directory"):
             formats.load_proposal_index(index)
 
+    @pytest.mark.parametrize("rel", ["", ".", "masks/..", 7])
+    def test_mask_path_naming_no_file_rejected(self, tmp_path, rel):
+        (tmp_path / "p.json").write_text(
+            json.dumps([{"id": "p", "mask": rel, "box": [0, 0, 1, 1]}])
+        )
+        with pytest.raises(FormatError, match="names no file"):
+            formats.load_proposal_index(tmp_path / "p.json")
+
+    def test_non_string_id_rejected(self, tmp_path):
+        formats.save_mask(tmp_path / "m.pgm", rect_mask(4, 4, 0, 1, 0, 1))
+        entry = {"id": 1, "mask": "m.pgm", "box": [0, 0, 1, 1]}
+        (tmp_path / "p.json").write_text(json.dumps([entry]))
+        with pytest.raises(FormatError, match="JSON string"):
+            formats.load_proposal_index(tmp_path / "p.json")
+
     def test_mask_path_inside_subdirectory_allowed(self, tmp_path):
         (tmp_path / "masks").mkdir()
         formats.save_mask(tmp_path / "masks" / "m.pgm", rect_mask(4, 4, 0, 1, 0, 1))

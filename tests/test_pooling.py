@@ -112,8 +112,8 @@ class TestDesigns:
         g, conv = default_setup(rng)
         mask = rect_mask(32, 32, 0, 31, 0, 31)
         p = proposal_from_mask("p", mask)
-        box_f, seg_f = design_a_features(conv, p, g, PyramidSpec())
-        assert np.array_equal(box_f.values, seg_f.values)
+        box_f, seg_f = np.split(design_a_features(conv, p, g, PyramidSpec()), 2)
+        assert np.array_equal(box_f, seg_f)
 
     def test_design_a_pathways_differ_on_tight_interior_boxes(self, rng):
         # the window expands one cell past the box; those edge cells fall
@@ -123,8 +123,8 @@ class TestDesigns:
         g, conv = default_setup(rng)
         mask = rect_mask(32, 32, 4, 27, 6, 25)
         p = proposal_from_mask("p", mask)
-        box_f, seg_f = design_a_features(conv, p, g, PyramidSpec())
-        assert not np.array_equal(box_f.values, seg_f.values)
+        box_f, seg_f = np.split(design_a_features(conv, p, g, PyramidSpec()), 2)
+        assert not np.array_equal(box_f, seg_f)
 
     def test_design_a_sparse_mask_zeroes_segment_pathway(self, rng):
         g, conv = default_setup(rng)
@@ -133,18 +133,18 @@ class TestDesigns:
         bits = np.zeros((32, 32), dtype=bool)
         bits[::4, ::4] = True
         p = proposal_from_mask("p", BinaryMask(bits))
-        box_f, seg_f = design_a_features(conv, p, g, PyramidSpec((2, 1)))
-        assert not seg_f.values.any()
-        assert box_f.values.any()
+        box_f, seg_f = np.split(design_a_features(conv, p, g, PyramidSpec((2, 1))), 2)
+        assert not seg_f.any()
+        assert box_f.any()
 
     def test_design_lengths(self, rng):
         g, conv = default_setup(rng)
         p = proposal_from_mask("p", rect_mask(32, 32, 8, 23, 8, 23))
-        box_f, seg_f = design_a_features(conv, p, g, PyramidSpec())
-        assert box_f.values.size == 50 * conv.channels
-        assert seg_f.values.size == 50 * conv.channels
+        box_f, seg_f = np.split(design_a_features(conv, p, g, PyramidSpec()), 2)
+        assert box_f.size == 50 * conv.channels
+        assert seg_f.size == 50 * conv.channels
         b = design_b_features(conv, p, g, PyramidSpec())
-        assert b.values.size == 50 * conv.channels
+        assert b.size == 50 * conv.channels
 
     def test_design_b_full_mask_is_plain_pool(self, rng):
         g, conv = default_setup(rng)
@@ -153,7 +153,7 @@ class TestDesigns:
         window = feature_extent(g, p.box, conv.height, conv.width)
         plain = spp_pool(conv, window, PyramidSpec())
         got = design_b_features(conv, p, g, PyramidSpec())
-        assert np.array_equal(got.values, plain.values)
+        assert np.array_equal(got, plain.values)
 
     def test_design_b_zeroes_only_unset_finest_bins(self, rng):
         g, conv = default_setup(rng)
@@ -169,11 +169,11 @@ class TestDesigns:
         fmask = project_mask(g, p.mask, conv.height, conv.width)
         grid = downsample_mask_to_grid(fmask, window, finest).reshape(-1)
         head_plain = plain.values[: finest * finest * conv.channels].reshape(-1, conv.channels)
-        head_got = got.values[: finest * finest * conv.channels].reshape(-1, conv.channels)
+        head_got = got[: finest * finest * conv.channels].reshape(-1, conv.channels)
         assert np.array_equal(head_got[grid], head_plain[grid])
         assert not head_got[~grid].any()
         tail = finest * finest * conv.channels
-        assert np.array_equal(got.values[tail:], plain.values[tail:])
+        assert np.array_equal(got[tail:], plain.values[tail:])
 
 
 class TestPooledFeatureIO:

@@ -12,11 +12,10 @@ from cfmseg.pursuit import (
     Candidate,
     PursuitConfig,
     candidate_set,
-    deterministic_pursuit,
     label_object_samples,
     overlap_label,
+    pursue,
     purity,
-    stochastic_pursuit,
     stuff_samples,
 )
 from conftest import random_mask, rect_mask
@@ -114,7 +113,7 @@ class TestCandidateSet:
 class TestDeterministicPursuit:
     def test_single_candidate_selected(self):
         c = candidate("a", block(0, 9, 0, 9))
-        assert deterministic_pursuit([c], PursuitConfig()) == [c]
+        assert pursue([c], PursuitConfig(), "deterministic") == [c]
 
     def test_stops_below_mean_area(self):
         # areas 100, 90, 10; no overlap; mean 66.7 keeps the 10 out
@@ -123,7 +122,7 @@ class TestDeterministicPursuit:
             candidate("b", block(0, 9, 11, 19)),     # 90
             candidate("c", block(20, 20, 0, 9)),     # 10
         ]
-        picked = deterministic_pursuit(cands, PursuitConfig())
+        picked = pursue(cands, PursuitConfig(), "deterministic")
         assert [c.proposal.id for c in picked] == ["a", "b"]
 
     def test_inhibition_removes_overlap(self):
@@ -135,17 +134,17 @@ class TestDeterministicPursuit:
         c = candidate("c", block(20, 22, 0, 9))               # 30
         d = candidate("d", block(30, 31, 0, 9))               # 20
         assert mask_iou(a.proposal.mask, b.proposal.mask) == pytest.approx(0.9)
-        picked = deterministic_pursuit([a, b, c, d], PursuitConfig())
+        picked = pursue([a, b, c, d], PursuitConfig(), "deterministic")
         assert [x.proposal.id for x in picked] == ["a"]
 
     def test_tie_breaks_on_smaller_id(self):
         a = candidate("z", block(0, 9, 0, 9))
         b = candidate("a", block(0, 9, 20, 29))
-        picked = deterministic_pursuit([a, b], PursuitConfig())
+        picked = pursue([a, b], PursuitConfig(), "deterministic")
         assert picked[0].proposal.id == "a"
 
     def test_empty_input(self):
-        assert deterministic_pursuit([], PursuitConfig()) == []
+        assert pursue([], PursuitConfig(), "deterministic") == []
 
 
 def brute_force_pursuit(cands, cfg, seed=None):
@@ -201,7 +200,7 @@ class TestPursuitInvariants:
         cfg = PursuitConfig()
         for _ in range(200):
             cands = random_candidates(rng, int(rng.integers(0, 7)))
-            got = deterministic_pursuit(cands, cfg)
+            got = pursue(cands, cfg, "deterministic")
             want = brute_force_pursuit(cands, cfg)
             assert [c.proposal.id for c in got] == [c.proposal.id for c in want]
 
@@ -209,7 +208,7 @@ class TestPursuitInvariants:
         for trial in range(200):
             cfg = PursuitConfig(min_area=None if trial % 2 else 0.0)
             cands = random_candidates(rng, int(rng.integers(0, 9)))
-            got = stochastic_pursuit(cands, cfg, rng_seed=trial)
+            got = pursue(cands, cfg, "stochastic", trial)
             want = brute_force_pursuit(cands, cfg, seed=trial)
             assert [c.proposal.id for c in got] == [c.proposal.id for c in want]
 
@@ -221,8 +220,8 @@ class TestPursuitInvariants:
                 continue
             mean_area = sum(c.area for c in cands) / len(cands)
             for picks in (
-                deterministic_pursuit(cands, cfg),
-                stochastic_pursuit(cands, cfg, rng_seed=trial),
+                pursue(cands, cfg, "deterministic"),
+                pursue(cands, cfg, "stochastic", trial),
             ):
                 for i, a in enumerate(picks):
                     assert a.area >= mean_area
@@ -236,10 +235,10 @@ class TestPursuitInvariants:
     def test_deterministic_is_reachable_stochastically(self, rng):
         cfg = PursuitConfig()
         cands = random_candidates(rng, 8)
-        want = [c.proposal.id for c in deterministic_pursuit(cands, cfg)]
+        want = [c.proposal.id for c in pursue(cands, cfg, "deterministic")]
         seen = False
         for seed in range(2000):
-            got = [c.proposal.id for c in stochastic_pursuit(cands, cfg, seed)]
+            got = [c.proposal.id for c in pursue(cands, cfg, "stochastic", seed)]
             if got == want:
                 seen = True
                 break
@@ -250,12 +249,12 @@ class TestStochasticPursuit:
     def test_single_candidate_always_selected(self):
         c = candidate("only", block(0, 9, 0, 9))
         for seed in range(20):
-            assert stochastic_pursuit([c], PursuitConfig(), seed) == [c]
+            assert pursue([c], PursuitConfig(), "stochastic", seed) == [c]
 
     def test_reproducible_by_seed(self, rng):
         cands = random_candidates(rng, 12)
-        a = stochastic_pursuit(cands, PursuitConfig(), 123)
-        b = stochastic_pursuit(cands, PursuitConfig(), 123)
+        a = pursue(cands, PursuitConfig(), "stochastic", 123)
+        b = pursue(cands, PursuitConfig(), "stochastic", 123)
         assert [c.proposal.id for c in a] == [c.proposal.id for c in b]
 
     def test_equal_area_pair_order_is_uniform(self):
@@ -264,7 +263,7 @@ class TestStochasticPursuit:
         first_a = 0
         runs = 20000
         for seed in range(runs):
-            picks = stochastic_pursuit([a, b], PursuitConfig(), seed)
+            picks = pursue([a, b], PursuitConfig(), "stochastic", seed)
             assert {c.proposal.id for c in picks} == {"a", "b"}
             if picks[0].proposal.id == "a":
                 first_a += 1
@@ -281,7 +280,7 @@ class TestStochasticPursuit:
         hits = 0
         runs = 20000
         for seed in range(runs):
-            picks = stochastic_pursuit(cands, cfg, seed)
+            picks = pursue(cands, cfg, "stochastic", seed)
             if picks[0].proposal.id == "big":
                 hits += 1
         assert hits / runs == pytest.approx(0.5, abs=0.015)

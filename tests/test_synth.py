@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cfmseg.core import BinaryMask, ValidationError, mask_iou
-from cfmseg.pursuit import PursuitConfig, candidate_set, deterministic_pursuit
+from cfmseg.pursuit import PursuitConfig, candidate_set, pursue
 from cfmseg.synth import (
     BandSpec,
     CorpusConfig,
@@ -131,9 +131,8 @@ class TestCorpus:
             props = scene_proposals(scene, cfg, seed=i)
             for c in cfg.stuff_categories:
                 stuff = BinaryMask(scene.labels.labels == c)
-                picks = deterministic_pursuit(
-                    candidate_set(props, stuff, pursuit_cfg), pursuit_cfg
-                )
+                cands = candidate_set(props, stuff, pursuit_cfg)
+                picks = pursue(cands, pursuit_cfg, "deterministic")
                 assert picks, f"no pursuit picks for stuff {c} in scene {i}"
 
 
