@@ -36,11 +36,11 @@ def _parse_ints(text: str) -> list[int]:
 
 def _pipeline_config(args) -> pipeline.PipelineConfig:
     kwargs = {}
-    if getattr(args, "scales", None):
+    if getattr(args, "scales", None) is not None:  # "" is no scale, not the default
         kwargs["scales"] = tuple(_parse_ints(args.scales))
     if getattr(args, "design", None):
         kwargs["design"] = args.design
-    if getattr(args, "levels", None):
+    if getattr(args, "levels", None) is not None:
         kwargs["pyramid"] = pooling.PyramidSpec(tuple(_parse_ints(args.levels)))
     if getattr(args, "inhibit", None) is not None:
         kwargs["paste_inhibit_iou"] = args.inhibit
@@ -202,6 +202,8 @@ def cmd_infer(args) -> None:
 
 
 def cmd_paste(args) -> None:
+    if min(args.width, args.height) < 1:
+        raise ValidationError(f"paste size {args.width}x{args.height} is below 1x1")
     cfg = _pipeline_config(args)
     scored = formats.load_json(
         args.scored, partial(_scored_regions, Path(args.scored).parent)
@@ -283,7 +285,7 @@ def _scored_regions(base: Path, entries) -> list[pipeline.ScoredRegion]:
     return [
         pipeline.ScoredRegion(
             proposal_from_mask(formats.string_id(e), _entry_mask(base, e)),
-            int(e["category"]),
+            _spec_ints(e, ["category"])["category"],
             float(e["score"]),
         )
         for e in entries
@@ -292,7 +294,8 @@ def _scored_regions(base: Path, entries) -> list[pipeline.ScoredRegion]:
 
 def _instances(base: Path, entries) -> list[InstanceSegment]:
     return [
-        InstanceSegment(int(e["category"]), _entry_mask(base, e)) for e in entries
+        InstanceSegment(_spec_ints(e, ["category"])["category"], _entry_mask(base, e))
+        for e in entries
     ]
 
 
@@ -449,6 +452,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "seed", 0) < 0:  # numpy's generators take no negative seed
+            raise ValidationError(f"--seed must be >= 0, got {args.seed}")
         args.func(args)
     except (ValidationError, FormatError, OSError) as exc:
         sys.stderr.write(

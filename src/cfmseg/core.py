@@ -81,10 +81,11 @@ class PixelBox:
 
 def bbox_of(mask: BinaryMask) -> PixelBox:
     """Tight bounding box of the set pixels. Empty masks are rejected."""
-    ys, xs = np.nonzero(mask.bits)
+    ys = np.flatnonzero(mask.bits.any(axis=1))  # per-axis, like masking.vote's crop
+    xs = np.flatnonzero(mask.bits.any(axis=0))
     if ys.size == 0:
         raise ValidationError("cannot take the bounding box of an empty mask")
-    return PixelBox(int(xs.min()), int(ys.min()), int(xs.max()), int(ys.max()))
+    return PixelBox(int(xs[0]), int(ys[0]), int(xs[-1]), int(ys[-1]))
 
 
 @dataclass(frozen=True, eq=False)

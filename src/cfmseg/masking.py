@@ -14,15 +14,39 @@ from .core import BinaryMask, FeatureMap, ValidationError
 from .netgeom import NetGeometry
 
 
-def _axis_assignment(g: NetGeometry, n_pixels: int, n_cells: int) -> np.ndarray:
-    """Nearest-center cell index for every pixel coordinate along one axis.
+def _axis_runs(g: NetGeometry, n_pixels: int, n_cells: int):
+    """(starts, ends) of each cell's run of nearest-center pixels along one axis.
 
-    Computed in integers on doubled coordinates: pixel x belongs to the
-    smallest u with x <= O + S*(u + 1/2), i.e. u = ceil((2(x-O) - S) / 2S).
+    Computed in integers on doubled coordinates: pixel x belongs to the smallest
+    u with x <= O + S*(u + 1/2), i.e. u = ceil((2(x-O) - S) / 2S), monotone in x.
     """
     a = 2 * np.arange(n_pixels, dtype=np.int64) - g.offset_x2
-    u = -((-(a - g.stride)) // (2 * g.stride))
-    return np.clip(u, 0, n_cells - 1)
+    u = np.clip(-((-(a - g.stride)) // (2 * g.stride)), 0, n_cells - 1)
+    cells = np.arange(n_cells)
+    return np.searchsorted(u, cells, "left"), np.searchsorted(u, cells, "right")
+
+
+def vote(bits: np.ndarray, rows, cols) -> np.ndarray:
+    """Set each rectangle rows[j] x cols[i] in which at least half the bits are set.
+
+    rows and cols are (starts, ends) of [start, end) ranges; an empty rectangle
+    stays unset. Exact counts: an integer summed-area table over the set extent.
+    """
+    sizes = np.outer(rows[1] - rows[0], cols[1] - cols[0])
+    set_rows = np.flatnonzero(bits.any(axis=1))
+    set_cols = np.flatnonzero(bits.any(axis=0))
+    if set_rows.size == 0:
+        return np.zeros(sizes.shape, dtype=bool)
+    y0, y1, x0, x1 = set_rows[0], set_rows[-1] + 1, set_cols[0], set_cols[-1] + 1
+    table = np.zeros((y1 - y0 + 1, x1 - x0 + 1), dtype=np.int64)
+    table[1:, 1:] = bits[y0:y1, x0:x1]
+    np.cumsum(table, axis=0, out=table)  # in place: a fresh cumsum output is slower
+    np.cumsum(table, axis=1, out=table)
+    ys, ye = (np.clip(r, y0, y1) - y0 for r in rows)
+    xs, xe = (np.clip(c, x0, x1) - x0 for c in cols)
+    strips = table[ye] - table[ys]  # column prefix sums of each row range
+    counts = strips[:, xe] - strips[:, xs]
+    return (2 * counts >= sizes) & (sizes > 0)
 
 
 def project_mask(
@@ -31,13 +55,9 @@ def project_mask(
     """Pool the binary image mask into an fh x fw feature-space mask."""
     if fh < 1 or fw < 1:
         raise ValidationError(f"feature dims must be >= 1, got {fh}x{fw}")
-    rows = _axis_assignment(g, image_mask.height, fh)
-    cols = _axis_assignment(g, image_mask.width, fw)
-    cell = rows[:, None] * fw + cols[None, :]
-    totals = np.bincount(cell.ravel(), minlength=fh * fw)
-    counts = np.bincount(cell.ravel()[image_mask.bits.ravel()], minlength=fh * fw)
-    bits = (2 * counts >= totals) & (totals > 0)
-    return BinaryMask(bits.reshape(fh, fw))
+    rows = _axis_runs(g, image_mask.height, fh)
+    cols = _axis_runs(g, image_mask.width, fw)
+    return BinaryMask(vote(image_mask.bits, rows, cols))
 
 
 def brute_force_project(

@@ -14,8 +14,8 @@ from pathlib import Path
 import numpy as np
 
 from .core import BinaryMask, FeatureMap, PixelBox, SegmentProposal, ValidationError
-from .formats import dump_json, load_json, load_vector, save_vector
-from .masking import apply_mask, project_mask
+from .formats import dump_json, int_fields, load_json, load_vector, save_vector
+from .masking import apply_mask, project_mask, vote
 from .netgeom import NetGeometry, feature_extent
 
 DEFAULT_LEVELS = (6, 3, 2, 1)
@@ -91,29 +91,20 @@ def spp_pool(f: FeatureMap, window: PixelBox, pyr: PyramidSpec) -> PooledFeature
 
 
 def downsample_mask_to_grid(m: BinaryMask, window: PixelBox, n: int) -> np.ndarray:
-    """Thresholded mean of the feature mask over each of the n x n window bins."""
+    """At-least-half vote of the feature mask over each of the n x n window bins."""
     if window.x1 >= m.width or window.y1 >= m.height:
         raise ValidationError(f"window {window} exceeds mask {m.height}x{m.width}")
     region = m.bits[window.y0 : window.y1 + 1, window.x0 : window.x1 + 1]
-    grid = np.zeros((n, n), dtype=bool)
-    for j, (ys, ye) in enumerate(bin_boundaries(window.height, n)):
-        for i, (xs, xe) in enumerate(bin_boundaries(window.width, n)):
-            cells = region[ys:ye, xs:xe]
-            grid[j, i] = 2 * int(cells.sum()) >= cells.size
-    return grid
-
-
-def _conv_window(conv: FeatureMap, p: SegmentProposal, g: NetGeometry) -> PixelBox:
-    if p.box.x1 >= p.mask.width or p.box.y1 >= p.mask.height:
-        raise ValidationError(f"proposal box {p.box} exceeds its image")
-    return feature_extent(g, p.box, conv.height, conv.width)
+    rows = np.transpose(bin_boundaries(window.height, n))
+    cols = np.transpose(bin_boundaries(window.width, n))
+    return vote(region, rows, cols)
 
 
 def design_a_features(
     conv: FeatureMap, p: SegmentProposal, g: NetGeometry, pyr: PyramidSpec
 ) -> np.ndarray:
     """Two pooling pathways over one window: plain box, then masked segment."""
-    window = _conv_window(conv, p, g)
+    window = feature_extent(g, p.box, conv.height, conv.width)
     box_feature = spp_pool(conv, window, pyr)
     fmask = project_mask(g, p.mask, conv.height, conv.width)
     segment_feature = spp_pool(apply_mask(conv, fmask), window, pyr)
@@ -124,7 +115,7 @@ def design_b_features(
     conv: FeatureMap, p: SegmentProposal, g: NetGeometry, pyr: PyramidSpec
 ) -> np.ndarray:
     """Single pathway: pool unmasked, then blank masked-out bins of the finest level."""
-    window = _conv_window(conv, p, g)
+    window = feature_extent(g, p.box, conv.height, conv.width)
     values = spp_pool(conv, window, pyr).values  # fresh, so zeroed in place below
     fmask = project_mask(g, p.mask, conv.height, conv.width)
     finest = pyr.levels[0]
@@ -148,7 +139,8 @@ def design_feature(
     if design == "B":
         return design_b_features(conv, p, g, pyr)
     if design == "none":
-        return spp_pool(conv, _conv_window(conv, p, g), pyr).values
+        window = feature_extent(g, p.box, conv.height, conv.width)
+        return spp_pool(conv, window, pyr).values
     raise ValidationError(f"design must be one of {DESIGNS}")
 
 
@@ -170,6 +162,7 @@ def load_pooled_feature(path: Path | str) -> PooledFeature:
 
 
 def _pooled_feature(values: np.ndarray, meta) -> PooledFeature:
-    return PooledFeature(
-        values, PyramidSpec(tuple(meta["levels"])), int(meta["channels"])
-    )
+    # a non-array levels value fails enumerate or yields non-integer items
+    levels = {f"levels[{i}]": n for i, n in enumerate(meta["levels"])}
+    pyramid = PyramidSpec(tuple(int_fields(levels, list(levels)).values()))
+    return PooledFeature(values, pyramid, int_fields(meta, ["channels"])["channels"])

@@ -139,7 +139,6 @@ def overlap_label(iou: float) -> int | None:
 class LabeledSample:
     proposal: SegmentProposal
     label: int  # +1 or -1
-    overlap: float
 
 
 def label_object_samples(
@@ -154,7 +153,7 @@ def label_object_samples(
         best = max((mask_iou(p.mask, m) for m in gt_masks), default=0.0)
         label = overlap_label(best)
         if label is not None:
-            samples.append(LabeledSample(p, label, best))
+            samples.append(LabeledSample(p, label))
     return samples
 
 

@@ -203,7 +203,7 @@ def spec_from_json(obj) -> ToyNetSpec:
     for entry in obj["layers"]:
         cls = _LAYER_TYPES[layer_from_json(entry).kind]
         layers.append(cls(**int_fields(entry, [f.name for f in fields(cls)])))
-    return ToyNetSpec(tuple(layers), int(obj.get("seed", 0)))
+    return ToyNetSpec(tuple(layers), int_fields({"seed": 0, **obj}, ["seed"])["seed"])
 
 
 def spec_to_json(spec: ToyNetSpec) -> dict:

@@ -336,3 +336,58 @@ class TestErrorContract:
                                   "--net", net_file,
                                   "--out-labels", str(tmp_path / "pred.cfml")])
         assert err["error"] == "FormatError" and "leaves its directory" in err["message"]
+
+    @pytest.mark.parametrize("argv", [
+        ["synth", "--seed", "-1"],
+        ["pursue", "--mode", "stochastic", "--seed", "-2"],
+        ["train", "--seed", "-10"],
+    ], ids=["synth", "pursue-stochastic", "train"])
+    def test_negative_seed_rejected(self, capsys, tmp_path, scene_dir, net_file, argv):
+        # numpy's generators used to raise a ValueError traceback
+        inputs = {
+            "synth": ["--out-dir", str(tmp_path / "out")],
+            "pursue": ["--proposals", str(scene_dir / "proposals.json"),
+                       "--stuff", str(scene_dir / "instance_000.pgm")],
+            "train": ["--corpus", str(scene_dir.parent), "--net", net_file,
+                      "--object-cats", "1", "--stuff-cats", "4", "--scales", "64",
+                      "--out-dir", str(tmp_path / "out")],
+        }[argv[0]]
+        err = self.error(capsys, argv + inputs)
+        assert err["error"] == "ValidationError" and "--seed" in err["message"]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("width, height", [(-1, 8), (8, -2), (0, 8)])
+    def test_paste_size_below_one_rejected(self, capsys, tmp_path, width, height):
+        (tmp_path / "scored.json").write_text("[]")
+        err = self.error(capsys, ["paste", "--scored", str(tmp_path / "scored.json"),
+                                  "--width", str(width), "--height", str(height),
+                                  "--out", str(tmp_path / "labels.cfml")])
+        assert err["error"] == "ValidationError" and "paste size" in err["message"]
+
+    def test_non_integer_region_category_paste(self, capsys, tmp_path):
+        # "category": 1.9 used to paint category 1
+        self.two_masks(tmp_path)
+        scored = [{"id": "a", "mask": "a.pgm", "category": 1.9, "score": 0.5}]
+        (tmp_path / "scored.json").write_text(json.dumps(scored))
+        err = self.error(capsys, ["paste", "--scored", str(tmp_path / "scored.json"),
+                                  "--width", "8", "--height", "8",
+                                  "--out", str(tmp_path / "labels.cfml")])
+        assert err["error"] == "ValidationError" and "'category'" in err["message"]
+
+    def test_non_integer_instance_category_train(self, capsys, tmp_path, scene_dir,
+                                                 net_file):
+        entries = json.loads((scene_dir / "instances.json").read_text())
+        entries[0]["category"] = float(entries[0]["category"]) + 0.9
+        (scene_dir / "instances.json").write_text(json.dumps(entries))
+        err = self.error(capsys, ["train", "--corpus", str(scene_dir.parent),
+                                  "--net", net_file, "--object-cats", "1",
+                                  "--stuff-cats", "4", "--scales", "64",
+                                  "--out-dir", str(tmp_path / "models")])
+        assert err["error"] == "ValidationError" and "'category'" in err["message"]
+
+    def test_empty_scales_rejected(self, capsys, tmp_path, net_file):
+        # an empty --scales used to fall back to the default scales 480..1200
+        err = self.error(capsys, ["bench", "--image", str(tmp_path / "absent.cfmt"),
+                                  "--proposals", str(tmp_path / "absent.json"),
+                                  "--net", net_file, "--scales", ""])
+        assert err["error"] == "ValidationError" and "scales" in err["message"]

@@ -6,6 +6,7 @@ from cfmseg.masking import (
     apply_mask,
     brute_force_project,
     project_mask,
+    vote,
 )
 from cfmseg.netgeom import LayerSpec, NetGeometry, compose_geometry
 from conftest import random_mask, random_map
@@ -62,8 +63,25 @@ class TestProjectMask:
                 fm.bits, brute_force_project(g, BinaryMask(bits), fh, fw).bits
             )
 
+    @staticmethod
+    def confined(rng, bits: np.ndarray, kind: str) -> np.ndarray:
+        """bits kept only inside a random sub-rectangle, a corner, one row or nowhere."""
+        h, w = bits.shape
+        y0, x0 = int(rng.integers(0, h)), int(rng.integers(0, w))
+        y1, x1 = int(rng.integers(y0, h)), int(rng.integers(x0, w))
+        if kind == "corner":
+            y0, x0 = y1, x1 = (0, 0) if rng.random() < 0.5 else (h - 1, w - 1)
+            bits = np.ones_like(bits)
+        elif kind == "row":
+            y1, x0, x1 = y0, 0, w - 1
+        out = np.zeros_like(bits)
+        if kind != "empty":
+            out[y0 : y1 + 1, x0 : x1 + 1] = bits[y0 : y1 + 1, x0 : x1 + 1]
+        return out
+
     def test_matches_oracle_on_random_cases(self, rng):
-        for _ in range(100):
+        for i in range(500):
+            kind = ("dense", "rect", "corner", "row", "empty")[i % 5]
             depth = int(rng.integers(1, 4))
             layers = [
                 LayerSpec(
@@ -76,9 +94,12 @@ class TestProjectMask:
             ]
             g = compose_geometry(layers)
             h, w = (int(v) for v in rng.integers(3, 20, size=2))
-            fh = max(1, int(np.ceil(h / g.stride)))
-            fw = max(1, int(np.ceil(w / g.stride)))
+            # up to 3 extra rows/columns of cells that no pixel is nearest to
+            fh = max(1, int(np.ceil(h / g.stride))) + int(rng.integers(0, 4))
+            fw = max(1, int(np.ceil(w / g.stride))) + int(rng.integers(0, 4))
             m = random_mask(rng, h, w, density=float(rng.random()))
+            if kind != "dense":
+                m = BinaryMask(self.confined(rng, m.bits, kind))
             fast = project_mask(g, m, fh, fw)
             slow = brute_force_project(g, m, fh, fw)
             assert np.array_equal(fast.bits, slow.bits)
@@ -93,6 +114,32 @@ class TestProjectMask:
             fb = project_mask(g, b, 6, 6)
             # a subset-mask can only lose cells, never gain them over b
             assert not (fa.bits & ~fb.bits).any()
+
+
+class TestVote:
+    def test_exactly_half_is_set_less_is_not(self):
+        bits = np.zeros((2, 4), dtype=bool)
+        bits[0, :2] = True  # left 2x2 rectangle: 2 of 4 entries set
+        bits[1, 2] = True   # right 2x2 rectangle: 1 of 4 entries set
+        rows = (np.array([0]), np.array([2]))
+        cols = (np.array([0, 2]), np.array([2, 4]))
+        assert vote(bits, rows, cols).tolist() == [[True, False]]
+
+    def test_empty_rectangle_stays_unset(self):
+        bits = np.ones((3, 3), dtype=bool)
+        rows = (np.array([0, 2, 3]), np.array([2, 2, 3]))
+        cols = (np.array([0, 1]), np.array([3, 1]))
+        assert vote(bits, rows, cols).tolist() == [
+            [True, False], [False, False], [False, False]
+        ]
+
+    def test_rectangles_beyond_the_set_extent(self):
+        bits = np.zeros((6, 6), dtype=bool)
+        bits[2:4, 2:4] = True
+        rows = cols = (np.array([0, 2, 4]), np.array([2, 4, 6]))
+        expected = np.zeros((3, 3), dtype=bool)
+        expected[1, 1] = True
+        assert np.array_equal(vote(bits, rows, cols), expected)
 
 
 class TestApplyMask:

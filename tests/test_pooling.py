@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,7 @@ from cfmseg.core import (
     ValidationError,
     proposal_from_mask,
 )
+from cfmseg.formats import FormatError
 from cfmseg.masking import project_mask
 from cfmseg.netgeom import NetGeometry, compose_geometry, feature_extent, LayerSpec
 from cfmseg.pooling import (
@@ -98,6 +102,28 @@ class TestMaskDownsampling:
         bits[:, :6] = True
         grid = downsample_mask_to_grid(BinaryMask(bits), PixelBox(0, 0, 11, 11), 6)
         assert np.array_equal(grid, np.tile([True] * 3 + [False] * 3, (6, 1)))
+
+    @staticmethod
+    def per_bin_loop(m: BinaryMask, window: PixelBox, n: int) -> np.ndarray:
+        """Reference: one thresholded count per bin, as the grid was first written."""
+        region = m.bits[window.y0 : window.y1 + 1, window.x0 : window.x1 + 1]
+        grid = np.zeros((n, n), dtype=bool)
+        for j, (ys, ye) in enumerate(bin_boundaries(window.height, n)):
+            for i, (xs, xe) in enumerate(bin_boundaries(window.width, n)):
+                cells = region[ys:ye, xs:xe]
+                grid[j, i] = 2 * int(cells.sum()) >= cells.size
+        return grid
+
+    def test_matches_per_bin_loop(self, rng):
+        for _ in range(300):
+            h, w = (int(v) for v in rng.integers(1, 24, size=2))
+            m = random_mask(rng, h, w, density=float(rng.random()))
+            y0, x0 = int(rng.integers(0, h)), int(rng.integers(0, w))
+            window = PixelBox(x0, y0, int(rng.integers(x0, w)), int(rng.integers(y0, h)))
+            # n may exceed the window, so that bins overlap
+            n = int(rng.integers(1, max(window.height, window.width) + 4))
+            assert np.array_equal(downsample_mask_to_grid(m, window, n),
+                                  self.per_bin_loop(m, window, n))
 
 
 def default_setup(rng, h=32, w=32):
@@ -190,3 +216,28 @@ class TestPooledFeatureIO:
     def test_length_invariant_enforced(self):
         with pytest.raises(ValidationError):
             PooledFeature(np.zeros(7, dtype=np.float32), PyramidSpec((2,)), 2)
+
+    @pytest.mark.parametrize("field, value", [
+        ("levels", "21"), ("levels", [2, 1.0]), ("levels", [2, True]),
+        ("channels", 3.0), ("channels", "3"),
+    ])
+    def test_sidecar_integers_are_strict(self, tmp_path, rng, field, value):
+        # "levels": "21" used to load as the pyramid (2, 1)
+        pooled = spp_pool(random_map(rng, 3, 8, 8), PixelBox(0, 0, 7, 7),
+                          PyramidSpec((2, 1)))
+        path = tmp_path / "pooled.cfmt"
+        save_pooled_feature(path, pooled)
+        sidecar = json.loads(Path(str(path) + ".json").read_text())
+        sidecar[field] = value
+        Path(str(path) + ".json").write_text(json.dumps(sidecar))
+        with pytest.raises(ValidationError):
+            load_pooled_feature(path)
+
+    def test_sidecar_levels_not_an_array(self, tmp_path, rng):
+        pooled = spp_pool(random_map(rng, 3, 8, 8), PixelBox(0, 0, 7, 7),
+                          PyramidSpec((1,)))
+        path = tmp_path / "pooled.cfmt"
+        save_pooled_feature(path, pooled)
+        Path(str(path) + ".json").write_text(json.dumps({"channels": 3, "levels": 1}))
+        with pytest.raises(FormatError):
+            load_pooled_feature(path)

@@ -154,6 +154,19 @@ class TestSpecIO:
         path.write_text(json.dumps(spec_to_json(spec)))
         assert load_spec(path) == spec
 
+    @pytest.mark.parametrize("seed", [1.7, "5", True, None])
+    def test_seed_must_be_an_integer(self, seed):
+        # "seed": 1.7 used to load as seed 1
+        obj = spec_to_json(default_spec(3, seed=0))
+        obj["seed"] = seed
+        with pytest.raises(ValidationError, match="'seed'"):
+            spec_from_json(obj)
+
+    def test_seed_defaults_to_zero(self):
+        obj = spec_to_json(default_spec(3, seed=0))
+        del obj["seed"]
+        assert spec_from_json(obj).seed == 0
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValidationError):
             spec_from_json({"seed": 0, "layers": [{"kind": "norm", "kernel": 1,
