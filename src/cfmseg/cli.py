@@ -79,6 +79,11 @@ def cmd_forward(args) -> None:
 def cmd_mask_project(args) -> None:
     g = netgeom.compose_geometry(netgeom.load_layers(args.geometry))
     mask = formats.load_mask(args.mask)
+    # each pixel row (column) votes for one cell row (column); more cells stay unset
+    if args.fh > mask.height or args.fw > mask.width:
+        raise ValidationError(
+            f"feature grid {args.fh}x{args.fw} exceeds mask {mask.height}x{mask.width}"
+        )
     fmask = project_mask(g, mask, args.fh, args.fw)
     formats.save_mask(args.out, fmask)
     _print_json(
@@ -101,9 +106,10 @@ def cmd_pool(args) -> None:
 def cmd_pursue(args) -> None:
     proposals = formats.load_proposal_index(args.proposals)
     stuff = formats.load_mask(args.stuff)
+    # candidates need only purity_pos; purity_neg bounds training negatives, unused here
     cfg = pursuit.PursuitConfig(
         purity_pos=args.purity_pos,
-        purity_neg=args.purity_neg,
+        purity_neg=0.0,
         inhibit_iou=args.inhibit_iou,
     )
     cands = pursuit.candidate_set(proposals, stuff, cfg)
@@ -179,14 +185,13 @@ def cmd_infer(args) -> None:
     models = _load_models(args.models)
     image = formats.load_feature_map(args.image)
     proposals = formats.load_proposal_index(args.proposals)
-    scored = pipeline.score_proposals(
-        models, proposals, image, net, g, cfg, threads=args.threads
+    labeled = pipeline.predict_scene(
+        models, image, proposals, net, g, cfg, threads=args.threads
     )
-    labeled = pipeline.paste(scored, image.height, image.width, cfg)
     formats.save_label_map(args.out_labels, labeled)
     report = {
         "out_labels": args.out_labels,
-        "regions_scored": len(scored),
+        "regions_scored": len(models) * len(proposals),
         "pixels_labeled": int((labeled.labels != 0).sum()),
     }
     if args.gt:
@@ -379,8 +384,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="stochastic draw seed")
     p.add_argument("--purity-pos", dest="purity_pos", type=float, default=0.6,
                    help="candidate purity bound (strict)")
-    p.add_argument("--purity-neg", dest="purity_neg", type=float, default=0.3,
-                   help="negative purity bound (strict)")
     p.add_argument("--inhibit-iou", dest="inhibit_iou", type=float, default=0.2,
                    help="overlap above which picks suppress candidates")
     p.set_defaults(func=cmd_pursue)

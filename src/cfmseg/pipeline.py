@@ -65,6 +65,8 @@ class ScoredRegion:
     def __post_init__(self):
         if not np.isfinite(self.score):
             raise ValidationError("region score must be finite")
+        if not 0 <= self.category <= 0xFFFF:  # a label map holds uint16
+            raise ValidationError(f"region category {self.category} outside 0..65535")
 
 
 def assign_scale(box: PixelBox, image_shorter_edge: int, scales) -> int:

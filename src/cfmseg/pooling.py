@@ -30,6 +30,9 @@ class PyramidSpec:
         levels = tuple(int(n) for n in self.levels)
         if not levels or min(levels) < 1:
             raise ValidationError(f"pyramid levels must be >= 1, got {self.levels}")
+        # strictly descending, so levels[0] is the finest grid, the one design B blanks
+        if list(levels) != sorted(set(levels), reverse=True):
+            raise ValidationError(f"pyramid levels must descend strictly, got {levels}")
         object.__setattr__(self, "levels", levels)
 
     @property

@@ -51,8 +51,8 @@ class ShapeSpec:
             raise ValidationError(f"unknown shape kind {self.kind!r}")
         if self.half_w < 1 or self.half_h < 1 or self.thickness < 1:
             raise ValidationError("shape extents must be >= 1")
-        if self.category < 1:
-            raise ValidationError("shape category must be >= 1")
+        if not 1 <= self.category <= 0xFFFF:
+            raise ValidationError("shape category must be in 1..65535")
 
 
 @dataclass(frozen=True)
@@ -66,8 +66,8 @@ class BandSpec:
     def __post_init__(self):
         if self.row0 > self.row1 or self.row0 < 0:
             raise ValidationError(f"band rows out of order: {self.row0}..{self.row1}")
-        if self.category < 1:
-            raise ValidationError("band category must be >= 1")
+        if not 1 <= self.category <= 0xFFFF:
+            raise ValidationError("band category must be in 1..65535")
 
 
 @dataclass(frozen=True)
@@ -81,6 +81,8 @@ class SceneSpec:
     def __post_init__(self):
         if self.width < 1 or self.height < 1:
             raise ValidationError("scene dims must be >= 1")
+        if self.seed < 0:  # numpy's generators take no negative seed
+            raise ValidationError(f"scene seed must be >= 0, got {self.seed}")
         object.__setattr__(self, "shapes", tuple(self.shapes))
         object.__setattr__(self, "bands", tuple(self.bands))
 
@@ -276,10 +278,6 @@ class CorpusConfig:
     object_categories: tuple[int, ...] = (1, 2, 3)
     stuff_categories: tuple[int, ...] = (4, 5)
     grid_sizes: tuple[int, ...] = (16, 32)
-
-    @property
-    def num_categories(self) -> int:
-        return 1 + len(self.object_categories) + len(self.stuff_categories)
 
 
 def random_scene_spec(cfg: CorpusConfig, seed: int) -> SceneSpec:

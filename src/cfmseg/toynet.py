@@ -8,7 +8,7 @@ Same seed, same weights, on every platform.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -18,23 +18,9 @@ from .formats import int_fields, load_json
 from .netgeom import LayerSpec, layer_from_json
 
 
-class _Layer:
-    """A layer's kernel, stride and pad, mapped once to its `geometry`."""
-
-    kind: str
-    geometry: LayerSpec
-
-    def __post_init__(self):
-        geometry = LayerSpec(self.kind, self.kernel, self.stride, self.pad)
-        object.__setattr__(self, "geometry", geometry)
-
-
 @dataclass(frozen=True)
-class ConvLayerSpec(_Layer):
-    kind = "conv"
-    kernel: int
-    stride: int
-    pad: int
+class ConvLayerSpec(LayerSpec):
+    kind: str = field(default="conv", init=False)
     in_channels: int
     out_channels: int
 
@@ -45,11 +31,8 @@ class ConvLayerSpec(_Layer):
 
 
 @dataclass(frozen=True)
-class PoolLayerSpec(_Layer):
-    kind = "pool"
-    kernel: int
-    stride: int
-    pad: int
+class PoolLayerSpec(LayerSpec):
+    kind: str = field(default="pool", init=False)
 
     def __post_init__(self):
         super().__post_init__()
@@ -66,8 +49,8 @@ class ToyNetSpec:
     seed: int
 
     def __post_init__(self):
-        if not self.layers:
-            raise ValidationError("network needs at least one layer")
+        if self.seed < 0:  # numpy's generators take no negative seed
+            raise ValidationError(f"net seed must be >= 0, got {self.seed}")
         channels = None
         for i, layer in enumerate(self.layers):
             if isinstance(layer, ConvLayerSpec):
@@ -83,21 +66,17 @@ class ToyNetSpec:
 
     @property
     def in_channels(self) -> int:
-        for layer in self.layers:
-            if isinstance(layer, ConvLayerSpec):
-                return layer.in_channels
-        raise ValidationError("network has no conv layer to fix input channels")
+        return self._convs()[0].in_channels
 
     @property
     def out_channels(self) -> int:
-        channels = self.in_channels
-        for layer in self.layers:
-            if isinstance(layer, ConvLayerSpec):
-                channels = layer.out_channels
-        return channels
+        return self._convs()[-1].out_channels
+
+    def _convs(self) -> list[ConvLayerSpec]:
+        return [layer for layer in self.layers if isinstance(layer, ConvLayerSpec)]
 
     def geometry_layers(self) -> list[LayerSpec]:
-        return [layer.geometry for layer in self.layers]
+        return list(self.layers)
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,10 +110,10 @@ def init_toynet(spec: ToyNetSpec) -> ToyNet:
     return ToyNet(spec, tuple(weights))
 
 
-def _taps(x: np.ndarray, layer: _Layer, index: int, fill: float) -> list[np.ndarray]:
+def _taps(x: np.ndarray, layer: LayerSpec, index: int, fill: float) -> list[np.ndarray]:
     """Pad the input, then take one strided view per kernel tap, row-major."""
     c, h, w_in = x.shape
-    out_h, out_w = layer.geometry.out_len(h), layer.geometry.out_len(w_in)
+    out_h, out_w = layer.out_len(h), layer.out_len(w_in)
     if out_h < 1 or out_w < 1:
         raise ValidationError(
             f"layer {index} ({layer.kind} k={layer.kernel}): input {h}x{w_in} too small"
@@ -202,12 +181,12 @@ def spec_from_json(obj) -> ToyNetSpec:
     layers = []
     for entry in obj["layers"]:
         cls = _LAYER_TYPES[layer_from_json(entry).kind]
-        layers.append(cls(**int_fields(entry, [f.name for f in fields(cls)])))
+        layers.append(cls(**int_fields(entry, [f.name for f in fields(cls) if f.init])))
     return ToyNetSpec(tuple(layers), int_fields({"seed": 0, **obj}, ["seed"])["seed"])
 
 
 def spec_to_json(spec: ToyNetSpec) -> dict:
-    layers = [{"kind": layer.kind, **asdict(layer)} for layer in spec.layers]
+    layers = [asdict(layer) for layer in spec.layers]
     return {"seed": spec.seed, "layers": layers}
 
 

@@ -4,9 +4,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cfmseg import formats, synth
+from cfmseg import cli, formats, synth
 from cfmseg.cli import main, write_scene_dir
-from cfmseg.core import FeatureMap
+from cfmseg.core import BinaryMask, FeatureMap
 from cfmseg.toynet import default_spec, spec_to_json
 
 
@@ -115,12 +115,33 @@ class TestBasicCommands:
         capjson(args)
         assert (tmp_path / "fm.pgm").read_bytes() == first
 
+    def test_mask_project_grid_as_large_as_mask(self, capjson, layers_file, tmp_path):
+        formats.save_mask(tmp_path / "m.pgm", BinaryMask(np.ones((16, 12), dtype=bool)))
+        report = capjson(["mask-project", "--geometry", layers_file,
+                          "--mask", str(tmp_path / "m.pgm"), "--fh", "16", "--fw", "12",
+                          "--out", str(tmp_path / "fm.pgm")])
+        assert (report["fh"], report["fw"]) == (16, 12)
+
     def test_pursue(self, capjson, scene_dir):
         report = capjson(
             ["pursue", "--proposals", str(scene_dir / "proposals.json"),
              "--stuff", str(scene_dir / "instance_000.pgm")]
         )
         assert "selected" in report and "candidates" in report
+
+    def test_pursue_purity_pos_below_negative_bound(self, capjson, scene_dir):
+        # used to fail PursuitConfig's ordering check against --purity-neg's 0.3
+        report = capjson(
+            ["pursue", "--proposals", str(scene_dir / "proposals.json"),
+             "--stuff", str(scene_dir / "instance_000.pgm"), "--purity-pos", "0.25"]
+        )
+        assert all(c["purity"] > 0.25 for c in report["candidates"])
+
+    def test_pursue_has_no_purity_neg(self, scene_dir):
+        with pytest.raises(SystemExit) as exc:
+            main(["pursue", "--proposals", str(scene_dir / "proposals.json"),
+                  "--stuff", str(scene_dir / "instance_000.pgm"), "--purity-neg", "0.1"])
+        assert exc.value.code == 2
 
     def test_synth_writes_scene(self, capjson, tmp_path):
         out = tmp_path / "gen"
@@ -384,6 +405,79 @@ class TestErrorContract:
                                   "--stuff-cats", "4", "--scales", "64",
                                   "--out-dir", str(tmp_path / "models")])
         assert err["error"] == "ValidationError" and "'category'" in err["message"]
+
+    @pytest.mark.parametrize("category", [70000, -1])
+    def test_region_category_outside_label_range_paste(self, capsys, tmp_path, category):
+        # used to die with OverflowError painting the uint16 label map
+        self.two_masks(tmp_path)
+        scored = [{"id": "a", "mask": "a.pgm", "category": category, "score": 0.5}]
+        (tmp_path / "scored.json").write_text(json.dumps(scored))
+        err = self.error(capsys, ["paste", "--scored", str(tmp_path / "scored.json"),
+                                  "--width", "8", "--height", "8",
+                                  "--out", str(tmp_path / "labels.cfml")])
+        assert err["error"] == "ValidationError" and "category" in err["message"]
+        assert not (tmp_path / "labels.cfml").exists()
+
+    @pytest.mark.parametrize("where, field, value", [
+        ("shape", "category", 70000), ("band", "category", 70000), ("scene", "seed", -1),
+    ])
+    def test_scene_spec_out_of_range_rejected(self, capsys, tmp_path, where, field,
+                                              value):
+        # used to die in generate_scene: OverflowError painting the uint16 label
+        # map, or numpy's ValueError for a negative seed
+        spec = {
+            "width": 32, "height": 32,
+            "shapes": [{"kind": "rect", "category": 1, "cx": 10, "cy": 10,
+                        "half_w": 4, "half_h": 4}],
+            "bands": [{"category": 4, "row0": 0, "row1": 5,
+                       "base_color": [0.3, 0.6, 0.8], "noise_amp": 0.2}],
+        }
+        target = {"shape": spec["shapes"][0], "band": spec["bands"][0],
+                  "scene": spec}[where]
+        target[field] = value
+        (tmp_path / "spec.json").write_text(json.dumps(spec))
+        err = self.error(capsys, ["synth", "--spec", str(tmp_path / "spec.json"),
+                                  "--out-dir", str(tmp_path / "out")])
+        assert err["error"] == "ValidationError" and field in err["message"]
+        assert not (tmp_path / "out").exists()
+
+    def test_negative_net_seed_rejected(self, capsys, tmp_path, net_file):
+        # used to die with numpy's ValueError in init_toynet
+        spec = json.loads(Path(net_file).read_text())
+        spec["seed"] = -1
+        Path(net_file).write_text(json.dumps(spec))
+        formats.save_feature_map(tmp_path / "img.cfmt",
+                                 FeatureMap(np.zeros((3, 8, 8), dtype=np.float32)))
+        err = self.error(capsys, ["forward", "--net", net_file, "--image",
+                                  str(tmp_path / "img.cfmt"), "--out",
+                                  str(tmp_path / "out.cfmt")])
+        assert err["error"] == "ValidationError" and "seed" in err["message"]
+        assert not (tmp_path / "out.cfmt").exists()
+
+    @pytest.mark.parametrize("fh, fw", [(17, 12), (16, 13), (10**12, 4), (4, 10**12)])
+    def test_mask_project_grid_beyond_mask_rejected(self, capsys, monkeypatch, tmp_path,
+                                                    layers_file, fh, fw):
+        # each pixel row votes for one cell row, so rows beyond the mask's height
+        # stay unset; a 10**12-row grid used to end in MemoryError or an OOM kill
+        def allocate(*args):
+            raise AssertionError("project_mask reached")
+
+        monkeypatch.setattr(cli, "project_mask", allocate)
+        formats.save_mask(tmp_path / "m.pgm", BinaryMask(np.ones((16, 12), dtype=bool)))
+        err = self.error(capsys, ["mask-project", "--geometry", layers_file,
+                                  "--mask", str(tmp_path / "m.pgm"), "--fh", str(fh),
+                                  "--fw", str(fw), "--out", str(tmp_path / "fm.pgm")])
+        assert err["error"] == "ValidationError" and "exceeds mask" in err["message"]
+        assert not (tmp_path / "fm.pgm").exists()
+
+    def test_pool_levels_must_descend(self, capsys, tmp_path):
+        # design B blanks levels[0] as the finest grid; "1,6" used to be accepted
+        formats.save_feature_map(tmp_path / "fm.cfmt",
+                                 FeatureMap(np.ones((2, 8, 8), dtype=np.float32)))
+        err = self.error(capsys, ["pool", "--image", str(tmp_path / "fm.cfmt"),
+                                  "--window", "0,0,7,7", "--levels", "1,6",
+                                  "--out", str(tmp_path / "p.cfmt")])
+        assert err["error"] == "ValidationError" and "descend" in err["message"]
 
     def test_empty_scales_rejected(self, capsys, tmp_path, net_file):
         # an empty --scales used to fall back to the default scales 480..1200

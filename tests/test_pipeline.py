@@ -255,6 +255,19 @@ class TestPaste:
         with pytest.raises(ValidationError):
             paste([a], 8, 8, small_cfg())
 
+    @pytest.mark.parametrize("category", [-1, 65536, 70000])
+    def test_category_outside_label_range_rejected(self, category):
+        # used to die with OverflowError painting the uint16 label map
+        with pytest.raises(ValidationError, match="category"):
+            region("a", 0.5, 0, 3, 0, 3, category=category)
+
+    def test_label_range_ends_paste(self):
+        a = region("a", 0.9, 0, 3, 0, 3, category=65535)
+        b = region("b", 0.5, 8, 11, 8, 11, category=0)
+        out = paste([a, b], 16, 16, small_cfg())
+        assert (out.labels[0:4, 0:4] == 65535).all()
+        assert (out.labels != 0).sum() == 16
+
 
 class TestMeanIou:
     def test_perfect_prediction(self):

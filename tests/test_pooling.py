@@ -50,6 +50,24 @@ class TestBinBoundaries:
             assert covered == set(range(w))
 
 
+class TestPyramidSpec:
+    @pytest.mark.parametrize("levels", [(1, 6), (6, 2, 3, 1), (3, 3, 1), (2, 2)])
+    def test_levels_must_descend_strictly(self, levels):
+        # design B blanks levels[0] as the finest grid; (1, 6) used to blank the
+        # 1x1 bin from a 1x1 vote
+        with pytest.raises(ValidationError, match="descend"):
+            PyramidSpec(levels)
+
+    def test_sidecar_levels_must_descend(self, tmp_path, rng):
+        pooled = spp_pool(random_map(rng, 3, 8, 8), PixelBox(0, 0, 7, 7),
+                          PyramidSpec((2, 1)))
+        path = tmp_path / "pooled.cfmt"
+        save_pooled_feature(path, pooled)
+        Path(str(path) + ".json").write_text(json.dumps({"channels": 3, "levels": [1, 2]}))
+        with pytest.raises(ValidationError, match="descend"):
+            load_pooled_feature(path)
+
+
 class TestSppPool:
     def test_constant_map(self):
         f = FeatureMap(np.full((3, 7, 9), 2.5, dtype=np.float32))

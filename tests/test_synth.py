@@ -50,6 +50,24 @@ class TestGenerateScene:
         with pytest.raises(ValidationError):
             generate_scene(small_spec(shapes=(shape,)))
 
+    @pytest.mark.parametrize("category", [0, 65536, 70000])
+    def test_category_outside_label_range_rejected(self, category):
+        # 70000 used to die with OverflowError painting the uint16 label map
+        with pytest.raises(ValidationError, match="category"):
+            ShapeSpec("rect", category, 20, 20, 5, 4)
+        with pytest.raises(ValidationError, match="category"):
+            BandSpec(category, 0, 9, (0.3, 0.5, 0.8), 0.2)
+
+    def test_largest_category_paints(self):
+        spec = small_spec(shapes=(ShapeSpec("rect", 65535, 20, 20, 5, 4),),
+                          bands=(BandSpec(65535, 40, 47, (0.3, 0.5, 0.8), 0.2),))
+        assert generate_scene(spec).labels.labels.max() == 65535
+
+    def test_negative_seed_rejected(self):
+        # numpy's generators used to raise ValueError in generate_scene
+        with pytest.raises(ValidationError, match="seed"):
+            small_spec(seed=-1)
+
     def test_labels_match_instances(self):
         spec = small_spec(
             shapes=(

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from cfmseg.core import FeatureMap, PixelBox, ValidationError
-from cfmseg.netgeom import compose_geometry
+from cfmseg.formats import canonical_json
+from cfmseg.netgeom import LayerSpec, NetGeometry, compose_geometry
 from cfmseg.toynet import (
     ConvLayerSpec,
     PoolLayerSpec,
@@ -17,6 +18,39 @@ from cfmseg.toynet import (
     spec_to_json,
 )
 from conftest import random_map
+
+# the net spec file `formats.dump_json` writes for default_spec(3, seed=5)
+DEFAULT_SPEC_JSON = """\
+{
+  "layers": [
+    {
+      "in_channels": 3,
+      "kernel": 3,
+      "kind": "conv",
+      "out_channels": 8,
+      "pad": 1,
+      "stride": 2
+    },
+    {
+      "in_channels": 8,
+      "kernel": 3,
+      "kind": "conv",
+      "out_channels": 16,
+      "pad": 1,
+      "stride": 2
+    },
+    {
+      "in_channels": 16,
+      "kernel": 3,
+      "kind": "conv",
+      "out_channels": 32,
+      "pad": 1,
+      "stride": 2
+    }
+  ],
+  "seed": 5
+}
+"""
 
 
 def tiny_net(weight: float, bias: float = 0.0) -> ToyNet:
@@ -43,6 +77,16 @@ class TestInit:
         # first draw of the documented PCG64(0) standard-normal stream
         net = init_toynet(ToyNetSpec((ConvLayerSpec(1, 1, 0, 1, 1),), seed=0))
         assert net.weights[0][0][0, 0, 0, 0] == np.float32(0.17780939)
+
+    def test_negative_seed_rejected(self):
+        # numpy's generators used to raise ValueError in init_toynet
+        with pytest.raises(ValidationError, match="seed"):
+            ToyNetSpec((ConvLayerSpec(1, 1, 0, 1, 1),), seed=-1)
+
+    def test_layers_are_geometry_layers(self):
+        spec = default_spec(3, seed=0)
+        assert all(isinstance(layer, LayerSpec) for layer in spec.layers)
+        assert compose_geometry(spec.layers) == NetGeometry(8, 15, 0.0)
 
     def test_channel_chain_checked(self):
         with pytest.raises(ValidationError):
@@ -153,6 +197,15 @@ class TestSpecIO:
 
         path.write_text(json.dumps(spec_to_json(spec)))
         assert load_spec(path) == spec
+
+    def test_spec_file_bytes_pinned(self):
+        assert canonical_json(spec_to_json(default_spec(3, seed=5))) == DEFAULT_SPEC_JSON
+
+    def test_pool_layer_round_trip(self):
+        spec = ToyNetSpec((ConvLayerSpec(3, 1, 1, 3, 4), PoolLayerSpec(2, 2, 0)), seed=1)
+        obj = spec_to_json(spec)
+        assert obj["layers"][1] == {"kind": "pool", "kernel": 2, "stride": 2, "pad": 0}
+        assert spec_from_json(obj) == spec
 
     @pytest.mark.parametrize("seed", [1.7, "5", True, None])
     def test_seed_must_be_an_integer(self, seed):
