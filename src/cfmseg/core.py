@@ -90,18 +90,38 @@ def bbox_of(mask: BinaryMask) -> PixelBox:
 
 @dataclass(frozen=True, eq=False)
 class SegmentProposal:
-    """Binary segment mask with an opaque id; its tight box is derived once."""
+    """Binary segment mask with an opaque id; its tight box is derived once.
+
+    A box-local proposal holds only the `block` at `origin` (row, col) of its
+    `frame` (height, width; default: the block's shape) with every set pixel.
+    `box` is in frame pixels.
+    """
 
     id: str
-    mask: BinaryMask
+    block: BinaryMask
+    origin: tuple[int, int] = field(default=(0, 0), kw_only=True)
+    frame: tuple[int, int] | None = field(default=None, kw_only=True)
     box: PixelBox = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "box", bbox_of(self.mask))  # rejects empty masks
+        (y, x), (h, w) = self.origin, self.block.bits.shape
+        frame = (h, w) if self.frame is None else tuple(self.frame)
+        if min(y, x) < 0 or y + h > frame[0] or x + w > frame[1]:
+            raise ValidationError(f"{h}x{w} block at {self.origin} outside {frame}")
+        b = bbox_of(self.block)  # rejects empty masks
+        object.__setattr__(self, "frame", frame)
+        object.__setattr__(self, "box", PixelBox(b.x0 + x, b.y0 + y, b.x1 + x, b.y1 + y))
+
+    @property
+    def mask(self) -> BinaryMask:
+        """The whole-frame mask, which a box-local proposal does not have."""
+        if self.frame != self.block.bits.shape:
+            raise ValidationError(f"proposal {self.id!r} is box-local: no frame mask")
+        return self.block
 
     @property
     def area(self) -> int:
-        return self.mask.area
+        return self.block.area
 
 
 def proposal_from_mask(pid: str, mask: BinaryMask) -> SegmentProposal:
@@ -213,12 +233,15 @@ def suppress(masks: list[BinaryMask], threshold: float, pick=None) -> list[int]:
     return kept
 
 
+def nearest_indices(src: int, out: int) -> np.ndarray:
+    """Non-decreasing source index floor((dst + 0.5) * src / out) of each sample."""
+    return np.minimum((2 * np.arange(out) * src + src) // (2 * out), src - 1)
+
+
 def resize_nearest(values: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     """Nearest-neighbor resize of the trailing two axes of a 2-D or 3-D array."""
     if out_h < 1 or out_w < 1:
         raise ValidationError(f"resize target must be >= 1x1, got {out_h}x{out_w}")
-    src_h, src_w = values.shape[-2], values.shape[-1]
-    # source index = floor((dst + 0.5) * src / out), kept in integers
-    ys = np.minimum((2 * np.arange(out_h) * src_h + src_h) // (2 * out_h), src_h - 1)
-    xs = np.minimum((2 * np.arange(out_w) * src_w + src_w) // (2 * out_w), src_w - 1)
-    return values[..., ys[:, None], xs[None, :]]
+    ys = nearest_indices(values.shape[-2], out_h)
+    xs = nearest_indices(values.shape[-1], out_w)
+    return values[..., ys, :][..., xs]  # per axis: far fewer index lookups than 2-D

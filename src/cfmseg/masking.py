@@ -14,8 +14,8 @@ from .core import BinaryMask, FeatureMap, ValidationError
 from .netgeom import NetGeometry
 
 
-def _axis_runs(g: NetGeometry, n_pixels: int, n_cells: int):
-    """(starts, ends) of each cell's run of nearest-center pixels along one axis.
+def _axis_runs(g: NetGeometry, n_pixels: int, n_cells: int, origin: int = 0):
+    """(starts, ends) of each cell's run of nearest-center pixels, from pixel `origin`.
 
     Computed in integers on doubled coordinates: pixel x belongs to the smallest
     u with x <= O + S*(u + 1/2), i.e. u = ceil((2(x-O) - S) / 2S), monotone in x.
@@ -23,7 +23,7 @@ def _axis_runs(g: NetGeometry, n_pixels: int, n_cells: int):
     a = 2 * np.arange(n_pixels, dtype=np.int64) - g.offset_x2
     u = np.clip(-((-(a - g.stride)) // (2 * g.stride)), 0, n_cells - 1)
     cells = np.arange(n_cells)
-    return np.searchsorted(u, cells, "left"), np.searchsorted(u, cells, "right")
+    return tuple(np.searchsorted(u, cells, side) - origin for side in ("left", "right"))
 
 
 def vote(bits: np.ndarray, rows, cols) -> np.ndarray:
@@ -50,14 +50,16 @@ def vote(bits: np.ndarray, rows, cols) -> np.ndarray:
 
 
 def project_mask(
-    g: NetGeometry, image_mask: BinaryMask, fh: int, fw: int
+    g: NetGeometry, image_mask: BinaryMask, fh: int, fw: int, origin=(0, 0), frame=None
 ) -> BinaryMask:
-    """Pool the binary image mask into an fh x fw feature-space mask."""
+    """Pool the binary image mask, the block at `origin` (row, col) of a `frame`
+    (height, width; default: its own shape) unset elsewhere, into fh x fw cells."""
     if fh < 1 or fw < 1:
         raise ValidationError(f"feature dims must be >= 1, got {fh}x{fw}")
-    rows = _axis_runs(g, image_mask.height, fh)
-    cols = _axis_runs(g, image_mask.width, fw)
-    return BinaryMask(vote(image_mask.bits, rows, cols))
+    frame_h, frame_w = frame or (image_mask.height, image_mask.width)
+    rows = _axis_runs(g, frame_h, fh, origin[0])
+    cols = _axis_runs(g, frame_w, fw, origin[1])
+    return BinaryMask(vote(image_mask.bits, rows, cols))  # vote crops to set pixels
 
 
 def brute_force_project(

@@ -23,6 +23,7 @@ from .core import (
     SegmentProposal,
     ValidationError,
     mask_iou,  # not used here; kept importable as pipeline.mask_iou
+    nearest_indices,
     proposal_from_mask,
     resize_nearest,
     suppress,
@@ -100,18 +101,22 @@ def scale_image(image: FeatureMap, scale: int) -> FeatureMap:
 def scale_proposal(
     p: SegmentProposal, src_h: int, src_w: int, dst_h: int, dst_w: int
 ) -> SegmentProposal:
+    """The nearest resize to dst_h x dst_w, as the block of rows and columns
+    that sample the box; the index maps never decrease, so all others are unset."""
     if (src_h, src_w) == (dst_h, dst_w):
         return p
-    bits = resize_nearest(p.mask.bits, dst_h, dst_w)
+    ys, xs, b = nearest_indices(src_h, dst_h), nearest_indices(src_w, dst_w), p.box
+    y0, y1 = np.searchsorted(ys, [b.y0, b.y1 + 1]).tolist()  # rows sampling the box
+    x0, x1 = np.searchsorted(xs, [b.x0, b.x1 + 1]).tolist()
+    bits = p.mask.bits[ys[y0:y1]][:, xs[x0:x1]]
     if not bits.any():
         # a thin segment can vanish under heavy downscale; fall back to its box
-        bits = np.zeros((dst_h, dst_w), dtype=bool)
-        x0 = min(p.box.x0 * dst_w // src_w, dst_w - 1)
-        x1 = min(p.box.x1 * dst_w // src_w, dst_w - 1)
-        y0 = min(p.box.y0 * dst_h // src_h, dst_h - 1)
-        y1 = min(p.box.y1 * dst_h // src_h, dst_h - 1)
-        bits[y0 : y1 + 1, x0 : x1 + 1] = True
-    return proposal_from_mask(p.id, BinaryMask(bits))
+        x0 = min(b.x0 * dst_w // src_w, dst_w - 1)
+        x1 = min(b.x1 * dst_w // src_w, dst_w - 1) + 1
+        y0 = min(b.y0 * dst_h // src_h, dst_h - 1)
+        y1 = min(b.y1 * dst_h // src_h, dst_h - 1) + 1
+        bits = np.ones((y1 - y0, x1 - x0), dtype=bool)
+    return SegmentProposal(p.id, BinaryMask(bits), origin=(y0, x0), frame=(dst_h, dst_w))
 
 
 class FeatureCache:

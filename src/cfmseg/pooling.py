@@ -109,7 +109,7 @@ def design_a_features(
     """Two pooling pathways over one window: plain box, then masked segment."""
     window = feature_extent(g, p.box, conv.height, conv.width)
     box_feature = spp_pool(conv, window, pyr)
-    fmask = project_mask(g, p.mask, conv.height, conv.width)
+    fmask = project_mask(g, p.block, conv.height, conv.width, p.origin, p.frame)
     segment_feature = spp_pool(apply_mask(conv, fmask), window, pyr)
     return np.concatenate([box_feature.values, segment_feature.values])
 
@@ -120,7 +120,7 @@ def design_b_features(
     """Single pathway: pool unmasked, then blank masked-out bins of the finest level."""
     window = feature_extent(g, p.box, conv.height, conv.width)
     values = spp_pool(conv, window, pyr).values  # fresh, so zeroed in place below
-    fmask = project_mask(g, p.mask, conv.height, conv.width)
+    fmask = project_mask(g, p.block, conv.height, conv.width, p.origin, p.frame)
     finest = pyr.levels[0]
     grid = downsample_mask_to_grid(fmask, window, finest)
     head = values[: finest * finest * conv.channels].reshape(-1, conv.channels)

@@ -105,6 +105,19 @@ class TestTypes:
         with pytest.raises(ValidationError):
             SegmentProposal("p", BinaryMask(np.zeros((3, 3), dtype=bool)))
 
+    def test_block_must_lie_in_its_frame(self):
+        block = rect_mask(3, 3, 0, 2, 0, 2)
+        assert SegmentProposal("p", block, origin=(2, 1), frame=(5, 4)).box == (
+            PixelBox(1, 2, 3, 4)
+        )
+        for origin, frame in [((3, 0), (5, 5)), ((0, 3), (5, 5)), ((-1, 0), (5, 5))]:
+            with pytest.raises(ValidationError):
+                SegmentProposal("p", block, origin=origin, frame=frame)
+        full = SegmentProposal("q", block, origin=(0, 0), frame=(3, 3))
+        assert full.mask is block
+        with pytest.raises(ValidationError, match="box-local"):
+            SegmentProposal("r", block, origin=(1, 1), frame=(5, 5)).mask
+
     def test_feature_map_rejects_non_finite(self):
         bad = np.zeros((1, 2, 2), dtype=np.float32)
         bad[0, 0, 0] = np.inf
@@ -179,3 +192,19 @@ class TestResizeNearest:
         arr = np.arange(8.0).reshape(1, 8)
         out = resize_nearest(arr, 1, 2)
         assert out.tolist() == [[2.0, 6.0]]
+
+    def test_matches_two_dimensional_gather(self, rng):
+        """The per-axis gather equals the 2-D broadcast form it replaced."""
+        for i in range(300):
+            h, w = (int(v) for v in rng.integers(1, 40, size=2))
+            out_h, out_w = (int(v) for v in rng.integers(1, 90, size=2))
+            if i % 2:
+                arr = rng.random((h, w)) < 0.5
+            else:
+                arr = rng.standard_normal((3, h, w)).astype(np.float32)
+            ys = np.minimum((2 * np.arange(out_h) * h + h) // (2 * out_h), h - 1)
+            xs = np.minimum((2 * np.arange(out_w) * w + w) // (2 * out_w), w - 1)
+            expected = arr[..., ys[:, None], xs[None, :]]
+            got = resize_nearest(arr, out_h, out_w)
+            assert got.dtype == expected.dtype and got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes()

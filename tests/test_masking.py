@@ -104,6 +104,22 @@ class TestProjectMask:
             slow = brute_force_project(g, m, fh, fw)
             assert np.array_equal(fast.bits, slow.bits)
 
+    def test_block_projects_as_its_padded_frame(self, rng):
+        g = compose_geometry([LayerSpec("conv", 3, 2, 1), LayerSpec("pool", 2, 2, 0)])
+        for _ in range(200):
+            fh, fw = (int(v) for v in rng.integers(1, 12, size=2))
+            frame = tuple(int(v) for v in rng.integers(1, 40, size=2))
+            h, w = (int(rng.integers(1, n + 1)) for n in frame)
+            y, x = (int(rng.integers(0, n - k + 1)) for n, k in zip(frame, (h, w)))
+            block = random_mask(rng, h, w, density=float(rng.random()))
+            padded = np.zeros(frame, dtype=bool)
+            padded[y : y + h, x : x + w] = block.bits
+            got = project_mask(g, block, fh, fw, (y, x), frame)
+            full = project_mask(g, BinaryMask(padded), fh, fw)
+            assert np.array_equal(got.bits, full.bits)
+            own = project_mask(g, block, fh, fw, (0, 0), (h, w))
+            assert np.array_equal(own.bits, project_mask(g, block, fh, fw).bits)
+
     def test_coverage_monotonicity(self, rng):
         g = compose_geometry([LayerSpec("conv", 3, 2, 1)])
         for _ in range(50):

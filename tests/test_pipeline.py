@@ -5,12 +5,16 @@ from cfmseg.classify import LinearModel
 from cfmseg.core import (
     BinaryMask,
     FeatureMap,
+    InstanceSegment,
     LabelMap,
     PixelBox,
     ValidationError,
     proposal_from_mask,
+    resize_nearest,
 )
-from cfmseg.netgeom import compose_geometry
+from cfmseg.formats import save_proposal_index
+from cfmseg.masking import project_mask
+from cfmseg.netgeom import LayerSpec, compose_geometry
 from cfmseg.pipeline import (
     FeatureCache,
     PipelineConfig,
@@ -24,6 +28,13 @@ from cfmseg.pipeline import (
     score_proposals,
 )
 from cfmseg.pooling import PyramidSpec, design_feature, feature_length
+from cfmseg.pursuit import (
+    Candidate,
+    PursuitConfig,
+    label_object_samples,
+    pursue,
+    stuff_samples,
+)
 from cfmseg.toynet import default_spec, init_toynet
 from conftest import random_map, rect_mask
 
@@ -91,7 +102,145 @@ class TestScaling:
         bits[7, 7] = True
         p = proposal_from_mask("p", BinaryMask(bits))
         sp = scale_proposal(p, 20, 20, 3, 3)
-        assert sp.mask.bits.any()
+        assert sp.block.bits.all()  # an all-set block over the scaled box
+        assert (sp.origin, sp.frame, sp.box) == ((1, 1), (3, 3), PixelBox(1, 1, 1, 1))
+
+
+def upsample_then_project(p, src_h, src_w, dst_h, dst_w, g, fh, fw):
+    """The full-frame path scale_proposal replaced, kept here as the oracle:
+    upsample the whole mask, fall back to the scaled box if it vanishes, and
+    project the full-frame mask. Returns the scaled box and the feature mask."""
+    bits = resize_nearest(p.mask.bits, dst_h, dst_w)
+    if not bits.any():
+        bits = np.zeros((dst_h, dst_w), dtype=bool)
+        x0 = min(p.box.x0 * dst_w // src_w, dst_w - 1)
+        x1 = min(p.box.x1 * dst_w // src_w, dst_w - 1)
+        y0 = min(p.box.y0 * dst_h // src_h, dst_h - 1)
+        y1 = min(p.box.y1 * dst_h // src_h, dst_h - 1)
+        bits[y0 : y1 + 1, x0 : x1 + 1] = True
+    sp = proposal_from_mask(p.id, BinaryMask(bits))
+    return sp.box, project_mask(g, sp.mask, fh, fw)
+
+
+def random_source_mask(rng, kind: str, h: int, w: int) -> np.ndarray:
+    """A non-empty h x w mask: a pixel, a thin line, a blob on an edge, or a blob."""
+    bits = np.zeros((h, w), dtype=bool)
+    if kind == "pixel":
+        bits[rng.integers(0, h), rng.integers(0, w)] = True
+    elif kind == "line":  # one row or one column: the shapes that vanish
+        if rng.random() < 0.5:
+            bits[rng.integers(0, h), rng.integers(0, w) :] = True
+        else:
+            bits[rng.integers(0, h) :, rng.integers(0, w)] = True
+    else:
+        y0, x0 = int(rng.integers(0, h)), int(rng.integers(0, w))
+        y1, x1 = int(rng.integers(y0, h)), int(rng.integers(x0, w))
+        if kind == "border":  # stretch the block to a random image edge
+            side = int(rng.integers(0, 4))
+            y0, y1, x0, x1 = [(0, y1, x0, x1), (y0, h - 1, x0, x1),
+                              (y0, y1, 0, x1), (y0, y1, x0, w - 1)][side]
+        block = rng.random((y1 - y0 + 1, x1 - x0 + 1)) < rng.uniform(0.2, 1.0)
+        bits[y0 : y1 + 1, x0 : x1 + 1] = block
+        if not bits.any():
+            bits[y0, x0] = True
+    return bits
+
+
+class TestBoxLocalScaling:
+    def test_matches_upsample_then_project(self, rng):
+        kinds = ("pixel", "line", "border", "blob")
+        seen = {"up": 0, "down": 0, "non_integer": 0, "vanished": 0, "border": 0}
+        for i in range(2400):
+            kind = kinds[i % len(kinds)]
+            layers = [
+                LayerSpec(
+                    "conv" if rng.random() < 0.5 else "pool",
+                    int(rng.integers(1, 5)),
+                    int(rng.integers(1, 4)),
+                    int(rng.integers(0, 3)),
+                )
+                for _ in range(int(rng.integers(1, 4)))
+            ]
+            g = compose_geometry(layers)
+            src_h, src_w = (int(v) for v in rng.integers(1, 33, size=2))
+            # even cases shrink (or keep) each axis, odd ones grow it up to 3x
+            dst_h, dst_w = (
+                int(rng.integers(1, n + 1) if i % 2 == 0 else rng.integers(n, 3 * n + 2))
+                for n in (src_h, src_w)
+            )
+            if (src_h, src_w) == (dst_h, dst_w):
+                continue
+            fh = max(1, -(-dst_h // g.stride)) + int(rng.integers(0, 3))
+            fw = max(1, -(-dst_w // g.stride)) + int(rng.integers(0, 3))
+            bits = random_source_mask(rng, kind, src_h, src_w)
+            p = proposal_from_mask(f"p{i}", BinaryMask(bits))
+
+            sp = scale_proposal(p, src_h, src_w, dst_h, dst_w)
+            dims = (src_h, src_w, dst_h, dst_w)
+            box, fmask = upsample_then_project(p, *dims, g, fh, fw)
+            assert sp.frame == (dst_h, dst_w)
+            assert sp.box == box
+            got = project_mask(g, sp.block, fh, fw, sp.origin, sp.frame)
+            assert np.array_equal(got.bits, fmask.bits), (i, kind)
+
+            seen["up"] += dst_h > src_h and dst_w > src_w
+            seen["down"] += dst_h < src_h and dst_w < src_w
+            seen["non_integer"] += dst_h % src_h != 0 and src_h % dst_h != 0
+            seen["vanished"] += not resize_nearest(p.mask.bits, dst_h, dst_w).any()
+            seen["border"] += box.x0 == 0 or box.y0 == 0 or box.x1 == dst_w - 1
+        assert min(seen.values()) >= 50, seen
+
+    def test_downscale_box_comes_from_the_sampled_grid(self):
+        bits = np.zeros((8, 8), dtype=bool)
+        for y, x in [(1, 0), (0, 7), (3, 3)]:
+            bits[y, x] = True
+        p = proposal_from_mask("p", BinaryMask(bits))
+        sp = scale_proposal(p, 8, 8, 4, 4)
+        assert sp.box == PixelBox(1, 1, 1, 1)
+        assert bits[1::2, 1::2].sum() == 1  # only (3, 3) lies on the sampled grid
+        # each axis alone sees set rows {1, 3} and set columns {3, 7} sampled,
+        # which spans a box the scaled mask does not fill
+        ys = xs = np.array([1, 3, 5, 7])
+        rows, cols = np.flatnonzero(bits.any(1)[ys]), np.flatnonzero(bits.any(0)[xs])
+        per_axis = PixelBox(int(cols[0]), int(rows[0]), int(cols[-1]), int(rows[-1]))
+        assert per_axis == PixelBox(1, 0, 3, 1) != sp.box
+
+    @pytest.mark.parametrize("scale", [45, 20])
+    def test_design_features_byte_equal_on_scaled_scene(self, rng, scale):
+        net, g, image = toy_setup(rng, side=32)
+        cache = FeatureCache(image, net)
+        conv, (sh, sw) = cache.conv_map(scale)
+        pyr = PyramidSpec((3, 2, 1))
+        for i in range(40):
+            kind = ("pixel", "line", "border", "blob")[i % 4]
+            bits = random_source_mask(rng, kind, 32, 32)
+            p = proposal_from_mask(f"p{i}", BinaryMask(bits))
+            sp = scale_proposal(p, 32, 32, sh, sw)
+            scaled = resize_nearest(bits, sh, sw)
+            if not scaled.any():
+                continue
+            full = proposal_from_mask(p.id, BinaryMask(scaled))
+            for design in ("A", "B"):
+                new = design_feature(conv, sp, g, pyr, design)
+                old = design_feature(conv, full, g, pyr, design)
+                assert new.tobytes() == old.tobytes()
+
+    def test_full_frame_consumers_reject_box_local(self, tmp_path):
+        p = proposal_from_mask("p", rect_mask(10, 10, 2, 5, 3, 6))
+        sp = scale_proposal(p, 10, 10, 20, 20)
+        assert sp.frame != sp.block.bits.shape
+        stuff = rect_mask(20, 20, 0, 19, 0, 19)
+        cfg = PursuitConfig()
+        with pytest.raises(ValidationError, match="box-local"):
+            paste([ScoredRegion(sp, 1, 1.0)], 20, 20, small_cfg())
+        with pytest.raises(ValidationError, match="box-local"):
+            stuff_samples([sp], stuff, cfg)
+        with pytest.raises(ValidationError, match="box-local"):
+            pursue([Candidate(sp, sp.area, 1.0)] * 2, cfg, "deterministic")
+        with pytest.raises(ValidationError, match="box-local"):
+            label_object_samples([sp], [InstanceSegment(1, stuff)], 1)
+        with pytest.raises(ValidationError, match="box-local"):
+            save_proposal_index(tmp_path / "proposals.json", [sp])
 
 
 class TestScoreProposals:
