@@ -47,9 +47,6 @@ class BinaryMask:
         """Number of set pixels."""
         return int(self.bits.sum())
 
-    def same_shape(self, other: "BinaryMask") -> bool:
-        return self.bits.shape == other.bits.shape
-
 
 @dataclass(frozen=True)
 class PixelBox:
@@ -90,11 +87,11 @@ def bbox_of(mask: BinaryMask) -> PixelBox:
 
 @dataclass(frozen=True, eq=False)
 class SegmentProposal:
-    """Binary segment mask with an opaque id; its tight box is derived once.
+    """Binary segment mask with an opaque id, held only inside its tight box.
 
-    A box-local proposal holds only the `block` at `origin` (row, col) of its
-    `frame` (height, width; default: the block's shape) with every set pixel.
-    `box` is in frame pixels.
+    Construction crops the `block` given at `origin` (row, col) of its `frame`
+    (height, width; default: the block's shape) to the tight `box` (frame
+    pixels), moves `origin` to the box's top-left and caches `area`.
     """
 
     id: str
@@ -102,6 +99,7 @@ class SegmentProposal:
     origin: tuple[int, int] = field(default=(0, 0), kw_only=True)
     frame: tuple[int, int] | None = field(default=None, kw_only=True)
     box: PixelBox = field(init=False)
+    area: int = field(init=False)
 
     def __post_init__(self):
         (y, x), (h, w) = self.origin, self.block.bits.shape
@@ -109,19 +107,21 @@ class SegmentProposal:
         if min(y, x) < 0 or y + h > frame[0] or x + w > frame[1]:
             raise ValidationError(f"{h}x{w} block at {self.origin} outside {frame}")
         b = bbox_of(self.block)  # rejects empty masks
+        if (b.height, b.width) != (h, w):  # BinaryMask copies: no view of the frame
+            tight = self.block.bits[b.y0:b.y1 + 1, b.x0:b.x1 + 1]
+            object.__setattr__(self, "block", BinaryMask(tight))
         object.__setattr__(self, "frame", frame)
+        object.__setattr__(self, "origin", (b.y0 + y, b.x0 + x))
         object.__setattr__(self, "box", PixelBox(b.x0 + x, b.y0 + y, b.x1 + x, b.y1 + y))
+        object.__setattr__(self, "area", int(np.count_nonzero(self.block.bits)))
 
     @property
     def mask(self) -> BinaryMask:
-        """The whole-frame mask, which a box-local proposal does not have."""
-        if self.frame != self.block.bits.shape:
-            raise ValidationError(f"proposal {self.id!r} is box-local: no frame mask")
-        return self.block
-
-    @property
-    def area(self) -> int:
-        return self.block.area
+        """The whole-frame mask, built on each call (for writing files)."""
+        bits = np.zeros(self.frame, dtype=bool)
+        b = self.box
+        bits[b.y0:b.y1 + 1, b.x0:b.x1 + 1] = self.block.bits
+        return BinaryMask(bits)
 
 
 def proposal_from_mask(pid: str, mask: BinaryMask) -> SegmentProposal:
@@ -201,26 +201,40 @@ class InstanceSegment:
             raise ValidationError("instance category must be a positive index")
 
 
-def mask_iou(a: BinaryMask, b: BinaryMask) -> float:
-    """Intersection-over-union of two same-size masks; 0 when both are empty."""
-    if not a.same_shape(b):
-        raise ValidationError(
-            f"mask dimension mismatch: {a.bits.shape} vs {b.bits.shape}"
-        )
-    inter = int(np.count_nonzero(a.bits & b.bits))
-    union = int(np.count_nonzero(a.bits | b.bits))
-    if union == 0:
-        return 0.0
-    return inter / union
+def mask_iou(a, b) -> float:
+    """IoU of two same-size masks, or of two proposals in one frame; 0 when
+    both are empty. Proposals with disjoint boxes read no bits; otherwise
+    only the overlap of their boxes is counted."""
+    masks = isinstance(a, BinaryMask)
+    fa, fb = (a.bits.shape, b.bits.shape) if masks else (a.frame, b.frame)
+    if fa != fb:
+        raise ValidationError(f"mask dimension mismatch: {fa} vs {fb}")
+    if masks:
+        a_in, b_in = a.bits, b.bits
+        areas = int(np.count_nonzero(a_in)) + int(np.count_nonzero(b_in))
+    else:
+        p, q = a.box, b.box
+        if p.x1 < q.x0 or q.x1 < p.x0 or p.y1 < q.y0 or q.y1 < p.y0:
+            return 0.0  # the fast path: most pairs in a dense scene are disjoint
+        y0, y1 = max(p.y0, q.y0), min(p.y1, q.y1) + 1
+        x0, x1 = max(p.x0, q.x0), min(p.x1, q.x1) + 1
+        (ay, ax), (by, bx) = a.origin, b.origin
+        a_in = a.block.bits[y0 - ay:y1 - ay, x0 - ax:x1 - ax]
+        b_in = b.block.bits[y0 - by:y1 - by, x0 - bx:x1 - bx]
+        areas = a.area + b.area
+    inter = int(np.count_nonzero(a_in & b_in))
+    union = areas - inter
+    return inter / union if union else 0.0
 
 
-def suppress(masks: list[BinaryMask], threshold: float, pick=None) -> list[int]:
-    """Greedy overlap suppression: the indices of masks kept, in pick order.
+def suppress(items: list, threshold: float, pick=None) -> list[int]:
+    """Greedy overlap suppression over masks or proposals: the indices kept,
+    in pick order.
 
     Each round takes `pick(remaining)` (default: the first remaining index)
-    and drops every remaining mask whose IoU with it exceeds the threshold.
+    and drops every remaining item whose IoU with it exceeds the threshold.
     """
-    remaining = list(range(len(masks)))
+    remaining = list(range(len(items)))
     kept = []
     while remaining:
         top = remaining[0] if pick is None else pick(remaining)
@@ -228,7 +242,7 @@ def suppress(masks: list[BinaryMask], threshold: float, pick=None) -> list[int]:
         remaining = [
             i
             for i in remaining
-            if i != top and mask_iou(masks[i], masks[top]) <= threshold
+            if i != top and mask_iou(items[i], items[top]) <= threshold
         ]
     return kept
 

@@ -20,6 +20,7 @@ from .core import (
     LabelMap,
     SegmentProposal,
     ValidationError,
+    proposal_from_mask,
 )
 
 TENSOR_MAGIC = b"CFMT"
@@ -259,7 +260,7 @@ def _proposal_entries(index_path: Path, entries) -> list[SegmentProposal]:
     proposals = []
     for n, entry in enumerate(entries):
         try:
-            p = SegmentProposal(
+            p = proposal_from_mask(  # cropped to its box on read
                 string_id(entry), load_mask(contained(index_path.parent, entry["mask"]))
             )
             box = entry["box"]

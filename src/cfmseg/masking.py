@@ -8,14 +8,17 @@ binary pixel votes reaches 0.5; cells that collect nothing stay unset.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
-from .core import BinaryMask, FeatureMap, ValidationError
+from .core import BinaryMask, FeatureMap, ValidationError, _readonly
 from .netgeom import NetGeometry
 
 
-def _axis_runs(g: NetGeometry, n_pixels: int, n_cells: int, origin: int = 0):
-    """(starts, ends) of each cell's run of nearest-center pixels, from pixel `origin`.
+@lru_cache(maxsize=256)
+def _axis_runs(g: NetGeometry, n_pixels: int, n_cells: int):
+    """Read-only (starts, ends) of each cell's run of nearest-center pixels.
 
     Computed in integers on doubled coordinates: pixel x belongs to the smallest
     u with x <= O + S*(u + 1/2), i.e. u = ceil((2(x-O) - S) / 2S), monotone in x.
@@ -23,7 +26,7 @@ def _axis_runs(g: NetGeometry, n_pixels: int, n_cells: int, origin: int = 0):
     a = 2 * np.arange(n_pixels, dtype=np.int64) - g.offset_x2
     u = np.clip(-((-(a - g.stride)) // (2 * g.stride)), 0, n_cells - 1)
     cells = np.arange(n_cells)
-    return tuple(np.searchsorted(u, cells, side) - origin for side in ("left", "right"))
+    return tuple(_readonly(np.searchsorted(u, cells, side)) for side in ("left", "right"))
 
 
 def vote(bits: np.ndarray, rows, cols) -> np.ndarray:
@@ -57,8 +60,8 @@ def project_mask(
     if fh < 1 or fw < 1:
         raise ValidationError(f"feature dims must be >= 1, got {fh}x{fw}")
     frame_h, frame_w = frame or (image_mask.height, image_mask.width)
-    rows = _axis_runs(g, frame_h, fh, origin[0])
-    cols = _axis_runs(g, frame_w, fw, origin[1])
+    rows = [t - origin[0] for t in _axis_runs(g, frame_h, fh)]  # tables cached per scale
+    cols = [t - origin[1] for t in _axis_runs(g, frame_w, fw)]
     return BinaryMask(vote(image_mask.bits, rows, cols))  # vote crops to set pixels
 
 

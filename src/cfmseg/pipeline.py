@@ -108,7 +108,7 @@ def scale_proposal(
     ys, xs, b = nearest_indices(src_h, dst_h), nearest_indices(src_w, dst_w), p.box
     y0, y1 = np.searchsorted(ys, [b.y0, b.y1 + 1]).tolist()  # rows sampling the box
     x0, x1 = np.searchsorted(xs, [b.x0, b.x1 + 1]).tolist()
-    bits = p.mask.bits[ys[y0:y1]][:, xs[x0:x1]]
+    bits = p.block.bits[ys[y0:y1] - b.y0][:, xs[x0:x1] - b.x0]  # block starts at the box
     if not bits.any():
         # a thin segment can vanish under heavy downscale; fall back to its box
         x0 = min(b.x0 * dst_w // src_w, dst_w - 1)
@@ -208,7 +208,7 @@ def paste(
 ) -> LabelMap:
     """Greedy labeling: best score first, overlap inhibition, first write wins."""
     for r in scored:
-        if (r.proposal.mask.height, r.proposal.mask.width) != (height, width):
+        if r.proposal.frame != (height, width):
             raise ValidationError(
                 f"proposal {r.proposal.id!r} mask does not match {height}x{width}"
             )
@@ -217,9 +217,10 @@ def paste(
         key=lambda r: (-r.score, r.proposal.id, r.category),
     )
     labels = np.zeros((height, width), dtype=np.uint16)
-    for i in suppress([r.proposal.mask for r in queue], cfg.paste_inhibit_iou):
-        top = queue[i]
-        labels[top.proposal.mask.bits & (labels == 0)] = top.category
+    for i in suppress([r.proposal for r in queue], cfg.paste_inhibit_iou):
+        top, b = queue[i], queue[i].proposal.box
+        window = labels[b.y0:b.y1 + 1, b.x0:b.x1 + 1]  # a view: writes reach labels
+        window[top.proposal.block.bits & (window == 0)] = top.category
     return LabelMap(labels)
 
 

@@ -19,6 +19,7 @@ from .core import (
     SegmentProposal,
     ValidationError,
     mask_iou,
+    proposal_from_mask,
     suppress,
 )
 
@@ -58,16 +59,10 @@ class Candidate:
 
 def purity(seg: SegmentProposal, stuff: BinaryMask) -> float:
     """IoU between a segment and the stuff pixels clipped to the segment's box."""
-    if not seg.mask.same_shape(stuff):
-        raise ValidationError(
-            f"segment {seg.mask.bits.shape} vs stuff {stuff.bits.shape}"
-        )
-    b = seg.box
-    rows, cols = slice(b.y0, b.y1 + 1), slice(b.x0, b.x1 + 1)
-    # the segment lies inside its box, so box-local counts are the full ones
-    return mask_iou(
-        BinaryMask(seg.mask.bits[rows, cols]), BinaryMask(stuff.bits[rows, cols])
-    )
+    if seg.frame != stuff.bits.shape:
+        raise ValidationError(f"segment {seg.frame} vs stuff {stuff.bits.shape}")
+    b = seg.box  # the block spans exactly the box
+    return mask_iou(seg.block, BinaryMask(stuff.bits[b.y0:b.y1 + 1, b.x0:b.x1 + 1]))
 
 
 def candidate_set(
@@ -104,7 +99,7 @@ def pursue(
         floor = sum(c.area for c in cands) / len(cands)
     eligible = [c for c in cands if c.area >= floor]
     kept = suppress(
-        [c.proposal.mask for c in eligible],
+        [c.proposal for c in eligible],
         cfg.inhibit_iou,
         lambda remaining: remaining[pick([eligible[i] for i in remaining])],
     )
@@ -147,10 +142,14 @@ def label_object_samples(
     category: int,
 ) -> list[LabeledSample]:
     """Label proposals by their best mask IoU against same-category instances."""
-    gt_masks = [g.mask for g in gt_segments if g.category == category]
+    gts = [  # box-local once; an empty instance overlaps nothing
+        proposal_from_mask(f"gt{i}", g.mask)
+        for i, g in enumerate(gt_segments)
+        if g.category == category and g.mask.bits.any()
+    ]
     samples = []
     for p in proposals:
-        best = max((mask_iou(p.mask, m) for m in gt_masks), default=0.0)
+        best = max((mask_iou(p, gt) for gt in gts), default=0.0)
         label = overlap_label(best)
         if label is not None:
             samples.append(LabeledSample(p, label))

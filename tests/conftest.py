@@ -21,3 +21,28 @@ def rect_mask(h, w, y0, y1, x0, x1) -> BinaryMask:
     bits = np.zeros((h, w), dtype=bool)
     bits[y0 : y1 + 1, x0 : x1 + 1] = True
     return BinaryMask(bits)
+
+
+def full_frame_iou(a: np.ndarray, b: np.ndarray) -> float:
+    """Oracle: IoU counted over two whole frames, as before masks went box-local."""
+    union = np.count_nonzero(a | b)
+    return np.count_nonzero(a & b) / union if union else 0.0
+
+
+def full_frame_paste(scored, height: int, width: int, inhibit: float) -> np.ndarray:
+    """Oracle: greedy paste over whole-frame masks (best score first, overlap
+    inhibition, first write wins), as before masks went box-local."""
+    queue = sorted(
+        (r for r in scored if r.score > 0),
+        key=lambda r: (-r.score, r.proposal.id, r.category),
+    )
+    masks = [r.proposal.mask.bits for r in queue]
+    labels = np.zeros((height, width), dtype=np.uint16)
+    remaining = list(range(len(queue)))
+    while remaining:
+        top = remaining[0]
+        labels[masks[top] & (labels == 0)] = queue[top].category
+        remaining = [
+            i for i in remaining[1:] if full_frame_iou(masks[i], masks[top]) <= inhibit
+        ]
+    return labels

@@ -114,9 +114,20 @@ class TestTypes:
             with pytest.raises(ValidationError):
                 SegmentProposal("p", block, origin=origin, frame=frame)
         full = SegmentProposal("q", block, origin=(0, 0), frame=(3, 3))
-        assert full.mask is block
-        with pytest.raises(ValidationError, match="box-local"):
-            SegmentProposal("r", block, origin=(1, 1), frame=(5, 5)).mask
+        assert full.block is block and np.array_equal(full.mask.bits, block.bits)
+        # .mask is the block padded into its frame, built on demand
+        local = SegmentProposal("r", block, origin=(1, 1), frame=(5, 5))
+        padded = np.zeros((5, 5), dtype=bool)
+        padded[1:4, 1:4] = True
+        assert np.array_equal(local.mask.bits, padded)
+        assert local.mask is not local.mask  # never held
+        # construction crops the block to its tight box and moves the origin
+        loose = SegmentProposal("s", rect_mask(4, 4, 1, 2, 2, 2), origin=(1, 0), frame=(6, 5))
+        assert (loose.block.bits.shape, loose.origin) == ((2, 1), (2, 2))
+        assert (loose.box, loose.area) == (PixelBox(2, 2, 2, 3), 2)
+        padded = np.zeros((6, 5), dtype=bool)
+        padded[2:4, 2] = True
+        assert np.array_equal(loose.mask.bits, padded)
 
     def test_feature_map_rejects_non_finite(self):
         bad = np.zeros((1, 2, 2), dtype=np.float32)

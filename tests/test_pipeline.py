@@ -12,7 +12,7 @@ from cfmseg.core import (
     proposal_from_mask,
     resize_nearest,
 )
-from cfmseg.formats import save_proposal_index
+from cfmseg.formats import load_proposal_index, save_proposal_index
 from cfmseg.masking import project_mask
 from cfmseg.netgeom import LayerSpec, compose_geometry
 from cfmseg.pipeline import (
@@ -29,14 +29,15 @@ from cfmseg.pipeline import (
 )
 from cfmseg.pooling import PyramidSpec, design_feature, feature_length
 from cfmseg.pursuit import (
-    Candidate,
     PursuitConfig,
+    candidate_set,
     label_object_samples,
+    overlap_label,
     pursue,
     stuff_samples,
 )
 from cfmseg.toynet import default_spec, init_toynet
-from conftest import random_map, rect_mask
+from conftest import full_frame_iou, full_frame_paste, random_map, rect_mask
 
 DEFAULT_SCALES = (480, 576, 688, 864, 1200)
 
@@ -225,22 +226,61 @@ class TestBoxLocalScaling:
                 old = design_feature(conv, full, g, pyr, design)
                 assert new.tobytes() == old.tobytes()
 
-    def test_full_frame_consumers_reject_box_local(self, tmp_path):
-        p = proposal_from_mask("p", rect_mask(10, 10, 2, 5, 3, 6))
-        sp = scale_proposal(p, 10, 10, 20, 20)
+    def test_full_frame_consumers_accept_box_local(self, tmp_path):
+        bits = np.zeros((10, 10), dtype=bool)
+        bits[2:6, 3:7] = True
+        bits[5, 7:9] = True  # an L, so the block is not all set
+        sp = scale_proposal(proposal_from_mask("p", BinaryMask(bits)), 10, 10, 20, 20)
         assert sp.frame != sp.block.bits.shape
-        stuff = rect_mask(20, 20, 0, 19, 0, 19)
-        cfg = PursuitConfig()
-        with pytest.raises(ValidationError, match="box-local"):
-            paste([ScoredRegion(sp, 1, 1.0)], 20, 20, small_cfg())
-        with pytest.raises(ValidationError, match="box-local"):
-            stuff_samples([sp], stuff, cfg)
-        with pytest.raises(ValidationError, match="box-local"):
-            pursue([Candidate(sp, sp.area, 1.0)] * 2, cfg, "deterministic")
-        with pytest.raises(ValidationError, match="box-local"):
-            label_object_samples([sp], [InstanceSegment(1, stuff)], 1)
-        with pytest.raises(ValidationError, match="box-local"):
-            save_proposal_index(tmp_path / "proposals.json", [sp])
+        # .mask is the block padded into its frame: the full-frame proposal
+        padded = np.zeros((20, 20), dtype=bool)
+        padded[sp.origin[0]:sp.box.y1 + 1, sp.origin[1]:sp.box.x1 + 1] = sp.block.bits
+        assert np.array_equal(sp.mask.bits, padded)
+        assert np.array_equal(padded, resize_nearest(bits, 20, 20))
+        q = proposal_from_mask("q", rect_mask(20, 20, 8, 15, 10, 17))
+        local, full = [sp, q], [padded, q.mask.bits]
+        cfg = PursuitConfig(inhibit_iou=0.1)
+
+        scored = [ScoredRegion(sp, 1, 0.9), ScoredRegion(q, 2, 0.5)]
+        labels = paste(scored, 20, 20, small_cfg()).labels
+        assert np.array_equal(labels, full_frame_paste(scored, 20, 20, 0.3))
+        assert (labels == 1).sum() == sp.area and (labels == 2).any()
+
+        stuff = rect_mask(20, 20, 4, 19, 0, 19)
+        cands = candidate_set(local, stuff, cfg)
+        assert [c.purity for c in cands] == [
+            full_frame_iou(m, stuff.bits & box_bits(p.box)) for p, m in zip(local, full)
+        ]
+        picks = pursue(cands, cfg, "deterministic")
+        big = max(range(2), key=lambda i: cands[i].area)
+        keep_both = full_frame_iou(*full) <= cfg.inhibit_iou
+        assert [c.proposal.id for c in picks] == (
+            [cands[big].proposal.id, cands[1 - big].proposal.id][: 1 + keep_both]
+        )
+        assert [p.id for p in stuff_samples(local, stuff, cfg)[0]] == [
+            c.proposal.id for c in picks
+        ]
+
+        inst = InstanceSegment(1, rect_mask(20, 20, 4, 11, 6, 15))
+        got = [(s.proposal.id, s.label) for s in label_object_samples(local, [inst], 1)]
+        want = [
+            (p.id, overlap_label(full_frame_iou(m, inst.mask.bits)))
+            for p, m in zip(local, full)
+        ]
+        assert got == [w for w in want if w[1] is not None]
+
+        save_proposal_index(tmp_path / "proposals.json", local)
+        loaded = load_proposal_index(tmp_path / "proposals.json")
+        for p, m, back in zip(local, full, loaded):
+            assert (back.id, back.box, back.origin) == (p.id, p.box, p.origin)
+            assert np.array_equal(back.block.bits, p.block.bits)
+            assert np.array_equal(back.mask.bits, m)
+
+
+def box_bits(box: PixelBox) -> np.ndarray:
+    bits = np.zeros((20, 20), dtype=bool)
+    bits[box.y0:box.y1 + 1, box.x0:box.x1 + 1] = True
+    return bits
 
 
 class TestScoreProposals:
