@@ -228,22 +228,26 @@ def mask_iou(a, b) -> float:
 
 
 def suppress(items: list, threshold: float, pick=None) -> list[int]:
-    """Greedy overlap suppression over masks or proposals: the indices kept,
-    in pick order.
+    """Greedy overlap suppression over proposals of one frame: the indices
+    kept, in pick order.
 
     Each round takes `pick(remaining)` (default: the first remaining index)
-    and drops every remaining item whose IoU with it exceeds the threshold.
+    and drops every remaining proposal whose IoU with it exceeds the
+    threshold; one box test finds those that can overlap it at all.
     """
-    remaining = list(range(len(items)))
-    kept = []
-    while remaining:
-        top = remaining[0] if pick is None else pick(remaining)
+    if len({p.frame for p in items}) > 1:
+        raise ValidationError("proposals to suppress lie in different frames")
+    boxes = [(p.box.x0, p.box.y0, p.box.x1, p.box.y1) for p in items]
+    x0, y0, x1, y1 = np.array(boxes).reshape(-1, 4).T
+    alive, kept = np.ones(len(items), dtype=bool), []
+    while alive.any():
+        remaining = np.flatnonzero(alive)
+        top = int(remaining[0]) if pick is None else pick(remaining.tolist())
         kept.append(top)
-        remaining = [
-            i
-            for i in remaining
-            if i != top and mask_iou(items[i], items[top]) <= threshold
-        ]
+        alive[top] = False
+        overlap = (x0 <= x1[top]) & (y0 <= y1[top]) & (x0[top] <= x1) & (y0[top] <= y1)
+        for i in np.flatnonzero(alive & (overlap | (threshold < 0))):  # disjoint: IoU 0
+            alive[i] = mask_iou(items[i], items[top]) <= threshold
     return kept
 
 

@@ -8,12 +8,13 @@ With the default {6,3,2,1} pyramid the output length is 50 * channels.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from pathlib import Path
 
 import numpy as np
 
 from .core import BinaryMask, FeatureMap, PixelBox, SegmentProposal, ValidationError
+from .core import _readonly
 from .formats import dump_json, int_fields, load_json, load_vector, save_vector
 from .masking import apply_mask, project_mask, vote
 from .netgeom import NetGeometry, feature_extent
@@ -74,23 +75,51 @@ def bin_boundaries(window_len: int, n: int) -> list[tuple[int, int]]:
     ]
 
 
+@lru_cache(maxsize=4096)
+def _pyramid_plan(height: int, width: int, levels: tuple[int, ...]):
+    """Read-only plan for a height x width window: per axis, every level's bin
+    ranges as (starts, ends) and as `_range_max` reads; then each output bin's
+    (row range, column range), levels in order, bins row-major within a level."""
+    axes = []
+    for length in (height, width):
+        ranges = [r for n in levels for r in bin_boundaries(length, n)]
+        starts, ends = map(_readonly, np.array(ranges).T)
+        k = _readonly(np.array([(e - s).bit_length() - 1 for s, e in ranges]))
+        axes.append(((starts, ends), (int(k.max()), k, starts, _readonly(ends - 2**k))))
+    first = np.cumsum((0,) + levels)[:-1]  # each level's first range
+    bins = [(o + b // n, o + b % n) for o, n in zip(first, levels) for b in range(n * n)]
+    return axes[0], axes[1], tuple(map(_readonly, np.array(bins).T))
+
+
+def _range_max(x: np.ndarray, depth: int, k, starts, second) -> np.ndarray:
+    """Max over ranges of x's leading axis: the max of the two spans of length
+    2**k (k = floor(log2(length))) at `starts` and at `second`, which ends where
+    the range ends, read from a sparse table of 2**level-long maxima."""
+    table = np.empty((depth + 1,) + x.shape, dtype=x.dtype)
+    table[0] = x
+    for level in range(1, depth + 1):
+        half, valid = 1 << (level - 1), len(x) - (1 << level) + 1  # the rest is unread
+        np.maximum(table[level - 1, :valid], table[level - 1, half : half + valid],
+                   out=table[level, :valid])
+    return np.maximum(table[k, starts], table[k, second])
+
+
 def spp_pool(f: FeatureMap, window: PixelBox, pyr: PyramidSpec) -> PooledFeature:
-    """Max-pool the window into one fixed-length vector per the pyramid."""
+    """Max-pool the window into one fixed-length vector per the pyramid: every
+    row range's maxima, then every column range of those; zero pools to +0.0."""
     if window.x1 >= f.width or window.y1 >= f.height:
         raise ValidationError(
             f"window {window} exceeds feature map {f.height}x{f.width}"
         )
+    (_, row_reads), (_, col_reads), (row_of, col_of) = _pyramid_plan(
+        window.height, window.width, pyr.levels
+    )
     region = f.values[:, window.y0 : window.y1 + 1, window.x0 : window.x1 + 1]
-    blocks = []
-    for n in pyr.levels:
-        row_bins = bin_boundaries(window.height, n)
-        col_bins = bin_boundaries(window.width, n)
-        level = np.empty((n * n, f.channels), dtype=np.float32)
-        for j, (ys, ye) in enumerate(row_bins):
-            for i, (xs, xe) in enumerate(col_bins):
-                level[j * n + i] = region[:, ys:ye, xs:xe].max(axis=(1, 2))
-        blocks.append(level.reshape(-1))
-    return PooledFeature(np.concatenate(blocks), pyr, f.channels)
+    # the ranged axis leads, so each table level is one contiguous block
+    rows = _range_max(region.transpose(1, 0, 2), *row_reads)  # (row range, channel, col)
+    pooled = _range_max(rows.transpose(2, 0, 1), *col_reads)[col_of, row_of]
+    pooled += 0.0  # (bin, channel); -0.0 + 0.0 is +0.0, every other float is unchanged
+    return PooledFeature(pooled.reshape(-1), pyr, f.channels)
 
 
 def downsample_mask_to_grid(m: BinaryMask, window: PixelBox, n: int) -> np.ndarray:
@@ -98,8 +127,7 @@ def downsample_mask_to_grid(m: BinaryMask, window: PixelBox, n: int) -> np.ndarr
     if window.x1 >= m.width or window.y1 >= m.height:
         raise ValidationError(f"window {window} exceeds mask {m.height}x{m.width}")
     region = m.bits[window.y0 : window.y1 + 1, window.x0 : window.x1 + 1]
-    rows = np.transpose(bin_boundaries(window.height, n))
-    cols = np.transpose(bin_boundaries(window.width, n))
+    (rows, _), (cols, _), _ = _pyramid_plan(window.height, window.width, (n,))
     return vote(region, rows, cols)
 
 

@@ -7,6 +7,7 @@ import pytest
 from cfmseg import cli, formats, synth
 from cfmseg.cli import main, write_scene_dir
 from cfmseg.core import BinaryMask, FeatureMap
+from cfmseg.pooling import load_pooled_feature
 from cfmseg.toynet import default_spec, spec_to_json
 
 
@@ -102,6 +103,19 @@ class TestBasicCommands:
         )
         assert report["length"] == 5 * 32
         assert pooled_out.exists()
+
+    def test_pool_zero_bins_are_positive_zero(self, capjson, tmp_path):
+        # a bin whose maximum is zero pools to +0.0, whichever zeros it holds
+        values = np.array(
+            [[[-0.0, 0.0], [0.0, -0.0]], [[-0.0, -0.0], [-0.0, -1.0]]], dtype=np.float32
+        )
+        formats.save_feature_map(tmp_path / "fm.cfmt", FeatureMap(values))
+        out = tmp_path / "pooled.cfmt"
+        capjson(["pool", "--image", str(tmp_path / "fm.cfmt"), "--window", "0,0,1,1",
+                 "--levels", "2,1", "--out", str(out)])
+        # level 2: one cell per bin, channels contiguous within a bin; then level 1
+        expected = np.array([0, 0, 0, 0, 0, 0, 0, -1, 0, 0], dtype=np.float32)
+        assert load_pooled_feature(out).values.tobytes() == expected.tobytes()
 
     def test_mask_project_deterministic(self, capjson, layers_file, tmp_path, rng):
         from conftest import random_mask

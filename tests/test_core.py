@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from cfmseg.core import (
     resize_nearest,
     suppress,
 )
+from cfmseg.pursuit import Candidate, _draw, _largest
 from conftest import random_mask, rect_mask
 
 
@@ -150,15 +153,34 @@ class TestTypes:
             lm.check_categories(3)
 
 
+def proposals(*masks):
+    return [proposal_from_mask(str(i), m) for i, m in enumerate(masks)]
+
+
+def loop_suppress(items, threshold, pick=None):
+    """Reference: the per-pair loop that `suppress` replaced."""
+    remaining = list(range(len(items)))
+    kept = []
+    while remaining:
+        top = remaining[0] if pick is None else pick(remaining)
+        kept.append(top)
+        remaining = [
+            i
+            for i in remaining
+            if i != top and mask_iou(items[i], items[top]) <= threshold
+        ]
+    return kept
+
+
 class TestSuppress:
     def test_default_picks_first_remaining(self):
         a = rect_mask(8, 8, 0, 3, 0, 3)
         b = rect_mask(8, 8, 0, 3, 0, 2)  # IoU 0.75 with a
         c = rect_mask(8, 8, 5, 7, 5, 7)  # disjoint from both
         d = rect_mask(8, 8, 5, 7, 5, 6)  # IoU 2/3 with c
-        assert suppress([a, b, c, d], 0.5) == [0, 2]
-        assert suppress([b, a, d, c], 0.5) == [0, 2]
-        assert suppress([a, b, c, d], 0.8) == [0, 1, 2, 3]
+        assert suppress(proposals(a, b, c, d), 0.5) == [0, 2]
+        assert suppress(proposals(b, a, d, c), 0.5) == [0, 2]
+        assert suppress(proposals(a, b, c, d), 0.8) == [0, 1, 2, 3]
 
     def test_custom_pick(self):
         a = rect_mask(8, 8, 0, 3, 0, 3)
@@ -170,23 +192,60 @@ class TestSuppress:
             seen.append(list(remaining))
             return remaining[-1]
 
-        assert suppress([a, b, c], 0.5, last) == [2, 1]
+        assert suppress(proposals(a, b, c), 0.5, last) == [2, 1]
         assert seen == [[0, 1, 2], [0, 1]]
 
     def test_iou_at_threshold_is_kept(self):
         a = rect_mask(4, 4, 0, 3, 0, 1)
         b = rect_mask(4, 4, 0, 3, 1, 2)  # 4 shared pixels of 12: IoU 1/3
         assert mask_iou(a, b) == 1 / 3
-        assert suppress([a, b], 1 / 3) == [0, 1]
-        assert suppress([a, b], 0.33) == [0]
+        assert suppress(proposals(a, b), 1 / 3) == [0, 1]
+        assert suppress(proposals(a, b), 0.33) == [0]
 
     def test_identical_masks_suppressed(self, rng):
         m = random_mask(rng, 6, 6, density=0.5)
         copy = BinaryMask(m.bits.copy())
-        assert suppress([m, copy, m], 0.99) == [0]
+        assert suppress(proposals(m, copy, m), 0.99) == [0]
 
     def test_empty_input(self):
         assert suppress([], 0.5) == []
+
+    def test_frames_must_match(self):
+        a, b = rect_mask(8, 8, 0, 1, 0, 1), rect_mask(9, 8, 6, 7, 6, 7)
+        with pytest.raises(ValidationError, match="frames"):
+            suppress(proposals(a, b), 0.5)
+
+    def test_matches_per_pair_loop(self, rng):
+        # the pursuit pick rules, the default and a threshold sweep over random
+        # rectangles and blobs: the same picks and the same lists handed to pick
+        for trial in range(150):
+            h, w = (int(v) for v in rng.integers(4, 40, size=2))
+            masks = []
+            for _ in range(int(rng.integers(1, 40))):
+                y0, x0 = int(rng.integers(0, h)), int(rng.integers(0, w))
+                y1, x1 = int(rng.integers(y0, h)), int(rng.integers(x0, w))
+                bits = np.zeros((h, w), dtype=bool)
+                bits[y0:y1 + 1, x0:x1 + 1] = rng.random((y1 - y0 + 1, x1 - x0 + 1)) < 0.7
+                bits[y0, x0] = True  # never empty
+                masks.append(BinaryMask(bits))
+            items = proposals(*masks)
+            cands = [Candidate(p, p.area, 1.0) for p in items]
+            threshold = float(rng.choice([-0.1, 0.0, 0.05, 0.2, 0.3, 0.5, 0.9]))
+            rules = [None, _largest, partial(_draw, np.random.default_rng(trial))]
+            twins = [None, _largest, partial(_draw, np.random.default_rng(trial))]
+            for rule, twin in zip(rules, twins):
+                seen = {"loop": [], "kernel": []}
+
+                def pick_with(r, log):
+                    def pick(remaining):
+                        log.append(list(remaining))
+                        return remaining[r([cands[i] for i in remaining])]
+                    return None if r is None else pick
+
+                expect = loop_suppress(items, threshold, pick_with(rule, seen["loop"]))
+                got = suppress(items, threshold, pick_with(twin, seen["kernel"]))
+                assert got == expect and all(type(i) is int for i in got)
+                assert seen["kernel"] == seen["loop"]
 
 
 class TestResizeNearest:

@@ -17,6 +17,7 @@ from cfmseg.netgeom import NetGeometry, compose_geometry, feature_extent, LayerS
 from cfmseg.pooling import (
     PooledFeature,
     PyramidSpec,
+    _pyramid_plan,
     bin_boundaries,
     design_a_features,
     design_b_features,
@@ -105,6 +106,75 @@ class TestSppPool:
         a = spp_pool(f, PixelBox(0, 0, 5, 5), PyramidSpec())
         b = spp_pool(FeatureMap(bumped), PixelBox(0, 0, 5, 5), PyramidSpec())
         assert np.all(b.values >= a.values)
+
+
+def per_bin_loop_pool(f: FeatureMap, window: PixelBox, pyr: PyramidSpec) -> PooledFeature:
+    """Reference: one np.max per bin, the loop that spp_pool replaced."""
+    region = f.values[:, window.y0 : window.y1 + 1, window.x0 : window.x1 + 1]
+    blocks = []
+    for n in pyr.levels:
+        row_bins = bin_boundaries(window.height, n)
+        col_bins = bin_boundaries(window.width, n)
+        level = np.empty((n * n, f.channels), dtype=np.float32)
+        for j, (ys, ye) in enumerate(row_bins):
+            for i, (xs, xe) in enumerate(col_bins):
+                level[j * n + i] = region[:, ys:ye, xs:xe].max(axis=(1, 2))
+        blocks.append(level.reshape(-1))
+    return PooledFeature(np.concatenate(blocks), pyr, f.channels)
+
+
+class TestSppPoolOracle:
+    @staticmethod
+    def random_window(rng, h, w, kind):
+        y0, x0 = int(rng.integers(0, h)), int(rng.integers(0, w))
+        y1, x1 = int(rng.integers(y0, h)), int(rng.integers(x0, w))
+        if kind == "edges":  # pin a random non-empty subset of the four sides
+            sides = rng.permutation(4)[: int(rng.integers(1, 5))]
+            x0 = 0 if 0 in sides else x0
+            y0 = 0 if 1 in sides else y0
+            x1 = w - 1 if 2 in sides else x1
+            y1 = h - 1 if 3 in sides else y1
+        elif kind == "thin":  # one cell wide or one cell tall
+            if rng.random() < 0.5:
+                x1 = x0
+            else:
+                y1 = y0
+        elif kind == "short":  # shorter than the finest level along an axis
+            y1 = min(y1, y0 + int(rng.integers(0, 4)))
+            x1 = min(x1, x0 + int(rng.integers(0, 4)))
+        return PixelBox(x0, y0, x1, y1)
+
+    def test_matches_per_bin_loop(self, rng):
+        kinds = ("any", "edges", "thin", "short")
+        seen = {"overlapping bins": 0, "whole map": 0, "one cell wide": 0}
+        for case in range(3200):
+            c = int(rng.integers(1, 41))
+            h, w = (int(v) for v in rng.integers(1, 71, size=2))
+            values = rng.standard_normal((c, h, w)).astype(np.float32)
+            if case % 3 == 0:
+                values = np.maximum(values, 0.0)  # rectified: ties at +0.0
+            f = FeatureMap(values)
+            window = self.random_window(rng, h, w, kinds[case % 4])
+            n_levels = int(rng.integers(1, 5))
+            levels = sorted(rng.choice(np.arange(1, 10), n_levels, replace=False))
+            pyr = PyramidSpec(tuple(int(n) for n in reversed(levels)))
+            got = spp_pool(f, window, pyr).values
+            assert got.tobytes() == per_bin_loop_pool(f, window, pyr).values.tobytes()
+            seen["overlapping bins"] += min(window.height, window.width) < pyr.levels[0]
+            seen["whole map"] += (window.width, window.height) == (w, h)
+            seen["one cell wide"] += min(window.height, window.width) == 1
+        assert min(seen.values()) >= 50, seen
+
+    def test_plan_is_read_only_and_shared(self):
+        plan = _pyramid_plan(7, 5, (6, 3, 2, 1))
+        (row_bins, row_reads), (col_bins, col_reads), bins = plan
+        arrays = [a for part in (row_bins, row_reads, col_bins, col_reads, bins)
+                  for a in part if isinstance(a, np.ndarray)]
+        assert len(arrays) == 12 and not any(a.flags.writeable for a in arrays)
+        assert _pyramid_plan(7, 5, (6, 3, 2, 1)) is plan
+        # a one-level plan's ranges are that level's bin_boundaries, as the grid reads them
+        (starts, ends), _ = _pyramid_plan(7, 5, (3,))[0]
+        assert list(zip(starts.tolist(), ends.tolist())) == bin_boundaries(7, 3)
 
 
 class TestMaskDownsampling:
