@@ -8,13 +8,13 @@ triple always yields the same model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from .core import ValidationError
+from .core import ValidationError, _readonly
 from .formats import (
     contained, dump_json, int_fields, load_json, load_vector, save_vector,
 )
@@ -25,6 +25,7 @@ class LinearModel:
     weights: np.ndarray
     bias: float
     category: int
+    weights64: np.ndarray = field(init=False, repr=False)  # scoring's float64 copy
 
     def __post_init__(self):
         arr = np.array(self.weights, dtype=np.float32).reshape(-1)
@@ -32,6 +33,7 @@ class LinearModel:
             raise ValidationError("model parameters must be finite")
         arr.setflags(write=False)
         object.__setattr__(self, "weights", arr)
+        object.__setattr__(self, "weights64", _readonly(arr.astype(np.float64)))
         object.__setattr__(self, "bias", float(self.bias))
 
 
@@ -61,7 +63,7 @@ def score(m: LinearModel, feature) -> float:
         raise ValidationError(
             f"feature length {vec.size} != model length {m.weights.size}"
         )
-    return float(np.dot(m.weights.astype(np.float64), vec) + m.bias)
+    return float(np.dot(m.weights64, vec) + m.bias)
 
 
 def _objective(w: np.ndarray, b: float, x: np.ndarray, y: np.ndarray,
@@ -76,7 +78,7 @@ def hinge_objective(m: LinearModel, samples, reg: float) -> float:
     features, labels = zip(*samples)
     x = _matrix(features, m.weights.size)
     y = np.asarray(labels, dtype=np.float64)
-    return _objective(m.weights.astype(np.float64), m.bias, x, y, reg)
+    return _objective(m.weights64, m.bias, x, y, reg)
 
 
 def train_svm(

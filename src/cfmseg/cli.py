@@ -457,6 +457,8 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "seed", 0) < 0:  # numpy's generators take no negative seed
             raise ValidationError(f"--seed must be >= 0, got {args.seed}")
+        if args.threads < 1:
+            raise ValidationError(f"--threads must be >= 1, got {args.threads}")
         args.func(args)
     except (ValidationError, FormatError, OSError) as exc:
         sys.stderr.write(

@@ -32,23 +32,20 @@ def _axis_runs(g: NetGeometry, n_pixels: int, n_cells: int):
 def vote(bits: np.ndarray, rows, cols) -> np.ndarray:
     """Set each rectangle rows[j] x cols[i] in which at least half the bits are set.
 
-    rows and cols are (starts, ends) of [start, end) ranges; an empty rectangle
-    stays unset. Exact counts: an integer summed-area table over the set extent.
+    bits is (..., h, w), leading axes a batch; rows and cols are (starts, ends) of
+    [start, end) ranges, each (..., n) with the same leading axes. An empty
+    rectangle stays unset. Exact counts: an integer summed-area table.
     """
-    sizes = np.outer(rows[1] - rows[0], cols[1] - cols[0])
-    set_rows = np.flatnonzero(bits.any(axis=1))
-    set_cols = np.flatnonzero(bits.any(axis=0))
-    if set_rows.size == 0:
-        return np.zeros(sizes.shape, dtype=bool)
-    y0, y1, x0, x1 = set_rows[0], set_rows[-1] + 1, set_cols[0], set_cols[-1] + 1
-    table = np.zeros((y1 - y0 + 1, x1 - x0 + 1), dtype=np.int64)
-    table[1:, 1:] = bits[y0:y1, x0:x1]
-    np.cumsum(table, axis=0, out=table)  # in place: a fresh cumsum output is slower
-    np.cumsum(table, axis=1, out=table)
-    ys, ye = (np.clip(r, y0, y1) - y0 for r in rows)
-    xs, xe = (np.clip(c, x0, x1) - x0 for c in cols)
-    strips = table[ye] - table[ys]  # column prefix sums of each row range
-    counts = strips[:, xe] - strips[:, xs]
+    table = np.zeros(bits.shape[:-2] + (bits.shape[-2] + 1, bits.shape[-1] + 1), np.int32)
+    table[..., 1:, 1:] = bits
+    np.cumsum(table, axis=-2, out=table)  # in place: a fresh cumsum output is slower
+    np.cumsum(table, axis=-1, out=table)
+    ys, ye = (np.asarray(r)[..., :, None] for r in rows)
+    xs, xe = (np.asarray(c)[..., None, :] for c in cols)
+    # column prefix sums of each row range, then each rectangle's count
+    strips = np.take_along_axis(table, ye, -2) - np.take_along_axis(table, ys, -2)
+    counts = np.take_along_axis(strips, xe, -1) - np.take_along_axis(strips, xs, -1)
+    sizes = (ye - ys) * (xe - xs)
     return (2 * counts >= sizes) & (sizes > 0)
 
 
@@ -56,13 +53,24 @@ def project_mask(
     g: NetGeometry, image_mask: BinaryMask, fh: int, fw: int, origin=(0, 0), frame=None
 ) -> BinaryMask:
     """Pool the binary image mask, the block at `origin` (row, col) of a `frame`
-    (height, width; default: its own shape) unset elsewhere, into fh x fw cells."""
+    (height, width; default: its own shape) unset elsewhere, into fh x fw cells.
+    The cells' runs partition the frame, so reduceat sums the block run by run."""
     if fh < 1 or fw < 1:
         raise ValidationError(f"feature dims must be >= 1, got {fh}x{fw}")
-    frame_h, frame_w = frame or (image_mask.height, image_mask.width)
-    rows = [t - origin[0] for t in _axis_runs(g, frame_h, fh)]  # tables cached per scale
-    cols = [t - origin[1] for t in _axis_runs(g, frame_w, fw)]
-    return BinaryMask(vote(image_mask.bits, rows, cols))  # vote crops to set pixels
+    bits = image_mask.bits
+    counts, sizes, cells = bits, 1, []
+    for axis, n in enumerate((fh, fw)):
+        o, length = origin[axis], bits.shape[axis]
+        starts, ends = _axis_runs(g, (frame or bits.shape)[axis], n)  # cached per scale
+        # runs [k0, k1) meet the block; at an empty run's start reduceat yields one
+        # element, which the run's size 0 leaves unset
+        k0, k1 = np.searchsorted(ends, o, "right"), np.searchsorted(starts, o + length)
+        counts = np.add.reduceat(counts, np.maximum(starts[k0:k1] - o, 0), axis, np.int32)
+        sizes = np.multiply.outer(sizes, ends[k0:k1] - starts[k0:k1])
+        cells.append(slice(k0, k1))
+    out = np.zeros((fh, fw), dtype=bool)
+    out[tuple(cells)] = (2 * counts >= sizes) & (sizes > 0)
+    return BinaryMask(out)
 
 
 def brute_force_project(

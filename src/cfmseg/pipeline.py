@@ -144,6 +144,17 @@ def _map_ordered(fn, items, threads: int):
         return list(pool.map(fn, items))
 
 
+def _chunks(items, threads: int) -> list:
+    """At most `threads` contiguous, near-equal slices of a non-empty sequence."""
+    n = max(1, min(threads, len(items)))
+    return [items[len(items) * k // n : len(items) * (k + 1) // n] for k in range(n)]
+
+
+def _check_frames(proposals, height: int, width: int) -> None:
+    if wrong := [p.id for p in proposals if p.frame != (height, width)]:
+        raise ValidationError(f"proposal {wrong[0]!r} frame is not {height}x{width}")
+
+
 def proposal_features(
     proposals: list[SegmentProposal],
     cache: FeatureCache,
@@ -151,28 +162,32 @@ def proposal_features(
     cfg: PipelineConfig,
     threads: int = 1,
 ) -> list[np.ndarray]:
-    """Per-proposal design feature vectors, conv maps shared per scale.
+    """Per-proposal feature vectors from one design call per scale or thread chunk.
 
     Vectors are L2-normalized, which keeps classifier margins comparable
     across categories and segment sizes.
     """
-    image = cache.image
-    shorter = min(image.height, image.width)
-    scales = [assign_scale(p.box, shorter, cfg.scales) for p in proposals]
-    for s in sorted(set(scales)):
+    frame = cache.image.height, cache.image.width
+    _check_frames(proposals, *frame)
+    scales = np.array([assign_scale(p.box, min(frame), cfg.scales) for p in proposals])
+    jobs = []
+    for s in sorted(set(scales.tolist())):
         cache.conv_map(s)  # populate serially so threads only read
+        jobs += [(s, chunk) for chunk in _chunks(np.flatnonzero(scales == s), threads)]
 
-    def one(arg):
-        p, s = arg
+    def batch(job):
+        s, members = job
         conv, (sh, sw) = cache.conv_map(s)
-        sp = scale_proposal(p, image.height, image.width, sh, sw)
-        vec = design_feature(conv, sp, g, cfg.pyramid, cfg.design)
-        norm = float(np.linalg.norm(vec.astype(np.float64)))
-        if norm > 0.0:
-            vec = (vec / norm).astype(np.float32)
-        return vec
+        scaled = (scale_proposal(proposals[i], *frame, sh, sw) for i in members)
+        vecs = design_feature(conv, scaled, g, cfg.pyramid, cfg.design)
+        for vec in vecs:  # one norm per vector: a row-wise norm differs in the last bit
+            norm = float(np.linalg.norm(vec.astype(np.float64)))
+            if norm > 0.0:
+                vec /= norm
+        return list(zip(members, vecs))
 
-    return _map_ordered(one, list(zip(proposals, scales)), threads)
+    found = [pair for part in _map_ordered(batch, jobs, threads) for pair in part]
+    return [vec for _, vec in sorted(found, key=lambda pair: pair[0])]
 
 
 def score_proposals(
@@ -198,7 +213,7 @@ def score_proposals(
     features = proposal_features(proposals, cache, g, cfg, threads=threads)
     return [
         ScoredRegion(p, m.category, score(m, vec))
-        for p, vec in zip(proposals, features)
+        for p, vec in zip(proposals, (v.astype(np.float64) for v in features))
         for m in models
     ]
 
@@ -207,11 +222,7 @@ def paste(
     scored: list[ScoredRegion], height: int, width: int, cfg: PipelineConfig
 ) -> LabelMap:
     """Greedy labeling: best score first, overlap inhibition, first write wins."""
-    for r in scored:
-        if r.proposal.frame != (height, width):
-            raise ValidationError(
-                f"proposal {r.proposal.id!r} mask does not match {height}x{width}"
-            )
+    _check_frames((r.proposal for r in scored), height, width)
     queue = sorted(
         (r for r in scored if r.score > 0),
         key=lambda r: (-r.score, r.proposal.id, r.category),
@@ -281,6 +292,8 @@ def collect_training_pools(
     Stuff positives come from deterministic pursuit; stuff negatives are
     proposals with purity below the negative threshold.
     """
+    for scene in scenes:  # every frame before the first forward
+        _check_frames(scene.proposals, scene.image.height, scene.image.width)
     pools: dict[int, tuple[list, list]] = {
         c: ([], []) for c in [*object_categories, *stuff_categories]
     }
@@ -392,19 +405,20 @@ def benchmark(
     """
     if not proposals:
         raise ValidationError("benchmark needs at least one proposal")
+    _check_frames(proposals, image.height, image.width)
 
     t0 = time.perf_counter()
     conv = toynet.forward(net, image)
     conv_once_ms = (time.perf_counter() - t0) * 1000.0
 
-    def mask_one(p: SegmentProposal) -> np.ndarray:
-        return design_feature(conv, p, g, cfg.pyramid, cfg.design)
+    def mask_chunk(chunk: list[SegmentProposal]) -> np.ndarray:
+        return design_feature(conv, chunk, g, cfg.pyramid, cfg.design)
 
     t0 = time.perf_counter()
-    shared = _map_ordered(mask_one, proposals, threads)
+    shared = _map_ordered(mask_chunk, _chunks(proposals, threads), threads)
     masking_ms = (time.perf_counter() - t0) * 1000.0
 
-    repeat = _map_ordered(mask_one, proposals, threads)
+    repeat = _map_ordered(mask_chunk, _chunks(proposals, threads), threads)
     for a, b in zip(shared, repeat):
         if not np.array_equal(a, b):
             raise RuntimeError("shared-map features changed across repeats")

@@ -7,13 +7,14 @@ With the default {6,3,2,1} pyramid the output length is 50 * channels.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from pathlib import Path
 
 import numpy as np
 
-from .core import BinaryMask, FeatureMap, PixelBox, SegmentProposal, ValidationError
+from .core import FeatureMap, PixelBox, SegmentProposal, ValidationError
 from .core import _readonly
 from .formats import dump_json, int_fields, load_json, load_vector, save_vector
 from .masking import apply_mask, project_mask, vote
@@ -122,56 +123,62 @@ def spp_pool(f: FeatureMap, window: PixelBox, pyr: PyramidSpec) -> PooledFeature
     return PooledFeature(pooled.reshape(-1), pyr, f.channels)
 
 
-def downsample_mask_to_grid(m: BinaryMask, window: PixelBox, n: int) -> np.ndarray:
-    """At-least-half vote of the feature mask over each of the n x n window bins."""
-    if window.x1 >= m.width or window.y1 >= m.height:
-        raise ValidationError(f"window {window} exceeds mask {m.height}x{m.width}")
-    region = m.bits[window.y0 : window.y1 + 1, window.x0 : window.x1 + 1]
-    (rows, _), (cols, _), _ = _pyramid_plan(window.height, window.width, (n,))
-    return vote(region, rows, cols)
+def downsample_mask_to_grid(crops: list[np.ndarray], n: int) -> np.ndarray:
+    """At-least-half vote of each window's feature-mask cells (crops[i]) over its
+    n x n bins, every window in one pass over a stack padded to the largest."""
+    cells = np.zeros((len(crops),) + tuple(np.max([c.shape for c in crops], 0)), bool)
+    for cell, crop in zip(cells, crops):
+        cell[: crop.shape[0], : crop.shape[1]] = crop
+    plans = [_pyramid_plan(*crop.shape, (n,)) for crop in crops]
+    rows, cols = (np.array([p[a][0] for p in plans]).transpose(1, 0, 2) for a in (0, 1))
+    return vote(cells, rows, cols)
 
 
-def design_a_features(
-    conv: FeatureMap, p: SegmentProposal, g: NetGeometry, pyr: PyramidSpec
-) -> np.ndarray:
-    """Two pooling pathways over one window: plain box, then masked segment."""
-    window = feature_extent(g, p.box, conv.height, conv.width)
-    box_feature = spp_pool(conv, window, pyr)
-    fmask = project_mask(g, p.block, conv.height, conv.width, p.origin, p.frame)
-    segment_feature = spp_pool(apply_mask(conv, fmask), window, pyr)
-    return np.concatenate([box_feature.values, segment_feature.values])
+def design_a_features(conv: FeatureMap, proposals: Iterable[SegmentProposal],
+                      g: NetGeometry, pyr: PyramidSpec) -> np.ndarray:
+    """Two pooling pathways per window, plain box then masked segment: (N, 2L)."""
+    rows = []
+    for p in proposals:
+        window = feature_extent(g, p.box, conv.height, conv.width)
+        fmask = project_mask(g, p.block, conv.height, conv.width, p.origin, p.frame)
+        segment = spp_pool(apply_mask(conv, fmask), window, pyr)
+        rows.append(np.concatenate([spp_pool(conv, window, pyr).values, segment.values]))
+    return np.array(rows, np.float32)
 
 
-def design_b_features(
-    conv: FeatureMap, p: SegmentProposal, g: NetGeometry, pyr: PyramidSpec
-) -> np.ndarray:
-    """Single pathway: pool unmasked, then blank masked-out bins of the finest level."""
-    window = feature_extent(g, p.box, conv.height, conv.width)
-    values = spp_pool(conv, window, pyr).values  # fresh, so zeroed in place below
-    fmask = project_mask(g, p.block, conv.height, conv.width, p.origin, p.frame)
-    finest = pyr.levels[0]
-    grid = downsample_mask_to_grid(fmask, window, finest)
-    head = values[: finest * finest * conv.channels].reshape(-1, conv.channels)
-    head[~grid.reshape(-1)] = 0.0
+def design_b_features(conv: FeatureMap, proposals: Iterable[SegmentProposal],
+                      g: NetGeometry, pyr: PyramidSpec) -> np.ndarray:
+    """Single pathway: pool unmasked, then blank masked-out bins of the finest level,
+    voted over window crops of the masks, never whole maps: (N, L) for one map.
+
+    One pass over the proposals, so a caller can pass them as a generator and
+    each (scaled) proposal is dropped once it is projected.
+    """
+    rows, crops = [], []
+    for p in proposals:
+        w = feature_extent(g, p.box, conv.height, conv.width)
+        rows.append(spp_pool(conv, w, pyr).values)
+        fmask = project_mask(g, p.block, conv.height, conv.width, p.origin, p.frame)
+        crops.append(fmask.bits[w.y0 : w.y1 + 1, w.x0 : w.x1 + 1].copy())  # not a view
+    values = np.array(rows, np.float32)  # zeroed in place below
+    grid = downsample_mask_to_grid(crops, pyr.levels[0]).reshape(len(crops), -1)
+    head = values[:, : grid.shape[1] * conv.channels].reshape(grid.shape + (-1,))
+    head[~grid] = 0.0
     return values
 
 
-def design_feature(
-    conv: FeatureMap,
-    p: SegmentProposal,
-    g: NetGeometry,
-    pyr: PyramidSpec,
-    design: str,
-) -> np.ndarray:
-    """One proposal's feature vector under the named design."""
+def design_feature(conv: FeatureMap, proposals: Iterable[SegmentProposal],
+                   g: NetGeometry, pyr: PyramidSpec, design: str) -> np.ndarray:
+    """The (N, length) float32 feature vectors of the proposals (a non-empty
+    iterable, read once) on one map, under the named design."""
     # no lookup table: a wrapper swapped onto a module attribute must see each call
     if design == "A":
-        return design_a_features(conv, p, g, pyr)
+        return design_a_features(conv, proposals, g, pyr)
     if design == "B":
-        return design_b_features(conv, p, g, pyr)
+        return design_b_features(conv, proposals, g, pyr)
     if design == "none":
-        window = feature_extent(g, p.box, conv.height, conv.width)
-        return spp_pool(conv, window, pyr).values
+        windows = (feature_extent(g, p.box, conv.height, conv.width) for p in proposals)
+        return np.array([spp_pool(conv, w, pyr).values for w in windows], np.float32)
     raise ValidationError(f"design must be one of {DESIGNS}")
 
 

@@ -128,7 +128,7 @@ def test_criterion_03_spp_contract():
             .astype(np.float32)
         )
         full = proposal_from_mask("full", BinaryMask(np.ones((32, 32), dtype=bool)))
-        box_f, seg_f = np.split(design_a_features(conv, full, g, pyr), 2)
+        box_f, seg_f = np.split(design_a_features(conv, [full], g, pyr)[0], 2)
         assert np.array_equal(box_f, seg_f)
     report("criterion 3", "lengths 50*C, constant pooling, full-mask identity")
 

@@ -222,8 +222,8 @@ class TestBoxLocalScaling:
                 continue
             full = proposal_from_mask(p.id, BinaryMask(scaled))
             for design in ("A", "B"):
-                new = design_feature(conv, sp, g, pyr, design)
-                old = design_feature(conv, full, g, pyr, design)
+                new = design_feature(conv, [sp], g, pyr, design)[0]
+                old = design_feature(conv, [full], g, pyr, design)[0]
                 assert new.tobytes() == old.tobytes()
 
     def test_full_frame_consumers_accept_box_local(self, tmp_path):
@@ -363,9 +363,9 @@ class TestDesignFeatureShapes:
         conv = FeatureMap(np.abs(random_map(rng, 4, 8, 8).values))
         p = proposal_from_mask("p", rect_mask(32, 32, 4, 24, 4, 24))
         pyr = PyramidSpec()
-        assert design_feature(conv, p, g, pyr, "A").size == 2 * 50 * 4
-        assert design_feature(conv, p, g, pyr, "B").size == 50 * 4
-        assert design_feature(conv, p, g, pyr, "none").size == 50 * 4
+        assert design_feature(conv, [p], g, pyr, "A").shape == (1, 2 * 50 * 4)
+        assert design_feature(conv, [p], g, pyr, "B").shape == (1, 50 * 4)
+        assert design_feature(conv, [p], g, pyr, "none").shape == (1, 50 * 4)
 
     def test_none_matches_design_b_with_full_mask(self, rng):
         net, g, image = toy_setup(rng)
@@ -373,8 +373,8 @@ class TestDesignFeatureShapes:
         p = proposal_from_mask("p", rect_mask(32, 32, 0, 31, 0, 31))
         pyr = PyramidSpec()
         assert np.array_equal(
-            design_feature(conv, p, g, pyr, "none"),
-            design_feature(conv, p, g, pyr, "B"),
+            design_feature(conv, [p], g, pyr, "none"),
+            design_feature(conv, [p], g, pyr, "B"),
         )
 
 

@@ -177,19 +177,21 @@ class TestSppPoolOracle:
         assert list(zip(starts.tolist(), ends.tolist())) == bin_boundaries(7, 3)
 
 
+def window_crop(m: BinaryMask, window: PixelBox) -> np.ndarray:
+    return m.bits[window.y0 : window.y1 + 1, window.x0 : window.x1 + 1]
+
+
 class TestMaskDownsampling:
     def test_full_and_empty(self):
-        window = PixelBox(0, 0, 11, 11)
-        full = BinaryMask(np.ones((12, 12), dtype=bool))
-        empty = BinaryMask(np.zeros((12, 12), dtype=bool))
-        assert downsample_mask_to_grid(full, window, 6).all()
-        assert not downsample_mask_to_grid(empty, window, 6).any()
+        full = np.ones((12, 12), dtype=bool)
+        assert downsample_mask_to_grid([full], 6).all()
+        assert not downsample_mask_to_grid([~full], 6).any()
 
     def test_half_window(self):
         bits = np.zeros((12, 12), dtype=bool)
         bits[:, :6] = True
-        grid = downsample_mask_to_grid(BinaryMask(bits), PixelBox(0, 0, 11, 11), 6)
-        assert np.array_equal(grid, np.tile([True] * 3 + [False] * 3, (6, 1)))
+        grid = downsample_mask_to_grid([bits], 6)
+        assert np.array_equal(grid[0], np.tile([True] * 3 + [False] * 3, (6, 1)))
 
     @staticmethod
     def per_bin_loop(m: BinaryMask, window: PixelBox, n: int) -> np.ndarray:
@@ -203,15 +205,19 @@ class TestMaskDownsampling:
         return grid
 
     def test_matches_per_bin_loop(self, rng):
-        for _ in range(300):
-            h, w = (int(v) for v in rng.integers(1, 24, size=2))
-            m = random_mask(rng, h, w, density=float(rng.random()))
-            y0, x0 = int(rng.integers(0, h)), int(rng.integers(0, w))
-            window = PixelBox(x0, y0, int(rng.integers(x0, w)), int(rng.integers(y0, h)))
-            # n may exceed the window, so that bins overlap
-            n = int(rng.integers(1, max(window.height, window.width) + 4))
-            assert np.array_equal(downsample_mask_to_grid(m, window, n),
-                                  self.per_bin_loop(m, window, n))
+        for _ in range(50):  # ~300 windows
+            # one batch of windows of different sizes, padded to the largest
+            n = int(rng.integers(1, 9))  # may exceed a window, so that bins overlap
+            masks, windows = [], []
+            for _ in range(int(rng.integers(1, 12))):
+                h, w = (int(v) for v in rng.integers(1, 24, size=2))
+                y0, x0 = int(rng.integers(0, h)), int(rng.integers(0, w))
+                masks.append(random_mask(rng, h, w, density=float(rng.random())))
+                windows.append(PixelBox(x0, y0, int(rng.integers(x0, w)),
+                                        int(rng.integers(y0, h))))
+            got = downsample_mask_to_grid(list(map(window_crop, masks, windows)), n)
+            for grid, m, window in zip(got, masks, windows):
+                assert np.array_equal(grid, self.per_bin_loop(m, window, n))
 
 
 def default_setup(rng, h=32, w=32):
@@ -226,7 +232,7 @@ class TestDesigns:
         g, conv = default_setup(rng)
         mask = rect_mask(32, 32, 0, 31, 0, 31)
         p = proposal_from_mask("p", mask)
-        box_f, seg_f = np.split(design_a_features(conv, p, g, PyramidSpec()), 2)
+        box_f, seg_f = np.split(design_a_features(conv, [p], g, PyramidSpec())[0], 2)
         assert np.array_equal(box_f, seg_f)
 
     def test_design_a_pathways_differ_on_tight_interior_boxes(self, rng):
@@ -237,7 +243,7 @@ class TestDesigns:
         g, conv = default_setup(rng)
         mask = rect_mask(32, 32, 4, 27, 6, 25)
         p = proposal_from_mask("p", mask)
-        box_f, seg_f = np.split(design_a_features(conv, p, g, PyramidSpec()), 2)
+        box_f, seg_f = np.split(design_a_features(conv, [p], g, PyramidSpec())[0], 2)
         assert not np.array_equal(box_f, seg_f)
 
     def test_design_a_sparse_mask_zeroes_segment_pathway(self, rng):
@@ -247,17 +253,17 @@ class TestDesigns:
         bits = np.zeros((32, 32), dtype=bool)
         bits[::4, ::4] = True
         p = proposal_from_mask("p", BinaryMask(bits))
-        box_f, seg_f = np.split(design_a_features(conv, p, g, PyramidSpec((2, 1))), 2)
+        box_f, seg_f = np.split(design_a_features(conv, [p], g, PyramidSpec((2, 1)))[0], 2)
         assert not seg_f.any()
         assert box_f.any()
 
     def test_design_lengths(self, rng):
         g, conv = default_setup(rng)
         p = proposal_from_mask("p", rect_mask(32, 32, 8, 23, 8, 23))
-        box_f, seg_f = np.split(design_a_features(conv, p, g, PyramidSpec()), 2)
+        box_f, seg_f = np.split(design_a_features(conv, [p], g, PyramidSpec())[0], 2)
         assert box_f.size == 50 * conv.channels
         assert seg_f.size == 50 * conv.channels
-        b = design_b_features(conv, p, g, PyramidSpec())
+        b = design_b_features(conv, [p], g, PyramidSpec())[0]
         assert b.size == 50 * conv.channels
 
     def test_design_b_full_mask_is_plain_pool(self, rng):
@@ -266,7 +272,7 @@ class TestDesigns:
         p = proposal_from_mask("p", mask)
         window = feature_extent(g, p.box, conv.height, conv.width)
         plain = spp_pool(conv, window, PyramidSpec())
-        got = design_b_features(conv, p, g, PyramidSpec())
+        got = design_b_features(conv, [p], g, PyramidSpec())[0]
         assert np.array_equal(got, plain.values)
 
     def test_design_b_zeroes_only_unset_finest_bins(self, rng):
@@ -278,10 +284,10 @@ class TestDesigns:
         pyr = PyramidSpec()
         window = feature_extent(g, p.box, conv.height, conv.width)
         plain = spp_pool(conv, window, pyr)
-        got = design_b_features(conv, p, g, pyr)
+        got = design_b_features(conv, [p], g, pyr)[0]
         finest = pyr.levels[0]
         fmask = project_mask(g, p.mask, conv.height, conv.width)
-        grid = downsample_mask_to_grid(fmask, window, finest).reshape(-1)
+        grid = downsample_mask_to_grid([window_crop(fmask, window)], finest).reshape(-1)
         head_plain = plain.values[: finest * finest * conv.channels].reshape(-1, conv.channels)
         head_got = got[: finest * finest * conv.channels].reshape(-1, conv.channels)
         assert np.array_equal(head_got[grid], head_plain[grid])
