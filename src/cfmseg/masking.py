@@ -32,20 +32,17 @@ def _axis_runs(g: NetGeometry, n_pixels: int, n_cells: int):
 def vote(bits: np.ndarray, rows, cols) -> np.ndarray:
     """Set each rectangle rows[j] x cols[i] in which at least half the bits are set.
 
-    bits is (..., h, w), leading axes a batch; rows and cols are (starts, ends) of
-    [start, end) ranges, each (..., n) with the same leading axes. An empty
-    rectangle stays unset. Exact counts: an integer summed-area table.
+    bits is (..., h, w), leading axes a batch that shares the ranges; rows and cols
+    are (starts, ends) of [start, end) ranges. An empty rectangle stays unset.
+    Exact counts: an integer summed-area table.
     """
     table = np.zeros(bits.shape[:-2] + (bits.shape[-2] + 1, bits.shape[-1] + 1), np.int32)
     table[..., 1:, 1:] = bits
     np.cumsum(table, axis=-2, out=table)  # in place: a fresh cumsum output is slower
     np.cumsum(table, axis=-1, out=table)
-    ys, ye = (np.asarray(r)[..., :, None] for r in rows)
-    xs, xe = (np.asarray(c)[..., None, :] for c in cols)
-    # column prefix sums of each row range, then each rectangle's count
-    strips = np.take_along_axis(table, ye, -2) - np.take_along_axis(table, ys, -2)
-    counts = np.take_along_axis(strips, xe, -1) - np.take_along_axis(strips, xs, -1)
-    sizes = (ye - ys) * (xe - xs)
+    strips = table[..., rows[1], :] - table[..., rows[0], :]  # column prefix sums
+    counts = strips[..., cols[1]] - strips[..., cols[0]]  # of each row range
+    sizes = np.outer(rows[1] - rows[0], cols[1] - cols[0])
     return (2 * counts >= sizes) & (sizes > 0)
 
 

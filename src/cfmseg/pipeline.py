@@ -184,10 +184,13 @@ def proposal_features(
             norm = float(np.linalg.norm(vec.astype(np.float64)))
             if norm > 0.0:
                 vec /= norm
-        return list(zip(members, vecs))
+        return members, vecs
 
-    found = [pair for part in _map_ordered(batch, jobs, threads) for pair in part]
-    return [vec for _, vec in sorted(found, key=lambda pair: pair[0])]
+    out: list[np.ndarray] = [None] * len(proposals)
+    for members, vecs in _map_ordered(batch, jobs, threads):
+        for i, vec in zip(members, vecs):
+            out[i] = vec
+    return out
 
 
 def score_proposals(

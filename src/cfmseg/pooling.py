@@ -7,6 +7,7 @@ With the default {6,3,2,1} pyramid the output length is 50 * channels.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import lru_cache, partial
@@ -125,13 +126,15 @@ def spp_pool(f: FeatureMap, window: PixelBox, pyr: PyramidSpec) -> PooledFeature
 
 def downsample_mask_to_grid(crops: list[np.ndarray], n: int) -> np.ndarray:
     """At-least-half vote of each window's feature-mask cells (crops[i]) over its
-    n x n bins, every window in one pass over a stack padded to the largest."""
-    cells = np.zeros((len(crops),) + tuple(np.max([c.shape for c in crops], 0)), bool)
-    for cell, crop in zip(cells, crops):
-        cell[: crop.shape[0], : crop.shape[1]] = crop
-    plans = [_pyramid_plan(*crop.shape, (n,)) for crop in crops]
-    rows, cols = (np.array([p[a][0] for p in plans]).transpose(1, 0, 2) for a in (0, 1))
-    return vote(cells, rows, cols)
+    n x n bins: one vote per crop shape, over the stack of that shape's crops."""
+    by_shape = defaultdict(list)
+    for i, crop in enumerate(crops):
+        by_shape[crop.shape].append(i)
+    grid = np.empty((len(crops), n, n), bool)
+    for shape, members in by_shape.items():  # no padding: memory is the crops' own
+        (rows, _), (cols, _), _ = _pyramid_plan(*shape, (n,))
+        grid[members] = vote(np.stack([crops[i] for i in members]), rows, cols)
+    return grid
 
 
 def design_a_features(conv: FeatureMap, proposals: Iterable[SegmentProposal],

@@ -335,19 +335,24 @@ class TestProposalFeaturesOracle:
 
 
 class TestMemoryGuard:
-    def test_design_b_stack_is_window_sized(self, rng):
-        """500 proposals of ~224^2 pixels on a 150^2 map: the mask stack holds
-        window crops, not one whole map per proposal (500 x 151^2 x 4 bytes)."""
-        g = compose_geometry([LayerSpec("conv", 3, 2, 1)] * 3)  # stride 8
-        side = 1200
-        conv = rectified_map(rng, 4, side // 8, side // 8)
+    SIDE = 1200  # a 150^2 map at stride 8
+
+    @staticmethod
+    def boxes(rng, n, box, side):
+        """n proposals of noisy box x box blocks, their corners set, on a side^2 frame."""
         proposals = []
-        for i in range(500):
-            y0, x0 = (int(v) for v in rng.integers(0, side - 224, size=2))
-            block = rng.random((224, 224)) < 0.6
+        for i in range(n):
+            y0, x0 = (int(v) for v in rng.integers(0, side - box + 1, size=2))
+            block = rng.random((box, box)) < 0.6
             block[0, 0] = block[-1, -1] = True
             proposals.append(SegmentProposal(f"p{i}", BinaryMask(block), origin=(y0, x0),
                                              frame=(side, side)))
+        return proposals
+
+    def traced_design_b(self, rng, proposals):
+        """The output, the traced peak of one design-B call and the window cells."""
+        g = compose_geometry([LayerSpec("conv", 3, 2, 1)] * 3)  # stride 8
+        conv = rectified_map(rng, 4, self.SIDE // 8, self.SIDE // 8)
         pyr = PyramidSpec()
         pooling.design_b_features(conv, proposals[:2], g, pyr)  # plans and run tables
         tracemalloc.start()
@@ -357,12 +362,28 @@ class TestMemoryGuard:
         finally:
             tracemalloc.stop()
         windows = [feature_extent(g, p.box, conv.height, conv.width) for p in proposals]
-        cells = max(w.height for w in windows) * max(w.width for w in windows)
-        assert cells <= 31 * 31  # every window is ~224 / 8 cells on a side
-        whole_maps = 500 * (conv.height + 1) * (conv.width + 1) * 4
-        budget = 2 * out.nbytes + 16 * 500 * cells + (1 << 20)  # rows, then the array
+        return out, peak, [w.height * w.width for w in windows]
+
+    def test_design_b_stack_is_window_sized(self, rng):
+        """500 proposals of ~224^2 pixels on a 150^2 map: the mask stack holds
+        window crops, not one whole map per proposal (500 x 151^2 x 4 bytes)."""
+        out, peak, cells = self.traced_design_b(rng, self.boxes(rng, 500, 224, self.SIDE))
+        assert max(cells) <= 31 * 31  # every window is ~224 / 8 cells on a side
+        whole_maps = 500 * 151 * 151 * 4
+        budget = 2 * out.nbytes + 16 * sum(cells) + (1 << 20)  # rows, then the array
         assert peak < budget < whole_maps / 4
 
+    def test_one_whole_frame_window_pads_no_other(self, rng):
+        """One whole-frame proposal among 500 of ~64^2 pixels: the small windows are
+        not padded to the whole map's 150^2 cells (501 x 151^2 x 4 bytes of table)."""
+        small, whole = self.boxes(rng, 500, 64, self.SIDE), self.boxes(rng, 1, self.SIDE,
+                                                                     self.SIDE)
+        _, alone, _ = self.traced_design_b(rng, whole)  # projecting and pooling it
+        out, peak, cells = self.traced_design_b(rng, small + whole)
+        assert max(cells) == 150 * 150 and max(cells[:-1]) <= 10 * 10
+        padded = 501 * 151 * 151 * 4
+        budget = 2 * out.nbytes + 16 * sum(cells) + alone + (1 << 20)
+        assert peak < budget < padded / 4
 
     def test_scaled_proposals_are_not_held_together(self, rng):
         """Upscaled 8x, 200 proposals' blocks take ~10 MB; proposal_features hands

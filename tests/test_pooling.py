@@ -206,15 +206,18 @@ class TestMaskDownsampling:
 
     def test_matches_per_bin_loop(self, rng):
         for _ in range(50):  # ~300 windows
-            # one batch of windows of different sizes, padded to the largest
-            n = int(rng.integers(1, 9))  # may exceed a window, so that bins overlap
+            # one batch of windows of different sizes, some of one shape
             masks, windows = [], []
-            for _ in range(int(rng.integers(1, 12))):
-                h, w = (int(v) for v in rng.integers(1, 24, size=2))
-                y0, x0 = int(rng.integers(0, h)), int(rng.integers(0, w))
+            for k in range(int(rng.integers(1, 12))):
+                if not k or rng.random() < 0.5:  # else the last window on a new mask
+                    h, w = (int(v) for v in rng.integers(1, 24, size=2))
+                    y0, x0 = int(rng.integers(0, h)), int(rng.integers(0, w))
+                    window = PixelBox(x0, y0, int(rng.integers(x0, w)),
+                                      int(rng.integers(y0, h)))
                 masks.append(random_mask(rng, h, w, density=float(rng.random())))
-                windows.append(PixelBox(x0, y0, int(rng.integers(x0, w)),
-                                        int(rng.integers(y0, h))))
+                windows.append(window)
+            # n may exceed a window, so that bins overlap
+            n = int(rng.integers(1, max(max(w.height, w.width) for w in windows) + 4))
             got = downsample_mask_to_grid(list(map(window_crop, masks, windows)), n)
             for grid, m, window in zip(got, masks, windows):
                 assert np.array_equal(grid, self.per_bin_loop(m, window, n))
