@@ -21,11 +21,10 @@ from .core import (
     suppress,
 )
 from .formats import FormatError
-from .masking import apply_mask, brute_force_project, project_mask
+from .masking import project_mask
 from .netgeom import (
     LayerSpec,
     NetGeometry,
-    brute_force_geometry,
     compose_geometry,
     feature_extent,
 )
@@ -58,6 +57,6 @@ from .pursuit import (
     purity,
     stuff_samples,
 )
-from .classify import LinearModel, hinge_objective, score, train_svm
+from .classify import LinearModel, score, train_svm
 
 __version__ = "0.1.0"

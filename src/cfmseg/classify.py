@@ -41,14 +41,12 @@ def _vector(feature) -> np.ndarray:
     return np.asarray(feature, dtype=np.float64).reshape(-1)
 
 
-def _matrix(features, length: int | None = None) -> np.ndarray:
+def _matrix(features) -> np.ndarray:
     rows = [_vector(f) for f in features]
     for row in rows:
-        if length is None:
-            length = row.size
-        if row.size != length:
+        if row.size != rows[0].size:
             raise ValidationError(
-                f"feature length mismatch: {row.size} vs {length}"
+                f"feature length mismatch: {row.size} vs {rows[0].size}"
             )
     mat = np.stack(rows)
     if not np.all(np.isfinite(mat)):
@@ -71,14 +69,6 @@ def _objective(w: np.ndarray, b: float, x: np.ndarray, y: np.ndarray,
     margins = y * (x @ w + b)
     hinge = np.maximum(0.0, 1.0 - margins).mean()
     return float(0.5 * reg * np.dot(w, w) + hinge)
-
-
-def hinge_objective(m: LinearModel, samples, reg: float) -> float:
-    """L2-regularized mean hinge loss of labeled (feature, +/-1) samples."""
-    features, labels = zip(*samples)
-    x = _matrix(features, m.weights.size)
-    y = np.asarray(labels, dtype=np.float64)
-    return _objective(m.weights64, m.bias, x, y, reg)
 
 
 def train_svm(

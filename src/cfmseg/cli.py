@@ -232,13 +232,14 @@ def cmd_bench(args) -> None:
     image = formats.load_feature_map(args.image)
     proposals = formats.load_proposal_index(args.proposals)
     counts = _parse_ints(args.counts)
+    for count in counts:  # all checked before any timing
+        if not 1 <= count <= len(proposals):
+            raise ValidationError(
+                f"--counts must lie in 1..{len(proposals)} (the index size), got {count}"
+            )
     thread_settings = [1] if args.threads <= 1 else [1, args.threads]
     runs = []
     for count in counts:
-        if count > len(proposals):
-            raise ValidationError(
-                f"benchmark wants {count} proposals, index has {len(proposals)}"
-            )
         for threads in thread_settings:
             report = pipeline.benchmark(
                 image, proposals[:count], net, g, cfg, threads=threads

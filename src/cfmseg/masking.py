@@ -1,4 +1,4 @@
-"""Project image-space segment masks into feature-map space and apply them.
+"""Project image-space segment masks into feature-map space.
 
 Each image pixel votes for the feature cell whose receptive-field center is
 nearest along each axis (ties go to the smaller index, out-of-range centers
@@ -12,7 +12,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import BinaryMask, FeatureMap, ValidationError, _readonly
+from .core import BinaryMask, ValidationError, _readonly
 from .netgeom import NetGeometry
 
 
@@ -68,47 +68,3 @@ def project_mask(
     out = np.zeros((fh, fw), dtype=bool)
     out[tuple(cells)] = (2 * counts >= sizes) & (sizes > 0)
     return BinaryMask(out)
-
-
-def brute_force_project(
-    g: NetGeometry, image_mask: BinaryMask, fh: int, fw: int
-) -> BinaryMask:
-    """Oracle: per-pixel scan over every cell, no bucketing shortcuts."""
-    if fh < 1 or fw < 1:
-        raise ValidationError(f"feature dims must be >= 1, got {fh}x{fw}")
-    s2, o2 = 2 * g.stride, g.offset_x2
-
-    def nearest(coord: int, n_cells: int) -> int:
-        best = 0
-        best_dist = abs(2 * coord - o2)
-        for u in range(1, n_cells):
-            dist = abs(2 * coord - (u * s2 + o2))
-            if dist < best_dist:
-                best, best_dist = u, dist
-        return best
-
-    counts = [[0] * fw for _ in range(fh)]
-    totals = [[0] * fw for _ in range(fh)]
-    bits_in = image_mask.bits
-    for y in range(image_mask.height):
-        for x in range(image_mask.width):
-            v = nearest(y, fh)
-            u = nearest(x, fw)
-            totals[v][u] += 1
-            if bits_in[y, x]:
-                counts[v][u] += 1
-    out = np.zeros((fh, fw), dtype=bool)
-    for v in range(fh):
-        for u in range(fw):
-            if totals[v][u] > 0 and 2 * counts[v][u] >= totals[v][u]:
-                out[v, u] = True
-    return BinaryMask(out)
-
-
-def apply_mask(f: FeatureMap, m: BinaryMask) -> FeatureMap:
-    """Zero every channel of f outside the feature mask."""
-    if (f.height, f.width) != (m.height, m.width):
-        raise ValidationError(
-            f"feature map {f.height}x{f.width} vs mask {m.height}x{m.width}"
-        )
-    return FeatureMap(f.values * m.bits)

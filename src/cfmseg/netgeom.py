@@ -74,23 +74,6 @@ def compose_geometry(layers: list[LayerSpec]) -> NetGeometry:
     return NetGeometry(stride, rf, offset)
 
 
-def brute_force_geometry(layers: list[LayerSpec]) -> NetGeometry:
-    """Oracle: trace the input interval of top units layer by layer."""
-    if not layers:
-        raise ValidationError("layer stack must be non-empty")
-
-    def image_interval(u: int) -> tuple[int, int]:
-        lo = hi = u
-        for layer in reversed(layers):
-            lo = lo * layer.stride - layer.pad
-            hi = hi * layer.stride - layer.pad + layer.kernel - 1
-        return lo, hi
-
-    lo0, hi0 = image_interval(0)
-    lo1, _ = image_interval(1)
-    return NetGeometry(lo1 - lo0, hi0 - lo0 + 1, (lo0 + hi0) / 2.0)
-
-
 def feature_extent(g: NetGeometry, box: PixelBox, fh: int, fw: int) -> PixelBox:
     """Smallest feature-index rectangle whose centers span the pixel box.
 

@@ -18,7 +18,7 @@ import numpy as np
 from .core import FeatureMap, PixelBox, SegmentProposal, ValidationError
 from .core import _readonly
 from .formats import dump_json, int_fields, load_json, load_vector, save_vector
-from .masking import apply_mask, project_mask, vote
+from .masking import project_mask, vote
 from .netgeom import NetGeometry, feature_extent
 
 DEFAULT_LEVELS = (6, 3, 2, 1)
@@ -139,13 +139,20 @@ def downsample_mask_to_grid(crops: list[np.ndarray], n: int) -> np.ndarray:
 
 def design_a_features(conv: FeatureMap, proposals: Iterable[SegmentProposal],
                       g: NetGeometry, pyr: PyramidSpec) -> np.ndarray:
-    """Two pooling pathways per window, plain box then masked segment: (N, 2L)."""
+    """Two pooling pathways per window, plain box then masked segment: (N, 2L).
+
+    The pyramid reads no cell outside the window, so only the window's crop of
+    the map is masked, then pooled over its full extent.
+    """
     rows = []
     for p in proposals:
-        window = feature_extent(g, p.box, conv.height, conv.width)
+        w = feature_extent(g, p.box, conv.height, conv.width)
         fmask = project_mask(g, p.block, conv.height, conv.width, p.origin, p.frame)
-        segment = spp_pool(apply_mask(conv, fmask), window, pyr)
-        rows.append(np.concatenate([spp_pool(conv, window, pyr).values, segment.values]))
+        crop = (slice(w.y0, w.y1 + 1), slice(w.x0, w.x1 + 1))
+        segment = FeatureMap(conv.values[(slice(None),) + crop] * fmask.bits[crop])
+        whole = PixelBox(0, 0, w.width - 1, w.height - 1)
+        rows.append(np.concatenate([spp_pool(conv, w, pyr).values,
+                                    spp_pool(segment, whole, pyr).values]))
     return np.array(rows, np.float32)
 
 

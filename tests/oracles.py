@@ -1,0 +1,84 @@
+"""Reference implementations that the tests compare cfmseg against.
+
+Each one computes its result the slow, literal way: the geometry by tracing
+the input interval layer by layer, the projection by scanning every pixel
+against every cell, the masking over the whole map, and the training
+objective from its definition. None of them is used by the package.
+"""
+
+import numpy as np
+
+from cfmseg.classify import LinearModel
+from cfmseg.core import BinaryMask, FeatureMap, ValidationError
+from cfmseg.netgeom import LayerSpec, NetGeometry
+
+
+def brute_force_geometry(layers: list[LayerSpec]) -> NetGeometry:
+    """Oracle: trace the input interval of top units layer by layer."""
+    if not layers:
+        raise ValidationError("layer stack must be non-empty")
+
+    def image_interval(u: int) -> tuple[int, int]:
+        lo = hi = u
+        for layer in reversed(layers):
+            lo = lo * layer.stride - layer.pad
+            hi = hi * layer.stride - layer.pad + layer.kernel - 1
+        return lo, hi
+
+    lo0, hi0 = image_interval(0)
+    lo1, _ = image_interval(1)
+    return NetGeometry(lo1 - lo0, hi0 - lo0 + 1, (lo0 + hi0) / 2.0)
+
+
+def brute_force_project(
+    g: NetGeometry, image_mask: BinaryMask, fh: int, fw: int
+) -> BinaryMask:
+    """Oracle: per-pixel scan over every cell, no bucketing shortcuts."""
+    if fh < 1 or fw < 1:
+        raise ValidationError(f"feature dims must be >= 1, got {fh}x{fw}")
+    s2, o2 = 2 * g.stride, g.offset_x2
+
+    def nearest(coord: int, n_cells: int) -> int:
+        best = 0
+        best_dist = abs(2 * coord - o2)
+        for u in range(1, n_cells):
+            dist = abs(2 * coord - (u * s2 + o2))
+            if dist < best_dist:
+                best, best_dist = u, dist
+        return best
+
+    counts = [[0] * fw for _ in range(fh)]
+    totals = [[0] * fw for _ in range(fh)]
+    bits_in = image_mask.bits
+    for y in range(image_mask.height):
+        for x in range(image_mask.width):
+            v = nearest(y, fh)
+            u = nearest(x, fw)
+            totals[v][u] += 1
+            if bits_in[y, x]:
+                counts[v][u] += 1
+    out = np.zeros((fh, fw), dtype=bool)
+    for v in range(fh):
+        for u in range(fw):
+            if totals[v][u] > 0 and 2 * counts[v][u] >= totals[v][u]:
+                out[v, u] = True
+    return BinaryMask(out)
+
+
+def apply_mask(f: FeatureMap, m: BinaryMask) -> FeatureMap:
+    """Zero every channel of f outside the feature mask, over the whole map."""
+    if (f.height, f.width) != (m.height, m.width):
+        raise ValidationError(
+            f"feature map {f.height}x{f.width} vs mask {m.height}x{m.width}"
+        )
+    return FeatureMap(f.values * m.bits)
+
+
+def hinge_objective(m: LinearModel, samples, reg: float) -> float:
+    """L2-regularized mean hinge loss of labeled (feature, +/-1) samples."""
+    features, labels = zip(*samples)
+    x = np.stack([np.asarray(f, dtype=np.float64).reshape(-1) for f in features])
+    y = np.asarray(labels, dtype=np.float64)
+    w = m.weights.astype(np.float64)
+    hinge = np.maximum(0.0, 1.0 - y * (x @ w + m.bias)).mean()
+    return float(0.5 * reg * np.dot(w, w) + hinge)

@@ -22,8 +22,8 @@ from cfmseg.core import (
     mask_iou,
     proposal_from_mask,
 )
-from cfmseg.masking import brute_force_project, project_mask
-from cfmseg.netgeom import LayerSpec, brute_force_geometry, compose_geometry
+from cfmseg.masking import project_mask
+from cfmseg.netgeom import LayerSpec, compose_geometry
 from cfmseg.pipeline import (
     PipelineConfig,
     TrainScene,
@@ -41,6 +41,7 @@ from cfmseg.pursuit import (
     pursue,
 )
 from cfmseg.toynet import default_spec, init_toynet, spec_to_json
+from oracles import brute_force_geometry, brute_force_project
 
 
 def report(name: str, detail: str) -> None:
@@ -295,10 +296,11 @@ def test_criterion_08_speed_ratio():
     proposals = synth.scene_proposals(scene, cfg_c, seed=90)
     assert len(proposals) >= 200
     cfg = PipelineConfig(scales=(256,), design="B", warp_side=224)
-    ratios = []
+    ratios = []  # the median of several passes: one pass swings by up to ~20%
     for count in (1, 10, 50, 200):
-        rep = benchmark(scene.image, proposals[:count], net, g, cfg)
-        ratios.append(rep.ratio)
+        passes = [benchmark(scene.image, proposals[:count], net, g, cfg).ratio
+                  for _ in range(5)]
+        ratios.append(float(np.median(passes)))
     assert ratios[-1] >= 10.0, f"200-proposal speedup {ratios[-1]:.1f}x"
     for prev, nxt in zip(ratios, ratios[1:]):
         assert nxt >= 0.9 * prev, f"ratio trend broke: {ratios}"

@@ -23,12 +23,13 @@ from cfmseg.core import (
     proposal_from_mask,
     resize_nearest,
 )
-from cfmseg.masking import _axis_runs, apply_mask
+from cfmseg.masking import _axis_runs
 from cfmseg.netgeom import LayerSpec, NetGeometry, compose_geometry, feature_extent
 from cfmseg.pipeline import FeatureCache, PipelineConfig, assign_scale, scale_proposal
 from cfmseg.pooling import DESIGNS, PyramidSpec, _pyramid_plan, spp_pool
 from cfmseg.toynet import default_spec, init_toynet, spec_to_json
-from conftest import rect_mask
+from conftest import random_map, rect_mask
+from oracles import apply_mask
 
 # ---------------------------------------------------------------------------
 # Oracle: the per-proposal path, verbatim
@@ -227,16 +228,23 @@ class TestProjectionOracle:
                                   project_mask(g, m, fh, fw).bits)
 
 
+# signed maps: design A's masked-out cells hold -0.0 products, and zeros outrank
+# the negative cells a mask keeps
+MAPS = {"": rectified_map, "-signed": random_map}
+
+
 class TestDesignOracle:
-    @pytest.mark.parametrize("design", DESIGNS)
-    def test_batch_matches_per_proposal_path(self, rng, design):
+    @pytest.mark.parametrize("design, make_map", [
+        pytest.param(d, make, id=d + kind) for kind, make in MAPS.items() for d in DESIGNS
+    ])
+    def test_batch_matches_per_proposal_path(self, rng, design, make_map):
         narrow = empty = 0
         for _ in range(60):
             g = random_geometry(rng)
             frame = tuple(int(v) for v in rng.integers(1, 48, size=2))
             # cell counts independent of the frame, so some cells collect no pixel
             fh, fw = (int(v) for v in rng.integers(1, 24, size=2))
-            conv = rectified_map(rng, int(rng.integers(1, 5)), fh, fw)
+            conv = make_map(rng, int(rng.integers(1, 5)), fh, fw)
             levels = tuple(sorted(rng.choice(np.arange(1, 8), int(rng.integers(1, 4)),
                                              replace=False).tolist(), reverse=True))
             pyr = PyramidSpec(levels)

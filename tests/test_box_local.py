@@ -18,10 +18,11 @@ from cfmseg.core import (
     proposal_from_mask,
     resize_nearest,
 )
-from cfmseg.masking import _axis_runs, brute_force_project, project_mask
+from cfmseg.masking import _axis_runs, project_mask
 from cfmseg.netgeom import LayerSpec, compose_geometry
 from cfmseg.pipeline import PipelineConfig, ScoredRegion, paste
 from conftest import full_frame_iou, full_frame_paste
+from oracles import brute_force_project
 
 PAIR_CASES = ("random", "disjoint", "adjacent", "one_line", "nested", "identical", "pixel")
 

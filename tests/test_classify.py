@@ -5,7 +5,6 @@ import pytest
 
 from cfmseg.classify import (
     LinearModel,
-    hinge_objective,
     load_model,
     save_model,
     score,
@@ -13,6 +12,7 @@ from cfmseg.classify import (
 )
 from cfmseg.core import ValidationError
 from cfmseg.formats import FormatError, save_vector
+from oracles import hinge_objective
 
 
 def separable_clusters(rng, n=40, dim=6, gap=4.0):

@@ -314,6 +314,18 @@ class TestErrorContract:
                                   "--net", net_file])
         assert err["error"] == "FileNotFoundError"
 
+    @pytest.mark.parametrize("counts", ["-5,3", "1,0", "1,100000"])
+    def test_bench_counts_outside_the_index_rejected(self, capsys, monkeypatch, scene_dir,
+                                                     net_file, counts):
+        # "-5,3" used to time proposals[:-5] and exit 0
+        timed = []
+        monkeypatch.setattr(cli.pipeline, "benchmark", lambda *a, **k: timed.append(a))
+        err = self.error(capsys, ["bench", "--image", str(scene_dir / "image.cfmt"),
+                                  "--proposals", str(scene_dir / "proposals.json"),
+                                  "--net", net_file, f"--counts={counts}"])
+        assert err["error"] == "ValidationError" and "--counts" in err["message"]
+        assert timed == []  # every count is checked before any timing
+
     def test_instance_mask_outside_scene_rejected(self, capsys, tmp_path, scene_dir,
                                                   net_file):
         entries = json.loads((scene_dir / "instances.json").read_text())

@@ -2,14 +2,10 @@ import numpy as np
 import pytest
 
 from cfmseg.core import BinaryMask, FeatureMap, ValidationError
-from cfmseg.masking import (
-    apply_mask,
-    brute_force_project,
-    project_mask,
-    vote,
-)
+from cfmseg.masking import project_mask, vote
 from cfmseg.netgeom import LayerSpec, NetGeometry, compose_geometry
 from conftest import random_mask, random_map
+from oracles import apply_mask, brute_force_project
 
 
 def identity_geometry():

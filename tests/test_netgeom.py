@@ -7,12 +7,12 @@ from cfmseg.core import PixelBox, ValidationError
 from cfmseg.netgeom import (
     LayerSpec,
     NetGeometry,
-    brute_force_geometry,
     compose_geometry,
     feature_extent,
     layers_from_json,
     load_layers,
 )
+from oracles import brute_force_geometry
 
 
 def conv(k, s, p):
