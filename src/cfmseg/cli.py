@@ -232,11 +232,9 @@ def cmd_bench(args) -> None:
     image = formats.load_feature_map(args.image)
     proposals = formats.load_proposal_index(args.proposals)
     counts = _parse_ints(args.counts)
-    for count in counts:  # all checked before any timing
-        if not 1 <= count <= len(proposals):
-            raise ValidationError(
-                f"--counts must lie in 1..{len(proposals)} (the index size), got {count}"
-            )
+    if not counts or not all(1 <= c <= len(proposals) for c in counts):  # before timing
+        raise ValidationError(f"--counts needs integers in 1..{len(proposals)} "
+                              f"(the index size), got {args.counts!r}")
     thread_settings = [1] if args.threads <= 1 else [1, args.threads]
     runs = []
     for count in counts:

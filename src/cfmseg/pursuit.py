@@ -168,7 +168,8 @@ def stuff_samples(
     Proposals in the purity band [purity_neg, purity_pos] and unselected
     candidates belong to neither set.
     """
-    picks = pursue(candidate_set(proposals, stuff_gt, cfg), cfg, mode, seed)
-    positives = [c.proposal for c in picks]
-    negatives = [p for p in proposals if purity(p, stuff_gt) < cfg.purity_neg]
-    return positives, negatives
+    scores = [purity(p, stuff_gt) for p in proposals]
+    pure = [p for p, s in zip(proposals, scores) if s > cfg.purity_pos]
+    picks = pursue(candidate_set(pure, stuff_gt, cfg), cfg, mode, seed)
+    negatives = [p for p, s in zip(proposals, scores) if s < cfg.purity_neg]
+    return [c.proposal for c in picks], negatives

@@ -2,8 +2,9 @@
 
 Each one computes its result the slow, literal way: the geometry by tracing
 the input interval layer by layer, the projection by scanning every pixel
-against every cell, the masking over the whole map, and the training
-objective from its definition. None of them is used by the package.
+against every cell, the masking over the whole map, the training
+objective from its definition, and the convolution by explicit broadcast
+steps in its documented order. None of them is used by the package.
 """
 
 import numpy as np
@@ -82,3 +83,26 @@ def hinge_objective(m: LinearModel, samples, reg: float) -> float:
     w = m.weights.astype(np.float64)
     hinge = np.maximum(0.0, 1.0 - y * (x @ w + m.bias)).mean()
     return float(0.5 * reg * np.dot(w, w) + hinge)
+
+
+def loop_conv2d(x: np.ndarray, layer, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Convolution by explicit broadcast steps in the documented order.
+
+    Per tap, in row-major order: acc = w[:, 0] * x[0], then acc += w[:, c] * x[c]
+    for each further channel c; the tap's acc is added to the output. Every
+    step is a float32 array operation, so each product and sum is rounded.
+    """
+    c, h, w_in = x.shape
+    p, s, k = layer.pad, layer.stride, layer.kernel
+    out_h, out_w = layer.out_len(h), layer.out_len(w_in)
+    xp = np.zeros((c, h + 2 * p, w_in + 2 * p), dtype=np.float32)
+    xp[:, p : p + h, p : p + w_in] = x
+    out = np.zeros((w.shape[0], out_h, out_w), dtype=np.float32)
+    for dy in range(k):
+        for dx in range(k):
+            tap = xp[:, dy : dy + (out_h - 1) * s + 1 : s, dx : dx + (out_w - 1) * s + 1 : s]
+            acc = w[:, 0, dy, dx, None, None] * tap[0]
+            for ch in range(1, c):
+                acc += w[:, ch, dy, dx, None, None] * tap[ch]
+            out += acc
+    return out + b[:, None, None]

@@ -326,6 +326,14 @@ class TestErrorContract:
         assert err["error"] == "ValidationError" and "--counts" in err["message"]
         assert timed == []  # every count is checked before any timing
 
+    @pytest.mark.parametrize("counts", ["", ","])
+    def test_bench_empty_counts_rejected(self, capsys, scene_dir, net_file, counts):
+        # an empty list used to print {"runs": []} and exit 0
+        err = self.error(capsys, ["bench", "--image", str(scene_dir / "image.cfmt"),
+                                  "--proposals", str(scene_dir / "proposals.json"),
+                                  "--net", net_file, f"--counts={counts}"])
+        assert err["error"] == "ValidationError" and "--counts" in err["message"]
+
     def test_instance_mask_outside_scene_rejected(self, capsys, tmp_path, scene_dir,
                                                   net_file):
         entries = json.loads((scene_dir / "instances.json").read_text())

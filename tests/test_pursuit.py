@@ -8,7 +8,9 @@ from cfmseg.core import (
     mask_iou,
     proposal_from_mask,
 )
+from cfmseg import pursuit
 from cfmseg.pursuit import (
+    PURSUIT_MODES,
     Candidate,
     PursuitConfig,
     candidate_set,
@@ -347,6 +349,29 @@ class TestStuffSamples:
         a, _ = stuff_samples(cells, stuff, PursuitConfig(), mode="stochastic", seed=9)
         b, _ = stuff_samples(cells, stuff, PursuitConfig(), mode="stochastic", seed=9)
         assert [p.id for p in a] == [p.id for p in b]
+
+    @pytest.mark.parametrize("mode", PURSUIT_MODES)
+    def test_purity_once_per_proposal(self, rng, monkeypatch, mode):
+        bits = rng.random((GRID, GRID)) < 0.3
+        bits[:20] = True
+        stuff = BinaryMask(bits)
+        proposals = []
+        for i in range(60):
+            y0, x0 = (int(v) for v in rng.integers(0, GRID - 4, size=2))
+            y1, x1 = (int(v) for v in rng.integers((y0 + 3, x0 + 3), GRID, size=2))
+            proposals.append(proposal_from_mask(f"p{i}", block(y0, y1, x0, x1)))
+        cfg = PursuitConfig()
+        # the formula with purity computed twice per proposal
+        cands = candidate_set(proposals, stuff, cfg)
+        want_pos = [c.proposal.id for c in pursue(cands, cfg, mode, seed=3)]
+        want_neg = [p.id for p in proposals if purity(p, stuff) < cfg.purity_neg]
+        calls = []
+        monkeypatch.setattr(pursuit, "purity", lambda *a: calls.append(1) or purity(*a))
+        pos, neg = stuff_samples(proposals, stuff, cfg, mode=mode, seed=3)
+        assert [p.id for p in pos] == want_pos and want_pos
+        assert [p.id for p in neg] == want_neg and want_neg
+        assert 0 < len(cands) < len(proposals)
+        assert len(calls) <= len(proposals) + len(cands)
 
     def test_unknown_mode_rejected(self):
         stuff = block(0, 19, 0, 39)

@@ -16,8 +16,10 @@ from cfmseg.toynet import (
     load_spec,
     spec_from_json,
     spec_to_json,
+    _conv2d,
 )
 from conftest import random_map
+from oracles import loop_conv2d
 
 # the net spec file `formats.dump_json` writes for default_spec(3, seed=5)
 DEFAULT_SPEC_JSON = """\
@@ -165,6 +167,60 @@ class TestForward:
         g = compose_geometry(net.spec.geometry_layers())
         out = forward(net, random_map(rng, 3, 64, 64))
         assert (out.height, out.width) == (64 // g.stride, 64 // g.stride)
+
+
+def conv_case(rng, k, s, p, c_in, c_out, h, w):
+    layer = ConvLayerSpec(k, s, p, c_in, c_out)
+    x = rng.standard_normal((c_in, h, w)).astype(np.float32)
+    weights = rng.standard_normal((c_out, c_in, k, k)).astype(np.float32)
+    bias = rng.standard_normal(c_out).astype(np.float32)
+    return x, layer, weights, bias
+
+
+def in_len(rng, out: int, k: int, s: int, p: int) -> int:
+    """A random one of the input lengths whose output length is `out`."""
+    return max(1, (out - 1) * s + k - 2 * p + int(rng.integers(0, s)))
+
+
+class TestConvSumOrder:
+    """_conv2d gives the bytes of the documented order on every layer shape.
+
+    A 1x1 kernel on an unpadded 1x1 input is left out: the docstring names it
+    as the one shape where einsum sums the channels in its own blocks.
+    """
+
+    @staticmethod
+    def assert_oracle_bytes(case):
+        x, layer, w, b = case
+        got = _conv2d(x, layer, w, b, 0)
+        assert got.tobytes() == loop_conv2d(x, layer, w, b).tobytes(), (layer, x.shape)
+
+    def test_random_layers(self, rng):
+        for _ in range(150):
+            k, s = int(rng.integers(1, 6)), int(rng.integers(1, 4))
+            p = int(rng.integers(0, k + 1))
+            h, w = (int(v) for v in rng.integers(max(1, k - 2 * p), 24, size=2))
+            if k == 1 and p == 0 and h == w == 1:
+                continue
+            c_in, c_out = (int(v) for v in rng.integers(1, 40, size=2))
+            self.assert_oracle_bytes(conv_case(rng, k, s, p, c_in, c_out, h, w))
+
+    @pytest.mark.parametrize("out_h, out_w", [(1, 1), (1, 7), (9, 1), (2, 17)])
+    def test_narrow_outputs(self, rng, out_h, out_w):
+        for _ in range(25):
+            k, s = int(rng.integers(1, 6)), int(rng.integers(1, 4))
+            p = int(rng.integers(0, (k + 1) // 2))  # larger pads widen a 1-cell side
+            h, w = in_len(rng, out_h, k, s, p), in_len(rng, out_w, k, s, p)
+            if k == 1 and p == 0 and h == w == 1:
+                continue
+            c_in, c_out = (int(v) for v in rng.integers(1, 65, size=2))
+            case = conv_case(rng, k, s, p, c_in, c_out, h, w)
+            assert _conv2d(*case, 0).shape[1:] == (out_h, out_w)
+            self.assert_oracle_bytes(case)
+
+    def test_single_cell_from_strided_input(self, rng):
+        # a contiguous copy of this tap reorders einsum's channel sum
+        self.assert_oracle_bytes(conv_case(rng, 1, 3, 0, 11, 23, 3, 1))
 
 
 class TestForwardRegion:
