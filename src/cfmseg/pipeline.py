@@ -200,7 +200,6 @@ def score_proposals(
     net: toynet.ToyNet,
     g: NetGeometry,
     cfg: PipelineConfig,
-    cache: FeatureCache | None = None,
     threads: int = 1,
 ) -> list[ScoredRegion]:
     """Score every proposal against every category model."""
@@ -211,8 +210,7 @@ def score_proposals(
                 f"model for category {m.category} has length {m.weights.size}, "
                 f"design {cfg.design!r} produces {expected}"
             )
-    if cache is None:
-        cache = FeatureCache(image, net)
+    cache = FeatureCache(image, net)
     features = proposal_features(proposals, cache, g, cfg, threads=threads)
     return [
         ScoredRegion(p, m.category, score(m, vec))
@@ -242,10 +240,10 @@ def mean_iou(
     preds: list[LabelMap], gts: list[LabelMap], num_categories: int
 ) -> tuple[np.ndarray, float]:
     """Dataset-global per-category IoU and the mean over present categories."""
+    if not 1 <= num_categories <= 0x10000:  # a label map holds uint16
+        raise ValidationError(f"category count {num_categories} outside 1..65536")
     if len(preds) != len(gts):
         raise ValidationError("prediction and ground-truth counts differ")
-    if num_categories < 1:
-        raise ValidationError("need at least one category")
     inter = np.zeros(num_categories, dtype=np.int64)
     union = np.zeros(num_categories, dtype=np.int64)
     for p, g in zip(preds, gts):
@@ -255,11 +253,10 @@ def mean_iou(
             )
         p.check_categories(num_categories)
         g.check_categories(num_categories)
-        for c in range(num_categories):
-            pc = p.labels == c
-            gc = g.labels == c
-            inter[c] += np.count_nonzero(pc & gc)
-            union[c] += np.count_nonzero(pc | gc)
+        hit = np.bincount(p.labels[p.labels == g.labels], minlength=num_categories)
+        inter += hit
+        union += np.bincount(p.labels.ravel(), minlength=num_categories)
+        union += np.bincount(g.labels.ravel(), minlength=num_categories) - hit
     present = union > 0
     ious = np.full(num_categories, np.nan)
     ious[present] = inter[present] / union[present]
@@ -285,7 +282,6 @@ def collect_training_pools(
     net: toynet.ToyNet,
     g: NetGeometry,
     cfg: PipelineConfig,
-    pursuit_cfg: PursuitConfig,
     threads: int = 1,
 ) -> dict[int, tuple[list[np.ndarray], list[np.ndarray]]]:
     """Positive/negative feature pools per category over a scene corpus.
@@ -293,7 +289,8 @@ def collect_training_pools(
     Object positives are the ground-truth segments themselves; object
     negatives are proposals overlapping an instance by [0.1, 0.3] IoU.
     Stuff positives come from deterministic pursuit; stuff negatives are
-    proposals with purity below the negative threshold.
+    proposals with purity below the negative threshold. Each scene's
+    proposals and object instances share one feature pass.
     """
     for scene in scenes:  # every frame before the first forward
         _check_frames(scene.proposals, scene.image.height, scene.image.width)
@@ -301,37 +298,30 @@ def collect_training_pools(
         c: ([], []) for c in [*object_categories, *stuff_categories]
     }
     for scene in scenes:
+        gts = [  # box-local once each; an empty instance mask is rejected
+            (inst.category, proposal_from_mask(f"gt_{inst.category}_{i}", inst.mask))
+            for i, inst in enumerate(scene.instances)
+            if inst.category in object_categories
+        ]
+        props = [*scene.proposals, *(gt for _, gt in gts)]
         cache = FeatureCache(scene.image, net)
-        features = proposal_features(scene.proposals, cache, g, cfg, threads=threads)
-        by_id = {p.id: vec for p, vec in zip(scene.proposals, features)}
+        # keyed by the proposal itself (identity), never by its id, which may repeat
+        vec = dict(zip(props, proposal_features(props, cache, g, cfg, threads=threads)))
 
         for c in object_categories:
             pos, neg = pools[c]
-            gt_props = [
-                proposal_from_mask(f"gt_{c}_{i}", inst.mask)
-                for i, inst in enumerate(scene.instances)
-                if inst.category == c
-            ]
-            if gt_props:
-                pos.extend(
-                    proposal_features(gt_props, cache, g, cfg, threads=threads)
-                )
-            for sample in label_object_samples(
-                scene.proposals, scene.instances, c
-            ):
-                if sample.label < 0:
-                    neg.append(by_id[sample.proposal.id])
+            pos.extend(vec[gt] for category, gt in gts if category == c)
+            samples = label_object_samples(scene.proposals, scene.instances, c)
+            neg.extend(vec[s.proposal] for s in samples if s.label < 0)
 
         for c in stuff_categories:
             pos, neg = pools[c]
             stuff_gt = BinaryMask(scene.labels.labels == c)
             if not stuff_gt.bits.any():
                 continue
-            picked, rejected = stuff_samples(
-                scene.proposals, stuff_gt, pursuit_cfg, mode="deterministic"
-            )
-            pos.extend(by_id[p.id] for p in picked)
-            neg.extend(by_id[p.id] for p in rejected)
+            picked, rejected = stuff_samples(scene.proposals, stuff_gt, PursuitConfig())
+            pos.extend(vec[p] for p in picked)
+            neg.extend(vec[p] for p in rejected)
     return pools
 
 
@@ -342,26 +332,18 @@ def train_category_models(
     net: toynet.ToyNet,
     g: NetGeometry,
     cfg: PipelineConfig,
-    pursuit_cfg: PursuitConfig | None = None,
     reg: float = 1e-4,
     epochs: int = 10,
     seed: int = 0,
     threads: int = 1,
 ) -> list[LinearModel]:
-    if pursuit_cfg is None:
-        pursuit_cfg = PursuitConfig()
     pools = collect_training_pools(
-        scenes, object_categories, stuff_categories, net, g, cfg, pursuit_cfg,
-        threads=threads,
+        scenes, object_categories, stuff_categories, net, g, cfg, threads=threads
     )
-    models = []
-    for c in sorted(pools):
-        pos, neg = pools[c]
-        model, _ = train_svm(
-            pos, neg, reg=reg, epochs=epochs, seed=seed + c, category=c
-        )
-        models.append(model)
-    return models
+    return [
+        train_svm(*pools[c], reg=reg, epochs=epochs, seed=seed + c, category=c)[0]
+        for c in sorted(pools)
+    ]
 
 
 def predict_scene(

@@ -20,7 +20,6 @@ from .core import (
     LabelMap,
     SegmentProposal,
     ValidationError,
-    proposal_from_mask,
 )
 
 SHAPE_KINDS = ("rect", "ellipse", "stripe")
@@ -183,12 +182,6 @@ def _erode(bits: np.ndarray) -> np.ndarray:
     return out
 
 
-def _rect_bits(h: int, w: int, y0: int, y1: int, x0: int, x1: int) -> np.ndarray:
-    bits = np.zeros((h, w), dtype=bool)
-    bits[y0 : y1 + 1, x0 : x1 + 1] = True
-    return bits
-
-
 def toy_proposals(
     height: int,
     width: int,
@@ -208,9 +201,11 @@ def toy_proposals(
     for inst in gt_segments:
         occupied |= inst.mask.bits
 
-    def add(pid: str, bits: np.ndarray) -> None:
-        if bits.any():
-            proposals.append(proposal_from_mask(pid, BinaryMask(bits)))
+    def add(pid: str, bits: np.ndarray, origin: tuple[int, int] = (0, 0)) -> None:
+        if bits.any():  # a block at origin (row, col) of the frame
+            proposals.append(SegmentProposal(
+                pid, BinaryMask(bits), origin=origin, frame=(height, width)
+            ))
 
     for g in grid_sizes:
         rows = math.ceil(height / g)
@@ -218,28 +213,24 @@ def toy_proposals(
         for r in range(rows):
             for c in range(cols):
                 y0, x0 = r * g, c * g
-                y1 = min(y0 + g - 1, height - 1)
-                x1 = min(x0 + g - 1, width - 1)
-                cell = _rect_bits(height, width, y0, y1, x0, x1)
+                taken = occupied[y0 : y0 + g, x0 : x0 + g]  # the cell, clipped
                 # super-pixels follow strong boundaries: carve objects out
-                add(f"grid{g}_{r}_{c}", cell & ~occupied)
-                if (cell & occupied).any():
-                    add(f"cell{g}_{r}_{c}", cell)
+                add(f"grid{g}_{r}_{c}", ~taken, (y0, x0))
+                if taken.any():
+                    add(f"cell{g}_{r}_{c}", np.ones_like(taken), (y0, x0))
         # 2x2 merges stepping one cell, the coarser super-pixel groupings
         for r in range(rows - 1):
             for c in range(cols - 1):
                 y0, x0 = r * g, c * g
-                y1 = min(y0 + 2 * g - 1, height - 1)
-                x1 = min(x0 + 2 * g - 1, width - 1)
-                block = _rect_bits(height, width, y0, y1, x0, x1)
-                add(f"blk{g}_{r}_{c}", block & ~occupied)
+                taken = occupied[y0 : y0 + 2 * g, x0 : x0 + 2 * g]
+                add(f"blk{g}_{r}_{c}", ~taken, (y0, x0))
 
     for i, inst in enumerate(gt_segments):
         bits = inst.mask.bits
         ys, xs = np.nonzero(bits)
         bw = int(xs.max() - xs.min()) + 1
         bh = int(ys.max() - ys.min()) + 1
-        add(f"inst{i}_exact", bits.copy())
+        add(f"inst{i}_exact", bits)
         small = max(1, round(0.18 * bw))
         big = max(2, round(0.65 * bw))
         sign = 1 if rng.integers(0, 2) else -1
@@ -249,15 +240,8 @@ def toy_proposals(
         add(f"inst{i}_dilate", _dilate(bits))
         add(f"inst{i}_erode", _erode(bits))
         # keep only the left-top quadrant of the instance's bounding box
-        quad = _rect_bits(
-            height,
-            width,
-            int(ys.min()),
-            int(ys.min()) + bh // 2 - 1,
-            int(xs.min()),
-            int(xs.min()) + bw // 2 - 1,
-        )
-        add(f"inst{i}_crop", bits & quad)
+        y0, x0 = int(ys.min()), int(xs.min())
+        add(f"inst{i}_crop", bits[y0 : y0 + bh // 2, x0 : x0 + bw // 2], (y0, x0))
     return proposals
 
 

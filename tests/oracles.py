@@ -3,14 +3,15 @@
 Each one computes its result the slow, literal way: the geometry by tracing
 the input interval layer by layer, the projection by scanning every pixel
 against every cell, the masking over the whole map, the training
-objective from its definition, and the convolution by explicit broadcast
-steps in its documented order. None of them is used by the package.
+objective from its definition, the convolution by explicit broadcast
+steps in its documented order, and the IoU by one pass per category. None
+of them is used by the package.
 """
 
 import numpy as np
 
 from cfmseg.classify import LinearModel
-from cfmseg.core import BinaryMask, FeatureMap, ValidationError
+from cfmseg.core import BinaryMask, FeatureMap, LabelMap, ValidationError
 from cfmseg.netgeom import LayerSpec, NetGeometry
 
 
@@ -106,3 +107,21 @@ def loop_conv2d(x: np.ndarray, layer, w: np.ndarray, b: np.ndarray) -> np.ndarra
                 acc += w[:, ch, dy, dx, None, None] * tap[ch]
             out += acc
     return out + b[:, None, None]
+
+
+def loop_mean_iou(
+    preds: list[LabelMap], gts: list[LabelMap], num_categories: int
+) -> tuple[np.ndarray, float]:
+    """Oracle: per-category IoU counted one category at a time over whole images."""
+    inter = np.zeros(num_categories, dtype=np.int64)
+    union = np.zeros(num_categories, dtype=np.int64)
+    for p, g in zip(preds, gts):
+        for c in range(num_categories):
+            pc = p.labels == c
+            gc = g.labels == c
+            inter[c] += np.count_nonzero(pc & gc)
+            union[c] += np.count_nonzero(pc | gc)
+    present = union > 0
+    ious = np.full(num_categories, np.nan)
+    ious[present] = inter[present] / union[present]
+    return ious, float(np.mean(ious[present]))

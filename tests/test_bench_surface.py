@@ -14,7 +14,6 @@ import types
 from pathlib import Path
 
 from cfmseg import netgeom, pipeline, synth, toynet
-from cfmseg.pursuit import PursuitConfig
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -74,7 +73,7 @@ def test_tiny_library_pass_calls_every_library_target():
     tracer.install()
     try:
         models = pipeline.train_category_models(
-            scenes, [1, 2, 3], [4, 5], net, g, cfg, PursuitConfig(), epochs=1
+            scenes, [1, 2, 3], [4, 5], net, g, cfg, epochs=1
         )
         test = scenes[0]
         pipeline.score_proposals(models, test.proposals, test.image, net, g, cfg)

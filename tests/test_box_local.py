@@ -145,11 +145,11 @@ class TestProposalMemory:
     def test_toy_proposals_hold_only_their_boxes(self, monkeypatch):
         built = []
 
-        def recording(pid, mask):
-            built.append((mask, proposal_from_mask(pid, mask)))
+        def recording(pid, mask, **placement):
+            built.append((mask, SegmentProposal(pid, mask, **placement)))
             return built[-1][1]
 
-        monkeypatch.setattr(synth, "proposal_from_mask", recording)
+        monkeypatch.setattr(synth, "SegmentProposal", recording)
         small = synth.generate_scene(synth.random_scene_spec(synth.CorpusConfig(), 1))
         instances = [  # the same scene stretched 4x, to 256 x 256
             InstanceSegment(i.category, BinaryMask(resize_nearest(i.mask.bits, 256, 256)))
@@ -159,7 +159,9 @@ class TestProposalMemory:
         assert len(built) == len(props) > 2000
         for mask, p in built:
             assert p.block.bits.shape == (p.box.height, p.box.width)
-            assert not np.shares_memory(p.block.bits, mask.bits)
+            assert p.block.bits.flags.owndata  # never a view of a larger array
+            # a block handed in tight is kept as is; a cropped one is a copy
+            assert p.block is mask or not np.shares_memory(p.block.bits, mask.bits)
         block_bytes = sum(p.block.bits.nbytes for p in props)
         frame_bytes = sum(p.frame[0] * p.frame[1] for p in props)  # one byte per bool
         assert block_bytes < 0.02 * frame_bytes

@@ -6,7 +6,7 @@ import pytest
 
 from cfmseg import cli, formats, synth
 from cfmseg.cli import main, write_scene_dir
-from cfmseg.core import BinaryMask, FeatureMap
+from cfmseg.core import BinaryMask, FeatureMap, LabelMap
 from cfmseg.pooling import load_pooled_feature
 from cfmseg.toynet import default_spec, spec_to_json
 
@@ -270,6 +270,14 @@ class TestErrorContract:
                                   str(tmp_path / "img.cfmt"), "--out",
                                   str(tmp_path / "out.cfmt")])
         assert err["error"] == "FormatError"
+
+    @pytest.mark.parametrize("categories", ["0", "65537"])
+    def test_eval_category_count_bounded(self, capsys, tmp_path, categories):
+        labels = tmp_path / "labels.cfml"
+        formats.save_label_map(labels, LabelMap(np.zeros((4, 4), dtype=np.uint16)))
+        err = self.error(capsys, ["eval", "--pred", str(labels), "--gt", str(labels),
+                                  "--categories", categories])
+        assert err["error"] == "ValidationError" and "1..65536" in err["message"]
 
     @pytest.mark.parametrize("window", ["1,2", "1,2,3,x"])
     def test_bad_pool_window(self, capsys, tmp_path, window):

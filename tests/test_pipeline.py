@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cfmseg import pipeline, synth
 from cfmseg.classify import LinearModel
 from cfmseg.core import (
     BinaryMask,
@@ -8,6 +9,7 @@ from cfmseg.core import (
     InstanceSegment,
     LabelMap,
     PixelBox,
+    SegmentProposal,
     ValidationError,
     proposal_from_mask,
     resize_nearest,
@@ -19,8 +21,10 @@ from cfmseg.pipeline import (
     FeatureCache,
     PipelineConfig,
     ScoredRegion,
+    TrainScene,
     assign_scale,
     benchmark,
+    collect_training_pools,
     mean_iou,
     paste,
     scale_image,
@@ -36,8 +40,9 @@ from cfmseg.pursuit import (
     pursue,
     stuff_samples,
 )
-from cfmseg.toynet import default_spec, init_toynet
+from cfmseg.toynet import default_spec, forward, init_toynet
 from conftest import full_frame_iou, full_frame_paste, random_map, rect_mask
+from oracles import loop_mean_iou
 
 DEFAULT_SCALES = (480, 576, 688, 864, 1200)
 
@@ -320,7 +325,7 @@ class TestScoreProposals:
         b = score_proposals([model], [p], image, net, g, single)
         assert a[0].score == b[0].score
 
-    def test_feature_maps_computed_once_per_scale(self, rng):
+    def test_feature_maps_computed_once_per_scale(self, rng, monkeypatch):
         net, g, image = toy_setup(rng)
         cfg = small_cfg(scales=(16, 32))
         dim = feature_length(net.spec.out_channels, cfg.pyramid, cfg.design)
@@ -329,10 +334,11 @@ class TestScoreProposals:
             proposal_from_mask(f"p{i}", rect_mask(32, 32, 2, 5 + i, 2, 5 + i))
             for i in range(6)
         ]
-        cache = FeatureCache(image, net)
-        score_proposals(model and [model], proposals, image, net, g, cfg,
-                        cache=cache)
-        assert cache.forward_count == len(
+        forwards = []
+        monkeypatch.setattr(pipeline.toynet, "forward",
+                            lambda *a: forwards.append(a) or forward(*a))
+        score_proposals([model], proposals, image, net, g, cfg)
+        assert len(forwards) == len(
             {assign_scale(p.box, 32, cfg.scales) for p in proposals}
         )
 
@@ -496,6 +502,47 @@ class TestMeanIou:
                 [LabelMap(np.zeros((2, 3), dtype=np.uint16))],
                 2,
             )
+
+    def test_counts_match_loop_oracle(self, rng):
+        for trial in range(300):
+            n = int(rng.integers(1, 9))
+            shapes = [tuple(rng.integers(1, 12, size=2)) for _ in range(rng.integers(1, 4))]
+            preds, gts = (
+                [LabelMap(rng.integers(0, n, size=s, dtype=np.uint16)) for s in shapes]
+                for _ in range(2)
+            )
+            ious, mean = mean_iou(preds, gts, n)
+            want_ious, want_mean = loop_mean_iou(preds, gts, n)
+            assert ious.tobytes() == want_ious.tobytes(), trial
+            assert np.float64(mean).tobytes() == np.float64(want_mean).tobytes(), trial
+
+
+class TestTrainingPools:
+    def test_repeated_ids_keep_each_proposals_vector(self):
+        corpus = synth.CorpusConfig()
+        scene = synth.generate_scene(synth.random_scene_spec(corpus, 3))
+        props = synth.scene_proposals(scene, corpus, 4)
+        net = init_toynet(default_spec(3, seed=0))
+        g = compose_geometry(net.spec.geometry_layers())
+
+        def pools(ids):
+            renamed = [SegmentProposal(pid, p.block, origin=p.origin, frame=p.frame)
+                       for pid, p in zip(ids, props)]
+            train = [TrainScene(scene.image, scene.labels, scene.instances, renamed)]
+            return collect_training_pools(train, [1, 2, 3], [4, 5], net, g,
+                                          small_cfg(scales=(64,)))
+
+        # ids in list order, so pursuit breaks area ties the same way in both
+        unique = pools([f"p{i:04d}" for i in range(len(props))])
+        shared = pools(["dup"] * len(props))
+        assert unique.keys() == shared.keys()
+        for c in unique:
+            for want, got in zip(unique[c], shared[c]):
+                assert len(want) == len(got)
+                assert all(np.array_equal(a, b) for a, b in zip(want, got)), c
+        negatives = [v.tobytes() for _, neg in unique.values() for v in neg]
+        assert len(set(negatives)) > 10
+        assert all(unique[c][0] for c in (4, 5))  # pursuit picked stuff positives
 
 
 class TestBenchmark:
