@@ -310,8 +310,9 @@ def collect_training_pools(
 
         for c in object_categories:
             pos, neg = pools[c]
-            pos.extend(vec[gt] for category, gt in gts if category == c)
-            samples = label_object_samples(scene.proposals, scene.instances, c)
+            instances = [gt for category, gt in gts if category == c]
+            pos.extend(vec[gt] for gt in instances)
+            samples = label_object_samples(scene.proposals, instances)
             neg.extend(vec[s.proposal] for s in samples if s.label < 0)
 
         for c in stuff_categories:

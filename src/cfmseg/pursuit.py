@@ -15,11 +15,9 @@ import numpy as np
 
 from .core import (
     BinaryMask,
-    InstanceSegment,
     SegmentProposal,
     ValidationError,
     mask_iou,
-    proposal_from_mask,
     suppress,
 )
 
@@ -137,19 +135,16 @@ class LabeledSample:
 
 
 def label_object_samples(
-    proposals: list[SegmentProposal],
-    gt_segments: list[InstanceSegment],
-    category: int,
+    proposals: list[SegmentProposal], instances: list[SegmentProposal]
 ) -> list[LabeledSample]:
-    """Label proposals by their best mask IoU against same-category instances."""
-    gts = [  # box-local once; an empty instance overlaps nothing
-        proposal_from_mask(f"gt{i}", g.mask)
-        for i, g in enumerate(gt_segments)
-        if g.category == category and g.mask.bits.any()
-    ]
+    """Label proposals by their best mask IoU against one category's instances.
+
+    `instances` are that category's ground-truth instances, already made
+    box-local proposals by the caller.
+    """
     samples = []
     for p in proposals:
-        best = max((mask_iou(p, gt) for gt in gts), default=0.0)
+        best = max((mask_iou(p, gt) for gt in instances), default=0.0)
         label = overlap_label(best)
         if label is not None:
             samples.append(LabeledSample(p, label))

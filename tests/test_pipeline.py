@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -266,10 +268,11 @@ class TestBoxLocalScaling:
             c.proposal.id for c in picks
         ]
 
-        inst = InstanceSegment(1, rect_mask(20, 20, 4, 11, 6, 15))
-        got = [(s.proposal.id, s.label) for s in label_object_samples(local, [inst], 1)]
+        inst = rect_mask(20, 20, 4, 11, 6, 15)
+        gt = proposal_from_mask("gt", inst)
+        got = [(s.proposal.id, s.label) for s in label_object_samples(local, [gt])]
         want = [
-            (p.id, overlap_label(full_frame_iou(m, inst.mask.bits)))
+            (p.id, overlap_label(full_frame_iou(m, inst.bits)))
             for p, m in zip(local, full)
         ]
         assert got == [w for w in want if w[1] is not None]
@@ -543,6 +546,52 @@ class TestTrainingPools:
         negatives = [v.tobytes() for _, neg in unique.values() for v in neg]
         assert len(set(negatives)) > 10
         assert all(unique[c][0] for c in (4, 5))  # pursuit picked stuff positives
+
+    def test_other_category_instance_labels_nothing(self, rng):
+        net, g, image = toy_setup(rng)
+        labels = LabelMap(np.zeros((32, 32), dtype=np.uint16))
+        instances = [
+            InstanceSegment(1, rect_mask(32, 32, 20, 29, 20, 29)),
+            InstanceSegment(2, rect_mask(32, 32, 5, 5, 0, 9)),
+        ]
+        # IoU 0.2 with the category-2 instance, 0 with the category-1 one
+        fifth = proposal_from_mask("fifth", rect_mask(32, 32, 5, 5, 0, 1))
+        train = [TrainScene(image, labels, instances, [fifth])]
+        pools = collect_training_pools(train, [1, 2], [], net, g, small_cfg())
+        assert [len(v) for v in pools[1]] == [1, 0]
+        assert [len(v) for v in pools[2]] == [1, 1]
+
+    def test_one_crop_per_object_instance(self, monkeypatch):
+        corpus = synth.CorpusConfig()
+        train = []
+        for i in range(4):
+            spec = synth.random_scene_spec(corpus, synth.derive_seed(5, i))
+            scene = synth.generate_scene(spec)
+            props = synth.scene_proposals(scene, corpus, synth.derive_seed(5, i, 1))
+            train.append(TrainScene(scene.image, scene.labels, scene.instances, props))
+        net = init_toynet(default_spec(3, seed=0))
+        g = compose_geometry(net.spec.geometry_layers())
+        crops = []
+
+        def counted(pid, mask):
+            crops.append(pid)
+            return proposal_from_mask(pid, mask)
+
+        for name, module in list(sys.modules.items()):  # every by-name import of it
+            if name.startswith("cfmseg") and (
+                getattr(module, "proposal_from_mask", None) is proposal_from_mask
+            ):
+                monkeypatch.setattr(module, "proposal_from_mask", counted)
+        collect_training_pools(
+            train, list(corpus.object_categories), list(corpus.stuff_categories),
+            net, g, small_cfg(scales=(64,)),
+        )
+        objects = [
+            inst for scene in train for inst in scene.instances
+            if inst.category in corpus.object_categories
+        ]
+        assert len(objects) >= 4
+        assert len(crops) == len(objects)
 
 
 class TestBenchmark:

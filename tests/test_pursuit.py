@@ -3,7 +3,6 @@ import pytest
 
 from cfmseg.core import (
     BinaryMask,
-    InstanceSegment,
     ValidationError,
     mask_iou,
     proposal_from_mask,
@@ -298,19 +297,16 @@ class TestSampleLabeling:
             assert overlap_label(iou) == want
 
     def test_label_object_samples_exact_ious(self):
-        # gt: 10-pixel row segment of category 2
-        gt = [InstanceSegment(2, block(5, 5, 0, 9))]
+        # gt: one 10-pixel row instance
+        gt = [proposal_from_mask("gt", block(5, 5, 0, 9))]
         exact = proposal_from_mask("pos", block(5, 5, 0, 9))          # IoU 1.0
         half = proposal_from_mask("half", block(5, 5, 0, 4))          # IoU 0.5
         fifth = proposal_from_mask("neg", block(5, 5, 0, 1))          # IoU 0.2
         graze = proposal_from_mask("skip", block(5, 5, 9, 29))        # IoU 1/30
-        off_cat = proposal_from_mask("off", block(5, 5, 0, 9))
-        samples = label_object_samples(
-            [exact, half, fifth, graze], gt, category=2
-        )
+        samples = label_object_samples([exact, half, fifth, graze], gt)
         by_id = {s.proposal.id: s.label for s in samples}
         assert by_id == {"pos": 1, "half": 1, "neg": -1}
-        assert label_object_samples([off_cat], gt, category=1) == []
+        assert label_object_samples([exact], []) == []  # no instance: IoU 0
 
 
 class TestStuffSamples:
