@@ -34,18 +34,17 @@ def _parse_ints(text: str) -> list[int]:
         raise ValidationError(f"expected comma-separated integers, got {text!r}") from None
 
 
+def _given(args, *names) -> dict:
+    """The named flags that were given; one left out takes the library's default."""
+    return {n: getattr(args, n) for n in names if getattr(args, n, None) is not None}
+
+
 def _pipeline_config(args) -> pipeline.PipelineConfig:
-    kwargs = {}
+    kwargs = _given(args, "design", "paste_inhibit_iou", "warp_side")
     if getattr(args, "scales", None) is not None:  # "" is no scale, not the default
         kwargs["scales"] = tuple(_parse_ints(args.scales))
-    if getattr(args, "design", None):
-        kwargs["design"] = args.design
     if getattr(args, "levels", None) is not None:
         kwargs["pyramid"] = pooling.PyramidSpec(tuple(_parse_ints(args.levels)))
-    if getattr(args, "inhibit", None) is not None:
-        kwargs["paste_inhibit_iou"] = args.inhibit
-    if getattr(args, "warp", None) is not None:
-        kwargs["warp_side"] = args.warp
     return pipeline.PipelineConfig(**kwargs)
 
 
@@ -97,8 +96,7 @@ def cmd_pool(args) -> None:
     window = _parse_ints(args.window)
     if len(window) != 4:
         raise ValidationError(f"--window needs x0,y0,x1,y1, got {args.window!r}")
-    pyr = pooling.PyramidSpec(tuple(_parse_ints(args.levels)))
-    pooled = pooling.spp_pool(fm, PixelBox(*window), pyr)
+    pooled = pooling.spp_pool(fm, PixelBox(*window), _pipeline_config(args).pyramid)
     pooling.save_pooled_feature(args.out, pooled)
     _print_json({"length": int(pooled.values.size), "out": args.out})
 
@@ -106,12 +104,7 @@ def cmd_pool(args) -> None:
 def cmd_pursue(args) -> None:
     proposals = formats.load_proposal_index(args.proposals)
     stuff = formats.load_mask(args.stuff)
-    # candidates need only purity_pos; purity_neg bounds training negatives, unused here
-    cfg = pursuit.PursuitConfig(
-        purity_pos=args.purity_pos,
-        purity_neg=0.0,
-        inhibit_iou=args.inhibit_iou,
-    )
+    cfg = pursuit.PursuitConfig(**_given(args, "purity_pos", "inhibit_iou"))
     cands = pursuit.candidate_set(proposals, stuff, cfg)
     picks = pursuit.pursue(cands, cfg, args.mode, args.seed)
     _print_json(
@@ -129,14 +122,10 @@ def cmd_pursue(args) -> None:
 def cmd_synth(args) -> None:
     if args.spec:
         spec = formats.load_json(args.spec, _scene_spec_from_json)
-        corpus_cfg = synth.CorpusConfig(width=spec.width, height=spec.height)
     else:
-        corpus_cfg = synth.CorpusConfig()
-        spec = synth.random_scene_spec(corpus_cfg, args.seed)
+        spec = synth.random_scene_spec(synth.CorpusConfig(), args.seed)
     scene = synth.generate_scene(spec)
-    proposals = synth.scene_proposals(
-        scene, corpus_cfg, synth.derive_seed(args.seed, 2)
-    )
+    proposals = synth.scene_proposals(scene, synth.derive_seed(args.seed, 2))
     out = Path(args.out_dir)
     write_scene_dir(out, scene, proposals)
     _print_json(
@@ -155,16 +144,8 @@ def cmd_train(args) -> None:
     if not scenes:
         raise ValidationError(f"no scene directories under {args.corpus}")
     models = pipeline.train_category_models(
-        scenes,
-        _parse_ints(args.object_cats),
-        _parse_ints(args.stuff_cats),
-        net,
-        g,
-        cfg,
-        reg=args.reg,
-        epochs=args.epochs,
-        seed=args.seed,
-        threads=args.threads,
+        scenes, _parse_ints(args.object_cats), _parse_ints(args.stuff_cats), net, g,
+        cfg, seed=args.seed, threads=args.threads, **_given(args, "reg", "epochs"),
     )
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -278,7 +259,7 @@ def _scene_spec_from_json(obj) -> synth.SceneSpec:
     bands = tuple(
         synth.BandSpec(
             **_spec_ints(b, ("category", "row0", "row1")),
-            base_color=tuple(b["base_color"]), noise_amp=float(b["noise_amp"]),
+            base_color=b["base_color"], noise_amp=b["noise_amp"],
         )
         for b in obj.get("bands", [])
     )
@@ -345,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     # train, infer and bench build the same net, geometry and config
     pipeline_opts = argparse.ArgumentParser(add_help=False)
     pipeline_opts.add_argument("--net", required=True, help="network spec JSON")
-    pipeline_opts.add_argument("--design", choices=pooling.DESIGNS, default="B",
+    pipeline_opts.add_argument("--design", choices=pooling.DESIGNS,
                                help="feature wiring (none = unmasked box pyramid)")
     pipeline_opts.add_argument("--scales", help="comma-separated shorter-edge scales")
     pipeline_opts.add_argument("--levels", help="pyramid grid sizes")
@@ -371,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pool", help="pyramid-pool a feature window to a vector")
     p.add_argument("--image", required=True, help="input CFMT tensor")
     p.add_argument("--window", required=True, help="x0,y0,x1,y1 feature window")
-    p.add_argument("--levels", default="6,3,2,1", help="pyramid grid sizes")
+    p.add_argument("--levels", help="pyramid grid sizes")
     p.add_argument("--out", required=True, help="output CFMT vector")
     p.set_defaults(func=cmd_pool)
 
@@ -381,9 +362,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=pursuit.PURSUIT_MODES,
                    default="deterministic", help="selection rule")
     p.add_argument("--seed", type=int, default=0, help="stochastic draw seed")
-    p.add_argument("--purity-pos", dest="purity_pos", type=float, default=0.6,
+    p.add_argument("--purity-pos", dest="purity_pos", type=float,
                    help="candidate purity bound (strict)")
-    p.add_argument("--inhibit-iou", dest="inhibit_iou", type=float, default=0.2,
+    p.add_argument("--inhibit-iou", dest="inhibit_iou", type=float,
                    help="overlap above which picks suppress candidates")
     p.set_defaults(func=cmd_pursue)
 
@@ -401,9 +382,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated object category indices")
     p.add_argument("--stuff-cats", dest="stuff_cats", required=True,
                    help="comma-separated stuff category indices")
-    p.add_argument("--reg", type=float, default=1e-4,
-                   help="L2 regularization strength")
-    p.add_argument("--epochs", type=int, default=10, help="training epochs")
+    p.add_argument("--reg", type=float, help="L2 regularization strength")
+    p.add_argument("--epochs", type=int, help="training epochs")
     p.add_argument("--seed", type=int, default=0, help="training seed")
     p.add_argument("--out-dir", dest="out_dir", required=True,
                    help="directory for the model files")
@@ -414,7 +394,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--models", required=True, help="directory of model files")
     p.add_argument("--image", required=True, help="input CFMT tensor")
     p.add_argument("--proposals", required=True, help="proposal index JSON")
-    p.add_argument("--inhibit", type=float, help="pasting inhibition IoU")
+    p.add_argument("--inhibit", dest="paste_inhibit_iou", type=float,
+                   help="pasting inhibition IoU")
     p.add_argument("--gt", help="ground-truth CFML for evaluation")
     p.add_argument("--out-labels", dest="out_labels", required=True,
                    help="output CFML path")
@@ -425,7 +406,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scored", required=True, help="scored-region JSON")
     p.add_argument("--width", type=int, required=True, help="output width")
     p.add_argument("--height", type=int, required=True, help="output height")
-    p.add_argument("--inhibit", type=float, help="pasting inhibition IoU")
+    p.add_argument("--inhibit", dest="paste_inhibit_iou", type=float,
+                   help="pasting inhibition IoU")
     p.add_argument("--out", required=True, help="output CFML path")
     p.set_defaults(func=cmd_paste)
 
@@ -444,7 +426,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--proposals", required=True, help="proposal index JSON")
     p.add_argument("--counts", default="1,10,50,200",
                    help="comma-separated proposal counts to time")
-    p.add_argument("--warp", type=int, help="baseline crop-and-warp side")
+    p.add_argument("--warp", dest="warp_side", type=int,
+                   help="baseline crop-and-warp side")
     p.set_defaults(func=cmd_bench)
 
     return parser

@@ -125,14 +125,12 @@ class FeatureCache:
     def __init__(self, image: FeatureMap, net: toynet.ToyNet):
         self.image = image
         self.net = net
-        self.forward_count = 0
         self._maps: dict[int, tuple[FeatureMap, tuple[int, int]]] = {}
 
     def conv_map(self, scale: int) -> tuple[FeatureMap, tuple[int, int]]:
         if scale not in self._maps:
             scaled = scale_image(self.image, scale)
             conv = toynet.forward(self.net, scaled)
-            self.forward_count += 1
             self._maps[scale] = (conv, (scaled.height, scaled.width))
         return self._maps[scale]
 
@@ -292,11 +290,12 @@ def collect_training_pools(
     proposals with purity below the negative threshold. Each scene's
     proposals and object instances share one feature pass.
     """
-    for scene in scenes:  # every frame before the first forward
+    categories = [*object_categories, *stuff_categories]
+    if len(set(categories)) < len(categories):  # a repeat would pool its samples twice
+        raise ValidationError(f"training categories must be distinct: {categories}")
+    for scene in scenes:  # every check before the first forward
         _check_frames(scene.proposals, scene.image.height, scene.image.width)
-    pools: dict[int, tuple[list, list]] = {
-        c: ([], []) for c in [*object_categories, *stuff_categories]
-    }
+    pools: dict[int, tuple[list, list]] = {c: ([], []) for c in categories}
     for scene in scenes:
         gts = [  # box-local once each; an empty instance mask is rejected
             (inst.category, proposal_from_mask(f"gt_{inst.category}_{i}", inst.mask))

@@ -22,22 +22,19 @@ from .core import (
 )
 
 PURSUIT_MODES = ("deterministic", "stochastic")
+PURITY_NEG = 0.3  # stuff training negatives have purity strictly below this
 
 
 @dataclass(frozen=True)
 class PursuitConfig:
     purity_pos: float = 0.6
-    purity_neg: float = 0.3
     inhibit_iou: float = 0.2
     # explicit minimum pick area; None derives it as the mean initial area
     min_area: float | None = None
 
     def __post_init__(self):
-        if not 0.0 <= self.purity_neg < self.purity_pos <= 1.0:
-            raise ValidationError(
-                f"need 0 <= purity_neg < purity_pos <= 1, got "
-                f"{self.purity_neg}/{self.purity_pos}"
-            )
+        if not 0.0 < self.purity_pos <= 1.0:
+            raise ValidationError(f"purity_pos must be in (0,1]: {self.purity_pos}")
         if not 0.0 < self.inhibit_iou < 1.0:
             raise ValidationError(f"inhibit_iou must be in (0,1): {self.inhibit_iou}")
 
@@ -158,13 +155,15 @@ def stuff_samples(
     mode: str = "deterministic",
     seed: int = 0,
 ) -> tuple[list[SegmentProposal], list[SegmentProposal]]:
-    """Positive picks from pursuit and negatives with purity below the floor.
+    """Positive picks from pursuit and negatives with purity below PURITY_NEG.
 
-    Proposals in the purity band [purity_neg, purity_pos] and unselected
+    Proposals in the purity band [PURITY_NEG, purity_pos] and unselected
     candidates belong to neither set.
     """
+    if cfg.purity_pos <= PURITY_NEG:
+        raise ValidationError(f"purity_pos {cfg.purity_pos} must exceed {PURITY_NEG}")
     scores = [purity(p, stuff_gt) for p in proposals]
     pure = [p for p, s in zip(proposals, scores) if s > cfg.purity_pos]
     picks = pursue(candidate_set(pure, stuff_gt, cfg), cfg, mode, seed)
-    negatives = [p for p, s in zip(proposals, scores) if s < cfg.purity_neg]
+    negatives = [p for p, s in zip(proposals, scores) if s < PURITY_NEG]
     return [c.proposal for c in picks], negatives

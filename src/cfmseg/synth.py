@@ -23,6 +23,9 @@ from .core import (
 )
 
 SHAPE_KINDS = ("rect", "ellipse", "stripe")
+# the toy corpus: one shape family per object category, one band per stuff one
+OBJECT_CATEGORIES = (1, 2, 3)
+STUFF_CATEGORIES = (4, 5)
 
 # object colors by shape family; stuff bands carry (base color, noise amp)
 OBJECT_COLORS = {
@@ -67,6 +70,16 @@ class BandSpec:
             raise ValidationError(f"band rows out of order: {self.row0}..{self.row1}")
         if not 1 <= self.category <= 0xFFFF:
             raise ValidationError("band category must be in 1..65535")
+        color = tuple(self.base_color) if isinstance(self.base_color, (tuple, list)) else ()
+        try:  # a bool is no number; a string or an int beyond float range fails isfinite
+            ok = all(not isinstance(v, bool) and math.isfinite(v)
+                     for v in (*color, self.noise_amp))
+        except (TypeError, OverflowError):
+            ok = False
+        if len(color) != 3 or not ok:
+            raise ValidationError("band needs 3 finite base_color numbers and a finite "
+                                  f"noise_amp, got {self.base_color!r}, {self.noise_amp!r}")
+        object.__setattr__(self, "base_color", color)
 
 
 @dataclass(frozen=True)
@@ -259,9 +272,6 @@ def derive_seed(master_seed: int, *keys: int) -> int:
 class CorpusConfig:
     width: int = 64
     height: int = 64
-    object_categories: tuple[int, ...] = (1, 2, 3)
-    stuff_categories: tuple[int, ...] = (4, 5)
-    grid_sizes: tuple[int, ...] = (16, 32)
 
 
 def random_scene_spec(cfg: CorpusConfig, seed: int) -> SceneSpec:
@@ -270,19 +280,19 @@ def random_scene_spec(cfg: CorpusConfig, seed: int) -> SceneSpec:
     w, h = cfg.width, cfg.height
     sky_h = int(rng.integers(12, 17))
     grass_h = int(rng.integers(12, 17))
-    sky_cat, grass_cat = cfg.stuff_categories[0], cfg.stuff_categories[1]
+    sky_cat, grass_cat = STUFF_CATEGORIES
     bands = (
         BandSpec(sky_cat, 0, sky_h - 1, *SKY_BAND),
         BandSpec(grass_cat, h - grass_h, h - 1, *GRASS_BAND),
     )
 
-    kinds = {cat: SHAPE_KINDS[i % 3] for i, cat in enumerate(cfg.object_categories)}
+    kinds = dict(zip(OBJECT_CATEGORIES, SHAPE_KINDS))
     slot_centers = [w // 6, w // 2, 5 * w // 6]
     shapes = []
     for cx in slot_centers:
         if rng.random() > 0.85:
             continue
-        category = int(rng.choice(cfg.object_categories))
+        category = int(rng.choice(OBJECT_CATEGORIES))
         half = int(rng.integers(5, 8))
         anchor = rng.random()
         if anchor < 0.35:  # resting on the sky boundary
@@ -306,11 +316,7 @@ def make_corpus(cfg: CorpusConfig, n_scenes: int, master_seed: int) -> list[Scen
     ]
 
 
-def scene_proposals(scene: Scene, cfg: CorpusConfig, seed: int) -> list[SegmentProposal]:
+def scene_proposals(scene: Scene, seed: int) -> list[SegmentProposal]:
     return toy_proposals(
-        scene.spec.height,
-        scene.spec.width,
-        scene.instances,
-        grid_sizes=cfg.grid_sizes,
-        jitter_seed=seed,
+        scene.spec.height, scene.spec.width, scene.instances, jitter_seed=seed
     )

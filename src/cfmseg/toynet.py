@@ -132,15 +132,16 @@ def _conv2d(x: np.ndarray, layer: ConvLayerSpec, w: np.ndarray, b: np.ndarray,
             index: int) -> np.ndarray:
     """Direct convolution: channels summed in order, then taps in row-major
     order, each product and sum rounded to float32. Each tap is copied
-    contiguously (same order, 2-3x faster) unless the output is one cell, where
-    einsum sums contiguous channels in SIMD blocks; so does a 1x1 kernel on an
-    unpadded 1x1 input, whose strided view is contiguous too."""
+    contiguously (same order, 2-3x faster); a one-cell output takes a running
+    sum instead, since einsum sums a cell's contiguous channels in SIMD blocks."""
     taps = _taps(x, layer, index, 0.0)
     out = np.zeros((layer.out_channels, *taps[0].shape[1:]), dtype=np.float32)
     for t, view in enumerate(taps):
         dy, dx = divmod(t, layer.kernel)
-        view = np.ascontiguousarray(view) if out[0].size > 1 else view
-        out += np.einsum("oc,chw->ohw", w[:, :, dy, dx], view)
+        if out[0].size == 1:
+            out[:, 0, 0] += np.cumsum(w[:, :, dy, dx] * view[:, 0, 0], axis=1)[:, -1]
+        else:
+            out += np.einsum("oc,chw->ohw", w[:, :, dy, dx], np.ascontiguousarray(view))
     return out + b[:, None, None]
 
 

@@ -252,7 +252,7 @@ def _build_corpus(n, master):
     scenes = []
     for i, spec in enumerate(synth.make_corpus(cfg_c, n, master)):
         scene = synth.generate_scene(spec)
-        props = synth.scene_proposals(scene, cfg_c, seed=master * 100003 + i)
+        props = synth.scene_proposals(scene, seed=master * 100003 + i)
         scenes.append(TrainScene(scene.image, scene.labels, scene.instances, props))
     return scenes
 
@@ -293,7 +293,7 @@ def test_criterion_08_speed_ratio():
     g = compose_geometry(net.spec.geometry_layers())
     cfg_c = synth.CorpusConfig(width=256, height=256)
     scene = synth.generate_scene(synth.random_scene_spec(cfg_c, seed=9))
-    proposals = synth.scene_proposals(scene, cfg_c, seed=90)
+    proposals = synth.scene_proposals(scene, seed=90)
     assert len(proposals) >= 200
     cfg = PipelineConfig(scales=(256,), design="B", warp_side=224)
     ratios = []  # the median of several passes: one pass swings by up to ~20%
@@ -317,7 +317,7 @@ def test_criterion_09_cli_determinism(tmp_path, capsys):
     for i in range(3):
         spec = synth.random_scene_spec(cfg_c, seed=1000 + i)
         scene = synth.generate_scene(spec)
-        props = synth.scene_proposals(scene, cfg_c, seed=2000 + i)
+        props = synth.scene_proposals(scene, seed=2000 + i)
         write_scene_dir(corpus / f"scene_{i:03d}", scene, props)
     net_file = tmp_path / "net.json"
     net_file.write_text(json.dumps(spec_to_json(default_spec(3, seed=0))))

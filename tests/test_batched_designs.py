@@ -423,15 +423,17 @@ class TestFrames:
     def off_frame(side=96):
         return proposal_from_mask("far", rect_mask(side, side, 70, 90, 70, 90))
 
-    def test_proposal_features_rejects_other_frame_before_forward(self, rng):
+    def test_proposal_features_rejects_other_frame_before_forward(self, rng, monkeypatch):
         net, g = toy_net()
         image = FeatureMap(rng.standard_normal((3, 64, 64)).astype(np.float32))
         cache = FeatureCache(image, net)
+        forwards = []
+        monkeypatch.setattr(toynet, "forward", lambda *a: forwards.append(a))
         good = proposal_from_mask("ok", rect_mask(64, 64, 2, 9, 3, 12))
         with pytest.raises(ValidationError, match="far"):
             pipeline.proposal_features([good, self.off_frame()], cache, g,
                                        PipelineConfig(scales=(64,)))
-        assert cache.forward_count == 0
+        assert forwards == []
 
     def test_benchmark_rejects_other_frame_before_forward(self, rng, monkeypatch):
         net, g = toy_net()
@@ -447,7 +449,7 @@ class TestFrames:
         cfg = synth.CorpusConfig()
         scene = synth.generate_scene(synth.random_scene_spec(cfg, seed=3))
         assert (scene.image.height, scene.image.width) == (64, 64)
-        proposals = synth.scene_proposals(scene, cfg, synth.derive_seed(3, 2))
+        proposals = synth.scene_proposals(scene, synth.derive_seed(3, 2))
         out = tmp_path / "corpus" / "scene"
         cli.write_scene_dir(out, scene, proposals)
         big = [proposal_from_mask(f"big{i}", rect_mask(96, 96, 4 * i, 80, 2, 90))

@@ -54,7 +54,7 @@ def _tiny_scenes(n: int) -> list:
     scenes = []
     for i in range(n):
         scene = synth.generate_scene(synth.random_scene_spec(cfg, synth.derive_seed(7, i)))
-        proposals = synth.scene_proposals(scene, cfg, synth.derive_seed(7, i, 1))
+        proposals = synth.scene_proposals(scene, synth.derive_seed(7, i, 1))
         scenes.append(
             pipeline.TrainScene(scene.image, scene.labels, scene.instances, proposals)
         )

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cfmseg import cli, formats, synth
+from cfmseg import cli, formats, synth, toynet
 from cfmseg.cli import main, write_scene_dir
 from cfmseg.core import BinaryMask, FeatureMap, LabelMap
 from cfmseg.pooling import load_pooled_feature
@@ -45,10 +45,9 @@ def layers_file(tmp_path):
 
 @pytest.fixture
 def scene_dir(tmp_path):
-    cfg = synth.CorpusConfig()
-    spec = synth.random_scene_spec(cfg, seed=3)
+    spec = synth.random_scene_spec(synth.CorpusConfig(), seed=3)
     scene = synth.generate_scene(spec)
-    proposals = synth.scene_proposals(scene, cfg, synth.derive_seed(3, 2))
+    proposals = synth.scene_proposals(scene, synth.derive_seed(3, 2))
     out = tmp_path / "scene"
     write_scene_dir(out, scene, proposals)
     return out
@@ -195,7 +194,7 @@ class TestEndToEndCli:
         for i in range(4):
             spec = synth.random_scene_spec(cfg, seed=synth.derive_seed(50, i))
             scene = synth.generate_scene(spec)
-            proposals = synth.scene_proposals(scene, cfg, synth.derive_seed(50, i, 1))
+            proposals = synth.scene_proposals(scene, synth.derive_seed(50, i, 1))
             write_scene_dir(corpus / f"scene_{i:03d}", scene, proposals)
         models_dir = tmp_path / "models"
         report = capjson(
@@ -250,6 +249,16 @@ class TestErrorContract:
         assert main(argv) == 1
         return json.loads(capsys.readouterr().err)
 
+    @staticmethod
+    def scene_spec() -> dict:
+        return {
+            "width": 32, "height": 32,
+            "shapes": [{"kind": "rect", "category": 1, "cx": 10, "cy": 10,
+                        "half_w": 4, "half_h": 4}],
+            "bands": [{"category": 4, "row0": 0, "row1": 5,
+                       "base_color": [0.3, 0.6, 0.8], "noise_amp": 0.2}],
+        }
+
     def test_layer_without_kernel(self, capsys, tmp_path):
         path = tmp_path / "layers.json"
         path.write_text(json.dumps([{"kind": "conv", "stride": 2, "pad": 1}]))
@@ -297,13 +306,7 @@ class TestErrorContract:
         ("shape", 10.7), ("shape", "3"), ("shape", True), ("band", 2.5), ("scene", 32.0),
     ])
     def test_scene_spec_non_integer_rejected(self, capsys, tmp_path, where, value):
-        spec = {
-            "width": 32, "height": 32,
-            "shapes": [{"kind": "rect", "category": 1, "cx": 10, "cy": 10,
-                        "half_w": 4, "half_h": 4}],
-            "bands": [{"category": 4, "row0": 0, "row1": 5,
-                       "base_color": [0.3, 0.6, 0.8], "noise_amp": 0.2}],
-        }
+        spec = self.scene_spec()
         field = {"shape": "cx", "band": "row1", "scene": "width"}[where]
         target = {"shape": spec["shapes"][0], "band": spec["bands"][0],
                   "scene": spec}[where]
@@ -313,6 +316,48 @@ class TestErrorContract:
                                   "--out-dir", str(tmp_path / "out")])
         assert err["error"] == "ValidationError" and repr(field) in err["message"]
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("field, value", [
+        ("base_color", [0.1, 0.2]),  # used to die with IndexError
+        ("base_color", ["a", "b", "c"]),  # used to die with numpy's _UFuncNoLoopError
+        ("base_color", [0.1, 0.2, 0.3, 0.4]),
+        ("base_color", [True, False, True]),
+        ("base_color", [0.1, float("nan"), 0.3]),
+        ("base_color", "0.1"),
+        ("noise_amp", "0.2"),
+        ("noise_amp", True),
+        ("noise_amp", float("inf")),
+        ("noise_amp", [0.2]),
+    ])
+    def test_scene_spec_band_numbers_rejected(self, capsys, tmp_path, field, value):
+        spec = self.scene_spec()
+        spec["bands"][0][field] = value
+        (tmp_path / "spec.json").write_text(json.dumps(spec))
+        err = self.error(capsys, ["synth", "--spec", str(tmp_path / "spec.json"),
+                                  "--out-dir", str(tmp_path / "out")])
+        assert err["error"] == "ValidationError" and field in err["message"]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("objects, stuff",
+                             [("1,1,2", "4"), ("1", "4,4"), ("1,4", "4")])
+    def test_train_repeated_category_rejected(self, capsys, monkeypatch, tmp_path,
+                                              scene_dir, net_file, objects, stuff):
+        # a repeat used to exit 0 with that category's samples pooled twice
+        monkeypatch.setattr(toynet, "forward", None)  # any forward would raise TypeError
+        err = self.error(capsys, ["train", "--corpus", str(scene_dir.parent),
+                                  "--net", net_file, "--object-cats", objects,
+                                  "--stuff-cats", stuff, "--scales", "64",
+                                  "--out-dir", str(tmp_path / "models")])
+        assert err["error"] == "ValidationError" and "distinct" in err["message"]
+        assert not (tmp_path / "models").exists()
+
+    @pytest.mark.parametrize("purity_pos", ["0", "1.5"])
+    def test_pursue_purity_pos_outside_unit_interval(self, capsys, scene_dir, purity_pos):
+        err = self.error(capsys, ["pursue",
+                                  "--proposals", str(scene_dir / "proposals.json"),
+                                  "--stuff", str(scene_dir / "instance_000.pgm"),
+                                  "--purity-pos", purity_pos])
+        assert err["error"] == "ValidationError" and "purity_pos" in err["message"]
 
     def test_missing_proposal_index(self, capsys, tmp_path, net_file):
         formats.save_feature_map(tmp_path / "img.cfmt",
@@ -467,13 +512,7 @@ class TestErrorContract:
                                               value):
         # used to die in generate_scene: OverflowError painting the uint16 label
         # map, or numpy's ValueError for a negative seed
-        spec = {
-            "width": 32, "height": 32,
-            "shapes": [{"kind": "rect", "category": 1, "cx": 10, "cy": 10,
-                        "half_w": 4, "half_h": 4}],
-            "bands": [{"category": 4, "row0": 0, "row1": 5,
-                       "base_color": [0.3, 0.6, 0.8], "noise_amp": 0.2}],
-        }
+        spec = self.scene_spec()
         target = {"shape": spec["shapes"][0], "band": spec["bands"][0],
                   "scene": spec}[where]
         target[field] = value

@@ -146,7 +146,7 @@ def fixture_dir(tmp_path_factory):
     # a few proposals keep the per-draw copy of the directory cheap
     cfg = synth.CorpusConfig()
     scene = synth.generate_scene(synth.random_scene_spec(cfg, seed=5))
-    proposals = synth.scene_proposals(scene, cfg, synth.derive_seed(5, 2))
+    proposals = synth.scene_proposals(scene, synth.derive_seed(5, 2))
     write_scene_dir(root / SCENE, scene, proposals[:8])
     with contextlib.chdir(root):
         assert main(["train", *BASE["train"][:-1], "models"]) == 0

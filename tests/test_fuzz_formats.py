@@ -2,12 +2,14 @@
 
 A loader rejects what it cannot read with FormatError or ValidationError and
 nothing else. FileNotFoundError is allowed only for a file that a proposal
-index or a model names, since a mutation can rename that file. Each test
+index, a model, an instance list or a scored-region list names, since a
+mutation can rename that file. Each test
 writes one valid file set, then overwrites one of its files per example and
 puts the original bytes back afterwards.
 """
 
 import json
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +19,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from cfmseg import classify, formats, netgeom, pooling, toynet  # noqa: E402
+from cfmseg import cli, classify, formats, netgeom, pooling, synth, toynet  # noqa: E402
 from cfmseg.core import (  # noqa: E402
     FeatureMap,
     LabelMap,
@@ -104,7 +106,7 @@ def check_loader(load, main: Path, files: list[Path], data, names_files=False):
     except (formats.FormatError, ValidationError):
         pass
     except FileNotFoundError as exc:
-        # only a file that the index or model names may be missing
+        # only a file that the loaded file names may be missing
         if not names_files or Path(exc.filename) == main:
             raise
     finally:
@@ -189,3 +191,43 @@ def test_pooled_feature(tmp_path, rng, data):
     pooling.save_pooled_feature(path, pooled)
     files = [path, Path(str(path) + ".json")]
     check_loader(pooling.load_pooled_feature, path, files, data)
+
+
+@FUZZ
+@given(data=st.data())
+def test_scene_spec(tmp_path, data):
+    path = tmp_path / "spec.json"
+    formats.dump_json({
+        "width": 32, "height": 32, "seed": 1,
+        "shapes": [{"kind": "ellipse", "category": 1, "cx": 10, "cy": 12,
+                    "half_w": 5, "half_h": 4}],
+        "bands": [{"category": 4, "row0": 0, "row1": 5,
+                   "base_color": [0.3, 0.6, 0.8], "noise_amp": 0.2}],
+    }, path)
+
+    def load(p):
+        spec = formats.load_json(p, cli._scene_spec_from_json)
+        if spec.width * spec.height <= 64 * 64:  # a mutated size may ask for gigabytes
+            synth.generate_scene(spec)
+
+    check_loader(load, path, [path], data)
+
+
+@FUZZ
+@given(data=st.data())
+def test_instances(tmp_path, data):
+    path = tmp_path / "instances.json"
+    formats.save_mask(tmp_path / "a.pgm", rect_mask(6, 6, 0, 2, 0, 2))
+    formats.dump_json([{"category": 1, "mask": "a.pgm"}], path)
+    load = partial(formats.load_json, parse=partial(cli._instances, tmp_path))
+    check_loader(load, path, [path, tmp_path / "a.pgm"], data, names_files=True)
+
+
+@FUZZ
+@given(data=st.data())
+def test_scored_regions(tmp_path, data):
+    path = tmp_path / "scored.json"
+    formats.save_mask(tmp_path / "a.pgm", rect_mask(6, 6, 0, 2, 0, 2))
+    formats.dump_json([{"id": "a", "mask": "a.pgm", "category": 2, "score": 0.5}], path)
+    load = partial(formats.load_json, parse=partial(cli._scored_regions, tmp_path))
+    check_loader(load, path, [path, tmp_path / "a.pgm"], data, names_files=True)

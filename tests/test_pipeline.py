@@ -524,7 +524,7 @@ class TestTrainingPools:
     def test_repeated_ids_keep_each_proposals_vector(self):
         corpus = synth.CorpusConfig()
         scene = synth.generate_scene(synth.random_scene_spec(corpus, 3))
-        props = synth.scene_proposals(scene, corpus, 4)
+        props = synth.scene_proposals(scene, 4)
         net = init_toynet(default_spec(3, seed=0))
         g = compose_geometry(net.spec.geometry_layers())
 
@@ -567,7 +567,7 @@ class TestTrainingPools:
         for i in range(4):
             spec = synth.random_scene_spec(corpus, synth.derive_seed(5, i))
             scene = synth.generate_scene(spec)
-            props = synth.scene_proposals(scene, corpus, synth.derive_seed(5, i, 1))
+            props = synth.scene_proposals(scene, synth.derive_seed(5, i, 1))
             train.append(TrainScene(scene.image, scene.labels, scene.instances, props))
         net = init_toynet(default_spec(3, seed=0))
         g = compose_geometry(net.spec.geometry_layers())
@@ -583,12 +583,12 @@ class TestTrainingPools:
             ):
                 monkeypatch.setattr(module, "proposal_from_mask", counted)
         collect_training_pools(
-            train, list(corpus.object_categories), list(corpus.stuff_categories),
+            train, list(synth.OBJECT_CATEGORIES), list(synth.STUFF_CATEGORIES),
             net, g, small_cfg(scales=(64,)),
         )
         objects = [
             inst for scene in train for inst in scene.instances
-            if inst.category in corpus.object_categories
+            if inst.category in synth.OBJECT_CATEGORIES
         ]
         assert len(objects) >= 4
         assert len(crops) == len(objects)

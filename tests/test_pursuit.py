@@ -360,7 +360,7 @@ class TestStuffSamples:
         # the formula with purity computed twice per proposal
         cands = candidate_set(proposals, stuff, cfg)
         want_pos = [c.proposal.id for c in pursue(cands, cfg, mode, seed=3)]
-        want_neg = [p.id for p in proposals if purity(p, stuff) < cfg.purity_neg]
+        want_neg = [p.id for p in proposals if purity(p, stuff) < pursuit.PURITY_NEG]
         calls = []
         monkeypatch.setattr(pursuit, "purity", lambda *a: calls.append(1) or purity(*a))
         pos, neg = stuff_samples(proposals, stuff, cfg, mode=mode, seed=3)
@@ -374,3 +374,22 @@ class TestStuffSamples:
         with pytest.raises(ValidationError, match="pursuit mode"):
             stuff_samples([proposal_from_mask("c", stuff)], stuff, PursuitConfig(),
                           mode="greedy")
+
+    @pytest.mark.parametrize("purity_pos", [0.1, pursuit.PURITY_NEG])
+    def test_purity_pos_must_exceed_negative_bound(self, purity_pos):
+        # the config alone accepts it: candidate_set needs only purity_pos
+        cfg = PursuitConfig(purity_pos=purity_pos)
+        stuff = block(0, 19, 0, 39)
+        with pytest.raises(ValidationError, match="must exceed"):
+            stuff_samples([proposal_from_mask("c", stuff)], stuff, cfg)
+
+
+class TestPursuitConfig:
+    @pytest.mark.parametrize("purity_pos", [0.0, -0.1, 1.01, float("nan")])
+    def test_purity_pos_outside_unit_interval_rejected(self, purity_pos):
+        with pytest.raises(ValidationError, match="purity_pos"):
+            PursuitConfig(purity_pos=purity_pos)
+
+    @pytest.mark.parametrize("purity_pos", [1e-9, 0.25, 1.0])
+    def test_purity_pos_in_unit_interval_accepted(self, purity_pos):
+        assert PursuitConfig(purity_pos=purity_pos).purity_pos == purity_pos

@@ -5,6 +5,7 @@ from cfmseg.core import BinaryMask, ValidationError, mask_iou
 from cfmseg.pursuit import PursuitConfig, candidate_set, pursue
 from cfmseg.synth import (
     BandSpec,
+    STUFF_CATEGORIES,
     CorpusConfig,
     SceneSpec,
     ShapeSpec,
@@ -124,7 +125,7 @@ class TestToyProposals:
         cfg = CorpusConfig()
         for i, spec in enumerate(make_corpus(cfg, 10, master_seed=321)):
             scene = generate_scene(spec)
-            props = scene_proposals(scene, cfg, seed=i)
+            props = scene_proposals(scene, seed=i)
             for inst in scene.instances:
                 ious = [mask_iou(p.mask, inst.mask) for p in props]
                 assert any(0.5 <= v <= 1.0 for v in ious)
@@ -146,8 +147,8 @@ class TestCorpus:
         pursuit_cfg = PursuitConfig()
         for i, spec in enumerate(make_corpus(cfg, 6, master_seed=77)):
             scene = generate_scene(spec)
-            props = scene_proposals(scene, cfg, seed=i)
-            for c in cfg.stuff_categories:
+            props = scene_proposals(scene, seed=i)
+            for c in STUFF_CATEGORIES:
                 stuff = BinaryMask(scene.labels.labels == c)
                 cands = candidate_set(props, stuff, pursuit_cfg)
                 picks = pursue(cands, pursuit_cfg, "deterministic")

@@ -183,11 +183,7 @@ def in_len(rng, out: int, k: int, s: int, p: int) -> int:
 
 
 class TestConvSumOrder:
-    """_conv2d gives the bytes of the documented order on every layer shape.
-
-    A 1x1 kernel on an unpadded 1x1 input is left out: the docstring names it
-    as the one shape where einsum sums the channels in its own blocks.
-    """
+    """_conv2d gives the bytes of the documented order on every layer shape."""
 
     @staticmethod
     def assert_oracle_bytes(case):
@@ -200,8 +196,6 @@ class TestConvSumOrder:
             k, s = int(rng.integers(1, 6)), int(rng.integers(1, 4))
             p = int(rng.integers(0, k + 1))
             h, w = (int(v) for v in rng.integers(max(1, k - 2 * p), 24, size=2))
-            if k == 1 and p == 0 and h == w == 1:
-                continue
             c_in, c_out = (int(v) for v in rng.integers(1, 40, size=2))
             self.assert_oracle_bytes(conv_case(rng, k, s, p, c_in, c_out, h, w))
 
@@ -211,8 +205,6 @@ class TestConvSumOrder:
             k, s = int(rng.integers(1, 6)), int(rng.integers(1, 4))
             p = int(rng.integers(0, (k + 1) // 2))  # larger pads widen a 1-cell side
             h, w = in_len(rng, out_h, k, s, p), in_len(rng, out_w, k, s, p)
-            if k == 1 and p == 0 and h == w == 1:
-                continue
             c_in, c_out = (int(v) for v in rng.integers(1, 65, size=2))
             case = conv_case(rng, k, s, p, c_in, c_out, h, w)
             assert _conv2d(*case, 0).shape[1:] == (out_h, out_w)
@@ -221,6 +213,13 @@ class TestConvSumOrder:
     def test_single_cell_from_strided_input(self, rng):
         # a contiguous copy of this tap reorders einsum's channel sum
         self.assert_oracle_bytes(conv_case(rng, 1, 3, 0, 11, 23, 3, 1))
+
+    def test_one_by_one_kernel_on_one_cell_input(self, rng):
+        # the tap's view is contiguous here, so einsum would sum it in blocks
+        for _ in range(40):
+            s = int(rng.integers(1, 4))
+            c_in, c_out = (int(v) for v in rng.integers(2, 65, size=2))
+            self.assert_oracle_bytes(conv_case(rng, 1, s, 0, c_in, c_out, 1, 1))
 
 
 class TestForwardRegion:
