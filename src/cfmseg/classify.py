@@ -74,15 +74,17 @@ def _objective(w: np.ndarray, b: float, x: np.ndarray, y: np.ndarray,
 def train_svm(
     positives,
     negatives,
-    reg: float = 1e-4,
-    epochs: int = 20,
+    *,
+    reg: float,
+    epochs: int,
     seed: int = 0,
     category: int = 0,
 ) -> tuple[LinearModel, list[float]]:
     """Train one category's classifier; returns the model and an objective trace.
 
     The trace holds the objective at initialization followed by one value
-    per epoch, all evaluated on the full training set.
+    per epoch, all evaluated on the full training set. `reg` and `epochs`
+    have no defaults here: `pipeline.train_category_models` holds them.
     """
     if not positives or not negatives:
         raise ValidationError("both classes need at least one sample")

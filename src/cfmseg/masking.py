@@ -16,17 +16,25 @@ from .core import BinaryMask, ValidationError, _readonly
 from .netgeom import NetGeometry
 
 
+class _Runs(tuple):
+    """(starts, ends) of each cell's run of nearest-center pixels, plus `cell`,
+    the cell of each pixel, and `sizes`, the length of each run."""
+
+
 @lru_cache(maxsize=256)
-def _axis_runs(g: NetGeometry, n_pixels: int, n_cells: int):
-    """Read-only (starts, ends) of each cell's run of nearest-center pixels.
+def _axis_runs(g: NetGeometry, n_pixels: int, n_cells: int) -> _Runs:
+    """Read-only `_Runs` of one axis.
 
     Computed in integers on doubled coordinates: pixel x belongs to the smallest
-    u with x <= O + S*(u + 1/2), i.e. u = ceil((2(x-O) - S) / 2S), monotone in x.
+    u with x <= O + S*(u + 1/2), i.e. u = ceil((2(x-O) - S) / 2S), monotone in x
+    and rising by at most one per pixel, so only runs at the ends can be empty.
     """
     a = 2 * np.arange(n_pixels, dtype=np.int64) - g.offset_x2
     u = np.clip(-((-(a - g.stride)) // (2 * g.stride)), 0, n_cells - 1)
     cells = np.arange(n_cells)
-    return tuple(_readonly(np.searchsorted(u, cells, side)) for side in ("left", "right"))
+    runs = _Runs(_readonly(np.searchsorted(u, cells, side)) for side in ("left", "right"))
+    runs.cell, runs.sizes = _readonly(u), _readonly(runs[1] - runs[0])
+    return runs
 
 
 def vote(bits: np.ndarray, rows, cols) -> np.ndarray:
@@ -55,16 +63,17 @@ def project_mask(
     if fh < 1 or fw < 1:
         raise ValidationError(f"feature dims must be >= 1, got {fh}x{fw}")
     bits = image_mask.bits
-    counts, sizes, cells = bits, 1, []
+    counts, cells, sizes = bits, [], []
     for axis, n in enumerate((fh, fw)):
         o, length = origin[axis], bits.shape[axis]
-        starts, ends = _axis_runs(g, (frame or bits.shape)[axis], n)  # cached per scale
-        # runs [k0, k1) meet the block; at an empty run's start reduceat yields one
-        # element, which the run's size 0 leaves unset
-        k0, k1 = np.searchsorted(ends, o, "right"), np.searchsorted(starts, o + length)
-        counts = np.add.reduceat(counts, np.maximum(starts[k0:k1] - o, 0), axis, np.int32)
-        sizes = np.multiply.outer(sizes, ends[k0:k1] - starts[k0:k1])
+        runs = _axis_runs(g, (frame or bits.shape)[axis], n)  # cached per scale
+        # the runs of the block's first to last pixel, none of them empty
+        k0, k1 = int(runs.cell[o]), int(runs.cell[o + length - 1]) + 1
+        at = runs[0][k0:k1] - o
+        at[0] = 0  # the first run may start before the block
+        counts = np.add.reduceat(counts, at, axis, np.int32)
         cells.append(slice(k0, k1))
+        sizes.append(runs.sizes[k0:k1])
     out = np.zeros((fh, fw), dtype=bool)
-    out[tuple(cells)] = (2 * counts >= sizes) & (sizes > 0)
+    out[tuple(cells)] = 2 * counts >= np.multiply.outer(*sizes)
     return BinaryMask(out)

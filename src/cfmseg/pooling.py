@@ -64,6 +64,13 @@ class PooledFeature:
         self.values = arr
 
 
+def _bin_ranges(length, n: int):
+    """(starts, ends) of n pyramid bins over windows of the given length, an int
+    or an array of them in a column: bin j spans [floor(j*w/n), ceil((j+1)*w/n))."""
+    j = np.arange(n)
+    return (j * length) // n, -((-(j + 1) * length) // n)
+
+
 def bin_boundaries(window_len: int, n: int) -> list[tuple[int, int]]:
     """[start, end) cell ranges of n pyramid bins over a window of given length.
 
@@ -72,9 +79,15 @@ def bin_boundaries(window_len: int, n: int) -> list[tuple[int, int]]:
     """
     if window_len < 1 or n < 1:
         raise ValidationError(f"bad binning: window {window_len}, bins {n}")
-    return [
-        ((j * window_len) // n, -((-(j + 1) * window_len) // n)) for j in range(n)
-    ]
+    return list(zip(*(edges.tolist() for edges in _bin_ranges(window_len, n))))
+
+
+def _level_bins(levels: tuple[int, ...]):
+    """Each output bin's (row range, column range) among the levels' concatenated
+    ranges: levels in order, bins row-major within a level."""
+    first = np.cumsum((0,) + levels)[:-1]  # each level's first range
+    bins = [(o + b // n, o + b % n) for o, n in zip(first, levels) for b in range(n * n)]
+    return tuple(map(_readonly, np.array(bins).T))
 
 
 @lru_cache(maxsize=4096)
@@ -88,9 +101,7 @@ def _pyramid_plan(height: int, width: int, levels: tuple[int, ...]):
         starts, ends = map(_readonly, np.array(ranges).T)
         k = _readonly(np.array([(e - s).bit_length() - 1 for s, e in ranges]))
         axes.append(((starts, ends), (int(k.max()), k, starts, _readonly(ends - 2**k))))
-    first = np.cumsum((0,) + levels)[:-1]  # each level's first range
-    bins = [(o + b // n, o + b % n) for o, n in zip(first, levels) for b in range(n * n)]
-    return axes[0], axes[1], tuple(map(_readonly, np.array(bins).T))
+    return axes[0], axes[1], _level_bins(levels)
 
 
 def _range_max(x: np.ndarray, depth: int, k, starts, second) -> np.ndarray:
@@ -108,7 +119,13 @@ def _range_max(x: np.ndarray, depth: int, k, starts, second) -> np.ndarray:
 
 def spp_pool(f: FeatureMap, window: PixelBox, pyr: PyramidSpec) -> PooledFeature:
     """Max-pool the window into one fixed-length vector per the pyramid: every
-    row range's maxima, then every column range of those; zero pools to +0.0."""
+    row range's maxima, then every column range of those; zero pools to +0.0.
+
+    The single-window pool, for a map pooled once (the per-region baseline,
+    `cfmseg pool`, design A's masked crop): its tables span the window only.
+    Many windows of one map go through `spp_pool_windows`, whose per-map
+    tables cost more than one window's pool but are shared by every window.
+    """
     if window.x1 >= f.width or window.y1 >= f.height:
         raise ValidationError(
             f"window {window} exceeds feature map {f.height}x{f.width}"
@@ -124,6 +141,80 @@ def spp_pool(f: FeatureMap, window: PixelBox, pyr: PyramidSpec) -> PooledFeature
     return PooledFeature(pooled.reshape(-1), pyr, f.channels)
 
 
+GATHER_CHUNK = 4096  # bins read per gather: bounds its (bins, channels) buffers
+
+
+def spp_pool_windows(f: FeatureMap, windows, pyr: PyramidSpec) -> np.ndarray:
+    """Pool every (y0, x0, y1, x1) window of one map, inclusive cell corners, to
+    the bytes `spp_pool` gives each: an (N, length) float32 array.
+
+    A bin of at least 2**ky rows and 2**kx columns (k = floor(log2(length)))
+    is the max of four overlapping 2**ky x 2**kx blocks at its corners. The
+    map, cropped to the windows' union, is walked one (ky, kx) level of such
+    block maxima at a time: each row level comes from the one before, each
+    column level from the one before within its row level, so at most three
+    map-sized buffers are live. Each level fills the bins of its (ky, kx)
+    with four reads each, GATHER_CHUNK bins at a time.
+    """
+    win = np.array(windows, dtype=np.int64).reshape(-1, 4)
+    row_of, col_of = _level_bins(pyr.levels)
+    out = np.empty((len(win), pyr.output_length(f.channels)), np.float32)
+    if not len(win):
+        return out
+    y0, x0, y1, x1 = win.T
+    if min(y0.min(), x0.min(), (y1 - y0).min(), (x1 - x0).min()) < 0 or (
+        y1.max() >= f.height or x1.max() >= f.width
+    ):
+        raise ValidationError(f"windows must lie in the {f.height}x{f.width} map")
+    top, left = int(y0.min()), int(x0.min())
+    reads = []  # per axis: each (window, bin)'s level and both span starts in the crop
+    for lo, hi, base, of in ((y0, y1, top, row_of), (x0, x1, left, col_of)):
+        starts, ends = (np.concatenate(edges, axis=1) for edges in zip(
+            *(_bin_ranges((hi - lo + 1)[:, None], n) for n in pyr.levels)))
+        k = np.frexp(ends - starts)[1] - 1  # floor(log2(length)), exact for integers
+        shift = (lo - base)[:, None]  # window cells to crop cells
+        # the second span ends where the range ends
+        reads.append(np.stack([k, starts + shift, ends - (1 << k) + shift])
+                     .astype(np.int32).take(of, axis=2).reshape(3, -1))
+    (ky, ya, yb), (kx, xa, xb) = reads
+    levels_x = int(kx.max()) + 1
+    key = (ky * levels_x + kx).astype(np.int16)  # radix-sorted
+    order = np.argsort(key, kind="stable")  # level by level, each in output order
+    # where each level's bins end in that order: a row per row level
+    stops = np.cumsum(np.bincount(key, minlength=levels_x * (int(ky.max()) + 1)))
+    ya, yb, xa, xb = (a.take(order) for a in (ya, yb, xa, xb))
+
+    # whole channel vectors as single items: taking them is a row copy each
+    item = np.dtype((np.void, 4 * f.channels))
+    out_items = out.reshape(-1, f.channels).view(item).ravel()
+    region = f.values[:, top : int(y1.max()) + 1, left : int(x1.max()) + 1]
+    rows = np.ascontiguousarray(region.transpose(1, 2, 0))  # (row, col, channel)
+    start = 0
+    for level_y, row_stops in enumerate(stops.reshape(-1, levels_x)):
+        if level_y:  # maxima of 2**level_y rows from two of half as many
+            half = 1 << (level_y - 1)
+            rows = np.maximum(rows[:-half], rows[half:])
+        blocks = rows
+        for level_x, stop in enumerate(row_stops):
+            if start == row_stops[-1]:
+                break  # no bins left at this row level
+            if level_x:
+                half = 1 << (level_x - 1)
+                blocks = np.maximum(blocks[:, :-half], blocks[:, half:])
+            cells, width = blocks.reshape(-1, f.channels).view(item).ravel(), blocks.shape[1]
+            for at in range(start, stop, GATHER_CHUNK):
+                span = slice(at, min(at + GATHER_CHUNK, stop))
+                r0, r1, c0, c1 = ya[span] * width, yb[span] * width, xa[span], xb[span]
+                pooled = cells.take(r0 + c0).view(np.float32)
+                for corner in (r0 + c1, r1 + c0, r1 + c1):
+                    np.maximum(pooled, cells.take(corner).view(np.float32), out=pooled)
+                pooled += 0.0  # -0.0 + 0.0 is +0.0, as in spp_pool
+                out_items[order[span]] = pooled.view(item)
+            start = stop
+        del blocks  # before the next row level, so three buffers at most
+    return out
+
+
 def downsample_mask_to_grid(crops: list[np.ndarray], n: int) -> np.ndarray:
     """At-least-half vote of each window's feature-mask cells (crops[i]) over its
     n x n bins: one vote per crop shape, over the stack of that shape's crops."""
@@ -137,23 +228,29 @@ def downsample_mask_to_grid(crops: list[np.ndarray], n: int) -> np.ndarray:
     return grid
 
 
+def _corners(w: PixelBox) -> tuple[int, int, int, int]:
+    return w.y0, w.x0, w.y1, w.x1
+
+
 def design_a_features(conv: FeatureMap, proposals: Iterable[SegmentProposal],
                       g: NetGeometry, pyr: PyramidSpec) -> np.ndarray:
     """Two pooling pathways per window, plain box then masked segment: (N, 2L).
 
-    The pyramid reads no cell outside the window, so only the window's crop of
-    the map is masked, then pooled over its full extent.
+    The boxes pool in one `spp_pool_windows` pass. The pyramid reads no cell
+    outside the window, so only the window's crop of the map is masked, then
+    pooled over its full extent.
     """
-    rows = []
+    windows, segments = [], []
     for p in proposals:
         w = feature_extent(g, p.box, conv.height, conv.width)
         fmask = project_mask(g, p.block, conv.height, conv.width, p.origin, p.frame)
         crop = (slice(w.y0, w.y1 + 1), slice(w.x0, w.x1 + 1))
         segment = FeatureMap(conv.values[(slice(None),) + crop] * fmask.bits[crop])
         whole = PixelBox(0, 0, w.width - 1, w.height - 1)
-        rows.append(np.concatenate([spp_pool(conv, w, pyr).values,
-                                    spp_pool(segment, whole, pyr).values]))
-    return np.array(rows, np.float32)
+        windows.append(_corners(w))
+        segments.append(spp_pool(segment, whole, pyr).values)
+    return np.concatenate([spp_pool_windows(conv, windows, pyr),
+                           np.array(segments, np.float32)], axis=1)
 
 
 def design_b_features(conv: FeatureMap, proposals: Iterable[SegmentProposal],
@@ -162,15 +259,16 @@ def design_b_features(conv: FeatureMap, proposals: Iterable[SegmentProposal],
     voted over window crops of the masks, never whole maps: (N, L) for one map.
 
     One pass over the proposals, so a caller can pass them as a generator and
-    each (scaled) proposal is dropped once it is projected.
+    each (scaled) proposal is dropped once it is projected; then one
+    `spp_pool_windows` pass pools every window.
     """
-    rows, crops = [], []
+    windows, crops = [], []
     for p in proposals:
         w = feature_extent(g, p.box, conv.height, conv.width)
-        rows.append(spp_pool(conv, w, pyr).values)
+        windows.append(_corners(w))
         fmask = project_mask(g, p.block, conv.height, conv.width, p.origin, p.frame)
         crops.append(fmask.bits[w.y0 : w.y1 + 1, w.x0 : w.x1 + 1].copy())  # not a view
-    values = np.array(rows, np.float32)  # zeroed in place below
+    values = spp_pool_windows(conv, windows, pyr)  # zeroed in place below
     grid = downsample_mask_to_grid(crops, pyr.levels[0]).reshape(len(crops), -1)
     head = values[:, : grid.shape[1] * conv.channels].reshape(grid.shape + (-1,))
     head[~grid] = 0.0
@@ -187,8 +285,9 @@ def design_feature(conv: FeatureMap, proposals: Iterable[SegmentProposal],
     if design == "B":
         return design_b_features(conv, proposals, g, pyr)
     if design == "none":
-        windows = (feature_extent(g, p.box, conv.height, conv.width) for p in proposals)
-        return np.array([spp_pool(conv, w, pyr).values for w in windows], np.float32)
+        windows = [_corners(feature_extent(g, p.box, conv.height, conv.width))
+                   for p in proposals]
+        return spp_pool_windows(conv, windows, pyr)
     raise ValidationError(f"design must be one of {DESIGNS}")
 
 

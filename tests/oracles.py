@@ -4,15 +4,19 @@ Each one computes its result the slow, literal way: the geometry by tracing
 the input interval layer by layer, the projection by scanning every pixel
 against every cell, the masking over the whole map, the training
 objective from its definition, the convolution by explicit broadcast
-steps in its documented order, and the IoU by one pass per category. None
-of them is used by the package.
+steps in its documented order, and the IoU by one pass per category. Two
+keep an earlier form of a package kernel: the projection that finds each
+block's runs by binary search (`reduceat_project_mask`) and pooling one
+window at a time (`per_window_pool`). None of them is used by the package.
 """
 
 import numpy as np
 
 from cfmseg.classify import LinearModel
-from cfmseg.core import BinaryMask, FeatureMap, LabelMap, ValidationError
+from cfmseg.core import BinaryMask, FeatureMap, LabelMap, PixelBox, ValidationError
+from cfmseg.masking import _axis_runs
 from cfmseg.netgeom import LayerSpec, NetGeometry
+from cfmseg.pooling import PyramidSpec, spp_pool
 
 
 def brute_force_geometry(layers: list[LayerSpec]) -> NetGeometry:
@@ -65,6 +69,33 @@ def brute_force_project(
             if totals[v][u] > 0 and 2 * counts[v][u] >= totals[v][u]:
                 out[v, u] = True
     return BinaryMask(out)
+
+
+def reduceat_project_mask(
+    g: NetGeometry, image_mask: BinaryMask, fh: int, fw: int, origin=(0, 0), frame=None
+) -> BinaryMask:
+    """Oracle: the block's runs found by four binary searches, then the block
+    summed run by run, with the first run's start clamped to the block."""
+    if fh < 1 or fw < 1:
+        raise ValidationError(f"feature dims must be >= 1, got {fh}x{fw}")
+    bits = image_mask.bits
+    counts, sizes, cells = bits, 1, []
+    for axis, n in enumerate((fh, fw)):
+        o, length = origin[axis], bits.shape[axis]
+        starts, ends = _axis_runs(g, (frame or bits.shape)[axis], n)
+        k0, k1 = np.searchsorted(ends, o, "right"), np.searchsorted(starts, o + length)
+        counts = np.add.reduceat(counts, np.maximum(starts[k0:k1] - o, 0), axis, np.int32)
+        sizes = np.multiply.outer(sizes, ends[k0:k1] - starts[k0:k1])
+        cells.append(slice(k0, k1))
+    out = np.zeros((fh, fw), dtype=bool)
+    out[tuple(cells)] = (2 * counts >= sizes) & (sizes > 0)
+    return BinaryMask(out)
+
+
+def per_window_pool(f: FeatureMap, windows, pyr: PyramidSpec) -> np.ndarray:
+    """Oracle: one `spp_pool` call per (y0, x0, y1, x1) window, stacked (N, length)."""
+    rows = [spp_pool(f, PixelBox(x0, y0, x1, y1), pyr).values for y0, x0, y1, x1 in windows]
+    return np.array(rows, np.float32).reshape(len(rows), pyr.output_length(f.channels))
 
 
 def apply_mask(f: FeatureMap, m: BinaryMask) -> FeatureMap:

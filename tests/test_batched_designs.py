@@ -29,7 +29,7 @@ from cfmseg.pipeline import FeatureCache, PipelineConfig, assign_scale, scale_pr
 from cfmseg.pooling import DESIGNS, PyramidSpec, _pyramid_plan, spp_pool
 from cfmseg.toynet import default_spec, init_toynet, spec_to_json
 from conftest import random_map, rect_mask
-from oracles import apply_mask
+from oracles import apply_mask, per_window_pool, reduceat_project_mask
 
 # ---------------------------------------------------------------------------
 # Oracle: the per-proposal path, verbatim
@@ -340,6 +340,28 @@ class TestProposalFeaturesOracle:
         calls.clear()
         pipeline.proposal_features(proposals, cache, g, cfg, threads=3)
         assert len(scales) < len(calls) <= 3 * len(scales) and sum(calls) == len(proposals)
+
+
+class TestKernelsBeforeAfter:
+    """proposal_features with the batched pool and the lookup projection against
+    the same call with the kernels they replaced: per-window `spp_pool` and the
+    projection that finds each block's runs by binary search."""
+
+    @pytest.mark.parametrize("design", DESIGNS)
+    @pytest.mark.parametrize("h, w, scales, vanishes", SCENARIOS)
+    def test_same_bytes(self, rng, monkeypatch, design, h, w, scales, vanishes):
+        net, g = toy_net()
+        image = FeatureMap(rng.standard_normal((3, h, w)).astype(np.float32))
+        for levels in ((6, 3, 2, 1), (5, 1)):
+            cfg = PipelineConfig(scales=scales, design=design, pyramid=PyramidSpec(levels))
+            proposals = random_proposals(rng, 60, h, w)
+            cache = FeatureCache(image, net)
+            after = pipeline.proposal_features(proposals, cache, g, cfg)
+            with monkeypatch.context() as m:
+                m.setattr(pooling, "spp_pool_windows", per_window_pool)
+                m.setattr(pooling, "project_mask", reduceat_project_mask)
+                before = pipeline.proposal_features(proposals, cache, g, cfg)
+            assert as_bytes(after) == as_bytes(before)
 
 
 class TestMemoryGuard:

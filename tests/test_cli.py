@@ -482,6 +482,28 @@ class TestErrorContract:
                                   "--out", str(tmp_path / "labels.cfml")])
         assert err["error"] == "ValidationError" and "'category'" in err["message"]
 
+    @pytest.mark.parametrize("score", ['"0.9"', "true", "null", "[0.5]", "1" + "0" * 400,
+                                       "NaN"],
+                             ids=["string", "bool", "null", "array", "huge-int", "nan"])
+    def test_non_number_region_score_paste(self, capsys, tmp_path, score):
+        # "score": "0.9" and "score": true used to paint the region
+        self.two_masks(tmp_path)
+        (tmp_path / "scored.json").write_text(
+            '[{"id": "a", "mask": "a.pgm", "category": 1, "score": %s}]' % score)
+        err = self.error(capsys, ["paste", "--scored", str(tmp_path / "scored.json"),
+                                  "--width", "8", "--height", "8",
+                                  "--out", str(tmp_path / "labels.cfml")])
+        assert err["error"] == "ValidationError" and "'score'" in err["message"]
+        assert not (tmp_path / "labels.cfml").exists()
+
+    def test_integer_region_score_paste(self, capsys, tmp_path):
+        self.two_masks(tmp_path)
+        scored = [{"id": "a", "mask": "a.pgm", "category": 1, "score": 2}]
+        (tmp_path / "scored.json").write_text(json.dumps(scored))
+        assert main(["paste", "--scored", str(tmp_path / "scored.json"), "--width", "8",
+                     "--height", "8", "--out", str(tmp_path / "labels.cfml")]) == 0
+        assert formats.load_label_map(tmp_path / "labels.cfml").labels[0, 0] == 1
+
     def test_non_integer_instance_category_train(self, capsys, tmp_path, scene_dir,
                                                  net_file):
         entries = json.loads((scene_dir / "instances.json").read_text())

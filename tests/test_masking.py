@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from cfmseg.core import BinaryMask, FeatureMap, ValidationError
-from cfmseg.masking import project_mask, vote
+from cfmseg.masking import _axis_runs, project_mask, vote
 from cfmseg.netgeom import LayerSpec, NetGeometry, compose_geometry
 from conftest import random_mask, random_map
-from oracles import apply_mask, brute_force_project
+from oracles import apply_mask, brute_force_project, reduceat_project_mask
 
 
 def identity_geometry():
@@ -126,6 +126,35 @@ class TestProjectMask:
             fb = project_mask(g, b, 6, 6)
             # a subset-mask can only lose cells, never gain them over b
             assert not (fa.bits & ~fb.bits).any()
+
+
+class TestReduceatOracle:
+    """project_mask reads each block's runs from the cached pixel-to-cell lookup;
+    the oracle finds them by binary search."""
+
+    def test_matches_binary_search_runs(self, rng):
+        seen = {"edge block": 0, "clamped cell": 0, "empty run": 0, "half offset": 0}
+        for case in range(3000):
+            stride = (1, 2, 8)[case % 3]
+            g = NetGeometry(stride, stride, int(rng.integers(-12, 25)) / 2)
+            frame = tuple(int(v) for v in rng.integers(1, 70, size=2))
+            # from too few cells (the border ones collect the clamped pixels) to
+            # more cells than pixels (runs past the frame's end are empty)
+            fh, fw = (max(1, int(n / stride * rng.uniform(0.3, 1.6))) for n in frame)
+            h, w = (int(rng.integers(1, n + 1)) for n in frame)
+            y, x = (int(rng.choice([0, n - k, rng.integers(0, n - k + 1)]))
+                    for n, k in zip(frame, (h, w)))
+            block = BinaryMask(rng.random((h, w)) < rng.random())
+            got = project_mask(g, block, fh, fw, (y, x), frame)
+            want = reduceat_project_mask(g, block, fh, fw, (y, x), frame)
+            assert np.array_equal(got.bits, want.bits)
+            sizes = np.concatenate([np.subtract(*_axis_runs(g, n, cells)[::-1])
+                                    for n, cells in zip(frame, (fh, fw))])
+            seen["edge block"] += y in (0, frame[0] - h) or x in (0, frame[1] - w)
+            seen["clamped cell"] += bool((sizes > stride).any())
+            seen["empty run"] += bool((sizes == 0).any())
+            seen["half offset"] += g.offset != int(g.offset)
+        assert min(seen.values()) >= 300, seen
 
 
 class TestVote:

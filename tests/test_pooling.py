@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -25,8 +26,10 @@ from cfmseg.pooling import (
     load_pooled_feature,
     save_pooled_feature,
     spp_pool,
+    spp_pool_windows,
 )
 from conftest import random_map, random_mask, rect_mask
+from oracles import per_window_pool
 
 
 class TestBinBoundaries:
@@ -175,6 +178,71 @@ class TestSppPoolOracle:
         # a one-level plan's ranges are that level's bin_boundaries, as the grid reads them
         (starts, ends), _ = _pyramid_plan(7, 5, (3,))[0]
         assert list(zip(starts.tolist(), ends.tolist())) == bin_boundaries(7, 3)
+
+
+class TestSppPoolWindows:
+    """The batched pool against one spp_pool call per window, byte for byte."""
+
+    @staticmethod
+    def tied_map(rng, c, h, w) -> FeatureMap:
+        """Few distinct values, so maxima tie, with +0.0 and -0.0 among them."""
+        values = rng.choice(np.array([-1.5, -0.5, -0.0, 0.0, 0.5, 2.0], np.float32),
+                            size=(c, h, w))
+        return FeatureMap(values)
+
+    def test_matches_per_window_pool(self, rng):
+        kinds = ("any", "edges", "thin", "short")
+        seen = {"one cell": 0, "overlapping bins": 0, "whole map": 0, "-0.0 read": 0}
+        for case in range(400):
+            c = int(rng.integers(1, 9))
+            h, w = (int(v) for v in rng.integers(1, 48, size=2))
+            make = (random_map, self.tied_map)[case % 2]
+            f = make(rng, c, h, w)
+            levels = sorted(rng.choice(np.arange(1, 10), int(rng.integers(1, 5)),
+                                       replace=False))
+            pyr = PyramidSpec(tuple(int(n) for n in reversed(levels)))
+            boxes = [TestSppPoolOracle.random_window(rng, h, w, kinds[i % 4])
+                     for i in range(int(rng.integers(1, 40)))]
+            boxes += [PixelBox(0, 0, w - 1, h - 1)] * int(rng.integers(0, 2))
+            x, y = int(rng.integers(0, w)), int(rng.integers(0, h))
+            boxes.append(PixelBox(x, y, x, y))
+            windows = [(b.y0, b.x0, b.y1, b.x1) for b in boxes]
+            got = spp_pool_windows(f, windows, pyr)
+            assert got.dtype == np.float32
+            assert got.tobytes() == per_window_pool(f, windows, pyr).tobytes()
+            seen["one cell"] += sum(b.area == 1 for b in boxes)
+            seen["overlapping bins"] += sum(min(b.height, b.width) < pyr.levels[0]
+                                            for b in boxes)
+            seen["whole map"] += (PixelBox(0, 0, w - 1, h - 1) in boxes)
+            seen["-0.0 read"] += bool(np.signbit(f.values[f.values == 0]).any())
+        assert min(seen.values()) >= 100, seen
+
+    def test_windows_outside_the_map_rejected(self, rng):
+        f = random_map(rng, 2, 5, 6)
+        for window in [(0, 0, 5, 5), (0, 0, 4, 6), (-1, 0, 2, 2), (3, 0, 2, 2)]:
+            with pytest.raises(ValidationError, match="windows"):
+                spp_pool_windows(f, [(0, 0, 4, 5), window], PyramidSpec((2, 1)))
+
+    def test_no_windows(self, rng):
+        out = spp_pool_windows(random_map(rng, 3, 4, 4), [], PyramidSpec((2, 1)))
+        assert out.shape == (0, 15) and out.dtype == np.float32
+
+    def test_level_by_level_memory(self, rng):
+        """Full-map windows of a 150 x 150 x 32 map (the 1200 scale on a 64^2 scene),
+        among windows of every size: their (ky, kx) table would hold 8 x 8 maps."""
+        f = random_map(rng, 32, 150, 150)
+        boxes = [TestSppPoolOracle.random_window(rng, 150, 150, "any") for _ in range(300)]
+        windows = [(0, 0, 149, 149)] * 8 + [(b.y0, b.x0, b.y1, b.x1) for b in boxes]
+        pyr = PyramidSpec()
+        tracemalloc.start()
+        try:
+            out = spp_pool_windows(f, windows, pyr)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        table = 8 * 8 * f.values.nbytes
+        assert peak < 4 * f.values.nbytes + 2 * out.nbytes + (1 << 20) < table / 8
+        assert out.tobytes() == per_window_pool(f, windows, pyr).tobytes()
 
 
 def window_crop(m: BinaryMask, window: PixelBox) -> np.ndarray:
