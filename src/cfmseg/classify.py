@@ -37,26 +37,19 @@ class LinearModel:
         object.__setattr__(self, "bias", float(self.bias))
 
 
-def _vector(feature) -> np.ndarray:
-    return np.asarray(feature, dtype=np.float64).reshape(-1)
-
-
-def _matrix(features) -> np.ndarray:
-    rows = [_vector(f) for f in features]
-    for row in rows:
-        if row.size != rows[0].size:
-            raise ValidationError(
-                f"feature length mismatch: {row.size} vs {rows[0].size}"
-            )
-    mat = np.stack(rows)
-    if not np.all(np.isfinite(mat)):
-        raise ValidationError("features contain non-finite values")
+def _samples(rows) -> np.ndarray:
+    try:
+        mat = np.asarray(rows)  # a matrix is not copied
+    except ValueError:  # rows of different lengths
+        raise ValidationError("feature rows differ in length") from None
+    if mat.ndim != 2 or len(mat) == 0 or not np.all(np.isfinite(mat)):
+        raise ValidationError("each class needs a finite (n, d) sample matrix, n >= 1")
     return mat
 
 
 def score(m: LinearModel, feature) -> float:
     """Signed margin: dot(weights, feature) + bias."""
-    vec = _vector(feature)
+    vec = np.asarray(feature, dtype=np.float64).reshape(-1)
     if vec.size != m.weights.size:
         raise ValidationError(
             f"feature length {vec.size} != model length {m.weights.size}"
@@ -80,24 +73,24 @@ def train_svm(
     seed: int = 0,
     category: int = 0,
 ) -> tuple[LinearModel, list[float]]:
-    """Train one category's classifier; returns the model and an objective trace.
+    """One category's classifier and objective trace from two (n, d) sample matrices.
 
     The trace holds the objective at initialization followed by one value
     per epoch, all evaluated on the full training set. `reg` and `epochs`
     have no defaults here: `pipeline.train_category_models` holds them.
     """
-    if not positives or not negatives:
-        raise ValidationError("both classes need at least one sample")
+    pos, neg = _samples(positives), _samples(negatives)
     if reg <= 0 or epochs < 1:
         raise ValidationError(f"bad hyperparameters reg={reg} epochs={epochs}")
-    x = _matrix(list(positives) + list(negatives))
-    y = np.concatenate(
-        [np.ones(len(positives)), -np.ones(len(negatives))]
-    )
-    n, dim = x.shape
-    # the bias rides along as an always-1 feature so its step shares the
-    # 1/(reg*t) damping; an unregularized bias diverges under this schedule
-    xa = np.concatenate([x, np.ones((n, 1))], axis=1)
+    (n_pos, dim), n = pos.shape, len(pos) + len(neg)
+    if neg.shape[1] != dim:
+        raise ValidationError(f"feature length mismatch: {neg.shape[1]} vs {dim}")
+    # the one float64 copy of the samples; the bias rides along as an always-1
+    # feature so its step shares the 1/(reg*t) damping, which it needs to converge
+    xa = np.ones((n, dim + 1))
+    xa[:n_pos, :dim], xa[n_pos:, :dim] = pos, neg
+    x = xa[:, :dim]  # a view: BLAS reads it with the row stride dim + 1
+    y = np.concatenate([np.ones(n_pos), -np.ones(n - n_pos)])
     w = np.zeros(dim + 1, dtype=np.float64)
     trace = [_objective(w[:dim], w[dim], x, y, reg)]
     rng = np.random.default_rng(seed)

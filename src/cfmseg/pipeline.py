@@ -159,11 +159,11 @@ def proposal_features(
     g: NetGeometry,
     cfg: PipelineConfig,
     threads: int = 1,
-) -> list[np.ndarray]:
-    """Per-proposal feature vectors from one design call per scale or thread chunk.
+) -> np.ndarray:
+    """The proposals' (N, length) float32 features, one design call per scale or chunk.
 
-    Vectors are L2-normalized, which keeps classifier margins comparable
-    across categories and segment sizes.
+    Rows, in input order, are L2-normalized, which keeps classifier margins
+    comparable across categories and segment sizes.
     """
     frame = cache.image.height, cache.image.width
     _check_frames(proposals, *frame)
@@ -184,10 +184,13 @@ def proposal_features(
                 vec /= norm
         return members, vecs
 
-    out: list[np.ndarray] = [None] * len(proposals)
-    for members, vecs in _map_ordered(batch, jobs, threads):
-        for i, vec in zip(members, vecs):
-            out[i] = vec
+    done = _map_ordered(batch, jobs, threads)
+    if len(done) == 1:  # one scale in one chunk: its rows are already in input order
+        return done[0][1]
+    length = feature_length(cache.net.spec.out_channels, cfg.pyramid, cfg.design)
+    out = np.empty((len(proposals), length), np.float32)  # after the designs' peak
+    for members, vecs in done:
+        out[members] = vecs
     return out
 
 
@@ -281,8 +284,9 @@ def collect_training_pools(
     g: NetGeometry,
     cfg: PipelineConfig,
     threads: int = 1,
-) -> dict[int, tuple[list[np.ndarray], list[np.ndarray]]]:
-    """Positive/negative feature pools per category over a scene corpus.
+) -> tuple[np.ndarray, dict[int, tuple[list[int], list[int]]]]:
+    """All scenes' feature rows as one (N, length) float32 matrix, and per
+    category the row indices of its positives and negatives.
 
     Object positives are the ground-truth segments themselves; object
     negatives are proposals overlapping an instance by [0.1, 0.3] IoU.
@@ -296,6 +300,7 @@ def collect_training_pools(
     for scene in scenes:  # every check before the first forward
         _check_frames(scene.proposals, scene.image.height, scene.image.width)
     pools: dict[int, tuple[list, list]] = {c: ([], []) for c in categories}
+    per_scene = []  # each scene's feature matrix
     for scene in scenes:
         gts = [  # box-local once each; an empty instance mask is rejected
             (inst.category, proposal_from_mask(f"gt_{inst.category}_{i}", inst.mask))
@@ -305,14 +310,15 @@ def collect_training_pools(
         props = [*scene.proposals, *(gt for _, gt in gts)]
         cache = FeatureCache(scene.image, net)
         # keyed by the proposal itself (identity), never by its id, which may repeat
-        vec = dict(zip(props, proposal_features(props, cache, g, cfg, threads=threads)))
+        row = {p: i for i, p in enumerate(props, start=sum(map(len, per_scene)))}
+        per_scene.append(proposal_features(props, cache, g, cfg, threads=threads))
 
         for c in object_categories:
             pos, neg = pools[c]
             instances = [gt for category, gt in gts if category == c]
-            pos.extend(vec[gt] for gt in instances)
+            pos.extend(row[gt] for gt in instances)
             samples = label_object_samples(scene.proposals, instances)
-            neg.extend(vec[s.proposal] for s in samples if s.label < 0)
+            neg.extend(row[s.proposal] for s in samples if s.label < 0)
 
         for c in stuff_categories:
             pos, neg = pools[c]
@@ -320,9 +326,9 @@ def collect_training_pools(
             if not stuff_gt.bits.any():
                 continue
             picked, rejected = stuff_samples(scene.proposals, stuff_gt, PursuitConfig())
-            pos.extend(vec[p] for p in picked)
-            neg.extend(vec[p] for p in rejected)
-    return pools
+            pos.extend(row[p] for p in picked)
+            neg.extend(row[p] for p in rejected)
+    return np.concatenate(per_scene or [np.empty((0, 0), np.float32)]), pools
 
 
 def train_category_models(
@@ -337,11 +343,12 @@ def train_category_models(
     seed: int = 0,
     threads: int = 1,
 ) -> list[LinearModel]:
-    pools = collect_training_pools(
+    features, pools = collect_training_pools(
         scenes, object_categories, stuff_categories, net, g, cfg, threads=threads
     )
-    return [
-        train_svm(*pools[c], reg=reg, epochs=epochs, seed=seed + c, category=c)[0]
+    return [  # each category's rows gathered only while its model trains
+        train_svm(*(features[rows] for rows in pools[c]), reg=reg, epochs=epochs,
+                  seed=seed + c, category=c)[0]
         for c in sorted(pools)
     ]
 

@@ -536,16 +536,16 @@ class TestTrainingPools:
                                           small_cfg(scales=(64,)))
 
         # ids in list order, so pursuit breaks area ties the same way in both
-        unique = pools([f"p{i:04d}" for i in range(len(props))])
-        shared = pools(["dup"] * len(props))
+        unique_x, unique = pools([f"p{i:04d}" for i in range(len(props))])
+        shared_x, shared = pools(["dup"] * len(props))
         assert unique.keys() == shared.keys()
         for c in unique:
             for want, got in zip(unique[c], shared[c]):
                 assert len(want) == len(got)
-                assert all(np.array_equal(a, b) for a, b in zip(want, got)), c
-        negatives = [v.tobytes() for _, neg in unique.values() for v in neg]
+                assert np.array_equal(unique_x[want], shared_x[got]), c
+        negatives = [v.tobytes() for _, neg in unique.values() for v in unique_x[neg]]
         assert len(set(negatives)) > 10
-        assert all(unique[c][0] for c in (4, 5))  # pursuit picked stuff positives
+        assert all(len(unique[c][0]) for c in (4, 5))  # pursuit picked stuff positives
 
     def test_other_category_instance_labels_nothing(self, rng):
         net, g, image = toy_setup(rng)
@@ -557,7 +557,7 @@ class TestTrainingPools:
         # IoU 0.2 with the category-2 instance, 0 with the category-1 one
         fifth = proposal_from_mask("fifth", rect_mask(32, 32, 5, 5, 0, 1))
         train = [TrainScene(image, labels, instances, [fifth])]
-        pools = collect_training_pools(train, [1, 2], [], net, g, small_cfg())
+        _, pools = collect_training_pools(train, [1, 2], [], net, g, small_cfg())
         assert [len(v) for v in pools[1]] == [1, 0]
         assert [len(v) for v in pools[2]] == [1, 1]
 
