@@ -14,9 +14,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ValidationError, _readonly
+from .core import MAX_LABEL, ValidationError, _readonly
 from .formats import (
-    contained, dump_json, int_fields, load_json, load_vector, save_vector,
+    contained, dump_json, finite_number, int_fields, load_json, load_vector, save_vector,
 )
 
 
@@ -31,6 +31,8 @@ class LinearModel:
         arr = np.array(self.weights, dtype=np.float32).reshape(-1)
         if not np.all(np.isfinite(arr)) or not np.isfinite(self.bias):
             raise ValidationError("model parameters must be finite")
+        if not 0 <= self.category <= MAX_LABEL:  # a label map holds its category
+            raise ValidationError(f"model category {self.category} outside 0..{MAX_LABEL}")
         arr.setflags(write=False)
         object.__setattr__(self, "weights", arr)
         object.__setattr__(self, "weights64", _readonly(arr.astype(np.float64)))
@@ -124,4 +126,4 @@ def load_model(path: Path | str) -> LinearModel:
 def _model_from_json(base: Path, meta) -> LinearModel:
     category = int_fields(meta, ("category",))["category"]
     weights = load_vector(contained(base, meta["weights"]))
-    return LinearModel(weights, float(meta["bias"]), category)
+    return LinearModel(weights, finite_number(meta["bias"], "bias"), category)

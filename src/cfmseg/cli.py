@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 from functools import partial
 from pathlib import Path
@@ -272,22 +271,10 @@ def _scored_regions(base: Path, entries) -> list[pipeline.ScoredRegion]:
         pipeline.ScoredRegion(
             proposal_from_mask(formats.string_id(e), _entry_mask(base, e)),
             _spec_ints(e, ["category"])["category"],
-            _score(e),
+            formats.finite_number(e["score"], "score"),
         )
         for e in entries
     ]
-
-
-def _score(entry) -> float:
-    """A scored region's `score`: a finite JSON number, never a bool or a string."""
-    value = entry["score"]
-    try:  # a string fails isfinite, and so does an int beyond float range
-        finite = not isinstance(value, bool) and math.isfinite(value)
-    except (TypeError, OverflowError):
-        finite = False
-    if not finite:
-        raise ValidationError(f"field 'score' must be a finite number, got {value!r}")
-    return float(value)
 
 
 def _instances(base: Path, entries) -> list[InstanceSegment]:

@@ -11,6 +11,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
+MAX_LABEL = 0xFFFF  # the largest category a label map's uint16 holds
+
+
 class ValidationError(ValueError):
     """A domain invariant was violated (bad dimensions, empty mask, ...)."""
 
@@ -169,7 +172,7 @@ class LabelMap:
             raise ValidationError(f"label map must be 2-D, got {arr.ndim}-D")
         if min(arr.shape) < 1:
             raise ValidationError(f"label map dims must be >= 1, got {arr.shape}")
-        if arr.size and (arr.min() < 0 or arr.max() > 0xFFFF):
+        if arr.size and (arr.min() < 0 or arr.max() > MAX_LABEL):
             raise ValidationError("labels must fit in an unsigned 16-bit index")
         object.__setattr__(self, "labels", _readonly(arr.astype(np.uint16)))
 
@@ -197,8 +200,8 @@ class InstanceSegment:
     mask: BinaryMask
 
     def __post_init__(self):
-        if self.category < 1:
-            raise ValidationError("instance category must be a positive index")
+        if not 1 <= self.category <= MAX_LABEL:
+            raise ValidationError(f"instance category {self.category} outside 1..{MAX_LABEL}")
 
 
 def mask_iou(a, b) -> float:

@@ -73,6 +73,37 @@ def int_fields(entry, names) -> dict[str, int]:
     return values
 
 
+def finite_number(value, name: str) -> float:
+    """A JSON number field's value as a float.
+
+    Anything but a finite number (a bool, a string, null, an array, NaN,
+    infinity, an integer beyond float range) raises ValidationError naming it.
+    """
+    number = np.nan
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:  # an integer beyond float range
+            pass
+    if not np.isfinite(number):
+        raise ValidationError(f"field {name!r} must be a finite number, got {value!r}")
+    return number
+
+
+def _check_size(path, dims: dict[str, int], itemsize: int, payload: int) -> None:
+    """Binary header dimensions each in 1..MAX_DIM, and a payload of `payload`
+    bytes that holds exactly their product of `itemsize`-byte elements."""
+    expected = itemsize
+    for name, dim in dims.items():
+        if dim < 1:
+            raise FormatError(f"{path}: {'zero' if dim == 0 else 'negative'} {name} dimension")
+        if dim > MAX_DIM:
+            raise FormatError(f"{path}: {name} dimension {dim} overflows sanity cap")
+        expected *= dim
+    if payload != expected:
+        raise FormatError(f"{path}: payload is {payload} bytes, expected {expected}")
+
+
 # ---------------------------------------------------------------------------
 # CFMT feature tensors
 # ---------------------------------------------------------------------------
@@ -96,16 +127,7 @@ def load_feature_map(path: Path | str) -> FeatureMap:
     if len(data) < 16 or data[:4] != TENSOR_MAGIC:
         raise FormatError(f"{path}: bad tensor magic")
     c, h, w = struct.unpack("<III", data[4:16])
-    for name, dim in (("channels", c), ("height", h), ("width", w)):
-        if dim < 1:
-            raise FormatError(f"{path}: zero {name} dimension")
-        if dim > MAX_DIM:
-            raise FormatError(f"{path}: {name} dimension {dim} overflows sanity cap")
-    expected = 16 + 4 * c * h * w
-    if len(data) != expected:
-        raise FormatError(
-            f"{path}: payload is {len(data) - 16} bytes, expected {expected - 16}"
-        )
+    _check_size(path, {"channels": c, "height": h, "width": w}, 4, len(data) - 16)
     values = np.frombuffer(data, dtype="<f4", offset=16).reshape(c, h, w)
     try:
         return FeatureMap(values)
@@ -165,13 +187,8 @@ def load_mask(path: Path | str) -> BinaryMask:
         raise FormatError(f"{path}: malformed P5 header") from exc
     if maxval != 255:
         raise FormatError(f"{path}: maxval must be 255, got {maxval}")
-    if w < 1 or h < 1 or w > MAX_DIM or h > MAX_DIM:
-        raise FormatError(f"{path}: bad image dimensions {w}x{h}")
     payload = data[header_end + 1 :]  # single whitespace byte after maxval
-    if len(payload) != w * h:
-        raise FormatError(
-            f"{path}: payload is {len(payload)} bytes, expected {w * h}"
-        )
+    _check_size(path, {"width": w, "height": h}, 1, len(payload))
     raw = np.frombuffer(payload, dtype=np.uint8).reshape(h, w)
     bad = (raw != 0) & (raw != 255)
     if bad.any():
@@ -220,13 +237,7 @@ def load_label_map(path: Path | str) -> LabelMap:
     if len(data) < 12 or data[:4] != LABELS_MAGIC:
         raise FormatError(f"{path}: bad label-map magic")
     w, h = struct.unpack("<II", data[4:12])
-    if w < 1 or h < 1 or w > MAX_DIM or h > MAX_DIM:
-        raise FormatError(f"{path}: bad label-map dimensions {w}x{h}")
-    expected = 12 + 2 * w * h
-    if len(data) != expected:
-        raise FormatError(
-            f"{path}: payload is {len(data) - 12} bytes, expected {expected - 12}"
-        )
+    _check_size(path, {"width": w, "height": h}, 2, len(data) - 12)
     labels = np.frombuffer(data, dtype="<u2", offset=12).reshape(h, w)
     return LabelMap(labels)
 

@@ -19,6 +19,7 @@ from .core import (
     FeatureMap,
     InstanceSegment,
     LabelMap,
+    MAX_LABEL,
     PixelBox,
     SegmentProposal,
     ValidationError,
@@ -66,8 +67,8 @@ class ScoredRegion:
     def __post_init__(self):
         if not np.isfinite(self.score):
             raise ValidationError("region score must be finite")
-        if not 0 <= self.category <= 0xFFFF:  # a label map holds uint16
-            raise ValidationError(f"region category {self.category} outside 0..65535")
+        if not 0 <= self.category <= MAX_LABEL:
+            raise ValidationError(f"region category {self.category} outside 0..{MAX_LABEL}")
 
 
 def assign_scale(box: PixelBox, image_shorter_edge: int, scales) -> int:
@@ -241,8 +242,8 @@ def mean_iou(
     preds: list[LabelMap], gts: list[LabelMap], num_categories: int
 ) -> tuple[np.ndarray, float]:
     """Dataset-global per-category IoU and the mean over present categories."""
-    if not 1 <= num_categories <= 0x10000:  # a label map holds uint16
-        raise ValidationError(f"category count {num_categories} outside 1..65536")
+    if not 1 <= num_categories <= MAX_LABEL + 1:
+        raise ValidationError(f"category count {num_categories} outside 1..{MAX_LABEL + 1}")
     if len(preds) != len(gts):
         raise ValidationError("prediction and ground-truth counts differ")
     inter = np.zeros(num_categories, dtype=np.int64)
@@ -297,6 +298,8 @@ def collect_training_pools(
     categories = [*object_categories, *stuff_categories]
     if len(set(categories)) < len(categories):  # a repeat would pool its samples twice
         raise ValidationError(f"training categories must be distinct: {categories}")
+    if not all(1 <= c <= MAX_LABEL for c in categories):  # 0 is background
+        raise ValidationError(f"training categories must be in 1..{MAX_LABEL}: {categories}")
     for scene in scenes:  # every check before the first forward
         _check_frames(scene.proposals, scene.image.height, scene.image.width)
     pools: dict[int, tuple[list, list]] = {c: ([], []) for c in categories}

@@ -64,22 +64,18 @@ class PooledFeature:
         self.values = arr
 
 
-def _bin_ranges(length, n: int):
-    """(starts, ends) of n pyramid bins over windows of the given length, an int
-    or an array of them in a column: bin j spans [floor(j*w/n), ceil((j+1)*w/n))."""
-    j = np.arange(n)
-    return (j * length) // n, -((-(j + 1) * length) // n)
+def _level_spans(length, levels: tuple[int, ...]):
+    """(starts, ends, k) of every level's bins, levels concatenated in order, over
+    windows of the given length, an int or an array of them in a column.
 
-
-def bin_boundaries(window_len: int, n: int) -> list[tuple[int, int]]:
-    """[start, end) cell ranges of n pyramid bins over a window of given length.
-
-    Bin j spans [floor(j*w/n), ceil((j+1)*w/n)); bins are never empty and
-    may overlap when the window is shorter than the grid.
+    Bin j of n spans [floor(j*w/n), ceil((j+1)*w/n)): never empty, overlapping
+    when the window is shorter than the grid. k = floor(log2(end - start)) is
+    the exponent of the two 2**k spans whose max is the bin's.
     """
-    if window_len < 1 or n < 1:
-        raise ValidationError(f"bad binning: window {window_len}, bins {n}")
-    return list(zip(*(edges.tolist() for edges in _bin_ranges(window_len, n))))
+    n = np.repeat(levels, levels)
+    j = np.concatenate([np.arange(m) for m in levels])
+    starts, ends = (j * length) // n, -((-(j + 1) * length) // n)
+    return starts, ends, np.frexp(ends - starts)[1] - 1  # exact for integers
 
 
 def _level_bins(levels: tuple[int, ...]):
@@ -97,10 +93,8 @@ def _pyramid_plan(height: int, width: int, levels: tuple[int, ...]):
     (row range, column range), levels in order, bins row-major within a level."""
     axes = []
     for length in (height, width):
-        ranges = [r for n in levels for r in bin_boundaries(length, n)]
-        starts, ends = map(_readonly, np.array(ranges).T)
-        k = _readonly(np.array([(e - s).bit_length() - 1 for s, e in ranges]))
-        axes.append(((starts, ends), (int(k.max()), k, starts, _readonly(ends - 2**k))))
+        starts, ends, k = map(_readonly, _level_spans(length, levels))
+        axes.append(((starts, ends), (int(k.max()), k, starts, _readonly(ends - (1 << k)))))
     return axes[0], axes[1], _level_bins(levels)
 
 
@@ -169,9 +163,7 @@ def spp_pool_windows(f: FeatureMap, windows, pyr: PyramidSpec) -> np.ndarray:
     top, left = int(y0.min()), int(x0.min())
     reads = []  # per axis: each (window, bin)'s level and both span starts in the crop
     for lo, hi, base, of in ((y0, y1, top, row_of), (x0, x1, left, col_of)):
-        starts, ends = (np.concatenate(edges, axis=1) for edges in zip(
-            *(_bin_ranges((hi - lo + 1)[:, None], n) for n in pyr.levels)))
-        k = np.frexp(ends - starts)[1] - 1  # floor(log2(length)), exact for integers
+        starts, ends, k = _level_spans((hi - lo + 1)[:, None], pyr.levels)
         shift = (lo - base)[:, None]  # window cells to crop cells
         # the second span ends where the range ends
         reads.append(np.stack([k, starts + shift, ends - (1 << k) + shift])
@@ -228,8 +220,18 @@ def downsample_mask_to_grid(crops: list[np.ndarray], n: int) -> np.ndarray:
     return grid
 
 
-def _corners(w: PixelBox) -> tuple[int, int, int, int]:
-    return w.y0, w.x0, w.y1, w.x1
+def _projected(conv: FeatureMap, proposals: Iterable[SegmentProposal], g: NetGeometry):
+    """Each proposal's window, as (y0, x0, y1, x1) cells of the map, and its
+    projected mask cropped to that window, a copy rather than a view of the map-
+    sized mask. One pass, so a caller can pass the proposals as a generator and
+    each (scaled) proposal is dropped once it is projected."""
+    windows, crops = [], []
+    for p in proposals:
+        w = feature_extent(g, p.box, conv.height, conv.width)
+        fmask = project_mask(g, p.block, conv.height, conv.width, p.origin, p.frame)
+        windows.append((w.y0, w.x0, w.y1, w.x1))
+        crops.append(fmask.bits[w.y0 : w.y1 + 1, w.x0 : w.x1 + 1].copy())
+    return windows, crops
 
 
 def design_a_features(conv: FeatureMap, proposals: Iterable[SegmentProposal],
@@ -240,15 +242,12 @@ def design_a_features(conv: FeatureMap, proposals: Iterable[SegmentProposal],
     outside the window, so only the window's crop of the map is masked, then
     pooled over its full extent.
     """
-    windows, segments = [], []
-    for p in proposals:
-        w = feature_extent(g, p.box, conv.height, conv.width)
-        fmask = project_mask(g, p.block, conv.height, conv.width, p.origin, p.frame)
-        crop = (slice(w.y0, w.y1 + 1), slice(w.x0, w.x1 + 1))
-        segment = FeatureMap(conv.values[(slice(None),) + crop] * fmask.bits[crop])
-        whole = PixelBox(0, 0, w.width - 1, w.height - 1)
-        windows.append(_corners(w))
-        segments.append(spp_pool(segment, whole, pyr).values)
+    windows, crops = _projected(conv, proposals, g)
+    segments = [
+        spp_pool(FeatureMap(conv.values[:, y0 : y1 + 1, x0 : x1 + 1] * crop),
+                 PixelBox(0, 0, x1 - x0, y1 - y0), pyr).values
+        for (y0, x0, y1, x1), crop in zip(windows, crops)
+    ]
     return np.concatenate([spp_pool_windows(conv, windows, pyr),
                            np.array(segments, np.float32)], axis=1)
 
@@ -257,17 +256,9 @@ def design_b_features(conv: FeatureMap, proposals: Iterable[SegmentProposal],
                       g: NetGeometry, pyr: PyramidSpec) -> np.ndarray:
     """Single pathway: pool unmasked, then blank masked-out bins of the finest level,
     voted over window crops of the masks, never whole maps: (N, L) for one map.
-
-    One pass over the proposals, so a caller can pass them as a generator and
-    each (scaled) proposal is dropped once it is projected; then one
-    `spp_pool_windows` pass pools every window.
+    One `spp_pool_windows` pass pools every window.
     """
-    windows, crops = [], []
-    for p in proposals:
-        w = feature_extent(g, p.box, conv.height, conv.width)
-        windows.append(_corners(w))
-        fmask = project_mask(g, p.block, conv.height, conv.width, p.origin, p.frame)
-        crops.append(fmask.bits[w.y0 : w.y1 + 1, w.x0 : w.x1 + 1].copy())  # not a view
+    windows, crops = _projected(conv, proposals, g)
     values = spp_pool_windows(conv, windows, pyr)  # zeroed in place below
     grid = downsample_mask_to_grid(crops, pyr.levels[0]).reshape(len(crops), -1)
     head = values[:, : grid.shape[1] * conv.channels].reshape(grid.shape + (-1,))
@@ -285,9 +276,8 @@ def design_feature(conv: FeatureMap, proposals: Iterable[SegmentProposal],
     if design == "B":
         return design_b_features(conv, proposals, g, pyr)
     if design == "none":
-        windows = [_corners(feature_extent(g, p.box, conv.height, conv.width))
-                   for p in proposals]
-        return spp_pool_windows(conv, windows, pyr)
+        boxes = (feature_extent(g, p.box, conv.height, conv.width) for p in proposals)
+        return spp_pool_windows(conv, [(w.y0, w.x0, w.y1, w.x1) for w in boxes], pyr)
     raise ValidationError(f"design must be one of {DESIGNS}")
 
 

@@ -81,11 +81,7 @@ def pursue(
     id); "stochastic" draws one with probability proportional to area from
     a generator seeded with `seed`, so a seed always gives the same picks.
     """
-    if mode == "deterministic":
-        pick = _largest
-    elif mode == "stochastic":
-        pick = partial(_draw, np.random.default_rng(seed))
-    else:
+    if mode not in PURSUIT_MODES:
         raise ValidationError(f"pursuit mode must be one of {PURSUIT_MODES}")
     if not cands:
         return []
@@ -93,19 +89,14 @@ def pursue(
     if floor is None:
         floor = sum(c.area for c in cands) / len(cands)
     eligible = [c for c in cands if c.area >= floor]
-    kept = suppress(
-        [c.proposal for c in eligible],
-        cfg.inhibit_iou,
-        lambda remaining: remaining[pick([eligible[i] for i in remaining])],
-    )
+    pick = None  # suppress's own rule: the first remaining
+    if mode == "deterministic":  # largest first, ties by id (a stable sort keeps twins' order)
+        eligible.sort(key=lambda c: (-c.area, c.proposal.id))
+    else:
+        draw = partial(_draw, np.random.default_rng(seed))
+        pick = lambda remaining: remaining[draw([eligible[i] for i in remaining])]
+    kept = suppress([c.proposal for c in eligible], cfg.inhibit_iou, pick)
     return [eligible[i] for i in kept]
-
-
-def _largest(eligible: list[Candidate]) -> int:
-    return min(
-        range(len(eligible)),
-        key=lambda i: (-eligible[i].area, eligible[i].proposal.id),
-    )
 
 
 def _draw(rng: np.random.Generator, eligible: list[Candidate]) -> int:

@@ -18,9 +18,11 @@ from .core import (
     FeatureMap,
     InstanceSegment,
     LabelMap,
+    MAX_LABEL,
     SegmentProposal,
     ValidationError,
 )
+from .formats import finite_number
 
 SHAPE_KINDS = ("rect", "ellipse", "stripe")
 # the toy corpus: one shape family per object category, one band per stuff one
@@ -53,8 +55,8 @@ class ShapeSpec:
             raise ValidationError(f"unknown shape kind {self.kind!r}")
         if self.half_w < 1 or self.half_h < 1 or self.thickness < 1:
             raise ValidationError("shape extents must be >= 1")
-        if not 1 <= self.category <= 0xFFFF:
-            raise ValidationError("shape category must be in 1..65535")
+        if not 1 <= self.category <= MAX_LABEL:
+            raise ValidationError(f"shape category must be in 1..{MAX_LABEL}")
 
 
 @dataclass(frozen=True)
@@ -68,17 +70,14 @@ class BandSpec:
     def __post_init__(self):
         if self.row0 > self.row1 or self.row0 < 0:
             raise ValidationError(f"band rows out of order: {self.row0}..{self.row1}")
-        if not 1 <= self.category <= 0xFFFF:
-            raise ValidationError("band category must be in 1..65535")
+        if not 1 <= self.category <= MAX_LABEL:
+            raise ValidationError(f"band category must be in 1..{MAX_LABEL}")
         color = tuple(self.base_color) if isinstance(self.base_color, (tuple, list)) else ()
-        try:  # a bool is no number; a string or an int beyond float range fails isfinite
-            ok = all(not isinstance(v, bool) and math.isfinite(v)
-                     for v in (*color, self.noise_amp))
-        except (TypeError, OverflowError):
-            ok = False
-        if len(color) != 3 or not ok:
-            raise ValidationError("band needs 3 finite base_color numbers and a finite "
-                                  f"noise_amp, got {self.base_color!r}, {self.noise_amp!r}")
+        if len(color) != 3:
+            raise ValidationError(f"band needs 3 base_color numbers, got {self.base_color!r}")
+        for value in color:
+            finite_number(value, "base_color")
+        finite_number(self.noise_amp, "noise_amp")
         object.__setattr__(self, "base_color", color)
 
 

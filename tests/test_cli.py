@@ -588,3 +588,66 @@ class TestErrorContract:
                                   "--proposals", str(tmp_path / "absent.json"),
                                   "--net", net_file, "--scales", ""])
         assert err["error"] == "ValidationError" and "scales" in err["message"]
+
+    @pytest.mark.parametrize("bias", ['"0.5"', "true", "null", "[0.5]", "1" + "0" * 400,
+                                      "NaN"],
+                             ids=["string", "bool", "null", "array", "huge-int", "nan"])
+    def test_non_number_model_bias_infer(self, capsys, monkeypatch, tmp_path, scene_dir,
+                                         net_file, bias):
+        # "bias": "0.5" and "bias": true used to load; the huge int raised OverflowError
+        monkeypatch.setattr(toynet, "forward", None)  # any forward would raise TypeError
+        models = tmp_path / "models"
+        models.mkdir()
+        formats.save_vector(models / "w.cfmt", np.zeros(3, dtype=np.float32))
+        (models / "category_001.json").write_text(
+            '{"category": 1, "bias": %s, "weights": "w.cfmt"}' % bias)
+        err = self.error(capsys, ["infer", "--models", str(models),
+                                  "--image", str(scene_dir / "image.cfmt"),
+                                  "--proposals", str(scene_dir / "proposals.json"),
+                                  "--net", net_file,
+                                  "--out-labels", str(tmp_path / "pred.cfml")])
+        assert err["error"] == "ValidationError" and "'bias'" in err["message"]
+        assert not (tmp_path / "pred.cfml").exists()
+
+    def test_model_category_outside_label_range_infer(self, capsys, monkeypatch, tmp_path,
+                                                      scene_dir, net_file):
+        # a model file of category 70000 used to load; pasting it overflows uint16
+        monkeypatch.setattr(toynet, "forward", None)
+        models = tmp_path / "models"
+        models.mkdir()
+        formats.save_vector(models / "w.cfmt", np.zeros(3, dtype=np.float32))
+        (models / "category_70000.json").write_text(json.dumps(
+            {"category": 70000, "bias": 0.0, "weights": "w.cfmt"}))
+        err = self.error(capsys, ["infer", "--models", str(models),
+                                  "--image", str(scene_dir / "image.cfmt"),
+                                  "--proposals", str(scene_dir / "proposals.json"),
+                                  "--net", net_file,
+                                  "--out-labels", str(tmp_path / "pred.cfml")])
+        assert err["error"] == "ValidationError" and "0..65535" in err["message"]
+
+    @pytest.mark.parametrize("objects, stuff", [("70000,2,3", "4"), ("1", "4,65536"),
+                                                ("1", "0"), ("-1", "4")])
+    def test_train_category_outside_label_range_rejected(
+            self, capsys, monkeypatch, tmp_path, scene_dir, net_file, objects, stuff):
+        # --object-cats 70000,2,3 used to exit 0 and write a model no infer can load;
+        # --stuff-cats 0 used to train a model of the background
+        monkeypatch.setattr(toynet, "forward", None)  # any forward would raise TypeError
+        err = self.error(capsys, ["train", "--corpus", str(scene_dir.parent),
+                                  "--net", net_file, f"--object-cats={objects}",
+                                  f"--stuff-cats={stuff}", "--scales", "64",
+                                  "--out-dir", str(tmp_path / "models")])
+        assert err["error"] == "ValidationError" and "1..65535" in err["message"]
+        assert not (tmp_path / "models").exists()
+
+    def test_instance_category_outside_label_range_train(self, capsys, monkeypatch,
+                                                         tmp_path, scene_dir, net_file):
+        monkeypatch.setattr(toynet, "forward", None)
+        entries = json.loads((scene_dir / "instances.json").read_text())
+        entries[0]["category"] = 70000
+        (scene_dir / "instances.json").write_text(json.dumps(entries))
+        err = self.error(capsys, ["train", "--corpus", str(scene_dir.parent),
+                                  "--net", net_file, "--object-cats", "1",
+                                  "--stuff-cats", "4", "--scales", "64",
+                                  "--out-dir", str(tmp_path / "models")])
+        assert err["error"] == "ValidationError" and "1..65535" in err["message"]
+        assert not (tmp_path / "models").exists()

@@ -16,7 +16,7 @@ from cfmseg.core import (
     resize_nearest,
     suppress,
 )
-from cfmseg.pursuit import Candidate, _draw, _largest
+from cfmseg.pursuit import Candidate, _draw
 from conftest import random_mask, rect_mask
 
 
@@ -172,6 +172,11 @@ def loop_suppress(items, threshold, pick=None):
     return kept
 
 
+def largest(cands) -> int:
+    """A pick rule: the largest-area candidate, ties by id, the first of twins."""
+    return min(range(len(cands)), key=lambda i: (-cands[i].area, cands[i].proposal.id))
+
+
 class TestSuppress:
     def test_default_picks_first_remaining(self):
         a = rect_mask(8, 8, 0, 3, 0, 3)
@@ -231,8 +236,8 @@ class TestSuppress:
             items = proposals(*masks)
             cands = [Candidate(p, p.area, 1.0) for p in items]
             threshold = float(rng.choice([-0.1, 0.0, 0.05, 0.2, 0.3, 0.5, 0.9]))
-            rules = [None, _largest, partial(_draw, np.random.default_rng(trial))]
-            twins = [None, _largest, partial(_draw, np.random.default_rng(trial))]
+            rules = [None, largest, partial(_draw, np.random.default_rng(trial))]
+            twins = [None, largest, partial(_draw, np.random.default_rng(trial))]
             for rule, twin in zip(rules, twins):
                 seen = {"loop": [], "kernel": []}
 

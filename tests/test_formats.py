@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -115,6 +116,26 @@ class TestLabelMapFormat:
         path.write_bytes(path.read_bytes()[:-1])
         with pytest.raises(FormatError, match="payload"):
             formats.load_label_map(path)
+
+
+class TestHeaderSizes:
+    """The three binary loaders share one header check, which names the bad dimension."""
+
+    @pytest.mark.parametrize("loader, data, message", [
+        ("load_feature_map", b"CFMT" + struct.pack("<III", 1, 0, 2), "zero height dimension"),
+        ("load_mask", b"P5\n0 4\n255\n", "zero width dimension"),
+        ("load_mask", b"P5\n4 -2\n255\n", "negative height dimension"),
+        ("load_mask", b"P5\n4 %d\n255\n" % (1 << 25), "height dimension 33554432 overflows"),
+        ("load_label_map", b"CFML" + struct.pack("<II", 3, 0), "zero height dimension"),
+        ("load_label_map", b"CFML" + struct.pack("<II", 1 << 25, 1), "width dimension 33554432 overflows"),
+        ("load_label_map", b"CFML" + struct.pack("<II", 2, 2) + bytes(6), "payload is 6 bytes, expected 8"),
+    ], ids=["tensor-zero", "mask-zero", "mask-negative", "mask-over-cap", "labels-zero",
+            "labels-over-cap", "labels-payload"])
+    def test_bad_dimension_named(self, tmp_path, loader, data, message):
+        path = tmp_path / "bad.bin"
+        path.write_bytes(data)
+        with pytest.raises(FormatError, match=message):
+            getattr(formats, loader)(path)
 
 
 class TestProposalIndex:

@@ -42,6 +42,7 @@ NEAR_MISS = b'0123456789-+.eE"[]{},: \n\\/tfnx#\x00\xff'
 
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers(-(1 << 40), 1 << 40)
+    | st.sampled_from([-10**400, 10**400])  # integers beyond float range
     | st.floats() | st.text(max_size=8),
     lambda inner: st.lists(inner, max_size=3)
     | st.dictionaries(st.text(max_size=4), inner, max_size=3),

@@ -19,7 +19,6 @@ from cfmseg.pooling import (
     PooledFeature,
     PyramidSpec,
     _pyramid_plan,
-    bin_boundaries,
     design_a_features,
     design_b_features,
     downsample_mask_to_grid,
@@ -32,21 +31,34 @@ from conftest import random_map, random_mask, rect_mask
 from oracles import per_window_pool
 
 
+def formula_bins(w: int, n: int) -> list[tuple[int, int]]:
+    """The n pyramid bins over a window of length w: bin j spans
+    [floor(j*w/n), ceil((j+1)*w/n)), written out."""
+    return [(j * w // n, -(-(j + 1) * w // n)) for j in range(n)]
+
+
+def plan_bins(w: int, n: int) -> list[tuple[int, int]]:
+    """The [start, end) ranges that the pooling plan gives an n-bin level over w rows."""
+    (starts, ends), _ = _pyramid_plan(w, 1, (n,))[0]
+    return list(zip(starts.tolist(), ends.tolist()))
+
+
 class TestBinBoundaries:
     def test_unit_bins(self):
-        assert bin_boundaries(6, 6) == [(i, i + 1) for i in range(6)]
+        assert plan_bins(6, 6) == formula_bins(6, 6) == [(i, i + 1) for i in range(6)]
 
     def test_degenerate_window(self):
-        assert bin_boundaries(1, 3) == [(0, 1), (0, 1), (0, 1)]
+        assert plan_bins(1, 3) == formula_bins(1, 3) == [(0, 1), (0, 1), (0, 1)]
 
     def test_overlapping_bins(self):
-        assert bin_boundaries(5, 3) == [(0, 2), (1, 4), (3, 5)]
+        assert plan_bins(5, 3) == formula_bins(5, 3) == [(0, 2), (1, 4), (3, 5)]
 
     def test_bins_cover_and_are_non_empty(self, rng):
         for _ in range(200):
             w = int(rng.integers(1, 40))
             n = int(rng.integers(1, 12))
-            bins = bin_boundaries(w, n)
+            bins = plan_bins(w, n)
+            assert bins == formula_bins(w, n)
             assert all(e > s for s, e in bins)
             covered = set()
             for s, e in bins:
@@ -116,8 +128,8 @@ def per_bin_loop_pool(f: FeatureMap, window: PixelBox, pyr: PyramidSpec) -> Pool
     region = f.values[:, window.y0 : window.y1 + 1, window.x0 : window.x1 + 1]
     blocks = []
     for n in pyr.levels:
-        row_bins = bin_boundaries(window.height, n)
-        col_bins = bin_boundaries(window.width, n)
+        row_bins = formula_bins(window.height, n)
+        col_bins = formula_bins(window.width, n)
         level = np.empty((n * n, f.channels), dtype=np.float32)
         for j, (ys, ye) in enumerate(row_bins):
             for i, (xs, xe) in enumerate(col_bins):
@@ -175,9 +187,9 @@ class TestSppPoolOracle:
                   for a in part if isinstance(a, np.ndarray)]
         assert len(arrays) == 12 and not any(a.flags.writeable for a in arrays)
         assert _pyramid_plan(7, 5, (6, 3, 2, 1)) is plan
-        # a one-level plan's ranges are that level's bin_boundaries, as the grid reads them
+        # a one-level plan's ranges are that level's bins, as the grid reads them
         (starts, ends), _ = _pyramid_plan(7, 5, (3,))[0]
-        assert list(zip(starts.tolist(), ends.tolist())) == bin_boundaries(7, 3)
+        assert list(zip(starts.tolist(), ends.tolist())) == formula_bins(7, 3)
 
 
 class TestSppPoolWindows:
@@ -266,8 +278,8 @@ class TestMaskDownsampling:
         """Reference: one thresholded count per bin, as the grid was first written."""
         region = m.bits[window.y0 : window.y1 + 1, window.x0 : window.x1 + 1]
         grid = np.zeros((n, n), dtype=bool)
-        for j, (ys, ye) in enumerate(bin_boundaries(window.height, n)):
-            for i, (xs, xe) in enumerate(bin_boundaries(window.width, n)):
+        for j, (ys, ye) in enumerate(formula_bins(window.height, n)):
+            for i, (xs, xe) in enumerate(formula_bins(window.width, n)):
                 cells = region[ys:ye, xs:xe]
                 grid[j, i] = 2 * int(cells.sum()) >= cells.size
         return grid
