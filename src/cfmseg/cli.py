@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import classify, formats, netgeom, pipeline, pooling, pursuit, synth, toynet
-from .core import InstanceSegment, PixelBox, ValidationError, proposal_from_mask
+from .core import BinaryMask, InstanceSegment, PixelBox, ValidationError, proposal_from_mask
 from .masking import project_mask
 from .formats import FormatError
 
@@ -83,7 +83,9 @@ def cmd_mask_project(args) -> None:
         raise ValidationError(
             f"feature grid {args.fh}x{args.fw} exceeds mask {mask.height}x{mask.width}"
         )
-    fmask = project_mask(g, mask, args.fh, args.fw)
+    whole = (0, 0, args.fh - 1, args.fw - 1)  # a batch of one, cropped to the whole grid
+    fmask = BinaryMask(project_mask(g, [mask.bits], [(0, 0)], mask.bits.shape, args.fh,
+                                    args.fw, [whole])[0])
     formats.save_mask(args.out, fmask)
     _print_json(
         {"set_cells": int(fmask.bits.sum()), "fh": args.fh, "fw": args.fw,

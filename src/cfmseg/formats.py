@@ -182,6 +182,10 @@ def load_mask(path: Path | str) -> BinaryMask:
             next(tokens),
             next(tokens),
         )
+        # decimal digits, a sign only to report a negative dimension: int() would
+        # also take "+10" and "1_0"
+        if not all(t.removeprefix(b"-").isdigit() for t in (w_tok, h_tok, max_tok)):
+            raise ValueError("header numbers must be decimal digits")
         w, h, maxval = int(w_tok), int(h_tok), int(max_tok)
     except (StopIteration, ValueError) as exc:
         raise FormatError(f"{path}: malformed P5 header") from exc

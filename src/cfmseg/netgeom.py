@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-from .core import PixelBox, ValidationError
+from .core import ValidationError
 from .formats import int_fields, load_json
 
 LAYER_KINDS = ("conv", "pool")
@@ -74,29 +74,21 @@ def compose_geometry(layers: list[LayerSpec]) -> NetGeometry:
     return NetGeometry(stride, rf, offset)
 
 
-def feature_extent(g: NetGeometry, box: PixelBox, fh: int, fw: int) -> PixelBox:
-    """Smallest feature-index rectangle whose centers span the pixel box.
+def feature_extent(g: NetGeometry, boxes, fh: int, fw: int):
+    """Smallest feature-index rectangles whose centers span the pixel boxes.
 
-    Index ranges are clamped to the valid grid, so the result is never empty.
+    boxes is an (N, 4) integer array of inclusive pixel corners (y0, x0, y1, x1);
+    the result, a new (N, 4) array, holds each box's cell corners in the same
+    order. Index ranges are clamped to the valid grid, so none is empty.
     """
     if fh < 1 or fw < 1:
         raise ValidationError(f"feature dims must be >= 1, got {fh}x{fw}")
-
-    def lo_index(coord: int, n: int) -> int:
-        # floor((coord - O) / S) in exact integer arithmetic on doubled values
-        u = (2 * coord - g.offset_x2) // (2 * g.stride)
-        return min(max(u, 0), n - 1)
-
-    def hi_index(coord: int, n: int) -> int:
-        u = -((-(2 * coord - g.offset_x2)) // (2 * g.stride))
-        return min(max(u, 0), n - 1)
-
-    return PixelBox(
-        lo_index(box.x0, fw),
-        lo_index(box.y0, fh),
-        hi_index(box.x1, fw),
-        hi_index(box.y1, fh),
-    )
+    # floor((coord - O) / S) for the first corner and ceil for the second, in
+    # exact integer arithmetic on doubled values
+    doubled = 2 * boxes - g.offset_x2
+    cells = doubled // (2 * g.stride)
+    cells[:, 2:] = -(-doubled[:, 2:] // (2 * g.stride))
+    return cells.clip(0, (fh - 1, fw - 1, fh - 1, fw - 1), out=cells)
 
 
 def layer_from_json(entry) -> LayerSpec:

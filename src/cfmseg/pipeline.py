@@ -7,9 +7,11 @@ reuse against per-region crop-and-warp recomputation.
 
 from __future__ import annotations
 
+import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -28,6 +30,7 @@ from .core import (
     proposal_from_mask,
     resize_nearest,
     suppress,
+    _readonly,
 )
 from .netgeom import NetGeometry
 from .pooling import DESIGNS, PyramidSpec, design_feature, feature_length, spp_pool
@@ -65,7 +68,7 @@ class ScoredRegion:
     score: float
 
     def __post_init__(self):
-        if not np.isfinite(self.score):
+        if not math.isfinite(self.score):
             raise ValidationError("region score must be finite")
         if not 0 <= self.category <= MAX_LABEL:
             raise ValidationError(f"region category {self.category} outside 0..{MAX_LABEL}")
@@ -99,6 +102,13 @@ def scale_image(image: FeatureMap, scale: int) -> FeatureMap:
     return FeatureMap(resize_nearest(image.values, out_h, out_w))
 
 
+@lru_cache(maxsize=64)
+def _index_map(src: int, dst: int) -> np.ndarray:
+    """Read-only `nearest_indices`, cached per (source, target) length: every
+    proposal of an image reads the same two maps at each scale."""
+    return _readonly(nearest_indices(src, dst))
+
+
 def scale_proposal(
     p: SegmentProposal, src_h: int, src_w: int, dst_h: int, dst_w: int
 ) -> SegmentProposal:
@@ -106,10 +116,11 @@ def scale_proposal(
     that sample the box; the index maps never decrease, so all others are unset."""
     if (src_h, src_w) == (dst_h, dst_w):
         return p
-    ys, xs, b = nearest_indices(src_h, dst_h), nearest_indices(src_w, dst_w), p.box
+    ys, xs, b = _index_map(src_h, dst_h), _index_map(src_w, dst_w), p.box
     y0, y1 = np.searchsorted(ys, [b.y0, b.y1 + 1]).tolist()  # rows sampling the box
     x0, x1 = np.searchsorted(xs, [b.x0, b.x1 + 1]).tolist()
-    bits = p.block.bits[ys[y0:y1] - b.y0][:, xs[x0:x1] - b.x0]  # block starts at the box
+    # block starts at the box; columns first, so the rows' gather leaves it row-major
+    bits = p.block.bits[:, xs[x0:x1] - b.x0][ys[y0:y1] - b.y0]
     if not bits.any():
         # a thin segment can vanish under heavy downscale; fall back to its box
         x0 = min(b.x0 * dst_w // src_w, dst_w - 1)

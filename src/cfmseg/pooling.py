@@ -220,18 +220,43 @@ def downsample_mask_to_grid(crops: list[np.ndarray], n: int) -> np.ndarray:
     return grid
 
 
+PROJECT_PIXELS = 1 << 19  # block pixels per project_mask call: bounds its buffers
+
+
+def _corners(proposals) -> np.ndarray:
+    """The proposals' pixel boxes as an (N, 4) array of (y0, x0, y1, x1)."""
+    boxes = [(b.y0, b.x0, b.y1, b.x1) for b in (p.box for p in proposals)]
+    return np.array(boxes, np.int64).reshape(-1, 4)
+
+
 def _projected(conv: FeatureMap, proposals: Iterable[SegmentProposal], g: NetGeometry):
-    """Each proposal's window, as (y0, x0, y1, x1) cells of the map, and its
-    projected mask cropped to that window, a copy rather than a view of the map-
-    sized mask. One pass, so a caller can pass the proposals as a generator and
-    each (scaled) proposal is dropped once it is projected."""
-    windows, crops = [], []
+    """Each proposal's window, an (N, 4) array of (y0, x0, y1, x1) cells of the map,
+    and its projected mask cropped to that window. The proposals, all of one frame,
+    are read once and projected in groups of at most PROJECT_PIXELS block pixels
+    (or one block), so a caller can pass them as a generator and only one group of
+    (scaled) proposals is held at a time."""
+    windows, crops, group, pixels, frame = [], [], [], 0, None
+
+    def project():
+        boxes = _corners(group)
+        win = feature_extent(g, boxes, conv.height, conv.width)
+        crops.extend(project_mask(g, [p.block.bits for p in group], boxes[:, :2],
+                                  frame, conv.height, conv.width, win))
+        windows.append(win)
+        group.clear()
+
     for p in proposals:
-        w = feature_extent(g, p.box, conv.height, conv.width)
-        fmask = project_mask(g, p.block, conv.height, conv.width, p.origin, p.frame)
-        windows.append((w.y0, w.x0, w.y1, w.x1))
-        crops.append(fmask.bits[w.y0 : w.y1 + 1, w.x0 : w.x1 + 1].copy())
-    return windows, crops
+        frame = frame or p.frame
+        if p.frame != frame:
+            raise ValidationError(f"proposal {p.id!r} frame is not {frame}")
+        if group and pixels + p.block.bits.size > PROJECT_PIXELS:
+            project()
+            pixels = 0
+        group.append(p)
+        pixels += p.block.bits.size
+    if group:
+        project()
+    return np.concatenate(windows), crops
 
 
 def design_a_features(conv: FeatureMap, proposals: Iterable[SegmentProposal],
@@ -246,7 +271,7 @@ def design_a_features(conv: FeatureMap, proposals: Iterable[SegmentProposal],
     segments = [
         spp_pool(FeatureMap(conv.values[:, y0 : y1 + 1, x0 : x1 + 1] * crop),
                  PixelBox(0, 0, x1 - x0, y1 - y0), pyr).values
-        for (y0, x0, y1, x1), crop in zip(windows, crops)
+        for (y0, x0, y1, x1), crop in zip(windows.tolist(), crops)
     ]
     return np.concatenate([spp_pool_windows(conv, windows, pyr),
                            np.array(segments, np.float32)], axis=1)
@@ -276,8 +301,8 @@ def design_feature(conv: FeatureMap, proposals: Iterable[SegmentProposal],
     if design == "B":
         return design_b_features(conv, proposals, g, pyr)
     if design == "none":
-        boxes = (feature_extent(g, p.box, conv.height, conv.width) for p in proposals)
-        return spp_pool_windows(conv, [(w.y0, w.x0, w.y1, w.x1) for w in boxes], pyr)
+        windows = feature_extent(g, _corners(proposals), conv.height, conv.width)
+        return spp_pool_windows(conv, windows, pyr)
     raise ValidationError(f"design must be one of {DESIGNS}")
 
 

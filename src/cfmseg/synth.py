@@ -38,6 +38,7 @@ OBJECT_COLORS = {
 SKY_BAND = ((0.35, 0.60, 0.85), 0.22)
 GRASS_BAND = ((0.25, 0.70, 0.25), 0.22)
 BACKGROUND = (0.04, 0.04, 0.05)
+FLOAT32_MAX = float(np.finfo(np.float32).max)  # the image is float32
 
 
 @dataclass(frozen=True)
@@ -75,9 +76,13 @@ class BandSpec:
         color = tuple(self.base_color) if isinstance(self.base_color, (tuple, list)) else ()
         if len(color) != 3:
             raise ValidationError(f"band needs 3 base_color numbers, got {self.base_color!r}")
-        for value in color:
-            finite_number(value, "base_color")
-        finite_number(self.noise_amp, "noise_amp")
+        values = [finite_number(value, "base_color") for value in color]
+        amp = abs(finite_number(self.noise_amp, "noise_amp"))
+        for ch, value in enumerate(values):  # a pixel is base_color[ch] + noise_amp * [-1, 1)
+            if abs(value) + amp > FLOAT32_MAX:
+                raise ValidationError(
+                    f"field 'base_color' [{ch}] = {color[ch]!r} with 'noise_amp' "
+                    f"{self.noise_amp!r} leaves the float32 range of the image")
         object.__setattr__(self, "base_color", color)
 
 

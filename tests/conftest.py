@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from cfmseg.core import BinaryMask, FeatureMap
+from cfmseg.core import BinaryMask, FeatureMap, PixelBox
+from cfmseg.masking import project_mask
+from cfmseg.netgeom import feature_extent
 
 
 @pytest.fixture
@@ -21,6 +23,23 @@ def rect_mask(h, w, y0, y1, x0, x1) -> BinaryMask:
     bits = np.zeros((h, w), dtype=bool)
     bits[y0 : y1 + 1, x0 : x1 + 1] = True
     return BinaryMask(bits)
+
+
+def project_one(g, mask: BinaryMask, fh: int, fw: int, origin=(0, 0),
+                frame=None) -> BinaryMask:
+    """`project_mask` on a batch of one block, at `origin` of `frame` (default: the
+    mask's own shape), its vote cropped to the whole fh x fw grid."""
+    whole = (0, 0, fh - 1, fw - 1)
+    (bits,) = project_mask(g, [mask.bits], [origin], frame or mask.bits.shape, fh, fw,
+                           [whole])
+    return BinaryMask(bits)
+
+
+def extent_one(g, box: PixelBox, fh: int, fw: int) -> PixelBox:
+    """`feature_extent` on a batch of one box."""
+    corners = np.array([(box.y0, box.x0, box.y1, box.x1)])
+    ((y0, x0, y1, x1),) = feature_extent(g, corners, fh, fw).tolist()
+    return PixelBox(x0, y0, x1, y1)
 
 
 def full_frame_iou(a: np.ndarray, b: np.ndarray) -> float:

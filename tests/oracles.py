@@ -92,6 +92,17 @@ def reduceat_project_mask(
     return BinaryMask(out)
 
 
+def per_block_project_mask(g: NetGeometry, blocks, origins, frame, fh: int, fw: int,
+                           windows) -> list[np.ndarray]:
+    """Oracle in `project_mask`'s batch form: `reduceat_project_mask` of one block
+    at a time, each whole-grid vote cropped to its (y0, x0, y1, x1) window."""
+    crops = []
+    for bits, (y, x), (y0, x0, y1, x1) in zip(blocks, origins, windows):
+        grid = reduceat_project_mask(g, BinaryMask(bits), fh, fw, (y, x), frame).bits
+        crops.append(grid[y0 : y1 + 1, x0 : x1 + 1])
+    return crops
+
+
 def per_window_pool(f: FeatureMap, windows, pyr: PyramidSpec) -> np.ndarray:
     """Oracle: one `spp_pool` call per (y0, x0, y1, x1) window, stacked (N, length)."""
     rows = [spp_pool(f, PixelBox(x0, y0, x1, y1), pyr).values for y0, x0, y1, x1 in windows]

@@ -22,7 +22,6 @@ from cfmseg.core import (
     mask_iou,
     proposal_from_mask,
 )
-from cfmseg.masking import project_mask
 from cfmseg.netgeom import LayerSpec, compose_geometry
 from cfmseg.pipeline import (
     PipelineConfig,
@@ -41,6 +40,7 @@ from cfmseg.pursuit import (
     pursue,
 )
 from cfmseg.toynet import default_spec, init_toynet, spec_to_json
+from conftest import project_one
 from oracles import brute_force_geometry, brute_force_project
 
 
@@ -94,7 +94,7 @@ def test_criterion_02_projection_oracle():
         else:
             bits = rng.random((h, w)) < rng.uniform(0.1, 0.9)
         mask = BinaryMask(bits)
-        fast = project_mask(g, mask, fh, fw)
+        fast = project_one(g, mask, fh, fw)
         slow = brute_force_project(g, mask, fh, fw)
         assert np.array_equal(fast.bits, slow.bits)
         cases += 1

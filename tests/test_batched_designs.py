@@ -12,7 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cfmseg import cli, formats, masking, pipeline, pooling, synth, toynet
+from cfmseg import cli, formats, pipeline, pooling, synth, toynet
 from cfmseg.classify import LinearModel, score
 from cfmseg.core import (
     BinaryMask,
@@ -24,12 +24,12 @@ from cfmseg.core import (
     resize_nearest,
 )
 from cfmseg.masking import _axis_runs
-from cfmseg.netgeom import LayerSpec, NetGeometry, compose_geometry, feature_extent
+from cfmseg.netgeom import LayerSpec, NetGeometry, compose_geometry
 from cfmseg.pipeline import FeatureCache, PipelineConfig, assign_scale, scale_proposal
 from cfmseg.pooling import DESIGNS, PyramidSpec, _pyramid_plan, spp_pool
 from cfmseg.toynet import default_spec, init_toynet, spec_to_json
-from conftest import random_map, rect_mask
-from oracles import apply_mask, per_window_pool, reduceat_project_mask
+from conftest import extent_one, project_one, random_map, rect_mask
+from oracles import apply_mask, per_block_project_mask, per_window_pool
 
 # ---------------------------------------------------------------------------
 # Oracle: the per-proposal path, verbatim
@@ -85,7 +85,7 @@ def design_a_features(
     conv: FeatureMap, p: SegmentProposal, g: NetGeometry, pyr: PyramidSpec
 ) -> np.ndarray:
     """Two pooling pathways over one window: plain box, then masked segment."""
-    window = feature_extent(g, p.box, conv.height, conv.width)
+    window = extent_one(g, p.box, conv.height, conv.width)
     box_feature = spp_pool(conv, window, pyr)
     fmask = project_mask(g, p.block, conv.height, conv.width, p.origin, p.frame)
     segment_feature = spp_pool(apply_mask(conv, fmask), window, pyr)
@@ -96,7 +96,7 @@ def design_b_features(
     conv: FeatureMap, p: SegmentProposal, g: NetGeometry, pyr: PyramidSpec
 ) -> np.ndarray:
     """Single pathway: pool unmasked, then blank masked-out bins of the finest level."""
-    window = feature_extent(g, p.box, conv.height, conv.width)
+    window = extent_one(g, p.box, conv.height, conv.width)
     values = spp_pool(conv, window, pyr).values  # fresh, so zeroed in place below
     fmask = project_mask(g, p.block, conv.height, conv.width, p.origin, p.frame)
     finest = pyr.levels[0]
@@ -120,7 +120,7 @@ def design_feature(
     if design == "B":
         return design_b_features(conv, p, g, pyr)
     if design == "none":
-        window = feature_extent(g, p.box, conv.height, conv.width)
+        window = extent_one(g, p.box, conv.height, conv.width)
         return spp_pool(conv, window, pyr).values
     raise ValidationError(f"design must be one of {DESIGNS}")
 
@@ -211,7 +211,7 @@ class TestProjectionOracle:
             y0, x0 = (int(rng.integers(0, n)) for n in frame)
             h, w = int(rng.integers(1, frame[0] - y0 + 1)), int(rng.integers(1, frame[1] - x0 + 1))
             block = BinaryMask(rng.random((h, w)) < rng.random())
-            got = masking.project_mask(g, block, fh, fw, (y0, x0), frame)
+            got = project_one(g, block, fh, fw, (y0, x0), frame)
             want = project_mask(g, block, fh, fw, (y0, x0), frame)
             assert np.array_equal(got.bits, want.bits)
             runs = _axis_runs(g, frame[0], fh) + _axis_runs(g, frame[1], fw)
@@ -224,7 +224,7 @@ class TestProjectionOracle:
             h, w = (int(v) for v in rng.integers(1, 40, size=2))
             m = BinaryMask(rng.random((h, w)) < rng.random())
             fh, fw = (int(v) for v in rng.integers(1, 16, size=2))
-            assert np.array_equal(masking.project_mask(g, m, fh, fw).bits,
+            assert np.array_equal(project_one(g, m, fh, fw).bits,
                                   project_mask(g, m, fh, fw).bits)
 
 
@@ -255,7 +255,7 @@ class TestDesignOracle:
                                                                      design))
             want = [design_feature(conv, p, g, pyr, design) for p in batch]
             assert as_bytes(got) == as_bytes(want)
-            windows = [feature_extent(g, p.box, fh, fw) for p in batch]
+            windows = [extent_one(g, p.box, fh, fw) for p in batch]
             narrow += sum(min(w.height, w.width) < levels[0] for w in windows)
             runs = _axis_runs(g, frame[0], fh) + _axis_runs(g, frame[1], fw)
             empty += bool((runs[0] == runs[1]).any() or (runs[2] == runs[3]).any())
@@ -342,6 +342,79 @@ class TestProposalFeaturesOracle:
         assert len(scales) < len(calls) <= 3 * len(scales) and sum(calls) == len(proposals)
 
 
+class TestProjectionPasses:
+    """Designs A and B project each map's proposals in batches: one feature_extent
+    and one project_mask call per design call, or per PROJECT_PIXELS of blocks."""
+
+    @staticmethod
+    def counting(monkeypatch, calls):
+        for module, name in ((pooling, "project_mask"), (pooling, "feature_extent"),
+                             (pipeline, "design_feature")):
+            original = getattr(module, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(module, name, counted)
+
+    @pytest.mark.parametrize("design", DESIGNS)
+    def test_one_projection_per_design_call(self, rng, monkeypatch, design):
+        net, g = toy_net()
+        image = FeatureMap(rng.standard_normal((3, 32, 40)).astype(np.float32))
+        cfg = PipelineConfig(scales=(32, 48, 64), design=design,
+                             pyramid=PyramidSpec((4, 2, 1)))
+        proposals = random_proposals(rng, 40, 32, 40)
+        cache = FeatureCache(image, net)
+        # every scale's blocks fit one group
+        assert 40 * 64 * 80 < pooling.PROJECT_PIXELS
+        calls = dict.fromkeys(["project_mask", "feature_extent", "design_feature"], 0)
+        self.counting(monkeypatch, calls)
+        for threads in (1, 3):
+            pipeline.proposal_features(proposals, cache, g, cfg, threads=threads)
+        assert 3 < calls["design_feature"] < len(proposals)
+        assert calls["feature_extent"] == calls["design_feature"]
+        projections = 0 if design == "none" else calls["design_feature"]
+        assert calls["project_mask"] == projections
+
+    @pytest.mark.parametrize("design", ["A", "B"])
+    def test_pixel_groups_give_the_same_bytes(self, rng, monkeypatch, design):
+        net, g = toy_net()
+        image = FeatureMap(rng.standard_normal((3, 32, 40)).astype(np.float32))
+        cfg = PipelineConfig(scales=(32, 128), design=design, pyramid=PyramidSpec((4, 2, 1)))
+        proposals = random_proposals(rng, 60, 32, 40)
+        cache = FeatureCache(image, net)
+        whole = pipeline.proposal_features(proposals, cache, g, cfg)
+        calls = dict.fromkeys(["project_mask", "feature_extent", "design_feature"], 0)
+        self.counting(monkeypatch, calls)
+        monkeypatch.setattr(pooling, "PROJECT_PIXELS", 2000)
+        grouped = pipeline.proposal_features(proposals, cache, g, cfg)
+        assert as_bytes(grouped) == as_bytes(whole)
+        assert calls["design_feature"] < calls["project_mask"] == calls["feature_extent"]
+
+    @pytest.mark.parametrize("design", DESIGNS)
+    def test_threads_give_the_same_bytes(self, rng, design):
+        net, g = toy_net()
+        image = FeatureMap(rng.standard_normal((3, 40, 36)).astype(np.float32))
+        cfg = PipelineConfig(scales=(18, 40, 160), design=design)
+        proposals = random_proposals(rng, 80, 40, 36)
+        cache = FeatureCache(image, net)
+        one, two = (pipeline.proposal_features(proposals, cache, g, cfg, threads=t)
+                    for t in (1, 2))
+        assert one.tobytes() == two.tobytes()
+
+    @pytest.mark.parametrize("design", DESIGNS)
+    def test_one_map_takes_one_frame(self, rng, design):
+        g = compose_geometry([LayerSpec("conv", 3, 2, 1)])
+        conv = rectified_map(rng, 2, 8, 8)
+        batch = [*random_proposals(rng, 3, 16, 16), *random_proposals(rng, 1, 16, 15)]
+        if design == "none":  # windows read boxes only
+            pooling.design_feature(conv, batch, g, PyramidSpec(), design)
+            return
+        with pytest.raises(ValidationError, match="p0"):
+            pooling.design_feature(conv, batch, g, PyramidSpec(), design)
+
+
 class TestKernelsBeforeAfter:
     """proposal_features with the batched pool and the lookup projection against
     the same call with the kernels they replaced: per-window `spp_pool` and the
@@ -359,7 +432,7 @@ class TestKernelsBeforeAfter:
             after = pipeline.proposal_features(proposals, cache, g, cfg)
             with monkeypatch.context() as m:
                 m.setattr(pooling, "spp_pool_windows", per_window_pool)
-                m.setattr(pooling, "project_mask", reduceat_project_mask)
+                m.setattr(pooling, "project_mask", per_block_project_mask)
                 before = pipeline.proposal_features(proposals, cache, g, cfg)
             assert as_bytes(after) == as_bytes(before)
 
@@ -391,7 +464,7 @@ class TestMemoryGuard:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        windows = [feature_extent(g, p.box, conv.height, conv.width) for p in proposals]
+        windows = [extent_one(g, p.box, conv.height, conv.width) for p in proposals]
         return out, peak, [w.height * w.width for w in windows]
 
     def test_design_b_stack_is_window_sized(self, rng):
@@ -417,7 +490,8 @@ class TestMemoryGuard:
 
     def test_scaled_proposals_are_not_held_together(self, rng):
         """Upscaled 8x, 200 proposals' blocks take ~10 MB; proposal_features hands
-        them to the design as a generator, so each goes once it is projected."""
+        them to the design as a generator, so each group of them goes once it is
+        projected."""
         net, g = toy_net()
         image = FeatureMap(rng.standard_normal((3, 64, 64)).astype(np.float32))
         proposals = []
@@ -438,6 +512,31 @@ class TestMemoryGuard:
             tracemalloc.stop()
         rows = sum(v.nbytes for v in out)  # held twice: the rows, then the array
         assert held > 9_000_000 and peak - 2 * rows < held / 4
+
+    def test_upscaled_batch_holds_one_group(self, rng):
+        """2,000 proposals upscaled 8x hold ~30 MB of blocks; they are projected in
+        groups of PROJECT_PIXELS, so no more than a group of them is held at once."""
+        net, g = toy_net()
+        image = FeatureMap(rng.standard_normal((3, 64, 64)).astype(np.float32))
+        proposals = []
+        for i in range(2000):
+            y0, x0 = (int(v) for v in rng.integers(0, 52, size=2))
+            side = int(rng.integers(12, 17))
+            proposals.append(proposal_from_mask(f"p{i}", rect_mask(64, 64, y0, y0 + side,
+                                                                   x0, x0 + side)))
+        cfg = PipelineConfig(scales=(512,))
+        cache = FeatureCache(image, net)
+        pipeline.proposal_features(proposals[:2], cache, g, cfg)  # the map, plans, tables
+        held = sum(scale_proposal(p, 64, 64, 512, 512).block.bits.nbytes
+                   for p in proposals)
+        tracemalloc.start()
+        try:
+            out = pipeline.proposal_features(proposals, cache, g, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the rest is pooling's, which grows with the windows, not with the blocks
+        assert held > 25_000_000 and peak - out.nbytes < held / 2
 
 
 class TestFrames:

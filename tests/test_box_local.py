@@ -18,10 +18,10 @@ from cfmseg.core import (
     proposal_from_mask,
     resize_nearest,
 )
-from cfmseg.masking import _axis_runs, project_mask
+from cfmseg.masking import _axis_runs
 from cfmseg.netgeom import LayerSpec, compose_geometry
 from cfmseg.pipeline import PipelineConfig, ScoredRegion, paste
-from conftest import full_frame_iou, full_frame_paste
+from conftest import full_frame_iou, full_frame_paste, project_one
 from oracles import brute_force_project
 
 PAIR_CASES = ("random", "disjoint", "adjacent", "one_line", "nested", "identical", "pixel")
@@ -191,6 +191,6 @@ class TestAxisRunsCache:
             # a box-local block reads the cached tables shifted by its origin
             bits = bits_in_box(rng, frame, random_box(rng, *frame))
             p = proposal_from_mask("p", BinaryMask(bits))
-            got = project_mask(g, p.block, fh, fw, p.origin, p.frame)
+            got = project_one(g, p.block, fh, fw, p.origin, p.frame)
             want = brute_force_project(g, BinaryMask(bits), fh, fw)
             assert np.array_equal(got.bits, want.bits)

@@ -86,6 +86,19 @@ class TestMaskFormat:
         with pytest.raises(FormatError, match="payload"):
             formats.load_mask(path)
 
+    @pytest.mark.parametrize("header", [
+        b"P5\n1_0 1\n255\n", b"P5\n+10 1\n255\n",
+        b"P5\n10 1_0\n255\n", b"P5\n10 +1\n255\n",
+        b"P5\n10 1\n2_55\n", b"P5\n10 1\n+255\n",
+    ], ids=["width-underscore", "width-plus", "height-underscore", "height-plus",
+            "maxval-underscore", "maxval-plus"])
+    def test_header_numbers_are_decimal_digits(self, tmp_path, header):
+        # Python's int() takes both forms ("1_0" is 10), a netpbm reader neither
+        path = tmp_path / "m.pgm"
+        path.write_bytes(header + bytes(10 * 10))
+        with pytest.raises(FormatError, match="malformed P5 header"):
+            formats.load_mask(path)
+
     def test_comments_in_header_accepted(self, tmp_path):
         path = tmp_path / "m.pgm"
         path.write_bytes(b"P5\n# made by hand\n2 1\n255\n" + bytes([255, 0]))

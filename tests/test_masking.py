@@ -1,11 +1,17 @@
 import numpy as np
 import pytest
 
-from cfmseg.core import BinaryMask, FeatureMap, ValidationError
+from cfmseg.core import BinaryMask, FeatureMap, SegmentProposal, ValidationError
 from cfmseg.masking import _axis_runs, project_mask, vote
-from cfmseg.netgeom import LayerSpec, NetGeometry, compose_geometry
-from conftest import random_mask, random_map
-from oracles import apply_mask, brute_force_project, reduceat_project_mask
+from cfmseg.netgeom import LayerSpec, NetGeometry, compose_geometry, feature_extent
+from cfmseg.pipeline import scale_proposal
+from conftest import project_one, random_mask, random_map
+from oracles import (
+    apply_mask,
+    brute_force_project,
+    per_block_project_mask,
+    reduceat_project_mask,
+)
 
 
 def identity_geometry():
@@ -16,31 +22,31 @@ class TestProjectMask:
     def test_all_ones_projects_to_all_ones(self):
         m = BinaryMask(np.ones((8, 8), dtype=bool))
         g = NetGeometry(2, 3, 0.0)
-        fm = project_mask(g, m, 4, 4)
+        fm = project_one(g, m, 4, 4)
         assert fm.bits.all()
 
     def test_all_zeros_projects_to_all_zeros(self):
         m = BinaryMask(np.zeros((8, 8), dtype=bool))
         g = NetGeometry(2, 3, 0.0)
-        assert not project_mask(g, m, 4, 4).bits.any()
+        assert not project_one(g, m, 4, 4).bits.any()
 
     def test_identity_geometry_keeps_columns(self):
         bits = np.zeros((4, 4), dtype=bool)
         bits[:, :2] = True
-        fm = project_mask(identity_geometry(), BinaryMask(bits), 4, 4)
+        fm = project_one(identity_geometry(), BinaryMask(bits), 4, 4)
         assert np.array_equal(fm.bits, bits)
 
     def test_stride_two_halves_columns(self):
         # pixels {0,1}->u0, {2,3}->u1, {4,5}->u2, {6,7}->u3 with ties downward
         bits = np.zeros((1, 8), dtype=bool)
         bits[0, :4] = True
-        fm = project_mask(NetGeometry(2, 3, 0.0), BinaryMask(bits), 1, 4)
+        fm = project_one(NetGeometry(2, 3, 0.0), BinaryMask(bits), 1, 4)
         assert fm.bits.tolist() == [[True, True, False, False]]
 
     def test_zero_dims_rejected(self):
         m = BinaryMask(np.ones((2, 2), dtype=bool))
         with pytest.raises(ValidationError):
-            project_mask(identity_geometry(), m, 0, 2)
+            project_one(identity_geometry(), m, 0, 2)
 
     def test_single_pixel_sets_at_most_one_cell(self, rng):
         for _ in range(50):
@@ -53,7 +59,7 @@ class TestProjectMask:
             )
             fh = max(1, h // g.stride)
             fw = max(1, w // g.stride)
-            fm = project_mask(g, BinaryMask(bits), fh, fw)
+            fm = project_one(g, BinaryMask(bits), fh, fw)
             assert fm.bits.sum() <= 1
             assert np.array_equal(
                 fm.bits, brute_force_project(g, BinaryMask(bits), fh, fw).bits
@@ -96,7 +102,7 @@ class TestProjectMask:
             m = random_mask(rng, h, w, density=float(rng.random()))
             if kind != "dense":
                 m = BinaryMask(self.confined(rng, m.bits, kind))
-            fast = project_mask(g, m, fh, fw)
+            fast = project_one(g, m, fh, fw)
             slow = brute_force_project(g, m, fh, fw)
             assert np.array_equal(fast.bits, slow.bits)
 
@@ -110,11 +116,11 @@ class TestProjectMask:
             block = random_mask(rng, h, w, density=float(rng.random()))
             padded = np.zeros(frame, dtype=bool)
             padded[y : y + h, x : x + w] = block.bits
-            got = project_mask(g, block, fh, fw, (y, x), frame)
-            full = project_mask(g, BinaryMask(padded), fh, fw)
+            got = project_one(g, block, fh, fw, (y, x), frame)
+            full = project_one(g, BinaryMask(padded), fh, fw)
             assert np.array_equal(got.bits, full.bits)
-            own = project_mask(g, block, fh, fw, (0, 0), (h, w))
-            assert np.array_equal(own.bits, project_mask(g, block, fh, fw).bits)
+            own = project_one(g, block, fh, fw, (0, 0), (h, w))
+            assert np.array_equal(own.bits, project_one(g, block, fh, fw).bits)
 
     def test_coverage_monotonicity(self, rng):
         g = compose_geometry([LayerSpec("conv", 3, 2, 1)])
@@ -122,8 +128,8 @@ class TestProjectMask:
             a = random_mask(rng, 12, 12, density=0.3)
             extra = random_mask(rng, 12, 12, density=0.2)
             b = BinaryMask(a.bits | extra.bits)
-            fa = project_mask(g, a, 6, 6)
-            fb = project_mask(g, b, 6, 6)
+            fa = project_one(g, a, 6, 6)
+            fb = project_one(g, b, 6, 6)
             # a subset-mask can only lose cells, never gain them over b
             assert not (fa.bits & ~fb.bits).any()
 
@@ -145,7 +151,7 @@ class TestReduceatOracle:
             y, x = (int(rng.choice([0, n - k, rng.integers(0, n - k + 1)]))
                     for n, k in zip(frame, (h, w)))
             block = BinaryMask(rng.random((h, w)) < rng.random())
-            got = project_mask(g, block, fh, fw, (y, x), frame)
+            got = project_one(g, block, fh, fw, (y, x), frame)
             want = reduceat_project_mask(g, block, fh, fw, (y, x), frame)
             assert np.array_equal(got.bits, want.bits)
             sizes = np.concatenate([np.subtract(*_axis_runs(g, n, cells)[::-1])
@@ -155,6 +161,96 @@ class TestReduceatOracle:
             seen["empty run"] += bool((sizes == 0).any())
             seen["half offset"] += g.offset != int(g.offset)
         assert min(seen.values()) >= 300, seen
+
+
+class TestBatchProjection:
+    """project_mask over a batch of blocks against the per-block oracle, each
+    whole-grid vote cropped to the block's window."""
+
+    @staticmethod
+    def window(rng, g, box, fh, fw, kind: str):
+        """The block's feature_extent window, or a random one anywhere in the grid."""
+        if kind == "extent":
+            return tuple(feature_extent(g, np.array([box]), fh, fw)[0].tolist())
+        (y0, y1), (x0, x1) = (np.sort(rng.integers(0, n, size=2)).tolist() for n in (fh, fw))
+        return y0, x0, y1, x1
+
+    def test_matches_per_block_oracle(self, rng):
+        seen = dict.fromkeys(["edge block", "empty run", "half offset", "batch of one",
+                              "mixed shapes", "cell outside runs"], 0)
+        for case in range(1500):
+            stride = (1, 2, 8)[case % 3]
+            g = NetGeometry(stride, stride, int(rng.integers(-12, 25)) / 2)
+            frame = tuple(int(v) for v in rng.integers(1, 70, size=2))
+            fh, fw = (max(1, int(n / stride * rng.uniform(0.3, 1.6))) for n in frame)
+            blocks, origins, windows = [], [], []
+            for _ in range(int(rng.choice([1, rng.integers(2, 9)]))):
+                h, w = (int(rng.integers(1, n + 1)) for n in frame)
+                y, x = (int(rng.choice([0, n - k, rng.integers(0, n - k + 1)]))
+                        for n, k in zip(frame, (h, w)))
+                blocks.append(rng.random((h, w)) < rng.random())
+                origins.append((y, x))
+                box = (y, x, y + h - 1, x + w - 1)
+                windows.append(self.window(rng, g, box, fh, fw,
+                                           ("extent", "random")[case % 2]))
+            got = project_mask(g, blocks, origins, frame, fh, fw, windows)
+            want = per_block_project_mask(g, blocks, origins, frame, fh, fw, windows)
+            assert len(got) == len(blocks)
+            for a, b, (y0, x0, y1, x1) in zip(got, want, windows):
+                assert a.dtype == bool and a.shape == (y1 - y0 + 1, x1 - x0 + 1)
+                assert np.array_equal(a, b)
+            runs = [_axis_runs(g, n, cells) for n, cells in zip(frame, (fh, fw))]
+            for (y, x), bits, (y0, x0, y1, x1) in zip(origins, blocks, windows):
+                # the cell of a pixel: the first run that ends after it
+                first = [np.searchsorted(r[1], o, "right") for r, o in zip(runs, (y, x))]
+                last = [np.searchsorted(r[1], o + n - 1, "right")
+                        for r, o, n in zip(runs, (y, x), bits.shape)]
+                seen["cell outside runs"] += (y0 < first[0] or x0 < first[1]
+                                              or y1 > last[0] or x1 > last[1])
+                seen["edge block"] += y in (0, frame[0] - bits.shape[0]) or x in (
+                    0, frame[1] - bits.shape[1])
+            seen["empty run"] += any(bool((r.sizes == 0).any()) for r in runs)
+            seen["half offset"] += g.offset != int(g.offset)
+            seen["batch of one"] += len(blocks) == 1
+            seen["mixed shapes"] += len({b.shape for b in blocks}) > 1
+        assert min(seen.values()) >= 300, seen
+
+    def test_upscaled_blocks(self, rng):
+        """Blocks that `scale_proposal` upscaled, as design calls project them."""
+        g = compose_geometry([LayerSpec("conv", 3, 2, 1)] * 3)  # stride 8
+        for _ in range(40):
+            src = tuple(int(v) for v in rng.integers(8, 40, size=2))
+            dst = tuple(int(n * rng.uniform(1.5, 8)) for n in src)
+            fh, fw = (-(-n // 8) for n in dst)
+            proposals = []
+            for i in range(int(rng.integers(1, 12))):
+                h, w = (int(rng.integers(1, n + 1)) for n in src)
+                y, x = (int(rng.integers(0, n - k + 1)) for n, k in zip(src, (h, w)))
+                bits = rng.random((h, w)) < 0.6
+                bits[0, 0] = True
+                p = SegmentProposal(f"p{i}", BinaryMask(bits), origin=(y, x), frame=src)
+                proposals.append(scale_proposal(p, *src, *dst))
+            boxes = np.array([(p.box.y0, p.box.x0, p.box.y1, p.box.x1) for p in proposals])
+            windows = feature_extent(g, boxes, fh, fw)
+            blocks = [p.block.bits for p in proposals]
+            got = project_mask(g, blocks, boxes[:, :2], dst, fh, fw, windows)
+            want = per_block_project_mask(g, blocks, boxes[:, :2], dst, fh, fw, windows)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+    def test_empty_batch(self):
+        assert project_mask(identity_geometry(), [], [], (4, 4), 4, 4, []) == []
+
+    @pytest.mark.parametrize("origin, window, message", [
+        ((0, 3), (0, 0, 3, 3), "frame"),  # a 2x2 block at column 3 of a 4x4 frame
+        ((-1, 0), (0, 0, 3, 3), "frame"),
+        ((0, 0), (0, 0, 4, 3), "grid"),  # row 4 of a 4x4 grid
+        ((0, 0), (2, 0, 1, 3), "grid"),  # rows out of order
+        ((0, 0), (0, -1, 3, 3), "grid"),
+    ])
+    def test_out_of_range_batch_rejected(self, origin, window, message):
+        with pytest.raises(ValidationError, match=message):
+            project_mask(identity_geometry(), [np.ones((2, 2), bool)], [origin], (4, 4),
+                         4, 4, [window])
 
 
 class TestVote:

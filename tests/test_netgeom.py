@@ -1,4 +1,6 @@
 import json
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from cfmseg.netgeom import (
     layers_from_json,
     load_layers,
 )
+from conftest import extent_one
 from oracles import brute_force_geometry
 
 
@@ -70,17 +73,17 @@ class TestFeatureExtent:
     def test_identity_geometry(self):
         g = NetGeometry(1, 1, 0.0)
         box = PixelBox(1, 1, 3, 2)
-        assert feature_extent(g, box, 8, 8) == PixelBox(1, 1, 3, 2)
+        assert extent_one(g, box, 8, 8) == PixelBox(1, 1, 3, 2)
 
     def test_stride_four(self):
         g = NetGeometry(4, 1, 0.0)
-        got = feature_extent(g, PixelBox(0, 0, 7, 0), 1, 8)
+        got = extent_one(g, PixelBox(0, 0, 7, 0), 1, 8)
         assert (got.x0, got.x1) == (0, 2)
 
     def test_clamps_to_last_column(self):
         g = NetGeometry(4, 1, 0.0)
         # centers live at 0,4,8; a box past them clamps to the last cell
-        got = feature_extent(g, PixelBox(30, 0, 40, 0), 1, 3)
+        got = extent_one(g, PixelBox(30, 0, 40, 0), 1, 3)
         assert (got.x0, got.x1) == (2, 2)
         assert got.width == 1
 
@@ -90,8 +93,8 @@ class TestFeatureExtent:
             x0, y0 = (int(v) for v in rng.integers(0, 20, size=2))
             x1 = x0 + int(rng.integers(0, 10))
             y1 = y0 + int(rng.integers(0, 10))
-            inner = feature_extent(g, PixelBox(x0, y0, x1, y1), 9, 9)
-            outer = feature_extent(
+            inner = extent_one(g, PixelBox(x0, y0, x1, y1), 9, 9)
+            outer = extent_one(
                 g, PixelBox(max(0, x0 - 2), max(0, y0 - 1), x1 + 3, y1 + 2), 9, 9
             )
             assert outer.x0 <= inner.x0 and outer.y0 <= inner.y0
@@ -106,9 +109,39 @@ class TestFeatureExtent:
             g = compose_geometry(layers)
             box = PixelBox(0, 0, int(rng.integers(0, 50)), int(rng.integers(0, 50)))
             fh, fw = (int(v) for v in rng.integers(1, 9, size=2))
-            got = feature_extent(g, box, fh, fw)
+            got = extent_one(g, box, fh, fw)
             assert 0 <= got.x0 <= got.x1 <= fw - 1
             assert 0 <= got.y0 <= got.y1 <= fh - 1
+
+
+class TestFeatureExtentBatch:
+    def test_matches_exact_per_box_formula(self, rng):
+        """Each row is [floor((y0 - O) / S), floor((x0 - O) / S), ceil((y1 - O) / S),
+        ceil((x1 - O) / S)], clamped to the grid, in exact rational arithmetic."""
+        for _ in range(300):
+            stride = int(rng.choice([1, 2, 3, 8, 16]))
+            g = NetGeometry(stride, stride, int(rng.integers(-20, 40)) / 2)
+            fh, fw = (int(v) for v in rng.integers(1, 30, size=2))
+            lo = rng.integers(0, 200, size=(int(rng.integers(1, 20)), 2))
+            boxes = np.concatenate([lo, lo + rng.integers(0, 60, size=lo.shape)], axis=1)
+            before = boxes.copy()
+            got = feature_extent(g, boxes, fh, fw)
+            assert np.array_equal(boxes, before) and got.shape == boxes.shape
+
+            def cell(coord, rounding, n):
+                u = rounding((coord - Fraction(g.offset_x2, 2)) / g.stride)
+                return min(max(u, 0), n - 1)
+
+            want = [[cell(y0, math.floor, fh), cell(x0, math.floor, fw),
+                     cell(y1, math.ceil, fh), cell(x1, math.ceil, fw)]
+                    for y0, x0, y1, x1 in boxes.tolist()]
+            assert got.tolist() == want
+
+    def test_empty_batch_and_zero_dims(self):
+        g = NetGeometry(2, 3, 0.5)
+        assert feature_extent(g, np.empty((0, 4), np.int64), 4, 4).shape == (0, 4)
+        with pytest.raises(ValidationError):
+            feature_extent(g, np.zeros((1, 4), np.int64), 0, 4)
 
 
 class TestConfigIO:

@@ -17,7 +17,6 @@ from cfmseg.core import (
     resize_nearest,
 )
 from cfmseg.formats import load_proposal_index, save_proposal_index
-from cfmseg.masking import project_mask
 from cfmseg.netgeom import LayerSpec, compose_geometry
 from cfmseg.pipeline import (
     FeatureCache,
@@ -43,7 +42,7 @@ from cfmseg.pursuit import (
     stuff_samples,
 )
 from cfmseg.toynet import default_spec, forward, init_toynet
-from conftest import full_frame_iou, full_frame_paste, random_map, rect_mask
+from conftest import full_frame_iou, full_frame_paste, project_one, random_map, rect_mask
 from oracles import loop_mean_iou
 
 DEFAULT_SCALES = (480, 576, 688, 864, 1200)
@@ -127,7 +126,7 @@ def upsample_then_project(p, src_h, src_w, dst_h, dst_w, g, fh, fw):
         y1 = min(p.box.y1 * dst_h // src_h, dst_h - 1)
         bits[y0 : y1 + 1, x0 : x1 + 1] = True
     sp = proposal_from_mask(p.id, BinaryMask(bits))
-    return sp.box, project_mask(g, sp.mask, fh, fw)
+    return sp.box, project_one(g, sp.mask, fh, fw)
 
 
 def random_source_mask(rng, kind: str, h: int, w: int) -> np.ndarray:
@@ -188,7 +187,7 @@ class TestBoxLocalScaling:
             box, fmask = upsample_then_project(p, *dims, g, fh, fw)
             assert sp.frame == (dst_h, dst_w)
             assert sp.box == box
-            got = project_mask(g, sp.block, fh, fw, sp.origin, sp.frame)
+            got = project_one(g, sp.block, fh, fw, sp.origin, sp.frame)
             assert np.array_equal(got.bits, fmask.bits), (i, kind)
 
             seen["up"] += dst_h > src_h and dst_w > src_w

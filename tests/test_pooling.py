@@ -13,8 +13,7 @@ from cfmseg.core import (
     proposal_from_mask,
 )
 from cfmseg.formats import FormatError
-from cfmseg.masking import project_mask
-from cfmseg.netgeom import NetGeometry, compose_geometry, feature_extent, LayerSpec
+from cfmseg.netgeom import NetGeometry, compose_geometry, LayerSpec
 from cfmseg.pooling import (
     PooledFeature,
     PyramidSpec,
@@ -27,7 +26,7 @@ from cfmseg.pooling import (
     spp_pool,
     spp_pool_windows,
 )
-from conftest import random_map, random_mask, rect_mask
+from conftest import extent_one, project_one, random_map, random_mask, rect_mask
 from oracles import per_window_pool
 
 
@@ -353,7 +352,7 @@ class TestDesigns:
         g, conv = default_setup(rng)
         mask = rect_mask(32, 32, 0, 31, 0, 31)
         p = proposal_from_mask("p", mask)
-        window = feature_extent(g, p.box, conv.height, conv.width)
+        window = extent_one(g, p.box, conv.height, conv.width)
         plain = spp_pool(conv, window, PyramidSpec())
         got = design_b_features(conv, [p], g, PyramidSpec())[0]
         assert np.array_equal(got, plain.values)
@@ -365,11 +364,11 @@ class TestDesigns:
         bits[:, :16] = True
         p = proposal_from_mask("p", BinaryMask(bits))
         pyr = PyramidSpec()
-        window = feature_extent(g, p.box, conv.height, conv.width)
+        window = extent_one(g, p.box, conv.height, conv.width)
         plain = spp_pool(conv, window, pyr)
         got = design_b_features(conv, [p], g, pyr)[0]
         finest = pyr.levels[0]
-        fmask = project_mask(g, p.mask, conv.height, conv.width)
+        fmask = project_one(g, p.mask, conv.height, conv.width)
         grid = downsample_mask_to_grid([window_crop(fmask, window)], finest).reshape(-1)
         head_plain = plain.values[: finest * finest * conv.channels].reshape(-1, conv.channels)
         head_got = got[: finest * finest * conv.channels].reshape(-1, conv.channels)

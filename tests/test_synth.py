@@ -88,6 +88,23 @@ class TestGenerateScene:
         band_pixels = scene.image.values[:, 10:20, :]
         assert band_pixels.std() > 0.05  # textured, not flat
 
+    @pytest.mark.parametrize("color, amp, names", [
+        ((1e308, 0.3, 0.3), 0.2, ["base_color"]),  # finite as float64, not as float32
+        ((0.3, 3e38, 0.3), 3e38, ["base_color", "noise_amp"]),  # only their sum overflows
+        ((0.3, 0.3, -3e38), -3e38, ["base_color", "noise_amp"]),
+    ], ids=["base-color", "sum", "negative-sum"])
+    def test_band_beyond_float32_range_named(self, color, amp, names):
+        # these used to overflow in the image's float32 cast and then be rejected
+        # as "feature map contains non-finite values", naming no band field
+        with pytest.raises(ValidationError, match="float32") as caught:
+            BandSpec(4, 0, 9, color, amp)
+        assert all(repr(name) in str(caught.value) for name in names)
+
+    def test_band_at_float32_max_renders_finite(self):
+        top = float(np.finfo(np.float32).max)
+        spec = small_spec(bands=(BandSpec(4, 0, 9, (top / 2, -top / 2, 0.3), top / 2),))
+        assert np.isfinite(generate_scene(spec).image.values).all()
+
 
 class TestToyProposals:
     def test_exact_copy_has_iou_one(self):
