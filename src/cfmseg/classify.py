@@ -19,6 +19,8 @@ from .formats import (
     contained, dump_json, finite_number, int_fields, load_json, load_vector, save_vector,
 )
 
+GATHER_ROWS = 256  # training samples gathered into the float64 buffer at a time
+
 
 @dataclass(frozen=True, eq=False)
 class LinearModel:
@@ -39,14 +41,29 @@ class LinearModel:
         object.__setattr__(self, "bias", float(self.bias))
 
 
-def _samples(rows) -> np.ndarray:
+def _feature_matrix(features) -> np.ndarray:
     try:
-        mat = np.asarray(rows)  # a matrix is not copied
+        mat = np.asarray(features)  # a matrix is not copied
     except ValueError:  # rows of different lengths
         raise ValidationError("feature rows differ in length") from None
-    if mat.ndim != 2 or len(mat) == 0 or not np.all(np.isfinite(mat)):
-        raise ValidationError("each class needs a finite (n, d) sample matrix, n >= 1")
+    if mat.ndim != 2 or mat.dtype.kind not in "biuf":
+        raise ValidationError("features must be a real (N, d) matrix")
     return mat
+
+
+def _row_indices(rows, n: int) -> np.ndarray:
+    """One class's rows of an n-row matrix: a non-empty 1-D integer array."""
+    idx = np.asarray(rows)
+    if idx.ndim != 1 or len(idx) == 0:
+        raise ValidationError("each class needs a non-empty 1-D array of row indices")
+    # numpy reads a boolean array as a mask and folds a list's booleans into integers
+    if idx.dtype.kind not in "iu" or (
+        not isinstance(rows, np.ndarray) and any(isinstance(r, (bool, np.bool_)) for r in rows)
+    ):
+        raise ValidationError("row indices must be integers, not booleans or floats")
+    if idx.min() < 0 or idx.max() >= n:  # numpy would wrap a negative index
+        raise ValidationError(f"row indices must be in 0..{n - 1}")
+    return idx
 
 
 def score(m: LinearModel, feature) -> float:
@@ -59,54 +76,56 @@ def score(m: LinearModel, feature) -> float:
     return float(np.dot(m.weights64, vec) + m.bias)
 
 
-def _objective(w: np.ndarray, b: float, x: np.ndarray, y: np.ndarray,
-               reg: float) -> float:
-    margins = y * (x @ w + b)
-    hinge = np.maximum(0.0, 1.0 - margins).mean()
-    return float(0.5 * reg * np.dot(w, w) + hinge)
-
-
 def train_svm(
     positives,
     negatives,
+    features,
     *,
     reg: float,
     epochs: int,
     seed: int = 0,
     category: int = 0,
-) -> tuple[LinearModel, list[float]]:
-    """One category's classifier and objective trace from two (n, d) sample matrices.
+) -> LinearModel:
+    """One category's classifier from two lists of row indices into one
+    (N, d) feature matrix.
 
-    The trace holds the objective at initialization followed by one value
-    per epoch, all evaluated on the full training set. `reg` and `epochs`
-    have no defaults here: `pipeline.train_category_models` holds them.
+    Each epoch reads its permuted rows GATHER_ROWS at a time into one reused
+    float64 buffer, so the samples are never copied whole. `reg` and
+    `epochs` have no defaults here: `pipeline.train_category_models` holds
+    them.
     """
-    pos, neg = _samples(positives), _samples(negatives)
+    feats = _feature_matrix(features)
+    n_rows, dim = feats.shape
+    pos, neg = _row_indices(positives, n_rows), _row_indices(negatives, n_rows)
     if reg <= 0 or epochs < 1:
         raise ValidationError(f"bad hyperparameters reg={reg} epochs={epochs}")
-    (n_pos, dim), n = pos.shape, len(pos) + len(neg)
-    if neg.shape[1] != dim:
-        raise ValidationError(f"feature length mismatch: {neg.shape[1]} vs {dim}")
-    # the one float64 copy of the samples; the bias rides along as an always-1
-    # feature so its step shares the 1/(reg*t) damping, which it needs to converge
-    xa = np.ones((n, dim + 1))
-    xa[:n_pos, :dim], xa[n_pos:, :dim] = pos, neg
-    x = xa[:, :dim]  # a view: BLAS reads it with the row stride dim + 1
-    y = np.concatenate([np.ones(n_pos), -np.ones(n - n_pos)])
-    w = np.zeros(dim + 1, dtype=np.float64)
-    trace = [_objective(w[:dim], w[dim], x, y, reg)]
+    rows = np.concatenate([pos, neg])
+    n = len(rows)
+    y = np.where(np.arange(n) < len(pos), 1.0, -1.0)
+    # the bias rides along as the buffer's always-1 last column so its step
+    # shares the 1/(reg*t) damping, which it needs to converge
+    buf = np.ones((min(n, GATHER_ROWS), dim + 1))
+    step = np.empty(dim + 1)
+    w = np.zeros(dim + 1)
     rng = np.random.default_rng(seed)
     t = 0
-    for _ in range(epochs):
-        for i in rng.permutation(n):
-            t += 1
-            eta = 1.0 / (reg * t)
-            violates = y[i] * np.dot(w, xa[i]) < 1.0
-            w *= 1.0 - eta * reg
-            if violates:
-                w += eta * y[i] * xa[i]
-        trace.append(_objective(w[:dim], w[dim], x, y, reg))
-    return LinearModel(w[:dim].astype(np.float32), w[dim], category), trace
+    for epoch in range(epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, GATHER_ROWS):
+            block = order[start:start + GATHER_ROWS]
+            x = buf[:len(block)]
+            x[:, :dim] = feats[rows[block]]
+            if epoch == 0 and not np.isfinite(x).all():  # epoch 0 reads each row once
+                raise ValidationError("feature rows must be finite")
+            for xi, yi in zip(x, y[block].tolist()):
+                t += 1
+                eta = 1.0 / (reg * t)
+                violates = yi * np.dot(w, xi) < 1.0
+                w *= 1.0 - eta * reg
+                if violates:
+                    np.multiply(xi, eta * yi, out=step)
+                    w += step
+    return LinearModel(w[:dim].astype(np.float32), w[dim], category)
 
 
 def save_model(path: Path | str, m: LinearModel) -> None:

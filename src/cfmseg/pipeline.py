@@ -304,7 +304,8 @@ def collect_training_pools(
     negatives are proposals overlapping an instance by [0.1, 0.3] IoU.
     Stuff positives come from deterministic pursuit; stuff negatives are
     proposals with purity below the negative threshold. Each scene's
-    proposals and object instances share one feature pass.
+    proposals and object instances share one feature pass, written into
+    the scene's slice of the matrix.
     """
     categories = [*object_categories, *stuff_categories]
     if len(set(categories)) < len(categories):  # a repeat would pool its samples twice
@@ -314,7 +315,13 @@ def collect_training_pools(
     for scene in scenes:  # every check before the first forward
         _check_frames(scene.proposals, scene.image.height, scene.image.width)
     pools: dict[int, tuple[list, list]] = {c: ([], []) for c in categories}
-    per_scene = []  # each scene's feature matrix
+    n_rows = sum(  # each scene's proposals, then its object instances
+        len(scene.proposals) + sum(inst.category in object_categories for inst in scene.instances)
+        for scene in scenes
+    )
+    length = feature_length(net.spec.out_channels, cfg.pyramid, cfg.design)
+    features = np.empty((n_rows, length), np.float32)  # no scene's rows are copied twice
+    start = 0
     for scene in scenes:
         gts = [  # box-local once each; an empty instance mask is rejected
             (inst.category, proposal_from_mask(f"gt_{inst.category}_{i}", inst.mask))
@@ -324,8 +331,11 @@ def collect_training_pools(
         props = [*scene.proposals, *(gt for _, gt in gts)]
         cache = FeatureCache(scene.image, net)
         # keyed by the proposal itself (identity), never by its id, which may repeat
-        row = {p: i for i, p in enumerate(props, start=sum(map(len, per_scene)))}
-        per_scene.append(proposal_features(props, cache, g, cfg, threads=threads))
+        row = {p: i for i, p in enumerate(props, start=start)}
+        features[start:start + len(props)] = proposal_features(
+            props, cache, g, cfg, threads=threads
+        )
+        start += len(props)
 
         for c in object_categories:
             pos, neg = pools[c]
@@ -342,7 +352,7 @@ def collect_training_pools(
             picked, rejected = stuff_samples(scene.proposals, stuff_gt, PursuitConfig())
             pos.extend(row[p] for p in picked)
             neg.extend(row[p] for p in rejected)
-    return np.concatenate(per_scene or [np.empty((0, 0), np.float32)]), pools
+    return features, pools
 
 
 def train_category_models(
@@ -360,9 +370,8 @@ def train_category_models(
     features, pools = collect_training_pools(
         scenes, object_categories, stuff_categories, net, g, cfg, threads=threads
     )
-    return [  # each category's rows gathered only while its model trains
-        train_svm(*(features[rows] for rows in pools[c]), reg=reg, epochs=epochs,
-                  seed=seed + c, category=c)[0]
+    return [
+        train_svm(*pools[c], features, reg=reg, epochs=epochs, seed=seed + c, category=c)
         for c in sorted(pools)
     ]
 

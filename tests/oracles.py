@@ -4,10 +4,11 @@ Each one computes its result the slow, literal way: the geometry by tracing
 the input interval layer by layer, the projection by scanning every pixel
 against every cell, the masking over the whole map, the training
 objective from its definition, the convolution by explicit broadcast
-steps in its documented order, and the IoU by one pass per category. Two
+steps in its documented order, and the IoU by one pass per category. Three
 keep an earlier form of a package kernel: the projection that finds each
-block's runs by binary search (`reduceat_project_mask`) and pooling one
-window at a time (`per_window_pool`). None of them is used by the package.
+block's runs by binary search (`reduceat_project_mask`), pooling one
+window at a time (`per_window_pool`) and training on both classes copied
+whole to float64 (`matrix_train_svm`). None of them is used by the package.
 """
 
 import numpy as np
@@ -126,6 +127,29 @@ def hinge_objective(m: LinearModel, samples, reg: float) -> float:
     w = m.weights.astype(np.float64)
     hinge = np.maximum(0.0, 1.0 - y * (x @ w + m.bias)).mean()
     return float(0.5 * reg * np.dot(w, w) + hinge)
+
+
+def matrix_train_svm(positives, negatives, *, reg: float, epochs: int, seed: int = 0,
+                     category: int = 0) -> LinearModel:
+    """The SVM trained on two (n, d) sample matrices copied whole to one float64
+    matrix, bias column included, visiting its rows in the same seeded order."""
+    pos, neg = np.asarray(positives), np.asarray(negatives)
+    (n_pos, dim), n = pos.shape, len(pos) + len(neg)
+    xa = np.ones((n, dim + 1))
+    xa[:n_pos, :dim], xa[n_pos:, :dim] = pos, neg
+    y = np.concatenate([np.ones(n_pos), -np.ones(n - n_pos)])
+    w = np.zeros(dim + 1, dtype=np.float64)
+    rng = np.random.default_rng(seed)
+    t = 0
+    for _ in range(epochs):
+        for i in rng.permutation(n):
+            t += 1
+            eta = 1.0 / (reg * t)
+            violates = y[i] * np.dot(w, xa[i]) < 1.0
+            w *= 1.0 - eta * reg
+            if violates:
+                w += eta * y[i] * xa[i]
+    return LinearModel(w[:dim].astype(np.float32), w[dim], category)
 
 
 def loop_conv2d(x: np.ndarray, layer, w: np.ndarray, b: np.ndarray) -> np.ndarray:

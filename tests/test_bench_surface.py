@@ -69,6 +69,7 @@ def test_tiny_library_pass_calls_every_library_target():
     g = netgeom.compose_geometry(net.spec.geometry_layers())
     # a second scale makes proposals resize; a small warp keeps the baseline cheap
     cfg = pipeline.PipelineConfig(scales=(64, 128), design="B", warp_side=32)
+    _, pools = pipeline.collect_training_pools(scenes, [1, 2, 3], [4, 5], net, g, cfg)
     tracer = _tracer_module().Tracer()
     tracer.install()
     try:
@@ -81,3 +82,7 @@ def test_tiny_library_pass_calls_every_library_target():
     finally:
         tracer.uninstall()
     assert [name for name in calls if tracer.calls.get(name, 0) == 0] == []
+    # the tracer counts samples as len() of train_svm's first two arguments
+    assert tracer.items["classify.train_svm.samples"] == sum(
+        len(pos) + len(neg) for pos, neg in pools.values()
+    )

@@ -21,17 +21,31 @@ def separable_clusters(rng, n=40, dim=6, gap=4.0):
     return list(pos), list(neg)
 
 
+def train_stacked(pos, neg, **kw):
+    """train_svm on both classes' rows stacked into one feature matrix."""
+    features = np.array([*pos, *neg])
+    return train_svm(np.arange(len(pos)), np.arange(len(pos), len(features)), features, **kw)
+
+
+def zero_model(dim: int) -> LinearModel:
+    return LinearModel(np.zeros(dim, dtype=np.float32), 0.0, 0)
+
+
 class TestTrainSvm:
     def test_separable_data_fits_perfectly(self, rng):
         pos, neg = separable_clusters(rng)
-        model, trace = train_svm(pos, neg, reg=1e-3, epochs=30, seed=0)
+        model = train_stacked(pos, neg, reg=1e-3, epochs=30, seed=0)
         assert all(score(model, f) > 0 for f in pos)
         assert all(score(model, f) <= 0 for f in neg)
-        assert trace[-1] < trace[0]
+        samples = [(f, 1) for f in pos] + [(f, -1) for f in neg]
+        assert hinge_objective(model, samples, 1e-3) < hinge_objective(
+            zero_model(len(pos[0])), samples, 1e-3
+        )
 
     def test_identical_classes_do_not_crash(self, rng):
-        data = list(rng.standard_normal((10, 4)))
-        model, _ = train_svm(data, data, reg=1e-2, epochs=5, seed=0)
+        data = rng.standard_normal((10, 4))
+        rows = np.arange(len(data))  # every row in both classes
+        model = train_svm(rows, rows, data, reg=1e-2, epochs=5, seed=0)
         # each sample carries both labels, so one of its two is always wrong
         hits = sum(score(model, f) > 0 for f in data)
         hits += sum(score(model, f) <= 0 for f in data)
@@ -39,15 +53,15 @@ class TestTrainSvm:
 
     def test_zero_features_give_bias_only_model(self):
         zeros = [np.zeros(5) for _ in range(8)]
-        model, _ = train_svm(zeros, zeros, reg=1e-2, epochs=5, seed=1)
+        model = train_stacked(zeros, zeros, reg=1e-2, epochs=5, seed=1)
         assert not model.weights.any()
         margins = {score(model, z) for z in zeros}
         assert len(margins) == 1
 
     def test_deterministic_given_seed(self, rng):
         pos, neg = separable_clusters(rng, n=15)
-        a, _ = train_svm(pos, neg, reg=1e-3, epochs=10, seed=42)
-        b, _ = train_svm(pos, neg, reg=1e-3, epochs=10, seed=42)
+        a = train_stacked(pos, neg, reg=1e-3, epochs=10, seed=42)
+        b = train_stacked(pos, neg, reg=1e-3, epochs=10, seed=42)
         assert a.weights.tobytes() == b.weights.tobytes()
         assert a.bias == b.bias
 
@@ -55,32 +69,31 @@ class TestTrainSvm:
         for trial in range(5):
             pos, neg = separable_clusters(rng, n=20, gap=2.0)
             reg = 10.0 ** -rng.integers(2, 5)
-            model, trace = train_svm(pos, neg, reg=reg, epochs=15, seed=trial)
+            model = train_stacked(pos, neg, reg=reg, epochs=15, seed=trial)
             samples = [(f, 1) for f in pos] + [(f, -1) for f in neg]
-            zero = LinearModel(np.zeros(len(pos[0]), dtype=np.float32), 0.0, 0)
             assert hinge_objective(model, samples, reg) <= hinge_objective(
-                zero, samples, reg
+                zero_model(len(pos[0])), samples, reg
             )
 
     def test_empty_class_rejected(self, rng):
         pos, _ = separable_clusters(rng, n=3)
-        with pytest.raises(ValidationError):
-            train_svm(pos, [], reg=1e-3, epochs=2, seed=0)
+        with pytest.raises(ValidationError, match="non-empty"):
+            train_svm(np.arange(3), [], np.array(pos), reg=1e-3, epochs=2, seed=0)
 
     def test_length_mismatch_rejected(self, rng):
-        with pytest.raises(ValidationError):
-            train_svm([np.ones(3)], [np.ones(4)], reg=1e-3, epochs=2, seed=0)
+        with pytest.raises(ValidationError, match="differ in length"):
+            train_svm([0], [1], [np.ones(3), np.ones(4)], reg=1e-3, epochs=2, seed=0)
 
     def test_non_finite_features_rejected(self):
-        with pytest.raises(ValidationError):
-            train_svm([np.array([np.nan, 1.0])], [np.ones(2)], reg=1e-3,
-                      epochs=2, seed=0)
+        with pytest.raises(ValidationError, match="finite"):
+            train_stacked([np.array([np.nan, 1.0])], [np.ones(2)], reg=1e-3,
+                          epochs=2, seed=0)
 
     def test_permutation_invariance_of_predictions(self, rng):
         pos, neg = separable_clusters(rng, n=12)
         perm = rng.permutation(len(pos[0]))
-        model, _ = train_svm(pos, neg, reg=1e-3, epochs=10, seed=7)
-        model_p, _ = train_svm(
+        model = train_stacked(pos, neg, reg=1e-3, epochs=10, seed=7)
+        model_p = train_stacked(
             [p[perm] for p in pos], [n[perm] for n in neg],
             reg=1e-3, epochs=10, seed=7,
         )
