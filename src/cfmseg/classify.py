@@ -8,18 +8,19 @@ triple always yields the same model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from .core import MAX_LABEL, ValidationError, _readonly
+from .core import MAX_LABEL, ValidationError
 from .formats import (
     contained, dump_json, finite_number, int_fields, load_json, load_vector, save_vector,
 )
 
 GATHER_ROWS = 256  # training samples gathered into the float64 buffer at a time
+SCORE_ROWS = 64  # feature rows cast into the float64 buffer at a time when scoring
 
 
 @dataclass(frozen=True, eq=False)
@@ -27,7 +28,6 @@ class LinearModel:
     weights: np.ndarray
     bias: float
     category: int
-    weights64: np.ndarray = field(init=False, repr=False)  # scoring's float64 copy
 
     def __post_init__(self):
         arr = np.array(self.weights, dtype=np.float32).reshape(-1)
@@ -37,7 +37,6 @@ class LinearModel:
             raise ValidationError(f"model category {self.category} outside 0..{MAX_LABEL}")
         arr.setflags(write=False)
         object.__setattr__(self, "weights", arr)
-        object.__setattr__(self, "weights64", _readonly(arr.astype(np.float64)))
         object.__setattr__(self, "bias", float(self.bias))
 
 
@@ -66,14 +65,42 @@ def _row_indices(rows, n: int) -> np.ndarray:
     return idx
 
 
-def score(m: LinearModel, feature) -> float:
-    """Signed margin: dot(weights, feature) + bias."""
-    vec = np.asarray(feature, dtype=np.float64).reshape(-1)
-    if vec.size != m.weights.size:
-        raise ValidationError(
-            f"feature length {vec.size} != model length {m.weights.size}"
-        )
-    return float(np.dot(m.weights64, vec) + m.bias)
+def _float64_rows(mat: np.ndarray):
+    """(start, rows) for each run of SCORE_ROWS rows of a matrix, cast into one
+    reused float64 buffer, so the matrix is never copied whole."""
+    buf = np.empty((min(len(mat), SCORE_ROWS), mat.shape[1]))
+    for start in range(0, len(mat), SCORE_ROWS):
+        rows = buf[:min(SCORE_ROWS, len(mat) - start)]
+        rows[...] = mat[start:start + SCORE_ROWS]
+        yield start, rows
+
+
+def row_norms(features) -> np.ndarray:
+    """Each row's float64 L2 norm, summed by numpy's einsum: its sum order is
+    numpy's own, so the bytes do not depend on the BLAS kernel."""
+    mat = _feature_matrix(features)
+    out = np.empty(len(mat))
+    for start, rows in _float64_rows(mat):
+        np.einsum("ij,ij->i", rows, rows, out=out[start:start + len(rows)])
+    return np.sqrt(out, out=out)
+
+
+def score(models, features) -> np.ndarray:
+    """(N, K) signed margins, dot(weights, row) + bias for each feature row and
+    each of the K models, the dots summed by einsum as in `row_norms`."""
+    mat = _feature_matrix(features)
+    weights = np.empty((len(models), mat.shape[1]))
+    for k, m in enumerate(models):
+        if m.weights.size != mat.shape[1]:
+            raise ValidationError(
+                f"feature length {mat.shape[1]} != model length {m.weights.size}"
+            )
+        weights[k] = m.weights
+    out = np.empty((len(mat), len(models)))
+    for start, rows in _float64_rows(mat):
+        np.einsum("ij,kj->ik", rows, weights, out=out[start:start + len(rows)])
+    out += [m.bias for m in models]
+    return out
 
 
 def train_svm(
@@ -120,6 +147,8 @@ def train_svm(
             for xi, yi in zip(x, y[block].tolist()):
                 t += 1
                 eta = 1.0 / (reg * t)
+                # a BLAS ddot, the one reduction whose sum order the kernel picks:
+                # einsum here would cost a Python call per sample
                 violates = yi * np.dot(w, xi) < 1.0
                 w *= 1.0 - eta * reg
                 if violates:

@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .classify import LinearModel, score, train_svm
+from .classify import LinearModel, row_norms, score, train_svm
 from .core import (
     BinaryMask,
     FeatureMap,
@@ -190,10 +190,10 @@ def proposal_features(
         conv, (sh, sw) = cache.conv_map(s)
         scaled = (scale_proposal(proposals[i], *frame, sh, sw) for i in members)
         vecs = design_feature(conv, scaled, g, cfg.pyramid, cfg.design)
-        for vec in vecs:  # one norm per vector: a row-wise norm differs in the last bit
-            norm = float(np.linalg.norm(vec.astype(np.float64)))
-            if norm > 0.0:
-                vec /= norm
+        norms = row_norms(vecs)
+        # in float32, by each norm rounded to float32; an all-zero row stays as it is
+        np.divide(vecs, norms.astype(np.float32)[:, None], out=vecs,
+                  where=(norms > 0.0)[:, None])
         return members, vecs
 
     done = _map_ordered(batch, jobs, threads)
@@ -215,7 +215,8 @@ def score_proposals(
     cfg: PipelineConfig,
     threads: int = 1,
 ) -> list[ScoredRegion]:
-    """Score every proposal against every category model."""
+    """Score every proposal against every category model: one region per
+    proposal and model, proposal-major, in model order."""
     expected = feature_length(net.spec.out_channels, cfg.pyramid, cfg.design)
     for m in models:
         if m.weights.size != expected:
@@ -226,9 +227,9 @@ def score_proposals(
     cache = FeatureCache(image, net)
     features = proposal_features(proposals, cache, g, cfg, threads=threads)
     return [
-        ScoredRegion(p, m.category, score(m, vec))
-        for p, vec in zip(proposals, (v.astype(np.float64) for v in features))
-        for m in models
+        ScoredRegion(p, m.category, s)
+        for p, row in zip(proposals, score(models, features).tolist())
+        for m, s in zip(models, row)
     ]
 
 

@@ -3,8 +3,9 @@
 Each one computes its result the slow, literal way: the geometry by tracing
 the input interval layer by layer, the projection by scanning every pixel
 against every cell, the masking over the whole map, the training
-objective from its definition, the convolution by explicit broadcast
-steps in its documented order, and the IoU by one pass per category. Three
+objective from its definition, the scores by one einsum per row and model,
+the convolution by explicit broadcast steps in its documented order, and
+the IoU by one pass per category. Three
 keep an earlier form of a package kernel: the projection that finds each
 block's runs by binary search (`reduceat_project_mask`), pooling one
 window at a time (`per_window_pool`) and training on both classes copied
@@ -127,6 +128,15 @@ def hinge_objective(m: LinearModel, samples, reg: float) -> float:
     w = m.weights.astype(np.float64)
     hinge = np.maximum(0.0, 1.0 - y * (x @ w + m.bias)).mean()
     return float(0.5 * reg * np.dot(w, w) + hinge)
+
+
+def einsum_scores(models: list[LinearModel], features) -> list[float]:
+    """Oracle: each (row, model) margin from its own one-dimensional float64
+    einsum plus the bias, row-major, in model order."""
+    rows = [np.asarray(f, dtype=np.float64) for f in features]
+    weights = [m.weights.astype(np.float64) for m in models]
+    return [float(np.einsum("j,j->", w, x) + m.bias)
+            for x in rows for w, m in zip(weights, models)]
 
 
 def matrix_train_svm(positives, negatives, *, reg: float, epochs: int, seed: int = 0,

@@ -29,7 +29,7 @@ from cfmseg.pipeline import FeatureCache, PipelineConfig, assign_scale, scale_pr
 from cfmseg.pooling import DESIGNS, PyramidSpec, _pyramid_plan, spp_pool
 from cfmseg.toynet import default_spec, init_toynet, spec_to_json
 from conftest import extent_one, project_one, random_map, rect_mask
-from oracles import apply_mask, per_block_project_mask, per_window_pool
+from oracles import apply_mask, einsum_scores, per_block_project_mask, per_window_pool
 
 # ---------------------------------------------------------------------------
 # Oracle: the per-proposal path, verbatim
@@ -623,11 +623,6 @@ class TestThreadsFlag:
 
 
 class TestScoring:
-    def test_float64_weights_are_a_read_only_copy(self, rng):
-        m = LinearModel(rng.standard_normal(20).astype(np.float32), 0.5, 3)
-        assert m.weights64.dtype == np.float64 and not m.weights64.flags.writeable
-        assert np.array_equal(m.weights64, m.weights.astype(np.float64))
-
     def test_scores_equal_per_model_float32_dot(self, rng):
         net, g = toy_net()
         image = FeatureMap(rng.standard_normal((3, 32, 32)).astype(np.float32))
@@ -637,7 +632,6 @@ class TestScoring:
         proposals = random_proposals(rng, 12, 32, 32)
         scored = pipeline.score_proposals(models, proposals, image, net, g, cfg)
         vecs = pipeline.proposal_features(proposals, FeatureCache(image, net), g, cfg)
-        want = [float(np.dot(m.weights.astype(np.float64), v.astype(np.float64)) + m.bias)
-                for v in vecs for m in models]
+        want = einsum_scores(models, vecs)
         assert [r.score for r in scored] == want
-        assert [score(m, v) for v in vecs for m in models] == want
+        assert score(models, vecs).ravel().tolist() == want

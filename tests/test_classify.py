@@ -31,12 +31,17 @@ def zero_model(dim: int) -> LinearModel:
     return LinearModel(np.zeros(dim, dtype=np.float32), 0.0, 0)
 
 
+def margins(model: LinearModel, features) -> np.ndarray:
+    """The model's score for each row of a feature matrix."""
+    return score([model], np.asarray(features))[:, 0]
+
+
 class TestTrainSvm:
     def test_separable_data_fits_perfectly(self, rng):
         pos, neg = separable_clusters(rng)
         model = train_stacked(pos, neg, reg=1e-3, epochs=30, seed=0)
-        assert all(score(model, f) > 0 for f in pos)
-        assert all(score(model, f) <= 0 for f in neg)
+        assert (margins(model, pos) > 0).all()
+        assert (margins(model, neg) <= 0).all()
         samples = [(f, 1) for f in pos] + [(f, -1) for f in neg]
         assert hinge_objective(model, samples, 1e-3) < hinge_objective(
             zero_model(len(pos[0])), samples, 1e-3
@@ -47,16 +52,15 @@ class TestTrainSvm:
         rows = np.arange(len(data))  # every row in both classes
         model = train_svm(rows, rows, data, reg=1e-2, epochs=5, seed=0)
         # each sample carries both labels, so one of its two is always wrong
-        hits = sum(score(model, f) > 0 for f in data)
-        hits += sum(score(model, f) <= 0 for f in data)
+        hits = np.count_nonzero(margins(model, data) > 0)
+        hits += np.count_nonzero(margins(model, data) <= 0)
         assert hits / (2 * len(data)) <= 0.5 + 1e-9
 
     def test_zero_features_give_bias_only_model(self):
         zeros = [np.zeros(5) for _ in range(8)]
         model = train_stacked(zeros, zeros, reg=1e-2, epochs=5, seed=1)
         assert not model.weights.any()
-        margins = {score(model, z) for z in zeros}
-        assert len(margins) == 1
+        assert len(set(margins(model, zeros).tolist())) == 1
 
     def test_deterministic_given_seed(self, rng):
         pos, neg = separable_clusters(rng, n=15)
@@ -98,41 +102,58 @@ class TestTrainSvm:
             reg=1e-3, epochs=10, seed=7,
         )
         probe = rng.standard_normal(len(pos[0]))
-        assert np.sign(score(model, probe)) == np.sign(score(model_p, probe[perm]))
+        assert np.sign(margins(model, [probe])) == np.sign(margins(model_p, [probe[perm]]))
 
 
 class TestScore:
     def test_zero_model_scores_zero(self, rng):
         model = LinearModel(np.zeros(4, dtype=np.float32), 0.0, 0)
-        assert score(model, rng.standard_normal(4)) == 0.0
+        assert not margins(model, rng.standard_normal((3, 4))).any()
 
     def test_unit_vector_picks_coordinate(self, rng):
         w = np.zeros(5, dtype=np.float32)
         w[2] = 1.0
         model = LinearModel(w, 0.25, 0)
-        f = rng.standard_normal(5)
-        assert score(model, f) == pytest.approx(f[2] + 0.25)
+        f = rng.standard_normal((3, 5))
+        assert margins(model, f) == pytest.approx(f[:, 2] + 0.25)
 
     def test_linearity(self, rng):
         w = rng.standard_normal(6).astype(np.float32)
         model = LinearModel(w, 1.5, 0)
         f, g = rng.standard_normal(6), rng.standard_normal(6)
-        lhs = score(model, 2 * f + 3 * g) - model.bias
-        rhs = 2 * (score(model, f) - model.bias) + 3 * (score(model, g) - model.bias)
-        assert lhs == pytest.approx(rhs)
+        lhs, m_f, m_g = margins(model, [2 * f + 3 * g, f, g]) - model.bias
+        assert lhs == pytest.approx(2 * m_f + 3 * m_g)
 
     def test_doubling_feature_doubles_margin(self, rng):
         w = rng.standard_normal(4).astype(np.float32)
         model = LinearModel(w, 0.7, 0)
         f = rng.standard_normal(4)
-        assert score(model, 2 * f) - model.bias == pytest.approx(
-            2 * (score(model, f) - model.bias)
-        )
+        doubled, single = margins(model, [2 * f, f]) - model.bias
+        assert doubled == pytest.approx(2 * single)
 
     def test_length_mismatch_rejected(self):
         model = LinearModel(np.zeros(4, dtype=np.float32), 0.0, 0)
-        with pytest.raises(ValidationError):
-            score(model, np.zeros(5))
+        with pytest.raises(ValidationError, match="feature length 5 != model length 4"):
+            score([model], np.zeros((2, 5)))
+
+    @pytest.mark.parametrize("features", [np.zeros(4), np.zeros((1, 2, 2)), [["a"] * 4]])
+    def test_not_a_real_matrix_rejected(self, features):
+        with pytest.raises(ValidationError, match=r"real \(N, d\) matrix"):
+            score([zero_model(4)], features)
+
+    def test_matrix_is_rows_by_models(self, rng):
+        models = [LinearModel(rng.standard_normal(7).astype(np.float32), b, c)
+                  for c, b in enumerate((0.5, -1.0, 2.0), start=1)]
+        f = rng.standard_normal((4, 7)).astype(np.float32)
+        got = score(models, f)
+        assert got.shape == (4, 3) and got.dtype == np.float64
+        for k, m in enumerate(models):
+            assert np.array_equal(got[:, k], margins(m, f))
+
+    def test_no_rows_or_no_models(self, rng):
+        model = zero_model(3)
+        assert score([model], np.zeros((0, 3))).shape == (0, 1)
+        assert score([], rng.standard_normal((2, 3))).shape == (2, 0)
 
 
 class TestHingeObjective:
@@ -163,8 +184,8 @@ class TestModelIO:
         model = LinearModel(rng.standard_normal(9).astype(np.float32), 0.25, 1)
         save_model(tmp_path / "m.json", model)
         back = load_model(tmp_path / "m.json")
-        probe = rng.standard_normal(9).astype(np.float32)
-        assert score(back, probe) == score(model, probe)
+        probe = rng.standard_normal((3, 9)).astype(np.float32)
+        assert score([back], probe).tobytes() == score([model], probe).tobytes()
 
     @pytest.mark.parametrize("where", ["parent", "absolute"])
     def test_weights_outside_directory_rejected(self, tmp_path, where):

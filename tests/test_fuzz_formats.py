@@ -232,3 +232,50 @@ def test_scored_regions(tmp_path, data):
     formats.dump_json([{"id": "a", "mask": "a.pgm", "category": 2, "score": 0.5}], path)
     load = partial(formats.load_json, parse=partial(cli._scored_regions, tmp_path))
     check_loader(load, path, [path, tmp_path / "a.pgm"], data, names_files=True)
+
+
+def _model_file(tmp_path: Path) -> Path:
+    path = tmp_path / "category_001.json"
+    classify.save_model(path, classify.LinearModel(np.ones(5), -0.25, 1))
+    return path
+
+
+def _scored_file(tmp_path: Path) -> Path:
+    path = tmp_path / "scored.json"
+    formats.save_mask(tmp_path / "a.pgm", rect_mask(6, 6, 0, 2, 0, 2))
+    formats.dump_json([{"id": "a", "mask": "a.pgm", "category": 2, "score": 0.5}], path)
+    return path
+
+
+def _spec_file(tmp_path: Path) -> Path:
+    path = tmp_path / "spec.json"
+    formats.dump_json({"width": 32, "height": 32, "seed": 1, "shapes": [],
+                       "bands": [{"category": 4, "row0": 0, "row1": 5,
+                                  "base_color": [0.3, 0.6, 0.8], "noise_amp": 0.2}]},
+                      path)
+    return path
+
+
+# every JSON number field a reader takes as a float: its file, where it sits,
+# the name the error gives and the loader
+NUMBER_FIELDS = {
+    "bias": (_model_file, ("bias",), classify.load_model),
+    "score": (_scored_file, (0, "score"),
+              lambda p: formats.load_json(p, partial(cli._scored_regions, p.parent))),
+    "base_color": (_spec_file, ("bands", 0, "base_color", 1),
+                   lambda p: formats.load_json(p, cli._scene_spec_from_json)),
+    "noise_amp": (_spec_file, ("bands", 0, "noise_amp"),
+                  lambda p: formats.load_json(p, cli._scene_spec_from_json)),
+}
+
+
+@pytest.mark.parametrize("literal", ["1e400", "-1e400", str(10**400), str(-10**400)])
+@pytest.mark.parametrize("field", sorted(NUMBER_FIELDS))
+def test_number_beyond_float_range_rejected(tmp_path, field, literal):
+    """The fuzzer draws such values but need not put one in each field."""
+    make, where, load = NUMBER_FIELDS[field]
+    path = make(tmp_path)
+    doc = _replaced(json.loads(path.read_text()), where, "@number@")
+    path.write_text(json.dumps(doc).replace('"@number@"', literal))
+    with pytest.raises(ValidationError, match=f"'{field}' must be a finite number"):
+        load(path)

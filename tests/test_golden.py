@@ -1,22 +1,27 @@
-"""Pinned outputs of a fixed CLI run: synth -> train -> infer -> eval.
+"""Pinned outputs of a fixed CLI run: synth -> train -> infer -> eval, and
+pinned bytes of the stages on one scene.
 
 Criterion 9 shows that a rerun equals a rerun; these hashes show that a
 change to the code kept every output byte. Each design trains on a fixed
 3-scene corpus and labels the same scenes; the digest covers every model
-file and label map written. The values were generated with numpy 2.4 on
-x86-64. A deliberate behaviour change regenerates them and says why in
+file and label map written. The stage hashes name the stage, so a failure
+says where the bytes first changed. The values were generated with numpy 2.4
+on x86-64. A deliberate behaviour change regenerates them and says why in
 CHANGES.md; a refactor must leave them alone.
 """
 
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
-from cfmseg import formats
+from cfmseg import formats, pipeline, synth
+from cfmseg.classify import LinearModel, row_norms, score
 from cfmseg.cli import main
 from cfmseg.core import BinaryMask
-from cfmseg.toynet import default_spec, spec_to_json
+from cfmseg.netgeom import compose_geometry
+from cfmseg.toynet import default_spec, init_toynet, spec_to_json
 
 SCENE_SEEDS = (11, 12, 13)
 SCALES = "64,96,128"
@@ -35,6 +40,24 @@ GOLDEN_RUNS = {
 GOLDEN_PURSUE = {
     "deterministic": "735ffbf4e5d783c36ec0bef7aca11cabc1463b4cf6fe176499a09d6077ee1df4",
     "stochastic": "99438977355041b0da4c7baab83361435a2034f19157d823faf4cf4c08e18693",
+}
+
+
+# design -> stage -> SHA-256 of the stage's array on scene seed 4's proposals:
+# proposal_features' (N, L) float32 rows, their float64 `row_norms` (which
+# pin the norm's sum order) and classify.score's (N, 5) margins under five
+# seeded random models. The einsum sums do not depend on the BLAS kernel, so
+# these hold under every OPENBLAS_CORETYPE.
+GOLDEN_STAGES = {
+    "A": {"features": "2e6c672cdfc3f1969609dcb35c255bfcff528339972f0e9fe490d3c120c58727",
+          "norms": "142cf7d468221c0cc9ec1a73b5d9ced86e35f3d18b239fdb363c4e72cbdc0d07",
+          "scores": "cac1aa2d17dc6d88915f40e3ea673966b3ca7e90d77b60563438083306df8dce"},
+    "B": {"features": "680344111f3f4e6c29c55275ccd08ef9a8a2f7ed79a21c1b31a86e1a2df26d81",
+          "norms": "d16c826fe91c83428c5c385bbf9077115f3daf5a4aef2e87fb01aca04520f367",
+          "scores": "3029a3d91e0e3e3438711383474154f9d2ce9801a975ed85921cf420981e6f88"},
+    "none": {"features": "4bc936a1889ad925e84238af18ad79e786d342dcb33fde106495b32b857c8479",
+             "norms": "86bfca9b308d178dbe1d26a3e00efdd63bde36d0f8cb064712e4fb2ff18895a2",
+             "scores": "bf3305942348b9c2c74346b8ddcb8a0922da0ac12fed184caeb5da3c12453037"},
 }
 
 
@@ -92,3 +115,22 @@ def test_pursue_matches_golden(mode, tmp_path, capsys):
     assert len(json.loads(out)["selected"]) > 1
     got = _sha256(out.encode())
     assert got == GOLDEN_PURSUE[mode], f"{got!r}\n{out}"
+
+
+@pytest.mark.parametrize("design", sorted(GOLDEN_STAGES))
+def test_stage_bytes_match_golden(design):
+    scene = synth.generate_scene(synth.random_scene_spec(synth.CorpusConfig(), 4))
+    proposals = synth.toy_proposals(64, 64, scene.instances, grid_sizes=(16, 32))
+    net = init_toynet(default_spec(3, seed=0))
+    g = compose_geometry(net.spec.geometry_layers())
+    cfg = pipeline.PipelineConfig(scales=(256, 512), design=design)
+    features = pipeline.proposal_features(
+        proposals, pipeline.FeatureCache(scene.image, net), g, cfg
+    )
+    rng = np.random.default_rng(7)
+    models = [LinearModel(rng.standard_normal(features.shape[1]).astype(np.float32),
+                          float(rng.standard_normal()), c) for c in range(1, 6)]
+    got = {"features": _sha256(features.tobytes()),
+           "norms": _sha256(row_norms(features).tobytes()),
+           "scores": _sha256(score(models, features).tobytes())}
+    assert got == GOLDEN_STAGES[design]
