@@ -12,6 +12,7 @@ import numpy as np
 
 
 MAX_LABEL = 0xFFFF  # the largest category a label map's uint16 holds
+MAX_SIDE = 2048  # the largest scale (shorter edge) or warp side a forward input may have
 
 
 class ValidationError(ValueError):

@@ -22,6 +22,7 @@ from .core import (
     InstanceSegment,
     LabelMap,
     MAX_LABEL,
+    MAX_SIDE,
     PixelBox,
     SegmentProposal,
     ValidationError,
@@ -52,12 +53,14 @@ class PipelineConfig:
         scales = tuple(int(s) for s in self.scales)
         if not scales or list(scales) != sorted(scales) or scales[0] < 1:
             raise ValidationError(f"scales must be ascending positives: {self.scales}")
+        if scales[-1] > MAX_SIDE:
+            raise ValidationError(f"scales must be at most {MAX_SIDE}: {self.scales}")
         if not 0.0 < self.paste_inhibit_iou < 1.0:
             raise ValidationError(f"paste inhibition {self.paste_inhibit_iou}")
         if self.design not in DESIGNS:
             raise ValidationError(f"design must be one of {DESIGNS}")
-        if self.warp_side < 1:
-            raise ValidationError("warp side must be >= 1")
+        if not 1 <= self.warp_side <= MAX_SIDE:
+            raise ValidationError(f"warp side must be in 1..{MAX_SIDE}, got {self.warp_side}")
         object.__setattr__(self, "scales", scales)
 
 

@@ -110,64 +110,128 @@ def init_toynet(spec: ToyNetSpec) -> ToyNet:
     return ToyNet(spec, tuple(weights))
 
 
-def _taps(x: np.ndarray, layer: LayerSpec, index: int, fill: float) -> list[np.ndarray]:
-    """Pad the input, then take one strided view per kernel tap, row-major."""
-    c, h, w_in = x.shape
-    out_h, out_w = layer.out_len(h), layer.out_len(w_in)
-    if out_h < 1 or out_w < 1:
+def _runs(values: np.ndarray, axis: int) -> np.ndarray:
+    """Run id of each row (axis 1) or column (axis 2) of a (C, H, W) float32 map.
+
+    A position joins its predecessor's run when every one of its values has
+    the same bits, so -0.0 and +0.0 never merge; ids count up from 0.
+    """
+    bits = values.view(np.uint32)
+    if axis == 1:  # each form keeps numpy's any() off a middle axis, where it is slow
+        differs = (bits[:, 1:] != bits[:, :-1]).any(axis=2).any(axis=0)
+    else:
+        differs = (bits[:, :, 1:] != bits[:, :, :-1]).any(axis=(0, 1))
+    return np.concatenate(([0], np.cumsum(differs)))
+
+
+def _merged(ids: np.ndarray) -> bool:
+    return ids[-1] + 1 < len(ids)
+
+
+def _axis_plan(ids: np.ndarray, layer: LayerSpec) -> tuple[list, np.ndarray]:
+    """One axis of a layer over a compact map whose full-size positions have run
+    ids `ids`: per kernel tap, the padded compact positions that each output run
+    reads, and the run id of every full-size output position.
+
+    Each pad position has an id of its own. An output's receptive field is the
+    tuple of ids its taps read; neighbours with equal tuples form one output run,
+    and only its first output is computed. An axis with no merged positions reads
+    strided slices and merges nothing.
+    """
+    n, k, s, p = len(ids), layer.kernel, layer.stride, layer.pad
+    n_out = layer.out_len(n)
+    if not _merged(ids):
+        return [slice(d, d + (n_out - 1) * s + 1, s) for d in range(k)], np.arange(n_out)
+    n_runs = int(ids[-1]) + 1
+    padded = np.concatenate((np.arange(p), ids + p, np.arange(n_runs + p, n_runs + 2 * p)))
+    fields = padded[np.arange(n_out)[:, None] * s + np.arange(k)]
+    starts = np.concatenate(([True], (fields[1:] != fields[:-1]).any(axis=1)))
+    return list(fields[starts].T), np.cumsum(starts) - 1
+
+
+def _fields(x: np.ndarray, ids: tuple, layer: LayerSpec, index: int, fill: float):
+    """Pad the compact map, then read one view or gather per kernel tap, row-major,
+    each holding the first output of every output run; also return the output's
+    run ids per axis."""
+    h, w_in = len(ids[0]), len(ids[1])
+    if layer.out_len(h) < 1 or layer.out_len(w_in) < 1:
         raise ValidationError(
             f"layer {index} ({layer.kind} k={layer.kernel}): input {h}x{w_in} too small"
         )
-    p, s = layer.pad, layer.stride
-    xp = np.full((c, h + 2 * p, w_in + 2 * p), fill, dtype=np.float32)
-    xp[:, p : p + h, p : p + w_in] = x
-    return [
-        xp[:, dy : dy + (out_h - 1) * s + 1 : s, dx : dx + (out_w - 1) * s + 1 : s]
-        for dy in range(layer.kernel)
-        for dx in range(layer.kernel)
-    ]
+    (rows, out_rows), (cols, out_cols) = (_axis_plan(a, layer) for a in ids)
+    c, hc, wc = x.shape
+    p = layer.pad
+    xp = np.full((c, hc + 2 * p, wc + 2 * p), fill, dtype=np.float32)
+    xp[:, p : p + hc, p : p + wc] = x
+    taps = (band[:, :, q] for band in (xp[:, r] for r in rows) for q in cols)
+    return taps, (out_rows, out_cols)
 
 
-def _conv2d(x: np.ndarray, layer: ConvLayerSpec, w: np.ndarray, b: np.ndarray,
-            index: int) -> np.ndarray:
-    """Direct convolution: channels summed in order, then taps in row-major
-    order, each product and sum rounded to float32. Each tap is copied
-    contiguously (same order, 2-3x faster); a one-cell output takes a running
-    sum instead, since einsum sums a cell's contiguous channels in SIMD blocks."""
-    taps = _taps(x, layer, index, 0.0)
-    out = np.zeros((layer.out_channels, *taps[0].shape[1:]), dtype=np.float32)
+def _out_shape(channels: int, ids: tuple) -> tuple[int, int, int]:
+    return channels, int(ids[0][-1]) + 1, int(ids[1][-1]) + 1
+
+
+def _conv2d(x: np.ndarray, ids: tuple, layer: ConvLayerSpec, w: np.ndarray,
+            b: np.ndarray, index: int) -> tuple[np.ndarray, tuple]:
+    """Direct convolution of a compact map: channels summed in order, then taps
+    in row-major order, each product and sum rounded to float32. Each tap is
+    copied contiguously (same order, 2-3x faster); a one-cell output takes a
+    running sum instead, since einsum sums a cell's contiguous channels in SIMD
+    blocks. Returns the compact output and its run ids."""
+    taps, out_ids = _fields(x, ids, layer, index, 0.0)
+    out = np.zeros(_out_shape(layer.out_channels, out_ids), dtype=np.float32)
     for t, view in enumerate(taps):
         dy, dx = divmod(t, layer.kernel)
         if out[0].size == 1:
             out[:, 0, 0] += np.cumsum(w[:, :, dy, dx] * view[:, 0, 0], axis=1)[:, -1]
         else:
             out += np.einsum("oc,chw->ohw", w[:, :, dy, dx], np.ascontiguousarray(view))
-    return out + b[:, None, None]
+    return out + b[:, None, None], out_ids
 
 
-def _maxpool(x: np.ndarray, layer: PoolLayerSpec, index: int) -> np.ndarray:
-    taps = _taps(x, layer, index, -np.inf)
-    out = np.full(taps[0].shape, -np.inf, dtype=np.float32)
+def _maxpool(x: np.ndarray, ids: tuple, layer: PoolLayerSpec,
+             index: int) -> tuple[np.ndarray, tuple]:
+    taps, out_ids = _fields(x, ids, layer, index, -np.inf)
+    out = np.full(_out_shape(x.shape[0], out_ids), -np.inf, dtype=np.float32)
     for view in taps:
         np.maximum(out, view, out=out)
-    return out
+    return out, out_ids
 
 
 def forward(net: ToyNet, image: FeatureMap) -> FeatureMap:
-    """Full forward pass: conv layers are followed by a rectifier."""
+    """Full forward pass: conv layers are followed by a rectifier.
+
+    Rows, and separately columns, of the input that repeat their neighbour bit
+    for bit (as a nearest upscale makes them) are computed once: each layer works
+    on one row and column per run of identical receptive fields, and the last
+    layer's map is expanded to full size. Every output element is the same
+    float32 sum over the same bits as on the full map, so the bytes are too.
+    """
     if image.channels != net.spec.in_channels:
         raise ValidationError(
             f"image has {image.channels} channels, network expects "
             f"{net.spec.in_channels}"
         )
     x = image.values
+    ids = (_runs(x, 1), _runs(x, 2))
+    x = _per_axis(x, [np.flatnonzero(np.diff(a, prepend=-1)) for a in ids], ids)  # run starts
     for i, (layer, params) in enumerate(zip(net.spec.layers, net.weights)):
         if isinstance(layer, ConvLayerSpec):
-            w, b = params
-            x = np.maximum(_conv2d(x, layer, w, b, i), 0.0)
+            x, ids = _conv2d(x, ids, layer, *params, i)
+            x = np.maximum(x, 0.0)
         else:
-            x = _maxpool(x, layer, i)
-    return FeatureMap(x)
+            x, ids = _maxpool(x, ids, layer, i)
+    return FeatureMap(_per_axis(x, ids, ids))
+
+
+def _per_axis(x: np.ndarray, index: list, ids: tuple) -> np.ndarray:
+    """x with its rows and then its columns taken at `index`, skipping an axis
+    whose `ids` merged nothing."""
+    if _merged(ids[0]):
+        x = x[:, index[0]]
+    if _merged(ids[1]):
+        x = x[:, :, index[1]]
+    return x
 
 
 def forward_region(

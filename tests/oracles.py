@@ -4,8 +4,9 @@ Each one computes its result the slow, literal way: the geometry by tracing
 the input interval layer by layer, the projection by scanning every pixel
 against every cell, the masking over the whole map, the training
 objective from its definition, the scores by one einsum per row and model,
-the convolution by explicit broadcast steps in its documented order, and
-the IoU by one pass per category. Three
+the convolution by explicit broadcast steps in its documented order, the
+forward pass on full maps with a per-cell max-pool, and the IoU by one pass
+per category. Three
 keep an earlier form of a package kernel: the projection that finds each
 block's runs by binary search (`reduceat_project_mask`), pooling one
 window at a time (`per_window_pool`) and training on both classes copied
@@ -183,6 +184,35 @@ def loop_conv2d(x: np.ndarray, layer, w: np.ndarray, b: np.ndarray) -> np.ndarra
                 acc += w[:, ch, dy, dx, None, None] * tap[ch]
             out += acc
     return out + b[:, None, None]
+
+
+def loop_maxpool(x: np.ndarray, layer) -> np.ndarray:
+    """Max-pool by an explicit loop over output cells: np.maximum of the cell's
+    in-bounds taps, in row-major order, starting from -inf."""
+    c, h, w_in = x.shape
+    p, s, k = layer.pad, layer.stride, layer.kernel
+    out = np.empty((c, layer.out_len(h), layer.out_len(w_in)), dtype=np.float32)
+    for i in range(out.shape[1]):
+        for j in range(out.shape[2]):
+            cell = np.full(c, -np.inf, dtype=np.float32)
+            for y in range(i * s - p, i * s - p + k):
+                for x_ in range(j * s - p, j * s - p + k):
+                    if 0 <= y < h and 0 <= x_ < w_in:
+                        cell = np.maximum(cell, x[:, y, x_])
+            out[:, i, j] = cell
+    return out
+
+
+def loop_forward(net, values: np.ndarray) -> np.ndarray:
+    """The forward pass on full maps, layer by layer: `loop_conv2d` then a
+    rectifier for each conv layer, `loop_maxpool` for each pool layer."""
+    x = np.asarray(values, dtype=np.float32)
+    for layer, params in zip(net.spec.layers, net.weights):
+        if layer.kind == "conv":
+            x = np.maximum(loop_conv2d(x, layer, *params), np.float32(0.0))
+        else:
+            x = loop_maxpool(x, layer)
+    return x
 
 
 def loop_mean_iou(

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -6,8 +7,8 @@ import pytest
 
 from cfmseg import cli, formats, synth, toynet
 from cfmseg.cli import main, write_scene_dir
-from cfmseg.core import BinaryMask, FeatureMap, LabelMap
-from cfmseg.pooling import load_pooled_feature
+from cfmseg.core import MAX_SIDE, BinaryMask, FeatureMap, LabelMap
+from cfmseg.pooling import PyramidSpec, feature_length, load_pooled_feature
 from cfmseg.toynet import default_spec, spec_to_json
 
 
@@ -588,6 +589,30 @@ class TestErrorContract:
                                   "--proposals", str(tmp_path / "absent.json"),
                                   "--net", net_file, "--scales", ""])
         assert err["error"] == "ValidationError" and "scales" in err["message"]
+
+    @pytest.mark.parametrize("flags", [["infer", "--scales", "1,100000000"],
+                                       ["bench", "--counts", "1", "--warp", "100000000"]],
+                             ids=["infer-scales", "bench-warp"])
+    def test_forward_input_side_bounded(self, capsys, tmp_path, scene_dir, net_file, flags):
+        # a 10^8 scale or warp side used to reach the resize before any check
+        models = tmp_path / "models"
+        models.mkdir()
+        length = feature_length(32, PyramidSpec(), "B")  # the default net and design
+        formats.save_vector(models / "w.cfmt", np.zeros(length, dtype=np.float32))
+        (models / "category_001.json").write_text(
+            '{"category": 1, "bias": 0.0, "weights": "w.cfmt"}')
+        paths = {"infer": ["--models", str(models), "--out-labels", str(tmp_path / "p.cfml")],
+                 "bench": []}[flags[0]]
+        tracemalloc.start()
+        try:
+            err = self.error(capsys, [*flags, *paths, "--net", net_file,
+                                      "--image", str(scene_dir / "image.cfmt"),
+                                      "--proposals", str(scene_dir / "proposals.json")])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert err["error"] == "ValidationError" and str(MAX_SIDE) in err["message"]
+        assert peak < 8 << 20  # rejected before anything the size sets is allocated
 
     @pytest.mark.parametrize("bias", ['"0.5"', "true", "null", "[0.5]", "1" + "0" * 400,
                                       "NaN"],

@@ -19,9 +19,18 @@ import pytest
 from cfmseg import formats, pipeline, synth
 from cfmseg.classify import LinearModel, row_norms, score
 from cfmseg.cli import main
-from cfmseg.core import BinaryMask
+from cfmseg.core import BinaryMask, FeatureMap, PixelBox
 from cfmseg.netgeom import compose_geometry
-from cfmseg.toynet import default_spec, init_toynet, spec_to_json
+from cfmseg.toynet import (
+    ConvLayerSpec,
+    PoolLayerSpec,
+    ToyNetSpec,
+    default_spec,
+    forward,
+    forward_region,
+    init_toynet,
+    spec_to_json,
+)
 
 SCENE_SEEDS = (11, 12, 13)
 SCALES = "64,96,128"
@@ -58,6 +67,30 @@ GOLDEN_STAGES = {
     "none": {"features": "4bc936a1889ad925e84238af18ad79e786d342dcb33fde106495b32b857c8479",
              "norms": "86bfca9b308d178dbe1d26a3e00efdd63bde36d0f8cb064712e4fb2ff18895a2",
              "scores": "bf3305942348b9c2c74346b8ddcb8a0922da0ac12fed184caeb5da3c12453037"},
+}
+
+
+# case -> SHA-256 of `toynet.forward`'s float32 output. Scene seed 4 through
+# `scale_image` repeats whole rows and columns; the 224-pixel warps repeat each
+# crop row 14, 28 and 6-10 times; the random image repeats nothing; the pooled
+# net carries repeats through max-pool layers, one of them padded.
+GOLDEN_FORWARD = {
+    "scene_x4":
+        "b845872df61186fdc6723e5ccf2af1546ab26540ef1951b011cdcf8d2df1c9b1",
+    "scene_x6":
+        "32a29ada594b650cade745a7c08cad36a7c5fae027c6694f0251bcfedd99cfcd",
+    "scene_x8":
+        "c6f23afbfce28cabf6883263222135d9101c622d3575076f1035dd63dd07622c",
+    "region_16x16":
+        "a5c3da9210460f02738ba72049a157fbb3e5b2c765b96fb0276c689fb9f59a7e",
+    "region_8x8":
+        "2fe60263d2aa6bbe50500f5ed1d131bc41e6bf151a93b916c0d270b632d8a923",
+    "region_37x23":
+        "7ce23dc1fb91ae6c894be9af98c2c2bab434f06e7b21d7967ff614fd05ec3802",
+    "random":
+        "fa474e160bc9d658f7b18153abc4c9fe4cb12ae8e4b9d83ecda8f787e3a18c51",
+    "pooled_net_x3":
+        "4e0b51cab97e016de8d41fcb6c2400bb6e2796913df26792c76dd42aa40fcfd2",
 }
 
 
@@ -134,3 +167,27 @@ def test_stage_bytes_match_golden(design):
            "norms": _sha256(row_norms(features).tobytes()),
            "scores": _sha256(score(models, features).tobytes())}
     assert got == GOLDEN_STAGES[design]
+
+
+def _forward_case(case: str) -> np.ndarray:
+    image = synth.generate_scene(synth.random_scene_spec(synth.CorpusConfig(), 4)).image
+    net = init_toynet(default_spec(3, seed=0))
+    if case.startswith("scene_x"):
+        out = forward(net, pipeline.scale_image(image, 64 * int(case[len("scene_x"):])))
+    elif case.startswith("region_"):
+        w, h = (int(v) for v in case[len("region_"):].split("x"))
+        out = forward_region(net, image, PixelBox(5, 9, 5 + w - 1, 9 + h - 1), 224)
+    elif case == "random":
+        values = np.random.default_rng(3).standard_normal((3, 40, 52)).astype(np.float32)
+        out = forward(net, FeatureMap(values))
+    else:
+        spec = ToyNetSpec((ConvLayerSpec(3, 1, 1, 3, 8), PoolLayerSpec(2, 2, 0),
+                           ConvLayerSpec(3, 2, 1, 8, 16), PoolLayerSpec(3, 1, 1)), seed=2)
+        out = forward(init_toynet(spec), pipeline.scale_image(image, 192))
+    return out.values
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_FORWARD))
+def test_forward_bytes_match_golden(case):
+    got = _sha256(_forward_case(case).tobytes())
+    assert got == GOLDEN_FORWARD[case], f"{case}: {got!r}"

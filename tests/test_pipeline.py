@@ -10,6 +10,7 @@ from cfmseg.core import (
     FeatureMap,
     InstanceSegment,
     LabelMap,
+    MAX_SIDE,
     PixelBox,
     SegmentProposal,
     ValidationError,
@@ -59,6 +60,21 @@ def toy_setup(rng, side=32, seed=0):
     g = compose_geometry(net.spec.geometry_layers())
     image = random_map(rng, 3, side, side)
     return net, g, image
+
+
+class TestConfigSideBound:
+    def test_default_scales_and_bound_admitted(self):
+        assert max(PipelineConfig().scales) == 1200 <= MAX_SIDE
+        assert PipelineConfig(scales=(MAX_SIDE,), warp_side=MAX_SIDE).warp_side == MAX_SIDE
+
+    def test_scale_above_bound_rejected(self):
+        with pytest.raises(ValidationError, match=f"at most {MAX_SIDE}"):
+            PipelineConfig(scales=(64, MAX_SIDE + 1))
+
+    @pytest.mark.parametrize("side", [0, MAX_SIDE + 1])
+    def test_warp_side_outside_bound_rejected(self, side):
+        with pytest.raises(ValidationError, match=f"1..{MAX_SIDE}"):
+            PipelineConfig(warp_side=side)
 
 
 class TestAssignScale:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cfmseg.core import FeatureMap, PixelBox, ValidationError
+from cfmseg.core import FeatureMap, PixelBox, ValidationError, resize_nearest
 from cfmseg.formats import canonical_json
 from cfmseg.netgeom import LayerSpec, NetGeometry, compose_geometry
 from cfmseg.toynet import (
@@ -17,9 +17,10 @@ from cfmseg.toynet import (
     spec_from_json,
     spec_to_json,
     _conv2d,
+    _runs,
 )
 from conftest import random_map
-from oracles import loop_conv2d
+from oracles import loop_conv2d, loop_forward
 
 # the net spec file `formats.dump_json` writes for default_spec(3, seed=5)
 DEFAULT_SPEC_JSON = """\
@@ -182,13 +183,21 @@ def in_len(rng, out: int, k: int, s: int, p: int) -> int:
     return max(1, (out - 1) * s + k - 2 * p + int(rng.integers(0, s)))
 
 
+def full_conv(x, layer, w, b) -> np.ndarray:
+    """The conv layer that `forward` runs, on a full map: every row and column
+    its own run, so the output is full size too."""
+    out, ids = _conv2d(x, (np.arange(x.shape[1]), np.arange(x.shape[2])), layer, w, b, 0)
+    assert [len(a) for a in ids] == list(out.shape[1:])
+    return out
+
+
 class TestConvSumOrder:
-    """_conv2d gives the bytes of the documented order on every layer shape."""
+    """The conv layer gives the bytes of the documented order on every layer shape."""
 
     @staticmethod
     def assert_oracle_bytes(case):
         x, layer, w, b = case
-        got = _conv2d(x, layer, w, b, 0)
+        got = full_conv(x, layer, w, b)
         assert got.tobytes() == loop_conv2d(x, layer, w, b).tobytes(), (layer, x.shape)
 
     def test_random_layers(self, rng):
@@ -207,7 +216,7 @@ class TestConvSumOrder:
             h, w = in_len(rng, out_h, k, s, p), in_len(rng, out_w, k, s, p)
             c_in, c_out = (int(v) for v in rng.integers(1, 65, size=2))
             case = conv_case(rng, k, s, p, c_in, c_out, h, w)
-            assert _conv2d(*case, 0).shape[1:] == (out_h, out_w)
+            assert full_conv(*case).shape[1:] == (out_h, out_w)
             self.assert_oracle_bytes(case)
 
     def test_single_cell_from_strided_input(self, rng):
@@ -220,6 +229,107 @@ class TestConvSumOrder:
             s = int(rng.integers(1, 4))
             c_in, c_out = (int(v) for v in rng.integers(2, 65, size=2))
             self.assert_oracle_bytes(conv_case(rng, 1, s, 0, c_in, c_out, 1, 1))
+
+
+def pooled_net(seed: int = 4) -> ToyNet:
+    """A padded pool first, so signed zeros of the input reach a max-pool."""
+    spec = ToyNetSpec((PoolLayerSpec(2, 1, 1), ConvLayerSpec(3, 2, 1, 3, 6),
+                       PoolLayerSpec(3, 2, 1), ConvLayerSpec(2, 1, 0, 6, 5)), seed=seed)
+    return init_toynet(spec)
+
+
+class TestForwardMatchesFullMaps:
+    """forward, which computes one output per run of identical receptive fields,
+    gives the bytes of the layer-by-layer pass over full maps."""
+
+    @staticmethod
+    def assert_oracle_bytes(net, values):
+        values = np.asarray(values, dtype=np.float32)
+        got = forward(net, FeatureMap(values)).values
+        want = loop_forward(net, values)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes(), values.shape
+
+    @pytest.mark.parametrize("src, dst", [
+        ((7, 5), (21, 20)),     # x3 rows, x4 columns
+        ((6, 9), (23, 17)),     # non-integer on both axes
+        ((5, 8), (40, 8)),      # rows only
+        ((8, 3), (8, 29)),      # columns only
+        ((4, 4), (56, 56)),     # a warp's x14
+        ((1, 6), (12, 18)),     # one source row
+        ((5, 1), (15, 9)),      # one source column
+        ((1, 1), (10, 13)),     # one source cell
+    ])
+    def test_nearest_resizes(self, rng, src, dst):
+        source = rng.standard_normal((3, *src)).astype(np.float32)
+        values = resize_nearest(source, *dst)
+        self.assert_oracle_bytes(init_toynet(default_spec(3, seed=6)), values)
+        self.assert_oracle_bytes(pooled_net(), values)
+
+    def test_constant_image(self):
+        # every interior field is equal; only the pads tell the border apart
+        values = np.full((3, 30, 26), 0.4, dtype=np.float32)
+        self.assert_oracle_bytes(init_toynet(default_spec(3, seed=1)), values)
+        self.assert_oracle_bytes(pooled_net(), values)
+
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_neighbours_that_differ_in_one_value(self, rng, transpose):
+        values = resize_nearest(rng.standard_normal((3, 6, 6)).astype(np.float32), 24, 24)
+        values[2, 9, :] += 1.0   # row 9 equals row 8 except in channel 2
+        values[1, 13, 5] -= 1.0  # row 13 equals row 12 except in column 5
+        values[0, 17, 20] += 0.5  # row 17 equals row 16 except in channel 0, column 20
+        if transpose:
+            values = values.transpose(0, 2, 1).copy()
+        self.assert_oracle_bytes(init_toynet(default_spec(3, seed=2)), values)
+        self.assert_oracle_bytes(pooled_net(), values)
+
+    def test_rows_differing_only_in_signed_zero(self, rng):
+        values = resize_nearest(rng.standard_normal((3, 5, 5)).astype(np.float32), 20, 20)
+        values[:, 4:8] = 0.0
+        values[:, 6:8, ::3] = -0.0  # rows 5 and 6 differ only in the sign of zeros
+        values[1, 12:16, 4] = 0.0
+        values[1, 13, 4] = -0.0  # and rows 12 and 13 in the sign of one zero
+        self.assert_oracle_bytes(pooled_net(), values)
+        self.assert_oracle_bytes(init_toynet(default_spec(3, seed=3)), values)
+
+    def test_signed_zeros_are_separate_runs(self):
+        values = np.zeros((2, 4, 3), dtype=np.float32)
+        values[1, 2] = -0.0
+        assert _runs(values, 1).tolist() == [0, 0, 1, 2]
+        assert _runs(values.transpose(0, 2, 1).copy(), 2).tolist() == [0, 0, 1, 2]
+
+    def test_abab_rows(self, rng):
+        a, b = rng.standard_normal((2, 3, 1, 18)).astype(np.float32)
+        values = np.concatenate([a, a, b, b, a, a, b, b] * 2, axis=1)
+        self.assert_oracle_bytes(init_toynet(default_spec(3, seed=4)), values)
+        self.assert_oracle_bytes(init_toynet(default_spec(3, seed=4)),
+                                 values.transpose(0, 2, 1))
+        self.assert_oracle_bytes(pooled_net(), values)
+
+    def test_random_layers_on_resized_inputs(self, rng):
+        for _ in range(150):
+            channels = int(rng.integers(1, 5))
+            src = rng.integers(1, 7, size=2)
+            dst = src * rng.integers(1, 5, size=2) + rng.integers(0, 3, size=2)
+            source = rng.standard_normal((channels, *src)).astype(np.float32)
+            values = resize_nearest(source, *(int(v) for v in dst))
+            layers, c_in, sides = [], channels, values.shape[1:]
+            for _ in range(int(rng.integers(1, 4))):
+                k, s = int(rng.integers(1, 6)), int(rng.integers(1, 4))
+                p = int(rng.integers(0, k))
+                if layers and rng.random() < 0.4:
+                    layer = PoolLayerSpec(k, s, p)
+                else:
+                    layer = ConvLayerSpec(k, s, p, c_in, int(rng.integers(1, 9)))
+                if min(layer.out_len(n) for n in sides) < 1:
+                    continue  # the map is too small for this layer
+                layers.append(layer)
+                c_in = getattr(layer, "out_channels", c_in)
+                sides = [layer.out_len(n) for n in sides]
+            if not layers:
+                continue
+            net = init_toynet(ToyNetSpec(tuple(layers), seed=int(rng.integers(0, 99))))
+            self.assert_oracle_bytes(net, values)
 
 
 class TestForwardRegion:
