@@ -12,7 +12,7 @@ import numpy as np
 
 
 MAX_LABEL = 0xFFFF  # the largest category a label map's uint16 holds
-MAX_SIDE = 2048  # the largest scale (shorter edge) or warp side a forward input may have
+MAX_SIDE = 2048  # the largest scale (shorter edge), warp side or scene-spec side
 
 
 class ValidationError(ValueError):
@@ -205,6 +205,12 @@ class InstanceSegment:
             raise ValidationError(f"instance category {self.category} outside 1..{MAX_LABEL}")
 
 
+def box_array(proposals) -> np.ndarray:
+    """The proposals' pixel boxes as an (N, 4) int64 array of (y0, x0, y1, x1)."""
+    boxes = [(b.y0, b.x0, b.y1, b.x1) for b in (p.box for p in proposals)]
+    return np.array(boxes, np.int64).reshape(-1, 4)
+
+
 def mask_iou(a, b) -> float:
     """IoU of two same-size masks, or of two proposals in one frame; 0 when
     both are empty. Proposals with disjoint boxes read no bits; otherwise
@@ -241,8 +247,7 @@ def suppress(items: list, threshold: float, pick=None) -> list[int]:
     """
     if len({p.frame for p in items}) > 1:
         raise ValidationError("proposals to suppress lie in different frames")
-    boxes = [(p.box.x0, p.box.y0, p.box.x1, p.box.y1) for p in items]
-    x0, y0, x1, y1 = np.array(boxes).reshape(-1, 4).T
+    y0, x0, y1, x1 = box_array(items).T
     alive, kept = np.ones(len(items), dtype=bool), []
     while alive.any():
         remaining = np.flatnonzero(alive)

@@ -26,6 +26,7 @@ from .core import (
     PixelBox,
     SegmentProposal,
     ValidationError,
+    box_array,
     mask_iou,  # not used here; kept importable as pipeline.mask_iou
     nearest_indices,
     proposal_from_mask,
@@ -77,20 +78,17 @@ class ScoredRegion:
             raise ValidationError(f"region category {self.category} outside 0..{MAX_LABEL}")
 
 
-def assign_scale(box: PixelBox, image_shorter_edge: int, scales) -> int:
-    """Scale whose resized box area lands nearest the 224^2 reference area."""
+def assign_scale(areas, image_shorter_edge: int, scales):
+    """Scale whose resized box area lands nearest the 224^2 reference area, for
+    one box area or each of an array of them; a tie goes to the smaller scale."""
     if not scales:
         raise ValidationError("scale list must be non-empty")
     if image_shorter_edge < 1:
         raise ValidationError("image shorter edge must be >= 1")
-    best_scale = None
-    best_err = None
-    for s in sorted(scales):
-        f = s / image_shorter_edge
-        err = abs(box.area * f * f - SCALE_TARGET_AREA)
-        if best_err is None or err < best_err:
-            best_scale, best_err = s, err
-    return best_scale
+    ordered = np.sort(np.asarray(scales, np.int64))
+    f = ordered / image_shorter_edge  # area * f * f, in that order, in float64
+    err = np.abs(np.multiply.outer(np.asarray(areas, np.float64), f) * f - SCALE_TARGET_AREA)
+    return ordered[err.argmin(axis=-1)]  # the first of equal errors
 
 
 def scale_image(image: FeatureMap, scale: int) -> FeatureMap:
@@ -182,7 +180,8 @@ def proposal_features(
     """
     frame = cache.image.height, cache.image.width
     _check_frames(proposals, *frame)
-    scales = np.array([assign_scale(p.box, min(frame), cfg.scales) for p in proposals])
+    y0, x0, y1, x1 = box_array(proposals).T
+    scales = assign_scale((y1 - y0 + 1) * (x1 - x0 + 1), min(frame), cfg.scales)
     jobs = []
     for s in sorted(set(scales.tolist())):
         cache.conv_map(s)  # populate serially so threads only read
@@ -316,22 +315,21 @@ def collect_training_pools(
         raise ValidationError(f"training categories must be distinct: {categories}")
     if not all(1 <= c <= MAX_LABEL for c in categories):  # 0 is background
         raise ValidationError(f"training categories must be in 1..{MAX_LABEL}: {categories}")
+    scene_gts = []  # per scene, its object instances box-local once each
     for scene in scenes:  # every check before the first forward
         _check_frames(scene.proposals, scene.image.height, scene.image.width)
-    pools: dict[int, tuple[list, list]] = {c: ([], []) for c in categories}
-    n_rows = sum(  # each scene's proposals, then its object instances
-        len(scene.proposals) + sum(inst.category in object_categories for inst in scene.instances)
-        for scene in scenes
-    )
-    length = feature_length(net.spec.out_channels, cfg.pyramid, cfg.design)
-    features = np.empty((n_rows, length), np.float32)  # no scene's rows are copied twice
-    start = 0
-    for scene in scenes:
-        gts = [  # box-local once each; an empty instance mask is rejected
+        scene_gts.append([  # an empty instance mask is rejected
             (inst.category, proposal_from_mask(f"gt_{inst.category}_{i}", inst.mask))
             for i, inst in enumerate(scene.instances)
             if inst.category in object_categories
-        ]
+        ])
+    pools: dict[int, tuple[list, list]] = {c: ([], []) for c in categories}
+    # each scene's proposals, then its object instances
+    n_rows = sum(len(scene.proposals) + len(gts) for scene, gts in zip(scenes, scene_gts))
+    length = feature_length(net.spec.out_channels, cfg.pyramid, cfg.design)
+    features = np.empty((n_rows, length), np.float32)  # no scene's rows are copied twice
+    start = 0
+    for scene, gts in zip(scenes, scene_gts):
         props = [*scene.proposals, *(gt for _, gt in gts)]
         cache = FeatureCache(scene.image, net)
         # keyed by the proposal itself (identity), never by its id, which may repeat

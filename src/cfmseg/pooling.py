@@ -10,14 +10,14 @@ from __future__ import annotations
 from collections import defaultdict
 from collections.abc import Iterable
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 
 from .core import FeatureMap, PixelBox, SegmentProposal, ValidationError
-from .core import _readonly
-from .formats import dump_json, int_fields, load_json, load_vector, save_vector
+from .core import _readonly, box_array
+from .formats import dump_json, save_vector
 from .masking import project_mask, vote
 from .netgeom import NetGeometry, feature_extent
 
@@ -111,28 +111,34 @@ def _range_max(x: np.ndarray, depth: int, k, starts, second) -> np.ndarray:
     return np.maximum(table[k, starts], table[k, second])
 
 
+def _pool(region: np.ndarray, levels: tuple[int, ...]) -> np.ndarray:
+    """Max-pool a whole (C, h, w) float32 array into one (L,) vector per the
+    pyramid: every row range's maxima, then every column range of those; zero
+    pools to +0.0. Its tables span the array only."""
+    (_, row_reads), (_, col_reads), (row_of, col_of) = _pyramid_plan(
+        region.shape[1], region.shape[2], levels
+    )
+    # the ranged axis leads, so each table level is one contiguous block
+    rows = _range_max(region.transpose(1, 0, 2), *row_reads)  # (row range, channel, col)
+    pooled = _range_max(rows.transpose(2, 0, 1), *col_reads)[col_of, row_of]
+    pooled += 0.0  # (bin, channel); -0.0 + 0.0 is +0.0, every other float is unchanged
+    return pooled.reshape(-1)
+
+
 def spp_pool(f: FeatureMap, window: PixelBox, pyr: PyramidSpec) -> PooledFeature:
-    """Max-pool the window into one fixed-length vector per the pyramid: every
-    row range's maxima, then every column range of those; zero pools to +0.0.
+    """Max-pool the window into one fixed-length vector per the pyramid.
 
     The single-window pool, for a map pooled once (the per-region baseline,
-    `cfmseg pool`, design A's masked crop): its tables span the window only.
-    Many windows of one map go through `spp_pool_windows`, whose per-map
-    tables cost more than one window's pool but are shared by every window.
+    `cfmseg pool`). Many windows of one map go through `spp_pool_windows`,
+    whose per-map tables cost more than one window's pool but are shared by
+    every window.
     """
     if window.x1 >= f.width or window.y1 >= f.height:
         raise ValidationError(
             f"window {window} exceeds feature map {f.height}x{f.width}"
         )
-    (_, row_reads), (_, col_reads), (row_of, col_of) = _pyramid_plan(
-        window.height, window.width, pyr.levels
-    )
     region = f.values[:, window.y0 : window.y1 + 1, window.x0 : window.x1 + 1]
-    # the ranged axis leads, so each table level is one contiguous block
-    rows = _range_max(region.transpose(1, 0, 2), *row_reads)  # (row range, channel, col)
-    pooled = _range_max(rows.transpose(2, 0, 1), *col_reads)[col_of, row_of]
-    pooled += 0.0  # (bin, channel); -0.0 + 0.0 is +0.0, every other float is unchanged
-    return PooledFeature(pooled.reshape(-1), pyr, f.channels)
+    return PooledFeature(_pool(region, pyr.levels), pyr, f.channels)
 
 
 GATHER_CHUNK = 4096  # bins read per gather: bounds its (bins, channels) buffers
@@ -223,12 +229,6 @@ def downsample_mask_to_grid(crops: list[np.ndarray], n: int) -> np.ndarray:
 PROJECT_PIXELS = 1 << 19  # block pixels per project_mask call: bounds its buffers
 
 
-def _corners(proposals) -> np.ndarray:
-    """The proposals' pixel boxes as an (N, 4) array of (y0, x0, y1, x1)."""
-    boxes = [(b.y0, b.x0, b.y1, b.x1) for b in (p.box for p in proposals)]
-    return np.array(boxes, np.int64).reshape(-1, 4)
-
-
 def _projected(conv: FeatureMap, proposals: Iterable[SegmentProposal], g: NetGeometry):
     """Each proposal's window, an (N, 4) array of (y0, x0, y1, x1) cells of the map,
     and its projected mask cropped to that window. The proposals, all of one frame,
@@ -238,7 +238,7 @@ def _projected(conv: FeatureMap, proposals: Iterable[SegmentProposal], g: NetGeo
     windows, crops, group, pixels, frame = [], [], [], 0, None
 
     def project():
-        boxes = _corners(group)
+        boxes = box_array(group)
         win = feature_extent(g, boxes, conv.height, conv.width)
         crops.extend(project_mask(g, [p.block.bits for p in group], boxes[:, :2],
                                   frame, conv.height, conv.width, win))
@@ -265,12 +265,11 @@ def design_a_features(conv: FeatureMap, proposals: Iterable[SegmentProposal],
 
     The boxes pool in one `spp_pool_windows` pass. The pyramid reads no cell
     outside the window, so only the window's crop of the map is masked, then
-    pooled over its full extent.
+    pooled over its full extent by `spp_pool`'s kernel.
     """
     windows, crops = _projected(conv, proposals, g)
     segments = [
-        spp_pool(FeatureMap(conv.values[:, y0 : y1 + 1, x0 : x1 + 1] * crop),
-                 PixelBox(0, 0, x1 - x0, y1 - y0), pyr).values
+        _pool(conv.values[:, y0 : y1 + 1, x0 : x1 + 1] * crop, pyr.levels)
         for (y0, x0, y1, x1), crop in zip(windows.tolist(), crops)
     ]
     return np.concatenate([spp_pool_windows(conv, windows, pyr),
@@ -301,7 +300,7 @@ def design_feature(conv: FeatureMap, proposals: Iterable[SegmentProposal],
     if design == "B":
         return design_b_features(conv, proposals, g, pyr)
     if design == "none":
-        windows = feature_extent(g, _corners(proposals), conv.height, conv.width)
+        windows = feature_extent(g, box_array(proposals), conv.height, conv.width)
         return spp_pool_windows(conv, windows, pyr)
     raise ValidationError(f"design must be one of {DESIGNS}")
 
@@ -316,15 +315,3 @@ def save_pooled_feature(path: Path | str, pooled: PooledFeature) -> None:
     save_vector(path, pooled.values)
     sidecar = {"channels": pooled.channels, "levels": list(pooled.pyramid.levels)}
     dump_json(sidecar, str(path) + ".json")
-
-
-def load_pooled_feature(path: Path | str) -> PooledFeature:
-    values = load_vector(path)
-    return load_json(str(path) + ".json", partial(_pooled_feature, values))
-
-
-def _pooled_feature(values: np.ndarray, meta) -> PooledFeature:
-    # a non-array levels value fails enumerate or yields non-integer items
-    levels = {f"levels[{i}]": n for i, n in enumerate(meta["levels"])}
-    pyramid = PyramidSpec(tuple(int_fields(levels, list(levels)).values()))
-    return PooledFeature(values, pyramid, int_fields(meta, ["channels"])["channels"])

@@ -19,6 +19,7 @@ from .core import (
     InstanceSegment,
     LabelMap,
     MAX_LABEL,
+    MAX_SIDE,
     SegmentProposal,
     ValidationError,
 )
@@ -97,6 +98,9 @@ class SceneSpec:
     def __post_init__(self):
         if self.width < 1 or self.height < 1:
             raise ValidationError("scene dims must be >= 1")
+        if max(self.width, self.height) > MAX_SIDE:  # before any pixel is allocated
+            raise ValidationError(
+                f"scene sides must be at most {MAX_SIDE}, got {self.width}x{self.height}")
         if self.seed < 0:  # numpy's generators take no negative seed
             raise ValidationError(f"scene seed must be >= 0, got {self.seed}")
         object.__setattr__(self, "shapes", tuple(self.shapes))
@@ -312,12 +316,6 @@ def random_scene_spec(cfg: CorpusConfig, seed: int) -> SceneSpec:
             ShapeSpec(kinds[category], category, cx_jit, cy, half, half, thickness=2)
         )
     return SceneSpec(w, h, tuple(shapes), bands, seed=derive_seed(seed, 1))
-
-
-def make_corpus(cfg: CorpusConfig, n_scenes: int, master_seed: int) -> list[SceneSpec]:
-    return [
-        random_scene_spec(cfg, derive_seed(master_seed, i)) for i in range(n_scenes)
-    ]
 
 
 def scene_proposals(scene: Scene, seed: int) -> list[SegmentProposal]:

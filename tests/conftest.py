@@ -4,11 +4,17 @@ import pytest
 from cfmseg.core import BinaryMask, FeatureMap, PixelBox
 from cfmseg.masking import project_mask
 from cfmseg.netgeom import feature_extent
+from cfmseg.synth import derive_seed, random_scene_spec
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240901)
+
+
+def make_corpus(cfg, n_scenes: int, master_seed: int) -> list:
+    """A corpus's scene specs: scene i is seeded by derive_seed(master_seed, i)."""
+    return [random_scene_spec(cfg, derive_seed(master_seed, i)) for i in range(n_scenes)]
 
 
 def random_mask(rng, h, w, density=0.5) -> BinaryMask:

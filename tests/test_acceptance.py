@@ -40,7 +40,7 @@ from cfmseg.pursuit import (
     pursue,
 )
 from cfmseg.toynet import default_spec, init_toynet, spec_to_json
-from conftest import project_one
+from conftest import make_corpus, project_one
 from oracles import brute_force_geometry, brute_force_project
 
 
@@ -250,7 +250,7 @@ CATEGORIES = 6  # background + 3 object + 2 stuff
 def _build_corpus(n, master):
     cfg_c = synth.CorpusConfig()
     scenes = []
-    for i, spec in enumerate(synth.make_corpus(cfg_c, n, master)):
+    for i, spec in enumerate(make_corpus(cfg_c, n, master)):
         scene = synth.generate_scene(spec)
         props = synth.scene_proposals(scene, seed=master * 100003 + i)
         scenes.append(TrainScene(scene.image, scene.labels, scene.instances, props))

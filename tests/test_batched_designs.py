@@ -131,7 +131,7 @@ def oracle_proposal_features(proposals, cache, g, cfg):
     shorter = min(image.height, image.width)
     out = []
     for p in proposals:
-        conv, (sh, sw) = cache.conv_map(assign_scale(p.box, shorter, cfg.scales))
+        conv, (sh, sw) = cache.conv_map(assign_scale(p.box.area, shorter, cfg.scales))
         sp = scale_proposal(p, image.height, image.width, sh, sw)
         vec = design_feature(conv, sp, g, cfg.pyramid, cfg.design)
         norm = float(np.linalg.norm(vec.astype(np.float64)))
@@ -304,12 +304,12 @@ class TestProposalFeaturesOracle:
         for threads in (1, 4):
             got = pipeline.proposal_features(proposals, cache, g, cfg, threads=threads)
             assert as_bytes(got) == as_bytes(want)
-        used = {assign_scale(p.box, min(h, w), scales) for p in proposals}
+        used = {assign_scale(p.box.area, min(h, w), scales) for p in proposals}
         assert len(used) >= min(2, len(scales))
         if vanishes:
             _, (sh, sw) = cache.conv_map(scales[0])
             assert any(not resize_nearest(p.mask.bits, sh, sw).any() for p in proposals
-                       if assign_scale(p.box, min(h, w), scales) == scales[0])
+                       if assign_scale(p.box.area, min(h, w), scales) == scales[0])
 
     def test_chunks_are_contiguous_and_bounded(self):
         items = list(range(10))
@@ -324,7 +324,7 @@ class TestProposalFeaturesOracle:
         image = FeatureMap(rng.standard_normal((3, 32, 40)).astype(np.float32))
         cfg = PipelineConfig(scales=(128, 256, 512), pyramid=PyramidSpec((4, 2, 1)))
         proposals = random_proposals(rng, 40, 32, 40)
-        scales = {assign_scale(p.box, 32, cfg.scales) for p in proposals}
+        scales = {assign_scale(p.box.area, 32, cfg.scales) for p in proposals}
         calls = []
         original = pipeline.design_feature
 

@@ -8,7 +8,7 @@ import pytest
 from cfmseg import cli, formats, synth, toynet
 from cfmseg.cli import main, write_scene_dir
 from cfmseg.core import MAX_SIDE, BinaryMask, FeatureMap, LabelMap
-from cfmseg.pooling import PyramidSpec, feature_length, load_pooled_feature
+from cfmseg.pooling import PyramidSpec, feature_length
 from cfmseg.toynet import default_spec, spec_to_json
 
 
@@ -115,7 +115,9 @@ class TestBasicCommands:
                  "--levels", "2,1", "--out", str(out)])
         # level 2: one cell per bin, channels contiguous within a bin; then level 1
         expected = np.array([0, 0, 0, 0, 0, 0, 0, -1, 0, 0], dtype=np.float32)
-        assert load_pooled_feature(out).values.tobytes() == expected.tobytes()
+        assert formats.load_vector(out).tobytes() == expected.tobytes()
+        assert Path(str(out) + ".json").read_text() == (
+            '{\n  "channels": 2,\n  "levels": [\n    2,\n    1\n  ]\n}\n')
 
     def test_mask_project_deterministic(self, capjson, layers_file, tmp_path, rng):
         from conftest import random_mask
@@ -613,6 +615,22 @@ class TestErrorContract:
             tracemalloc.stop()
         assert err["error"] == "ValidationError" and str(MAX_SIDE) in err["message"]
         assert peak < 8 << 20  # rejected before anything the size sets is allocated
+
+    def test_scene_spec_side_bounded(self, capsys, tmp_path):
+        # a 10^7-row spec used to reach generate_scene's image, label and owner arrays
+        spec = self.scene_spec()
+        spec["height"] = 10_000_000
+        (tmp_path / "spec.json").write_text(json.dumps(spec))
+        tracemalloc.start()
+        try:
+            err = self.error(capsys, ["synth", "--spec", str(tmp_path / "spec.json"),
+                                      "--out-dir", str(tmp_path / "out")])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert err["error"] == "ValidationError" and str(MAX_SIDE) in err["message"]
+        assert peak < 8 << 20
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("bias", ['"0.5"', "true", "null", "[0.5]", "1" + "0" * 400,
                                       "NaN"],

@@ -79,30 +79,46 @@ class TestConfigSideBound:
 
 class TestAssignScale:
     def test_identity_scale(self):
-        assert assign_scale(PixelBox(0, 0, 49, 49), 200, (200,)) == 200
+        assert assign_scale(PixelBox(0, 0, 49, 49).area, 200, (200,)) == 200
 
     def test_reference_example(self):
         # 100x100 box in a 400-shorter-edge image: 864 scales it nearest 224^2
         box = PixelBox(0, 0, 99, 99)
-        assert assign_scale(box, 400, DEFAULT_SCALES) == 864
+        assert assign_scale(box.area, 400, DEFAULT_SCALES) == 864
 
     def test_tiny_box_takes_largest_scale(self):
-        assert assign_scale(PixelBox(0, 0, 0, 0), 400, DEFAULT_SCALES) == 1200
+        assert assign_scale(PixelBox(0, 0, 0, 0).area, 400, DEFAULT_SCALES) == 1200
 
     def test_exact_hit_wins_over_larger_scale(self):
         # factor 1 lands the 224x224 box exactly on the reference area
         box = PixelBox(0, 0, 223, 223)
-        assert assign_scale(box, 100, (100, 200)) == 100
+        assert assign_scale(box.area, 100, (100, 200)) == 100
 
     def test_equal_error_prefers_smaller_scale(self):
         # duplicate scale values make the errors literally equal; the
-        # ascending sweep with strict improvement keeps the first one
+        # argmin over ascending scales keeps the first one
         box = PixelBox(0, 0, 49, 49)
-        assert assign_scale(box, 100, (300, 300)) == 300
+        assert assign_scale(box.area, 100, (300, 300)) == 300
+
+    def test_array_of_areas_matches_per_box_sweep(self, rng):
+        # the per-box loop assign_scale replaced: ascending, strict improvement
+        def sweep(area, edge, scales):
+            best, best_err = None, None
+            for s in sorted(scales):
+                f = s / edge
+                err = abs(area * f * f - 224 * 224)
+                if best_err is None or err < best_err:
+                    best, best_err = s, err
+            return best
+
+        areas = np.concatenate([rng.integers(1, 400 * 400, 500), [1, 224 * 224]])
+        for edge, scales in [(400, DEFAULT_SCALES), (97, (64, 64, 128, 1000)), (224, (224,))]:
+            got = assign_scale(areas, edge, scales)
+            assert got.tolist() == [sweep(int(a), edge, scales) for a in areas]
 
     def test_empty_scales_rejected(self):
         with pytest.raises(ValidationError):
-            assign_scale(PixelBox(0, 0, 5, 5), 10, ())
+            assign_scale(PixelBox(0, 0, 5, 5).area, 10, ())
 
 
 class TestScaling:
@@ -335,7 +351,7 @@ class TestScoreProposals:
         p = proposal_from_mask("p", rect_mask(32, 32, 6, 25, 6, 25))
         multi = small_cfg(scales=(16, 32, 48))
         # the box picks the largest available scale (48) under the 224^2 rule
-        chosen = assign_scale(p.box, 32, multi.scales)
+        chosen = assign_scale(p.box.area, 32, multi.scales)
         single = small_cfg(scales=(chosen,))
         dim = feature_length(net.spec.out_channels, multi.pyramid, multi.design)
         model = LinearModel(rng.standard_normal(dim).astype(np.float32), 0.0, 1)
@@ -357,7 +373,7 @@ class TestScoreProposals:
                             lambda *a: forwards.append(a) or forward(*a))
         score_proposals([model], proposals, image, net, g, cfg)
         assert len(forwards) == len(
-            {assign_scale(p.box, 32, cfg.scales) for p in proposals}
+            {assign_scale(p.box.area, 32, cfg.scales) for p in proposals}
         )
 
     def test_length_mismatch_rejected(self, rng):
@@ -607,6 +623,23 @@ class TestTrainingPools:
         ]
         assert len(objects) >= 4
         assert len(crops) == len(objects)
+
+    def test_empty_instance_in_last_scene_rejected_before_any_forward(self, rng,
+                                                                     monkeypatch):
+        # it used to raise only after every earlier scene's forwards had run
+        net, g, image = toy_setup(rng)
+        labels = LabelMap(np.zeros((32, 32), dtype=np.uint16))
+        good = [InstanceSegment(1, rect_mask(32, 32, 4, 12, 4, 12))]
+        empty = [InstanceSegment(1, BinaryMask(np.zeros((32, 32), dtype=bool)))]
+        props = [proposal_from_mask("p", rect_mask(32, 32, 2, 20, 2, 20))]
+        train = [TrainScene(image, labels, good, props),
+                 TrainScene(image, labels, empty, props)]
+        forwards = []
+        monkeypatch.setattr(pipeline.toynet, "forward",
+                            lambda *a: forwards.append(a) or forward(*a))
+        with pytest.raises(ValidationError, match="empty"):
+            collect_training_pools(train, [1], [], net, g, small_cfg())
+        assert forwards == []
 
 
 class TestBenchmark:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cfmseg.core import BinaryMask, ValidationError, mask_iou
+from cfmseg.core import MAX_SIDE, BinaryMask, ValidationError, mask_iou
 from cfmseg.pursuit import PursuitConfig, candidate_set, pursue
 from cfmseg.synth import (
     BandSpec,
@@ -11,10 +11,10 @@ from cfmseg.synth import (
     ShapeSpec,
     derive_seed,
     generate_scene,
-    make_corpus,
     scene_proposals,
     toy_proposals,
 )
+from conftest import make_corpus
 
 
 def small_spec(shapes=(), bands=(), seed=0):
@@ -45,6 +45,12 @@ class TestGenerateScene:
         a, b = generate_scene(spec), generate_scene(spec)
         assert a.image.values.tobytes() == b.image.values.tobytes()
         assert np.array_equal(a.labels.labels, b.labels.labels)
+
+    def test_side_above_bound_rejected(self):
+        assert SceneSpec(MAX_SIDE, 1).width == MAX_SIDE
+        for width, height in [(MAX_SIDE + 1, 8), (8, MAX_SIDE + 1)]:
+            with pytest.raises(ValidationError, match=f"at most {MAX_SIDE}"):
+                SceneSpec(width, height)
 
     def test_out_of_bounds_shape_rejected(self):
         shape = ShapeSpec("rect", 1, cx=2, cy=20, half_w=5, half_h=4)
