@@ -7,6 +7,7 @@ read-only), so values can be shared freely across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -162,6 +163,27 @@ class FeatureMap:
 
 
 @dataclass(frozen=True, eq=False)
+class NearestResize:
+    """A map's nearest resize to height x width, held as its source and never
+    built. `source` is a `FeatureMap`'s values or a slice of them, so it is
+    already checked to be finite."""
+
+    source: np.ndarray
+    height: int
+    width: int
+
+    def __post_init__(self):
+        if self.source.ndim != 3 or self.source.dtype != np.float32:
+            raise ValidationError("resize source must be a (C,H,W) float32 array")
+        if self.height < 1 or self.width < 1:
+            raise ValidationError(f"resize target must be >= 1x1, got {self.height}x{self.width}")
+
+    @property
+    def channels(self) -> int:
+        return self.source.shape[0]
+
+
+@dataclass(frozen=True, eq=False)
 class LabelMap:
     """Per-pixel category indices; 0 is background."""
 
@@ -263,6 +285,13 @@ def suppress(items: list, threshold: float, pick=None) -> list[int]:
 def nearest_indices(src: int, out: int) -> np.ndarray:
     """Non-decreasing source index floor((dst + 0.5) * src / out) of each sample."""
     return np.minimum((2 * np.arange(out) * src + src) // (2 * out), src - 1)
+
+
+@lru_cache(maxsize=64)
+def index_map(src: int, dst: int) -> np.ndarray:
+    """Read-only `nearest_indices`, cached per (source, target) length: every
+    proposal of an image, and every forward of one size, reads the same maps."""
+    return _readonly(nearest_indices(src, dst))
 
 
 def resize_nearest(values: np.ndarray, out_h: int, out_w: int) -> np.ndarray:

@@ -11,7 +11,6 @@ import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -23,16 +22,15 @@ from .core import (
     LabelMap,
     MAX_LABEL,
     MAX_SIDE,
+    NearestResize,
     PixelBox,
     SegmentProposal,
     ValidationError,
     box_array,
+    index_map,
     mask_iou,  # not used here; kept importable as pipeline.mask_iou
-    nearest_indices,
     proposal_from_mask,
-    resize_nearest,
     suppress,
-    _readonly,
 )
 from .netgeom import NetGeometry
 from .pooling import DESIGNS, PyramidSpec, design_feature, feature_length, spp_pool
@@ -91,8 +89,10 @@ def assign_scale(areas, image_shorter_edge: int, scales):
     return ordered[err.argmin(axis=-1)]  # the first of equal errors
 
 
-def scale_image(image: FeatureMap, scale: int) -> FeatureMap:
-    """Nearest-neighbor resize so the shorter edge equals the scale."""
+def scale_image(image: FeatureMap, scale: int) -> FeatureMap | NearestResize:
+    """Nearest-neighbor resize so the shorter edge equals the scale: the image
+    itself at its own size, else the resize unbuilt, which `toynet.forward`
+    reads from the image."""
     h, w = image.height, image.width
     if h <= w:
         out_h, out_w = scale, max(1, round(w * scale / h))
@@ -100,14 +100,7 @@ def scale_image(image: FeatureMap, scale: int) -> FeatureMap:
         out_h, out_w = max(1, round(h * scale / w)), scale
     if (out_h, out_w) == (h, w):
         return image
-    return FeatureMap(resize_nearest(image.values, out_h, out_w))
-
-
-@lru_cache(maxsize=64)
-def _index_map(src: int, dst: int) -> np.ndarray:
-    """Read-only `nearest_indices`, cached per (source, target) length: every
-    proposal of an image reads the same two maps at each scale."""
-    return _readonly(nearest_indices(src, dst))
+    return NearestResize(image.values, out_h, out_w)
 
 
 def scale_proposal(
@@ -117,7 +110,7 @@ def scale_proposal(
     that sample the box; the index maps never decrease, so all others are unset."""
     if (src_h, src_w) == (dst_h, dst_w):
         return p
-    ys, xs, b = _index_map(src_h, dst_h), _index_map(src_w, dst_w), p.box
+    ys, xs, b = index_map(src_h, dst_h), index_map(src_w, dst_w), p.box
     y0, y1 = np.searchsorted(ys, [b.y0, b.y1 + 1]).tolist()  # rows sampling the box
     x0, x1 = np.searchsorted(xs, [b.x0, b.x1 + 1]).tolist()
     # block starts at the box; columns first, so the rows' gather leaves it row-major

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import FeatureMap, PixelBox, ValidationError, resize_nearest
+from .core import FeatureMap, NearestResize, PixelBox, ValidationError, index_map, resize_nearest
 from .formats import int_fields, load_json
 from .netgeom import LayerSpec, layer_from_json
 
@@ -198,7 +198,7 @@ def _maxpool(x: np.ndarray, ids: tuple, layer: PoolLayerSpec,
     return out, out_ids
 
 
-def forward(net: ToyNet, image: FeatureMap) -> FeatureMap:
+def forward(net: ToyNet, image: FeatureMap | NearestResize) -> FeatureMap:
     """Full forward pass: conv layers are followed by a rectifier.
 
     Rows, and separately columns, of the input that repeat their neighbour bit
@@ -206,15 +206,27 @@ def forward(net: ToyNet, image: FeatureMap) -> FeatureMap:
     on one row and column per run of identical receptive fields, and the last
     layer's map is expanded to full size. Every output element is the same
     float32 sum over the same bits as on the full map, so the bytes are too.
+
+    A `NearestResize` is never built. Its distinct rows and columns are its
+    source resized to at most the source's size on each axis, and full-size
+    row i repeats row `index_map(that size, height)[i]` of those (columns
+    alike), so their run ids, read through that map, are the full map's.
+    A `FeatureMap` is the resize to its own size, so it is its own compact map.
     """
     if image.channels != net.spec.in_channels:
         raise ValidationError(
             f"image has {image.channels} channels, network expects "
             f"{net.spec.in_channels}"
         )
-    x = image.values
-    ids = (_runs(x, 1), _runs(x, 2))
-    x = _per_axis(x, [np.flatnonzero(np.diff(a, prepend=-1)) for a in ids], ids)  # run starts
+    if isinstance(image, FeatureMap):  # its own resize: the map itself, uncopied
+        x = image.values
+    else:
+        src = image.source
+        x = resize_nearest(src, min(src.shape[1], image.height), min(src.shape[2], image.width))
+    runs = (_runs(x, 1), _runs(x, 2))
+    ids = (runs[0][index_map(x.shape[1], image.height)],
+           runs[1][index_map(x.shape[2], image.width)])
+    x = _per_axis(x, [np.flatnonzero(np.diff(r, prepend=-1)) for r in runs], runs)  # run starts
     for i, (layer, params) in enumerate(zip(net.spec.layers, net.weights)):
         if isinstance(layer, ConvLayerSpec):
             x, ids = _conv2d(x, ids, layer, *params, i)
@@ -237,14 +249,14 @@ def _per_axis(x: np.ndarray, index: list, ids: tuple) -> np.ndarray:
 def forward_region(
     net: ToyNet, image: FeatureMap, box: PixelBox, warp_side: int
 ) -> FeatureMap:
-    """Crop-and-warp baseline: crop the box, warp it square, run forward."""
+    """Crop-and-warp baseline: crop the box, warp it square, run forward; the
+    warp is read from the crop, never built."""
     if box.x1 >= image.width or box.y1 >= image.height:
         raise ValidationError(f"box {box} exceeds image {image.height}x{image.width}")
     if warp_side < 1:
         raise ValidationError("warp side must be >= 1")
     crop = image.values[:, box.y0 : box.y1 + 1, box.x0 : box.x1 + 1]
-    warped = resize_nearest(crop, warp_side, warp_side)
-    return forward(net, FeatureMap(warped))
+    return forward(net, NearestResize(crop, warp_side, warp_side))
 
 
 def spec_from_json(obj) -> ToyNetSpec:

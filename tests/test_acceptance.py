@@ -13,7 +13,6 @@ import pytest
 
 from cfmseg import formats, synth
 from cfmseg.cli import main as cli_main, write_scene_dir
-from cfmseg.classify import LinearModel
 from cfmseg.core import (
     BinaryMask,
     FeatureMap,
@@ -35,7 +34,6 @@ from cfmseg.pooling import PyramidSpec, design_a_features, spp_pool
 from cfmseg.pursuit import (
     Candidate,
     PursuitConfig,
-    candidate_set,
     overlap_label,
     pursue,
 )

@@ -82,6 +82,10 @@ def test_tiny_library_pass_calls_every_library_target():
     finally:
         tracer.uninstall()
     assert [name for name in calls if tracer.calls.get(name, 0) == 0] == []
+    # forward spans are tagged by the forwarded size, not the source's: the two
+    # scales of the 64 x 64 scenes and the warp
+    tagged = {name for name in tracer.calls if name.startswith("toynet.forward.s")}
+    assert tagged == {"toynet.forward.s64", "toynet.forward.s128", "toynet.forward.s32"}
     # the tracer counts samples as len() of train_svm's first two arguments
     assert tracer.items["classify.train_svm.samples"] == sum(
         len(pos) + len(neg) for pos, neg in pools.values()

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from cfmseg import formats
-from cfmseg.core import BinaryMask, FeatureMap, LabelMap, proposal_from_mask
+from cfmseg.core import FeatureMap, LabelMap, proposal_from_mask
 from cfmseg.formats import FormatError
 from conftest import random_map, random_mask, rect_mask
 

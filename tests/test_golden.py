@@ -73,7 +73,10 @@ GOLDEN_STAGES = {
 # case -> SHA-256 of `toynet.forward`'s float32 output. Scene seed 4 through
 # `scale_image` repeats whole rows and columns; the 224-pixel warps repeat each
 # crop row 14, 28 and 6-10 times; the random image repeats nothing; the pooled
-# net carries repeats through max-pool layers, one of them padded.
+# net carries repeats through max-pool layers, one of them padded. The 64x64
+# scene at scale 48, the 40x40 box warped to 16 and the 40x10 box warped to 24
+# drop rows or columns: downscaled on both axes, or on one and upscaled on the
+# other.
 GOLDEN_FORWARD = {
     "scene_x4":
         "b845872df61186fdc6723e5ccf2af1546ab26540ef1951b011cdcf8d2df1c9b1",
@@ -91,6 +94,12 @@ GOLDEN_FORWARD = {
         "fa474e160bc9d658f7b18153abc4c9fe4cb12ae8e4b9d83ecda8f787e3a18c51",
     "pooled_net_x3":
         "4e0b51cab97e016de8d41fcb6c2400bb6e2796913df26792c76dd42aa40fcfd2",
+    "scene_to48":
+        "5a9f73158cd484f173b1d773c1059dd0927886bf60fd2a1b4da0213dbc0772f8",
+    "region_40x40_to16":
+        "2cea39aab9876de3715f81b9d89794db82147859f69f085f7e989c29f1e3a21f",
+    "region_40x10_to24":
+        "bf8ec9a80f2b7e9c12d6d2b0334cba44915c530482f19a6073b389fa70ca70cb",
 }
 
 
@@ -174,9 +183,13 @@ def _forward_case(case: str) -> np.ndarray:
     net = init_toynet(default_spec(3, seed=0))
     if case.startswith("scene_x"):
         out = forward(net, pipeline.scale_image(image, 64 * int(case[len("scene_x"):])))
+    elif case.startswith("scene_to"):
+        out = forward(net, pipeline.scale_image(image, int(case[len("scene_to"):])))
     elif case.startswith("region_"):
-        w, h = (int(v) for v in case[len("region_"):].split("x"))
-        out = forward_region(net, image, PixelBox(5, 9, 5 + w - 1, 9 + h - 1), 224)
+        size, _, warp = case[len("region_"):].partition("_to")
+        w, h = (int(v) for v in size.split("x"))
+        out = forward_region(net, image, PixelBox(5, 9, 5 + w - 1, 9 + h - 1),
+                             int(warp or 224))
     elif case == "random":
         values = np.random.default_rng(3).standard_normal((3, 40, 52)).astype(np.float32)
         out = forward(net, FeatureMap(values))

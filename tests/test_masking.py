@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cfmseg.core import BinaryMask, FeatureMap, SegmentProposal, ValidationError
+from cfmseg.core import BinaryMask, SegmentProposal, ValidationError
 from cfmseg.masking import _axis_runs, project_mask, vote
 from cfmseg.netgeom import LayerSpec, NetGeometry, compose_geometry, feature_extent
 from cfmseg.pipeline import scale_proposal

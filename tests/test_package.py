@@ -59,3 +59,22 @@ def test_every_top_level_definition_has_a_caller():
         and not re.search(rf"\b{re.escape(top.name)}\b", outside)
     ]
     assert unused == []
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    # an import nothing reads is dead code; pipeline.mask_iou is the one
+    # re-export, kept because the benchmark reads it from pipeline
+    package = Path(cfmseg.__file__).resolve().parent
+    kept = {("pipeline", "mask_iou")}
+    unread = []
+    for path in [*sorted(package.glob("*.py")), *sorted(Path(__file__).parent.glob("*.py"))]:
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(
+                    node, "module", None) != "__future__":
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in read and (path.stem, name) not in kept:
+                        unread.append(f"{path.parent.name}/{path.name}:{node.lineno}: {name}")
+    assert unread == []

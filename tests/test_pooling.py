@@ -12,7 +12,7 @@ from cfmseg.core import (
     proposal_from_mask,
 )
 from cfmseg.formats import load_vector
-from cfmseg.netgeom import NetGeometry, compose_geometry, LayerSpec
+from cfmseg.netgeom import compose_geometry, LayerSpec
 from cfmseg.pooling import (
     PooledFeature,
     PyramidSpec,

@@ -1,7 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from cfmseg.core import FeatureMap, PixelBox, ValidationError, resize_nearest
+from cfmseg.core import (
+    MAX_SIDE,
+    FeatureMap,
+    NearestResize,
+    PixelBox,
+    ValidationError,
+    resize_nearest,
+)
 from cfmseg.formats import canonical_json
 from cfmseg.netgeom import LayerSpec, NetGeometry, compose_geometry
 from cfmseg.toynet import (
@@ -332,7 +341,79 @@ class TestForwardMatchesFullMaps:
             self.assert_oracle_bytes(net, values)
 
 
+def forward_outcome(net, image):
+    try:
+        out = forward(net, image).values
+    except ValidationError as exc:
+        return "error", str(exc)
+    return out.shape, out.tobytes()
+
+
+class TestNearestResizeForm:
+    """forward reads a NearestResize from its source: the bytes of forwarding
+    the built resize, on upscales, downscales, mixed and identity targets."""
+
+    NETS = (init_toynet(default_spec(3, seed=7)), pooled_net())
+
+    def assert_built_bytes(self, source, height, width):
+        built = FeatureMap(resize_nearest(source, height, width))
+        for net in self.NETS:
+            got = forward_outcome(net, NearestResize(source, height, width))
+            assert got == forward_outcome(net, built), (source.shape, height, width)
+
+    @pytest.mark.parametrize("src, dst", [
+        ((64, 64), (48, 48)),   # down on both axes
+        ((40, 40), (16, 16)),   # a box larger than its warp
+        ((10, 40), (24, 24)),   # rows up, columns down
+        ((40, 10), (24, 24)),   # rows down, columns up
+        ((9, 13), (9, 13)),     # identity
+        ((1, 1), (7, 9)),       # one source cell
+        ((1, 1), (1, 1)),
+        ((30, 1), (4, 20)),     # one source column, rows down
+    ])
+    def test_fixed_shapes(self, rng, src, dst):
+        self.assert_built_bytes(rng.standard_normal((3, *src)).astype(np.float32), *dst)
+
+    def test_random_sources_and_targets(self, rng):
+        for _ in range(120):
+            src = rng.integers(1, 25, size=2)
+            dst = [int(rng.choice([n, rng.integers(1, n + 1), n * rng.integers(1, 5)
+                                   + rng.integers(0, 4)])) for n in src]
+            source = rng.standard_normal((3, *src)).astype(np.float32)
+            for view in (source, source.transpose(0, 2, 1)):  # rows, then columns
+                for i in np.flatnonzero(rng.random(view.shape[1] - 1) < 0.4):
+                    if rng.random() < 0.3:  # neighbours that differ only in a signed zero
+                        view[:, i : i + 2] = 0.0
+                        view[int(rng.integers(3)), i + 1, int(rng.integers(view.shape[2]))] = -0.0
+                    else:  # bit-equal neighbours
+                        view[:, i + 1] = view[:, i]
+            self.assert_built_bytes(source, *dst)
+
+    @pytest.mark.parametrize("source, height, width", [
+        (np.zeros((3, 4, 4), np.float64), 8, 8),
+        (np.zeros((4, 4), np.float32), 8, 8),
+        (np.zeros((3, 4, 4), np.float32), 0, 8),
+        (np.zeros((3, 4, 4), np.float32), 8, 0),
+    ])
+    def test_bad_form_rejected(self, source, height, width):
+        with pytest.raises(ValidationError):
+            NearestResize(source, height, width)
+
+
 class TestForwardRegion:
+    def test_largest_warp_is_never_built(self, rng):
+        # the built 3 x 2048^2 float32 warp alone would be 48 MiB
+        net = init_toynet(default_spec(3, seed=2))
+        image = random_map(rng, 3, 8, 8)
+        tracemalloc.start()
+        try:
+            out = forward_region(net, image, PixelBox(3, 4, 3, 4), MAX_SIDE)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (out.height, out.width) == (MAX_SIDE // 8, MAX_SIDE // 8)
+        assert peak < 24 * 2**20, peak
+
     def test_full_box_native_warp_equals_forward(self, rng):
         net = init_toynet(default_spec(3, seed=2))
         image = random_map(rng, 3, 20, 20)
