@@ -4,6 +4,10 @@ Each image pixel votes for the feature cell whose receptive-field center is
 nearest along each axis (ties go to the smaller index, out-of-range centers
 clamp to the border cell). A cell is set when the mean of its collected
 binary pixel votes reaches 0.5; cells that collect nothing stay unset.
+
+The pixels that vote are those of the nearest resize (`core.index_map`) of a
+segment's source frame to the scaled frame the map was computed from; no
+scaled mask is built.
 """
 
 from __future__ import annotations
@@ -12,13 +16,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import ValidationError, _readonly
+from .core import ValidationError, _readonly, index_map
 from .netgeom import NetGeometry
-
-
-class _Runs(tuple):
-    """(starts, ends) of each cell's run of nearest-center pixels, plus `sizes`,
-    the length of each run."""
 
 
 def _cell(g: NetGeometry, x):
@@ -29,15 +28,21 @@ def _cell(g: NetGeometry, x):
     return -((g.offset_x2 + g.stride - 2 * x) // (2 * g.stride))
 
 
-@lru_cache(maxsize=256)
-def _axis_runs(g: NetGeometry, n_pixels: int, n_cells: int) -> _Runs:
-    """Read-only `_Runs` of one axis. A pixel's cell rises by at most one per
-    pixel, so only runs at the ends can be empty."""
-    u = np.clip(_cell(g, np.arange(n_pixels, dtype=np.int64)), 0, n_cells - 1)
-    cells = np.arange(n_cells)
-    runs = _Runs(_readonly(np.searchsorted(u, cells, side)) for side in ("left", "right"))
-    runs.sizes = _readonly(runs[1] - runs[0])
-    return runs
+@lru_cache(maxsize=64)
+def _table(g: NetGeometry, src: int, dst: int, cells: int) -> np.ndarray:
+    """One axis's read-only (src, cells) float64 table: entry [r, i] counts the
+    scaled pixels, of the dst that resize src pixels nearest, that read source
+    pixel r and vote for cell i (`_cell`, clamped). Column i sums to the size of
+    cell i's run in the scaled frame; with dst == src every row is one-hot."""
+    votes = np.clip(_cell(g, np.arange(dst, dtype=np.int64)), 0, cells - 1)
+    counts = np.bincount(index_map(src, dst) * cells + votes, minlength=src * cells)
+    return _readonly(counts.reshape(src, cells).astype(np.float64))
+
+
+def _windows(table: np.ndarray, rows, cols, h: int, w: int) -> np.ndarray:
+    """The (n, h, w) windows of a 2-D table at corners (rows[k], cols[k])."""
+    offsets = np.add.outer(np.arange(h) * table.shape[1], np.arange(w))
+    return table.ravel().take((rows * table.shape[1] + cols)[:, None, None] + offsets)
 
 
 def vote(bits: np.ndarray, rows, cols) -> np.ndarray:
@@ -57,38 +62,54 @@ def vote(bits: np.ndarray, rows, cols) -> np.ndarray:
     return (2 * counts >= sizes) & (sizes > 0)
 
 
-def _firsts(sizes: np.ndarray) -> np.ndarray:
-    """Where each of consecutive groups of the given sizes starts."""
-    return np.cumsum(sizes) - sizes
+def scaled_boxes(blocks, origins, frame, scaled):
+    """Each tight block's (y0, x0, y1, x1) box in the nearest resize of the frame
+    to the scaled one, an (N, 4) int64 array, and whether the resize drops all
+    of its set pixels, an (N,) bool array. Without a downscale every pixel is
+    read; under one, only the set pixels some scaled pixel reads count. A
+    block left with none (a thin segment) falls back to its box's corners
+    scaled by floor(c * scaled / frame), clamped into the scaled frame."""
+    origins = np.array(origins, np.int64).reshape(-1, 2)
+    lo, hi = origins.copy(), origins + [b.shape for b in blocks] - 1
+    # per axis and source pixel: the [start, end) of the scaled pixels reading it
+    (sy, ey), (sx, ex) = [[np.searchsorted(index_map(n, m), np.arange(n), side)
+                           for side in ("left", "right")] for n, m in zip(frame, scaled)]
+    vanished = np.zeros(len(blocks), bool)
+    if frame[0] > scaled[0] or frame[1] > scaled[1]:
+        for j, (bits, (y, x)) in enumerate(zip(blocks, origins.tolist())):
+            rows = np.flatnonzero(ey[y : y + bits.shape[0]] > sy[y : y + bits.shape[0]])
+            cols = np.flatnonzero(ex[x : x + bits.shape[1]] > sx[x : x + bits.shape[1]])
+            live = bits[np.ix_(rows, cols)]
+            rows, cols = rows[live.any(axis=1)], cols[live.any(axis=0)]
+            if rows.size:
+                lo[j], hi[j] = (y + rows[0], x + cols[0]), (y + rows[-1], x + cols[-1])
+            else:
+                vanished[j] = bits.any()  # an unset block has nothing to lose
+    boxes = np.stack([sy[lo[:, 0]], sx[lo[:, 1]], ey[hi[:, 0]] - 1, ex[hi[:, 1]] - 1], axis=1)
+    corners = np.concatenate([lo, hi], axis=1)[vanished]
+    ends = np.tile(scaled, 2)
+    boxes[vanished] = np.minimum(corners * ends // np.tile(frame, 2), ends - 1)
+    return boxes, vanished
 
 
-def _ragged(sizes: np.ndarray):
-    """Members of consecutive groups of the given sizes (each >= 1): each one's
-    group and its rank within the group."""
-    group = np.repeat(np.arange(len(sizes)), sizes)
-    return group, np.arange(len(group)) - _firsts(sizes)[group]
-
-
-def _unclamped(g: NetGeometry, origin, length):
-    """Per block along one axis: the unclamped cell of its first pixel, the number
-    of unclamped cells it meets and its offset into the first one's run."""
-    first = _cell(g, origin)
-    run_start = (2 * g.stride * (first - 1) + g.offset_x2 + g.stride) // 2 + 1
-    return first, _cell(g, origin + length - 1) - first + 1, origin - run_start
-
-
-def project_mask(g: NetGeometry, blocks, origins, frame, fh: int, fw: int,
+def project_mask(g: NetGeometry, blocks, origins, frame, scaled, fh: int, fw: int,
                  windows) -> list[np.ndarray]:
-    """Pool each binary block, at origins[i] (row, col) of the frame (height,
-    width) and unset elsewhere, into fh x fw cells, and return each vote cropped
-    to its window, windows[i] = (y0, x0, y1, x1) inclusive cell corners.
+    """Pool each binary block, at origins[i] (row, col) of the source frame
+    (height, width) and unset elsewhere, resized nearest to the scaled frame,
+    into fh x fw cells, and return each vote cropped to its window, windows[i] =
+    (y0, x0, y1, x1) inclusive cell corners. Equal frames are the identity
+    resize.
 
-    Each block is zero-padded to whole S x S unclamped cells (`_cell`), and the
-    blocks of one padded width are stacked on one canvas: its S-row bands are
-    summed first, then each band's S-column cells, and each unclamped cell's
-    count is added to its clamped cell. Each count is voted against its cell's
-    whole run in the frame; window cells that none of the block's pixels vote
-    for stay unset.
+    Per axis, `_table` gives A (rows) and B (columns), and a window's counts
+    are A[block rows, window rows]ᵀ · bits · B[block columns, window columns],
+    summed in float64: every count is an integer of at most the scaled frame's
+    pixels, so every sum is exact in any order. A cell is set when its count is
+    above 0 and at least half its run (the table's column sum). Blocks of one
+    (block, window) shape are stacked, at most 2**16 source pixels at a time,
+    and a larger block is multiplied in bands of rows of at most that many
+    pixels, which bounds the float64 buffers. A block whose set pixels the
+    resize all drops projects its `scaled_boxes` fallback box, all set, in the
+    scaled frame.
     """
     if fh < 1 or fw < 1:
         raise ValidationError(f"feature dims must be >= 1, got {fh}x{fw}")
@@ -98,48 +119,40 @@ def project_mask(g: NetGeometry, blocks, origins, frame, fh: int, fw: int,
     origins = np.array(origins, np.int64).reshape(-1, 2)
     windows = np.array(windows, np.int64).reshape(-1, 4)
     if not len(origins) == len(windows) == len(blocks) or shapes.min() < 1 or (
-        origins.min() < 0 or (origins + shapes > frame).any()
+        min(scaled) < 1 or origins.min() < 0 or (origins + shapes > frame).any()
     ):
         raise ValidationError(f"each block must lie at its origin in the {frame} frame")
     if windows.min() < 0 or (windows[:, 2:] < windows[:, :2]).any() or (
         windows[:, 2:] >= (fh, fw)
     ).any():
         raise ValidationError(f"each window must lie in the {fh}x{fw} grid")
-    s = g.stride
-    (vy, my, dy), (vx, mx, dx) = (_unclamped(g, origins[:, a], shapes[:, a]) for a in (0, 1))
-    order = np.argsort(mx, kind="stable")
-    widths, first = np.unique(mx[order], return_index=True)
-    sums = []
-    for cols, a, b in zip(widths.tolist(), first.tolist(), [*first[1:].tolist(), len(order)]):
-        members = order[a:b]
-        canvas = np.zeros((int(my[members].sum()) * s, cols * s), bool)
-        top = _firsts(my[members] * s) + dy[members]
-        for j, y, x in zip(members.tolist(), top.tolist(), dx[members].tolist()):
-            bits = blocks[j]
-            canvas[y : y + bits.shape[0], x : x + bits.shape[1]] = bits
-        bands = canvas.view(np.uint8).reshape(-1, s, cols * s).sum(axis=1, dtype=np.int32)
-        sums.append(bands.reshape(-1, cols, s).sum(axis=2).ravel())
-    # each unclamped cell (block in `order`, row, column) added to its clamped one
-    ky0, kx0 = np.clip(vy, 0, fh - 1), np.clip(vx, 0, fw - 1)
-    ny = np.clip(vy + my - 1, 0, fh - 1) - ky0 + 1
-    nx = np.clip(vx + mx - 1, 0, fw - 1) - kx0 + 1
-    cell_at = _firsts(ny * nx)
-    unit, k = _ragged(my[order] * mx[order])
-    block = order[unit]
-    row = np.clip(vy[block] + k // mx[block], 0, fh - 1) - ky0[block]
-    col = np.clip(vx[block] + k % mx[block], 0, fw - 1) - kx0[block]
-    counts = np.bincount(cell_at[block] + row * nx[block] + col, np.concatenate(sums),
-                         int(cell_at[-1] + ny[-1] * nx[-1]))  # float64, exact for counts
-
-    # each clamped cell, voted, at its place in its block's window crop
-    block, k = _ragged(ny * nx)
-    ky, kx = ky0[block] + k // nx[block], kx0[block] + k % nx[block]
-    wh, ww = (windows[:, 2:] - windows[:, :2] + 1).T
-    y, x = ky - windows[block, 0], kx - windows[block, 1]
-    sizes = _axis_runs(g, frame[0], fh).sizes[ky] * _axis_runs(g, frame[1], fw).sizes[kx]
-    keep = (2 * counts >= sizes) & (y >= 0) & (y < wh[block]) & (x >= 0) & (x < ww[block])
-    crop_at = _firsts(wh * ww)
-    out = np.zeros(int(crop_at[-1] + wh[-1] * ww[-1]), bool)
-    out[(crop_at[block] + y * ww[block] + x)[keep]] = True
-    return [out[i : i + rows * cols].reshape(rows, cols)
-            for i, rows, cols in zip(crop_at.tolist(), wh.tolist(), ww.tolist())]
+    crops = [None] * len(blocks)
+    table_y, table_x = _table(g, frame[0], scaled[0], fh), _table(g, frame[1], scaled[1], fw)
+    runs_y, runs_x = table_y.sum(axis=0), table_x.sum(axis=0)
+    keys = np.concatenate([shapes, windows[:, 2:] - windows[:, :2] + 1], axis=1)
+    order = np.lexsort(keys.T[::-1])
+    edges = np.flatnonzero((np.diff(keys[order], axis=0) != 0).any(axis=1)) + 1
+    for group in np.split(order, edges):
+        h, w, wh, ww = keys[group[0]].tolist()
+        step = max(1, (1 << 16) // (h * w))  # blocks per stack
+        band = min(h, max(1, (1 << 16) // w))  # rows per product: splits only a larger block
+        for at in range(0, len(group), step):
+            members = group[at : at + step]
+            (y, x), (y0, x0) = origins[members].T, windows[members, :2].T
+            a = _windows(table_y, y, y0, h, wh).transpose(0, 2, 1)  # (n, wh, h)
+            b = _windows(table_x, x, x0, w, ww)  # (n, w, ww)
+            bits = np.array([blocks[j] for j in members])
+            counts = sum(a[:, :, r : r + band] @ (bits[:, r : r + band].astype(np.float64) @ b)
+                         for r in range(0, h, band))
+            sizes = (runs_y[y0[:, None] + np.arange(wh)][:, :, None]
+                     * runs_x[x0[:, None] + np.arange(ww)][:, None, :])
+            for j, crop in zip(members.tolist(), (counts > 0) & (2 * counts >= sizes)):
+                crops[j] = crop
+    if frame[0] > scaled[0] or frame[1] > scaled[1]:  # a downscale can drop every set pixel
+        boxes, vanished = scaled_boxes(blocks, origins, frame, scaled)
+        fell = np.flatnonzero(vanished)
+        filled = [np.ones(s, bool) for s in (boxes[fell, 2:] - boxes[fell, :2] + 1).tolist()]
+        for j, crop in zip(fell.tolist(), project_mask(
+                g, filled, boxes[fell, :2], scaled, scaled, fh, fw, windows[fell])):
+            crops[j] = crop
+    return crops

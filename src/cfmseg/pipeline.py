@@ -27,11 +27,11 @@ from .core import (
     SegmentProposal,
     ValidationError,
     box_array,
-    index_map,
     mask_iou,  # not used here; kept importable as pipeline.mask_iou
     proposal_from_mask,
     suppress,
 )
+from .masking import scaled_boxes
 from .netgeom import NetGeometry
 from .pooling import DESIGNS, PyramidSpec, design_feature, feature_length, spp_pool
 from .pursuit import PursuitConfig, label_object_samples, stuff_samples
@@ -103,26 +103,13 @@ def scale_image(image: FeatureMap, scale: int) -> FeatureMap | NearestResize:
     return NearestResize(image.values, out_h, out_w)
 
 
-def scale_proposal(
-    p: SegmentProposal, src_h: int, src_w: int, dst_h: int, dst_w: int
-) -> SegmentProposal:
-    """The nearest resize to dst_h x dst_w, as the block of rows and columns
-    that sample the box; the index maps never decrease, so all others are unset."""
-    if (src_h, src_w) == (dst_h, dst_w):
-        return p
-    ys, xs, b = index_map(src_h, dst_h), index_map(src_w, dst_w), p.box
-    y0, y1 = np.searchsorted(ys, [b.y0, b.y1 + 1]).tolist()  # rows sampling the box
-    x0, x1 = np.searchsorted(xs, [b.x0, b.x1 + 1]).tolist()
-    # block starts at the box; columns first, so the rows' gather leaves it row-major
-    bits = p.block.bits[:, xs[x0:x1] - b.x0][ys[y0:y1] - b.y0]
-    if not bits.any():
-        # a thin segment can vanish under heavy downscale; fall back to its box
-        x0 = min(b.x0 * dst_w // src_w, dst_w - 1)
-        x1 = min(b.x1 * dst_w // src_w, dst_w - 1) + 1
-        y0 = min(b.y0 * dst_h // src_h, dst_h - 1)
-        y1 = min(b.y1 * dst_h // src_h, dst_h - 1) + 1
-        bits = np.ones((y1 - y0, x1 - x0), dtype=bool)
-    return SegmentProposal(p.id, BinaryMask(bits), origin=(y0, x0), frame=(dst_h, dst_w))
+def scale_proposal(proposals: list[SegmentProposal], frame, scaled) -> np.ndarray:
+    """Each proposal's tight box in the nearest resize of its frame (height, width)
+    to the scaled one, an (N, 4) int64 array of (y0, x0, y1, x1): the boxes of
+    `masking.scaled_boxes`, thin segments that vanish given their fallback box.
+    No scaled mask is built; `masking.project_mask` reads the blocks."""
+    blocks, origins = [p.block.bits for p in proposals], [p.origin for p in proposals]
+    return scaled_boxes(blocks, origins, frame, scaled)[0]
 
 
 class FeatureCache:
@@ -182,9 +169,10 @@ def proposal_features(
 
     def batch(job):
         s, members = job
-        conv, (sh, sw) = cache.conv_map(s)
-        scaled = (scale_proposal(proposals[i], *frame, sh, sw) for i in members)
-        vecs = design_feature(conv, scaled, g, cfg.pyramid, cfg.design)
+        conv, scaled = cache.conv_map(s)
+        chosen = [proposals[i] for i in members]
+        boxes = scale_proposal(chosen, frame, scaled)
+        vecs = design_feature(conv, chosen, boxes, scaled, g, cfg.pyramid, cfg.design)
         norms = row_norms(vecs)
         # in float32, by each norm rounded to float32; an all-zero row stays as it is
         np.divide(vecs, norms.astype(np.float32)[:, None], out=vecs,
@@ -415,14 +403,16 @@ def benchmark(
     """
     if not proposals:
         raise ValidationError("benchmark needs at least one proposal")
-    _check_frames(proposals, image.height, image.width)
+    frame = image.height, image.width
+    _check_frames(proposals, *frame)
 
     t0 = time.perf_counter()
     conv = toynet.forward(net, image)
     conv_once_ms = (time.perf_counter() - t0) * 1000.0
 
     def mask_chunk(chunk: list[SegmentProposal]) -> np.ndarray:
-        return design_feature(conv, chunk, g, cfg.pyramid, cfg.design)
+        boxes = scale_proposal(chunk, frame, frame)
+        return design_feature(conv, chunk, boxes, frame, g, cfg.pyramid, cfg.design)
 
     t0 = time.perf_counter()
     shared = _map_ordered(mask_chunk, _chunks(proposals, threads), threads)

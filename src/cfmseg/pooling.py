@@ -8,7 +8,7 @@ With the default {6,3,2,1} pyramid the output length is 50 * channels.
 from __future__ import annotations
 
 from collections import defaultdict
-from collections.abc import Iterable
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import FeatureMap, PixelBox, SegmentProposal, ValidationError
-from .core import _readonly, box_array
+from .core import _readonly
 from .formats import dump_json, save_vector
 from .masking import project_mask, vote
 from .netgeom import NetGeometry, feature_extent
@@ -172,15 +172,21 @@ def spp_pool_windows(f: FeatureMap, windows, pyr: PyramidSpec) -> np.ndarray:
         starts, ends, k = _level_spans((hi - lo + 1)[:, None], pyr.levels)
         shift = (lo - base)[:, None]  # window cells to crop cells
         # the second span ends where the range ends
-        reads.append(np.stack([k, starts + shift, ends - (1 << k) + shift])
-                     .astype(np.int32).take(of, axis=2).reshape(3, -1))
+        reads.append([a.astype(np.int32).take(of, axis=1).ravel()
+                      for a in (k, starts + shift, ends - (1 << k) + shift)])
     (ky, ya, yb), (kx, xa, xb) = reads
     levels_x = int(kx.max()) + 1
     key = (ky * levels_x + kx).astype(np.int16)  # radix-sorted
-    order = np.argsort(key, kind="stable")  # level by level, each in output order
-    # where each level's bins end in that order: a row per row level
+    # where each level's bins end in level order: a row per row level
     stops = np.cumsum(np.bincount(key, minlength=levels_x * (int(ky.max()) + 1)))
-    ya, yb, xa, xb = (a.take(order) for a in (ya, yb, xa, xb))
+    del reads, ky, kx
+    order = np.argsort(key, kind="stable")  # level by level, each in output order
+    del key
+    # one at a time, so each unsorted array goes as its sorted copy comes
+    ya = ya.take(order)
+    yb = yb.take(order)
+    xa = xa.take(order)
+    xb = xb.take(order)
 
     # whole channel vectors as single items: taking them is a row copy each
     item = np.dtype((np.void, 4 * f.channels))
@@ -226,48 +232,30 @@ def downsample_mask_to_grid(crops: list[np.ndarray], n: int) -> np.ndarray:
     return grid
 
 
-PROJECT_PIXELS = 1 << 19  # block pixels per project_mask call: bounds its buffers
+def _projected(conv: FeatureMap, proposals: Sequence[SegmentProposal], boxes,
+               scaled, g: NetGeometry):
+    """Each proposal's window, an (N, 4) array of (y0, x0, y1, x1) cells of the map
+    around its box in the scaled frame, and its projected mask cropped to that
+    window. The proposals, all of one frame, are projected from their own blocks
+    through the resize of that frame to `scaled`, the map's input size."""
+    frame = proposals[0].frame
+    if wrong := [p.id for p in proposals if p.frame != frame]:
+        raise ValidationError(f"proposal {wrong[0]!r} frame is not {frame}")
+    windows = feature_extent(g, boxes, conv.height, conv.width)
+    crops = project_mask(g, [p.block.bits for p in proposals], [p.origin for p in proposals],
+                         frame, scaled, conv.height, conv.width, windows)
+    return windows, crops
 
 
-def _projected(conv: FeatureMap, proposals: Iterable[SegmentProposal], g: NetGeometry):
-    """Each proposal's window, an (N, 4) array of (y0, x0, y1, x1) cells of the map,
-    and its projected mask cropped to that window. The proposals, all of one frame,
-    are read once and projected in groups of at most PROJECT_PIXELS block pixels
-    (or one block), so a caller can pass them as a generator and only one group of
-    (scaled) proposals is held at a time."""
-    windows, crops, group, pixels, frame = [], [], [], 0, None
-
-    def project():
-        boxes = box_array(group)
-        win = feature_extent(g, boxes, conv.height, conv.width)
-        crops.extend(project_mask(g, [p.block.bits for p in group], boxes[:, :2],
-                                  frame, conv.height, conv.width, win))
-        windows.append(win)
-        group.clear()
-
-    for p in proposals:
-        frame = frame or p.frame
-        if p.frame != frame:
-            raise ValidationError(f"proposal {p.id!r} frame is not {frame}")
-        if group and pixels + p.block.bits.size > PROJECT_PIXELS:
-            project()
-            pixels = 0
-        group.append(p)
-        pixels += p.block.bits.size
-    if group:
-        project()
-    return np.concatenate(windows), crops
-
-
-def design_a_features(conv: FeatureMap, proposals: Iterable[SegmentProposal],
-                      g: NetGeometry, pyr: PyramidSpec) -> np.ndarray:
+def design_a_features(conv: FeatureMap, proposals: Sequence[SegmentProposal], boxes,
+                      scaled, g: NetGeometry, pyr: PyramidSpec) -> np.ndarray:
     """Two pooling pathways per window, plain box then masked segment: (N, 2L).
 
     The boxes pool in one `spp_pool_windows` pass. The pyramid reads no cell
     outside the window, so only the window's crop of the map is masked, then
     pooled over its full extent by `spp_pool`'s kernel.
     """
-    windows, crops = _projected(conv, proposals, g)
+    windows, crops = _projected(conv, proposals, boxes, scaled, g)
     segments = [
         _pool(conv.values[:, y0 : y1 + 1, x0 : x1 + 1] * crop, pyr.levels)
         for (y0, x0, y1, x1), crop in zip(windows.tolist(), crops)
@@ -276,31 +264,34 @@ def design_a_features(conv: FeatureMap, proposals: Iterable[SegmentProposal],
                            np.array(segments, np.float32)], axis=1)
 
 
-def design_b_features(conv: FeatureMap, proposals: Iterable[SegmentProposal],
-                      g: NetGeometry, pyr: PyramidSpec) -> np.ndarray:
+def design_b_features(conv: FeatureMap, proposals: Sequence[SegmentProposal], boxes,
+                      scaled, g: NetGeometry, pyr: PyramidSpec) -> np.ndarray:
     """Single pathway: pool unmasked, then blank masked-out bins of the finest level,
     voted over window crops of the masks, never whole maps: (N, L) for one map.
     One `spp_pool_windows` pass pools every window.
     """
-    windows, crops = _projected(conv, proposals, g)
-    values = spp_pool_windows(conv, windows, pyr)  # zeroed in place below
+    windows, crops = _projected(conv, proposals, boxes, scaled, g)
     grid = downsample_mask_to_grid(crops, pyr.levels[0]).reshape(len(crops), -1)
+    del crops  # before the pool, whose buffers are the larger
+    values = spp_pool_windows(conv, windows, pyr)  # zeroed in place below
     head = values[:, : grid.shape[1] * conv.channels].reshape(grid.shape + (-1,))
     head[~grid] = 0.0
     return values
 
 
-def design_feature(conv: FeatureMap, proposals: Iterable[SegmentProposal],
-                   g: NetGeometry, pyr: PyramidSpec, design: str) -> np.ndarray:
-    """The (N, length) float32 feature vectors of the proposals (a non-empty
-    iterable, read once) on one map, under the named design."""
+def design_feature(conv: FeatureMap, proposals: Sequence[SegmentProposal], boxes,
+                   scaled, g: NetGeometry, pyr: PyramidSpec, design: str) -> np.ndarray:
+    """The (N, length) float32 feature vectors of the proposals (non-empty, of one
+    frame) on one map, under the named design. The map was computed from the
+    frame resized to `scaled` (height, width), where the proposals' boxes are
+    `boxes`, an (N, 4) array of (y0, x0, y1, x1) (`pipeline.scale_proposal`)."""
     # no lookup table: a wrapper swapped onto a module attribute must see each call
     if design == "A":
-        return design_a_features(conv, proposals, g, pyr)
+        return design_a_features(conv, proposals, boxes, scaled, g, pyr)
     if design == "B":
-        return design_b_features(conv, proposals, g, pyr)
+        return design_b_features(conv, proposals, boxes, scaled, g, pyr)
     if design == "none":
-        windows = feature_extent(g, box_array(proposals), conv.height, conv.width)
+        windows = feature_extent(g, boxes, conv.height, conv.width)
         return spp_pool_windows(conv, windows, pyr)
     raise ValidationError(f"design must be one of {DESIGNS}")
 

@@ -4,6 +4,7 @@ import pytest
 from cfmseg.core import BinaryMask, FeatureMap, PixelBox
 from cfmseg.masking import project_mask
 from cfmseg.netgeom import feature_extent
+from cfmseg.pipeline import scale_proposal
 from cfmseg.synth import derive_seed, random_scene_spec
 
 
@@ -32,13 +33,22 @@ def rect_mask(h, w, y0, y1, x0, x1) -> BinaryMask:
 
 
 def project_one(g, mask: BinaryMask, fh: int, fw: int, origin=(0, 0),
-                frame=None) -> BinaryMask:
+                frame=None, scaled=None) -> BinaryMask:
     """`project_mask` on a batch of one block, at `origin` of `frame` (default: the
-    mask's own shape), its vote cropped to the whole fh x fw grid."""
+    mask's own shape) resized to `scaled` (default: the frame itself), its vote
+    cropped to the whole fh x fw grid."""
     whole = (0, 0, fh - 1, fw - 1)
-    (bits,) = project_mask(g, [mask.bits], [origin], frame or mask.bits.shape, fh, fw,
+    frame = frame or mask.bits.shape
+    (bits,) = project_mask(g, [mask.bits], [origin], frame, scaled or frame, fh, fw,
                            [whole])
     return BinaryMask(bits)
+
+
+def own_scale(proposals) -> tuple:
+    """The (proposals, boxes, scaled frame) arguments of a design call on a map of
+    the proposals' own frame: the identity resize."""
+    frame = proposals[0].frame
+    return proposals, scale_proposal(proposals, frame, frame), frame
 
 
 def extent_one(g, box: PixelBox, fh: int, fw: int) -> PixelBox:

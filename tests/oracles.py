@@ -6,18 +6,29 @@ against every cell, the masking over the whole map, the training
 objective from its definition, the scores by one einsum per row and model,
 the convolution by explicit broadcast steps in its documented order, the
 forward pass on full maps with a per-cell max-pool, and the IoU by one pass
-per category. Three
+per category. Four
 keep an earlier form of a package kernel: the projection that finds each
-block's runs by binary search (`reduceat_project_mask`), pooling one
-window at a time (`per_window_pool`) and training on both classes copied
-whole to float64 (`matrix_train_svm`). None of them is used by the package.
+block's runs (`axis_runs`) by binary search (`reduceat_project_mask`), the
+resize that builds each scaled block before projecting it
+(`scaled_proposal`, `per_block_project_mask`), pooling one window at a time
+(`per_window_pool`) and training on both classes copied whole to float64
+(`matrix_train_svm`). None of them is used by the package.
 """
 
 import numpy as np
 
 from cfmseg.classify import LinearModel
-from cfmseg.core import BinaryMask, FeatureMap, LabelMap, PixelBox, ValidationError
-from cfmseg.masking import _axis_runs
+from cfmseg.core import (
+    BinaryMask,
+    FeatureMap,
+    LabelMap,
+    PixelBox,
+    SegmentProposal,
+    ValidationError,
+    nearest_indices,
+    resize_nearest,
+)
+from cfmseg.masking import _cell
 from cfmseg.netgeom import LayerSpec, NetGeometry
 from cfmseg.pooling import PyramidSpec, spp_pool
 
@@ -74,6 +85,15 @@ def brute_force_project(
     return BinaryMask(out)
 
 
+def axis_runs(g: NetGeometry, n_pixels: int, n_cells: int):
+    """(starts, ends) of each cell's run of nearest-center pixels along one axis.
+    A pixel's cell rises by at most one per pixel, so only runs at the ends can
+    be empty."""
+    u = np.clip(_cell(g, np.arange(n_pixels, dtype=np.int64)), 0, n_cells - 1)
+    cells = np.arange(n_cells)
+    return np.searchsorted(u, cells, "left"), np.searchsorted(u, cells, "right")
+
+
 def reduceat_project_mask(
     g: NetGeometry, image_mask: BinaryMask, fh: int, fw: int, origin=(0, 0), frame=None
 ) -> BinaryMask:
@@ -85,7 +105,7 @@ def reduceat_project_mask(
     counts, sizes, cells = bits, 1, []
     for axis, n in enumerate((fh, fw)):
         o, length = origin[axis], bits.shape[axis]
-        starts, ends = _axis_runs(g, (frame or bits.shape)[axis], n)
+        starts, ends = axis_runs(g, (frame or bits.shape)[axis], n)
         k0, k1 = np.searchsorted(ends, o, "right"), np.searchsorted(starts, o + length)
         counts = np.add.reduceat(counts, np.maximum(starts[k0:k1] - o, 0), axis, np.int32)
         sizes = np.multiply.outer(sizes, ends[k0:k1] - starts[k0:k1])
@@ -95,13 +115,57 @@ def reduceat_project_mask(
     return BinaryMask(out)
 
 
-def per_block_project_mask(g: NetGeometry, blocks, origins, frame, fh: int, fw: int,
-                           windows) -> list[np.ndarray]:
-    """Oracle in `project_mask`'s batch form: `reduceat_project_mask` of one block
-    at a time, each whole-grid vote cropped to its (y0, x0, y1, x1) window."""
+def scaled_block(bits: np.ndarray, origin, frame, scaled):
+    """The block's nearest resize from the frame to the scaled one, built: the
+    rows and columns that sample the block, gathered, and their origin. A set
+    block whose resize is unset falls back to its box's corners scaled by
+    floor(c * scaled / frame), all set. None for an unset block that vanishes."""
+    ys, xs = nearest_indices(frame[0], scaled[0]), nearest_indices(frame[1], scaled[1])
+    (y, x), (h, w) = origin, bits.shape
+    y0, y1 = np.searchsorted(ys, [y, y + h]).tolist()  # rows sampling the block
+    x0, x1 = np.searchsorted(xs, [x, x + w]).tolist()
+    out = bits[:, xs[x0:x1] - x][ys[y0:y1] - y]
+    if out.any() or not bits.any():
+        return (out, (y0, x0)) if out.size else None
+    # a thin segment can vanish under heavy downscale; fall back to its box
+    y0, x0 = min(y * scaled[0] // frame[0], scaled[0] - 1), min(x * scaled[1] // frame[1],
+                                                                   scaled[1] - 1)
+    y1 = min((y + h - 1) * scaled[0] // frame[0], scaled[0] - 1) + 1
+    x1 = min((x + w - 1) * scaled[1] // frame[1], scaled[1] - 1) + 1
+    return np.ones((y1 - y0, x1 - x0), dtype=bool), (y0, x0)
+
+
+def scaled_proposal(p: SegmentProposal, scaled) -> SegmentProposal:
+    """The proposal resized to the scaled frame as a proposal of that frame, as
+    `pipeline.scale_proposal` built it before it returned boxes."""
+    bits, origin = scaled_block(p.block.bits, p.origin, p.frame, scaled)
+    return SegmentProposal(p.id, BinaryMask(bits), origin=origin, frame=tuple(scaled))
+
+
+def built_scaled_mask(p: SegmentProposal, scaled) -> np.ndarray:
+    """The proposal's whole-frame mask resized nearest to the scaled frame or, when
+    that comes out unset, its box's corners scaled by floor(c * scaled / frame),
+    all set: the mask every box-local path must project the same as."""
+    bits = resize_nearest(p.mask.bits, *scaled)
+    if not bits.any():
+        (h, w), (sh, sw), b = p.frame, scaled, p.box
+        bits[min(b.y0 * sh // h, sh - 1) : min(b.y1 * sh // h, sh - 1) + 1,
+             min(b.x0 * sw // w, sw - 1) : min(b.x1 * sw // w, sw - 1) + 1] = True
+    return bits
+
+
+def per_block_project_mask(g: NetGeometry, blocks, origins, frame, scaled, fh: int,
+                           fw: int, windows) -> list[np.ndarray]:
+    """Oracle in `project_mask`'s batch form: each block's resize built
+    (`scaled_block`), then `reduceat_project_mask` of it in the scaled frame,
+    one block at a time, each whole-grid vote cropped to its (y0, x0, y1, x1)
+    window."""
     crops = []
-    for bits, (y, x), (y0, x0, y1, x1) in zip(blocks, origins, windows):
-        grid = reduceat_project_mask(g, BinaryMask(bits), fh, fw, (y, x), frame).bits
+    for bits, origin, (y0, x0, y1, x1) in zip(blocks, origins, windows):
+        grid = np.zeros((fh, fw), dtype=bool)
+        if (built := scaled_block(bits, origin, frame, scaled)) is not None:
+            block, at = built
+            grid = reduceat_project_mask(g, BinaryMask(block), fh, fw, at, tuple(scaled)).bits
         crops.append(grid[y0 : y1 + 1, x0 : x1 + 1])
     return crops
 

@@ -38,7 +38,7 @@ from cfmseg.pursuit import (
     pursue,
 )
 from cfmseg.toynet import default_spec, init_toynet, spec_to_json
-from conftest import make_corpus, project_one
+from conftest import make_corpus, own_scale, project_one
 from oracles import brute_force_geometry, brute_force_project
 
 
@@ -127,7 +127,7 @@ def test_criterion_03_spp_contract():
             .astype(np.float32)
         )
         full = proposal_from_mask("full", BinaryMask(np.ones((32, 32), dtype=bool)))
-        box_f, seg_f = np.split(design_a_features(conv, [full], g, pyr)[0], 2)
+        box_f, seg_f = np.split(design_a_features(conv, *own_scale([full]), g, pyr)[0], 2)
         assert np.array_equal(box_f, seg_f)
     report("criterion 3", "lengths 50*C, constant pooling, full-mask identity")
 
@@ -283,6 +283,23 @@ def test_criterion_07_end_to_end_gap():
         f"masked {means['B']:.3f} vs box-only {means['none']:.3f} "
         f"(gap {gap:+.3f}), {elapsed:.0f}s",
     )
+
+
+@pytest.mark.slow
+def test_design_a_end_to_end_quality():
+    # criterion 7's corpus and training for design A, whose masked pathway pools
+    # the projected crops through its own code: the same 0.5 floor as for B
+    start = time.perf_counter()
+    net = init_toynet(default_spec(3, seed=0))
+    g = compose_geometry(net.spec.geometry_layers())
+    train, test = _build_corpus(200, master=1), _build_corpus(50, master=2)
+    cfg = PipelineConfig(scales=SCALES, design="A")
+    models = train_category_models(train, [1, 2, 3], [4, 5], net, g, cfg, reg=1e-4,
+                                   epochs=15, seed=5)
+    preds = [predict_scene(models, ts.image, ts.proposals, net, g, cfg) for ts in test]
+    _, mean = mean_iou(preds, [ts.labels for ts in test], CATEGORIES)
+    assert mean >= 0.5, f"design A mean IoU {mean:.3f}"
+    report("design A", f"mean IoU {mean:.3f}, {time.perf_counter() - start:.0f}s")
 
 
 @pytest.mark.slow

@@ -23,13 +23,19 @@ from cfmseg.core import (
     proposal_from_mask,
     resize_nearest,
 )
-from cfmseg.masking import _axis_runs
 from cfmseg.netgeom import LayerSpec, NetGeometry, compose_geometry
-from cfmseg.pipeline import FeatureCache, PipelineConfig, assign_scale, scale_proposal
+from cfmseg.pipeline import FeatureCache, PipelineConfig, assign_scale
 from cfmseg.pooling import DESIGNS, PyramidSpec, _pyramid_plan, spp_pool
 from cfmseg.toynet import default_spec, init_toynet, spec_to_json
-from conftest import extent_one, project_one, random_map, rect_mask
-from oracles import apply_mask, einsum_scores, per_block_project_mask, per_window_pool
+from conftest import extent_one, own_scale, project_one, random_map, rect_mask
+from oracles import (
+    apply_mask,
+    axis_runs,
+    einsum_scores,
+    per_block_project_mask,
+    per_window_pool,
+    scaled_proposal,
+)
 
 # ---------------------------------------------------------------------------
 # Oracle: the per-proposal path, verbatim
@@ -67,8 +73,8 @@ def project_mask(
     if fh < 1 or fw < 1:
         raise ValidationError(f"feature dims must be >= 1, got {fh}x{fw}")
     frame_h, frame_w = frame or (image_mask.height, image_mask.width)
-    rows = [t - origin[0] for t in _axis_runs(g, frame_h, fh)]  # tables cached per scale
-    cols = [t - origin[1] for t in _axis_runs(g, frame_w, fw)]
+    rows = [t - origin[0] for t in axis_runs(g, frame_h, fh)]  # tables cached per scale
+    cols = [t - origin[1] for t in axis_runs(g, frame_w, fw)]
     return BinaryMask(vote(image_mask.bits, rows, cols))  # vote crops to set pixels
 
 
@@ -132,8 +138,7 @@ def oracle_proposal_features(proposals, cache, g, cfg):
     out = []
     for p in proposals:
         conv, (sh, sw) = cache.conv_map(assign_scale(p.box.area, shorter, cfg.scales))
-        sp = scale_proposal(p, image.height, image.width, sh, sw)
-        vec = design_feature(conv, sp, g, cfg.pyramid, cfg.design)
+        vec = design_feature(conv, scaled_proposal(p, (sh, sw)), g, cfg.pyramid, cfg.design)
         norm = float(np.linalg.norm(vec.astype(np.float64)))
         if norm > 0.0:
             vec = (vec / norm).astype(np.float32)
@@ -214,7 +219,7 @@ class TestProjectionOracle:
             got = project_one(g, block, fh, fw, (y0, x0), frame)
             want = project_mask(g, block, fh, fw, (y0, x0), frame)
             assert np.array_equal(got.bits, want.bits)
-            runs = _axis_runs(g, frame[0], fh) + _axis_runs(g, frame[1], fw)
+            runs = axis_runs(g, frame[0], fh) + axis_runs(g, frame[1], fw)
             empty_runs += bool((runs[0] == runs[1]).any() or (runs[2] == runs[3]).any())
         assert empty_runs > 1000  # cells that collect no pixel are well covered
 
@@ -249,7 +254,7 @@ class TestDesignOracle:
                                              replace=False).tolist(), reverse=True))
             pyr = PyramidSpec(levels)
             batch = random_proposals(rng, int(rng.integers(1, 25)), *frame)
-            got = pooling.design_feature(conv, batch, g, pyr, design)
+            got = pooling.design_feature(conv, *own_scale(batch), g, pyr, design)
             assert got.dtype == np.float32
             assert got.shape == (len(batch), pooling.feature_length(conv.channels, pyr,
                                                                      design))
@@ -257,7 +262,7 @@ class TestDesignOracle:
             assert as_bytes(got) == as_bytes(want)
             windows = [extent_one(g, p.box, fh, fw) for p in batch]
             narrow += sum(min(w.height, w.width) < levels[0] for w in windows)
-            runs = _axis_runs(g, frame[0], fh) + _axis_runs(g, frame[1], fw)
+            runs = axis_runs(g, frame[0], fh) + axis_runs(g, frame[1], fw)
             empty += bool((runs[0] == runs[1]).any() or (runs[2] == runs[3]).any())
         assert narrow > 50 and empty > 10
 
@@ -267,11 +272,11 @@ class TestDesignOracle:
         conv = rectified_map(rng, 3, 10, 12)
         batch = random_proposals(rng, 30, 40, 48)
         pyr = PyramidSpec()
-        together = pooling.design_feature(conv, batch, g, pyr, design)
+        together = pooling.design_feature(conv, *own_scale(batch), g, pyr, design)
         for p, row in zip(batch, together):
-            alone = pooling.design_feature(conv, [p], g, pyr, design)
+            alone = pooling.design_feature(conv, *own_scale([p]), g, pyr, design)
             assert alone.shape == (1, row.size) and alone[0].tobytes() == row.tobytes()
-        reordered = pooling.design_feature(conv, batch[::-1], g, pyr, design)
+        reordered = pooling.design_feature(conv, *own_scale(batch[::-1]), g, pyr, design)
         assert reordered[::-1].tobytes() == together.tobytes()
 
 
@@ -343,8 +348,8 @@ class TestProposalFeaturesOracle:
 
 
 class TestProjectionPasses:
-    """Designs A and B project each map's proposals in batches: one feature_extent
-    and one project_mask call per design call, or per PROJECT_PIXELS of blocks."""
+    """Designs A and B project each map's proposals in one pass: one feature_extent
+    and one project_mask call per design call."""
 
     @staticmethod
     def counting(monkeypatch, calls):
@@ -366,8 +371,6 @@ class TestProjectionPasses:
                              pyramid=PyramidSpec((4, 2, 1)))
         proposals = random_proposals(rng, 40, 32, 40)
         cache = FeatureCache(image, net)
-        # every scale's blocks fit one group
-        assert 40 * 64 * 80 < pooling.PROJECT_PIXELS
         calls = dict.fromkeys(["project_mask", "feature_extent", "design_feature"], 0)
         self.counting(monkeypatch, calls)
         for threads in (1, 3):
@@ -376,21 +379,6 @@ class TestProjectionPasses:
         assert calls["feature_extent"] == calls["design_feature"]
         projections = 0 if design == "none" else calls["design_feature"]
         assert calls["project_mask"] == projections
-
-    @pytest.mark.parametrize("design", ["A", "B"])
-    def test_pixel_groups_give_the_same_bytes(self, rng, monkeypatch, design):
-        net, g = toy_net()
-        image = FeatureMap(rng.standard_normal((3, 32, 40)).astype(np.float32))
-        cfg = PipelineConfig(scales=(32, 128), design=design, pyramid=PyramidSpec((4, 2, 1)))
-        proposals = random_proposals(rng, 60, 32, 40)
-        cache = FeatureCache(image, net)
-        whole = pipeline.proposal_features(proposals, cache, g, cfg)
-        calls = dict.fromkeys(["project_mask", "feature_extent", "design_feature"], 0)
-        self.counting(monkeypatch, calls)
-        monkeypatch.setattr(pooling, "PROJECT_PIXELS", 2000)
-        grouped = pipeline.proposal_features(proposals, cache, g, cfg)
-        assert as_bytes(grouped) == as_bytes(whole)
-        assert calls["design_feature"] < calls["project_mask"] == calls["feature_extent"]
 
     @pytest.mark.parametrize("design", DESIGNS)
     def test_threads_give_the_same_bytes(self, rng, design):
@@ -409,10 +397,10 @@ class TestProjectionPasses:
         conv = rectified_map(rng, 2, 8, 8)
         batch = [*random_proposals(rng, 3, 16, 16), *random_proposals(rng, 1, 16, 15)]
         if design == "none":  # windows read boxes only
-            pooling.design_feature(conv, batch, g, PyramidSpec(), design)
+            pooling.design_feature(conv, *own_scale(batch), g, PyramidSpec(), design)
             return
         with pytest.raises(ValidationError, match="p0"):
-            pooling.design_feature(conv, batch, g, PyramidSpec(), design)
+            pooling.design_feature(conv, *own_scale(batch), g, PyramidSpec(), design)
 
 
 class TestKernelsBeforeAfter:
@@ -457,10 +445,10 @@ class TestMemoryGuard:
         g = compose_geometry([LayerSpec("conv", 3, 2, 1)] * 3)  # stride 8
         conv = rectified_map(rng, 4, self.SIDE // 8, self.SIDE // 8)
         pyr = PyramidSpec()
-        pooling.design_b_features(conv, proposals[:2], g, pyr)  # plans and run tables
+        pooling.design_b_features(conv, *own_scale(proposals[:2]), g, pyr)  # plans and run tables
         tracemalloc.start()
         try:
-            out = pooling.design_b_features(conv, proposals, g, pyr)
+            out = pooling.design_b_features(conv, *own_scale(proposals), g, pyr)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -488,34 +476,15 @@ class TestMemoryGuard:
         budget = 2 * out.nbytes + 16 * sum(cells) + alone + (1 << 20)
         assert peak < budget < padded / 4
 
-    def test_scaled_proposals_are_not_held_together(self, rng):
-        """Upscaled 8x, 200 proposals' blocks take ~10 MB; proposal_features hands
-        them to the design as a generator, so each group of them goes once it is
-        projected."""
-        net, g = toy_net()
-        image = FeatureMap(rng.standard_normal((3, 64, 64)).astype(np.float32))
-        proposals = []
-        for i in range(200):
-            y0, x0 = (int(v) for v in rng.integers(0, 36, size=2))
-            proposals.append(proposal_from_mask(f"p{i}", rect_mask(64, 64, y0, y0 + 27,
-                                                                   x0, x0 + 27)))
-        cfg = PipelineConfig(scales=(512,))
-        cache = FeatureCache(image, net)
-        pipeline.proposal_features(proposals[:2], cache, g, cfg)  # the map, plans, tables
-        held = sum(scale_proposal(p, 64, 64, 512, 512).block.bits.nbytes
-                   for p in proposals)
-        tracemalloc.start()
-        try:
-            out = pipeline.proposal_features(proposals, cache, g, cfg)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        rows = sum(v.nbytes for v in out)  # held twice: the rows, then the array
-        assert held > 9_000_000 and peak - 2 * rows < held / 4
-
-    def test_upscaled_batch_holds_one_group(self, rng):
-        """2,000 proposals upscaled 8x hold ~30 MB of blocks; they are projected in
-        groups of PROJECT_PIXELS, so no more than a group of them is held at once."""
+    @pytest.mark.parametrize("scale", [256, 512])
+    def test_projection_holds_no_scaled_block(self, rng, scale):
+        """2,000 proposals of 13-17 pixel squares (0.43 MiB of source blocks)
+        upscaled 4x or 8x are projected from their source blocks in bounded
+        stacks, design B votes its grid before it pools and the pool drops its
+        unsorted index arrays, so proposal_features peaks below 6.5 MiB above
+        its output (4.8 and 5.6 MiB here). Building the scaled blocks and their
+        canvases peaked at 7.4 MiB (scale 256) and 8.3 MiB (scale 512) above
+        it."""
         net, g = toy_net()
         image = FeatureMap(rng.standard_normal((3, 64, 64)).astype(np.float32))
         proposals = []
@@ -524,19 +493,17 @@ class TestMemoryGuard:
             side = int(rng.integers(12, 17))
             proposals.append(proposal_from_mask(f"p{i}", rect_mask(64, 64, y0, y0 + side,
                                                                    x0, x0 + side)))
-        cfg = PipelineConfig(scales=(512,))
+        cfg = PipelineConfig(scales=(scale,))
         cache = FeatureCache(image, net)
         pipeline.proposal_features(proposals[:2], cache, g, cfg)  # the map, plans, tables
-        held = sum(scale_proposal(p, 64, 64, 512, 512).block.bits.nbytes
-                   for p in proposals)
+        source = sum(p.block.bits.nbytes for p in proposals)
         tracemalloc.start()
         try:
             out = pipeline.proposal_features(proposals, cache, g, cfg)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # the rest is pooling's, which grows with the windows, not with the blocks
-        assert held > 25_000_000 and peak - out.nbytes < held / 2
+        assert 400_000 < source < 500_000 and peak - out.nbytes < 6.5 * 2**20
 
 
 class TestFrames:

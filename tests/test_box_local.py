@@ -18,7 +18,7 @@ from cfmseg.core import (
     proposal_from_mask,
     resize_nearest,
 )
-from cfmseg.masking import _axis_runs
+from cfmseg.masking import _table
 from cfmseg.netgeom import LayerSpec, compose_geometry
 from cfmseg.pipeline import PipelineConfig, ScoredRegion, paste
 from conftest import full_frame_iou, full_frame_paste, project_one
@@ -168,6 +168,9 @@ class TestProposalMemory:
 
 
 class TestAxisRunsCache:
+    """Each axis's table, whose column sums are the cells' runs, is cached per
+    (geometry, source length, scaled length, cell count)."""
+
     def test_cached_tables_equal_fresh_ones(self, rng):
         for _ in range(300):
             layers = [
@@ -183,11 +186,12 @@ class TestAxisRunsCache:
             frame = tuple(int(v) for v in rng.integers(1, 40, size=2))
             fh, fw = (int(v) for v in rng.integers(1, 15, size=2))
             for n, cells in zip(frame, (fh, fw)):
+                dst = int(rng.choice([n, rng.integers(1, 3 * n + 1)]))
                 for _ in range(2):  # a miss, then a hit
-                    cached = _axis_runs(g, n, cells)
-                    fresh = _axis_runs.__wrapped__(g, n, cells)
-                    assert all(np.array_equal(c, f) for c, f in zip(cached, fresh))
-                    assert not any(c.flags.writeable for c in cached)
+                    cached = _table(g, n, dst, cells)
+                    fresh = _table.__wrapped__(g, n, dst, cells)
+                    assert np.array_equal(cached, fresh) and not cached.flags.writeable
+                    assert cached.sum() == dst  # each scaled pixel votes for one cell
             # a box-local block reads the cached tables shifted by its origin
             bits = bits_in_box(rng, frame, random_box(rng, *frame))
             p = proposal_from_mask("p", BinaryMask(bits))

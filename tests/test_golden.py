@@ -19,7 +19,7 @@ import pytest
 from cfmseg import formats, pipeline, synth
 from cfmseg.classify import LinearModel, row_norms, score
 from cfmseg.cli import main
-from cfmseg.core import BinaryMask, FeatureMap, PixelBox
+from cfmseg.core import BinaryMask, FeatureMap, PixelBox, resize_nearest
 from cfmseg.netgeom import compose_geometry
 from cfmseg.toynet import (
     ConvLayerSpec,
@@ -67,6 +67,35 @@ GOLDEN_STAGES = {
     "none": {"features": "4bc936a1889ad925e84238af18ad79e786d342dcb33fde106495b32b857c8479",
              "norms": "86bfca9b308d178dbe1d26a3e00efdd63bde36d0f8cb064712e4fb2ff18895a2",
              "scores": "bf3305942348b9c2c74346b8ddcb8a0922da0ac12fed184caeb5da3c12453037"},
+}
+
+# scale -> design -> stage -> SHA-256, as GOLDEN_STAGES, at one scale: 64 is
+# the 64x64 scene's identity resize, 8 a downscale under which 5 of its 52
+# proposals vanish and take the box fallback. GOLDEN_STAGES' scales 256 and
+# 512 only upscale.
+GOLDEN_STAGES_ONE_SCALE = {
+    64: {
+        "A": {"features": "3d291cdf92cdd51007255dbde8ce388a9069a49f29e591713cec5d1713b222a9",
+              "norms": "20da9ff153e9aa5a5a327aeaf2ca4daa1a17ef44ec557194c365d363cf6286f0",
+              "scores": "0b06317f770c772f7b466e640c724b10b409e1693f8ba4ba209451db6f0d0537"},
+        "B": {"features": "83b5554cc372b66fface02d2b4cdecb3fbcfc97bf028ed57f77f07c57ec4cfe5",
+              "norms": "67dfd02a7c525f3f285444ef2717979dd8e452cef39fb0345e69114f02a3c1cd",
+              "scores": "30a6d58e327e8564a581687f76f47ec329995bd46cbeb2d43451c21ef8b70d4a"},
+        "none": {"features": "ed5850bdfdceeb88a547705a88e17a32a345912f46967c07a20218b8156a2ffc",
+                 "norms": "397bc677fd31009770adc5f9dfd496ac78bedac3744f00449134b1d1d22f19b4",
+                 "scores": "c16628c8dd9ca00a8df9c1fddfda7971b349f887c012d09c6c10d6792be24f9f"},
+    },
+    8: {
+        "A": {"features": "8db97796dbb08702482dae341fc1b35e9b5fbbc28de2fcbf018efe71afa8ad74",
+              "norms": "4a1f42f88ca69ecb2a5ed3f2a16b97df2c7ded85535a75f7b23f27de8cdb74f5",
+              "scores": "19c23a38b47602afaf2b4f7f2b2f13878b2305dd937710e1fa62d89699cae58d"},
+        "B": {"features": "13054eb0b7bffac6f13e2de7af36eb05a1a22cc0f57508510a69ad707ce7b84c",
+              "norms": "5ac0016bcfda8075d8e6cc3f6e5a04cc2c416c933a1a9c5c91b7408219ea99e7",
+              "scores": "41ea7c5aaa91c9c5c8d1067812faa7734c8ddfbf5a533f0b0526aee9c4b8cb7e"},
+        "none": {"features": "5a2e415a02822237240e833d698d4d49f2d4f4a2463e93ff9061ca445889d8d7",
+                 "norms": "8c9d30c03b8381c19f0291672787a8212626904c4622fdabc9f5e2ed6361b396",
+                 "scores": "e4c9f4d3c7be949505c1efd19c5a9401fa159feabfd9508f74226cee91ff68ee"},
+    },
 }
 
 
@@ -159,23 +188,36 @@ def test_pursue_matches_golden(mode, tmp_path, capsys):
     assert got == GOLDEN_PURSUE[mode], f"{got!r}\n{out}"
 
 
-@pytest.mark.parametrize("design", sorted(GOLDEN_STAGES))
-def test_stage_bytes_match_golden(design):
+def _stage_hashes(scales: tuple, design: str) -> dict:
     scene = synth.generate_scene(synth.random_scene_spec(synth.CorpusConfig(), 4))
     proposals = synth.toy_proposals(64, 64, scene.instances, grid_sizes=(16, 32))
     net = init_toynet(default_spec(3, seed=0))
     g = compose_geometry(net.spec.geometry_layers())
-    cfg = pipeline.PipelineConfig(scales=(256, 512), design=design)
+    cfg = pipeline.PipelineConfig(scales=scales, design=design)
     features = pipeline.proposal_features(
         proposals, pipeline.FeatureCache(scene.image, net), g, cfg
     )
     rng = np.random.default_rng(7)
     models = [LinearModel(rng.standard_normal(features.shape[1]).astype(np.float32),
                           float(rng.standard_normal()), c) for c in range(1, 6)]
-    got = {"features": _sha256(features.tobytes()),
-           "norms": _sha256(row_norms(features).tobytes()),
-           "scores": _sha256(score(models, features).tobytes())}
-    assert got == GOLDEN_STAGES[design]
+    return {"features": _sha256(features.tobytes()),
+            "norms": _sha256(row_norms(features).tobytes()),
+            "scores": _sha256(score(models, features).tobytes())}
+
+
+@pytest.mark.parametrize("design", sorted(GOLDEN_STAGES))
+def test_stage_bytes_match_golden(design):
+    assert _stage_hashes((256, 512), design) == GOLDEN_STAGES[design]
+
+
+@pytest.mark.parametrize("scale, design", [(scale, design) for scale in GOLDEN_STAGES_ONE_SCALE
+                                           for design in sorted(GOLDEN_STAGES_ONE_SCALE[scale])])
+def test_one_scale_stage_bytes_match_golden(scale, design):
+    if scale == 8:  # the downscale reaches the box fallback
+        scene = synth.generate_scene(synth.random_scene_spec(synth.CorpusConfig(), 4))
+        proposals = synth.toy_proposals(64, 64, scene.instances, grid_sizes=(16, 32))
+        assert any(not resize_nearest(p.mask.bits, 8, 8).any() for p in proposals)
+    assert _stage_hashes((scale,), design) == GOLDEN_STAGES_ONE_SCALE[scale][design]
 
 
 def _forward_case(case: str) -> np.ndarray:

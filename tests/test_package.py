@@ -33,19 +33,29 @@ def test_label_bound_lives_in_core():
     assert found == []
 
 
+def _top_level_names(top) -> list:
+    """The names a top-level statement defines: a function, a class, or the
+    plain names an assignment binds (module constants)."""
+    if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [top.name]
+    targets = top.targets if isinstance(top, ast.Assign) else (
+        [top.target] if isinstance(top, ast.AnnAssign) else [])
+    return [node.id for t in targets for node in ast.walk(t) if isinstance(node, ast.Name)]
+
+
 def test_every_top_level_definition_has_a_caller():
-    # code that only tests reach belongs in tests/: a top-level function or class
-    # must be named in src/ outside its own definition, in perfbench/ or in
-    # pyproject.toml; perfbench is read as text, so no bytecode is written there
+    # code that only tests reach belongs in tests/: a top-level function, class
+    # or module constant must be named in src/ outside its own definition, in
+    # perfbench/ or in pyproject.toml; perfbench is read as text, so no bytecode
+    # is written there
     package = Path(cfmseg.__file__).resolve().parent
     root = package.parent.parent
     outside = "\n".join(path.read_text(encoding="utf-8") for path in
                         [*sorted((root / "perfbench").glob("*.py")), root / "pyproject.toml"])
-    defined, named = [], []  # named: (module, top-level statement, name)
+    defined, named = [], []  # defined: (module, statement, name); named likewise
     for path in sorted(package.glob("*.py")):
         for top in ast.parse(path.read_text(encoding="utf-8"), str(path)).body:
-            if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                defined.append((path.stem, top))
+            defined += [(path.stem, top, name) for name in _top_level_names(top)]
             for node in ast.walk(top):
                 if isinstance(node, ast.Name):
                     named.append((path.stem, top, node.id))
@@ -54,9 +64,9 @@ def test_every_top_level_definition_has_a_caller():
                 elif isinstance(node, ast.alias):
                     named.append((path.stem, top, node.name.rsplit(".", 1)[-1]))
     unused = [
-        f"{module}.{top.name}" for module, top in defined
-        if not any(name == top.name and where is not top for _, where, name in named)
-        and not re.search(rf"\b{re.escape(top.name)}\b", outside)
+        f"{module}.{name}" for module, top, name in defined
+        if not any(used == name and where is not top for _, where, used in named)
+        and not re.search(rf"\b{re.escape(name)}\b", outside)
     ]
     assert unused == []
 

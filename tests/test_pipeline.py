@@ -14,11 +14,12 @@ from cfmseg.core import (
     PixelBox,
     SegmentProposal,
     ValidationError,
+    bbox_of,
     proposal_from_mask,
     resize_nearest,
 )
 from cfmseg.formats import load_proposal_index, save_proposal_index
-from cfmseg.netgeom import LayerSpec, compose_geometry
+from cfmseg.netgeom import LayerSpec, NetGeometry, compose_geometry
 from cfmseg.pipeline import (
     FeatureCache,
     PipelineConfig,
@@ -43,8 +44,15 @@ from cfmseg.pursuit import (
     stuff_samples,
 )
 from cfmseg.toynet import default_spec, forward, init_toynet
-from conftest import full_frame_iou, full_frame_paste, project_one, random_map, rect_mask
-from oracles import loop_mean_iou
+from conftest import (
+    full_frame_iou,
+    full_frame_paste,
+    own_scale,
+    project_one,
+    random_map,
+    rect_mask,
+)
+from oracles import built_scaled_mask, loop_mean_iou, scaled_proposal
 
 DEFAULT_SCALES = (480, 576, 688, 864, 1200)
 
@@ -127,38 +135,30 @@ class TestScaling:
         out = scale_image(image, 40)
         assert (out.height, out.width) == (40, 60)
 
-    def test_scale_proposal_identity(self, rng):
-        p = proposal_from_mask("p", rect_mask(10, 10, 2, 5, 3, 6))
-        assert scale_proposal(p, 10, 10, 10, 10) is p
-
     def test_scale_proposal_upscale_box(self):
         p = proposal_from_mask("p", rect_mask(10, 10, 2, 5, 3, 6))
-        sp = scale_proposal(p, 10, 10, 20, 20)
-        assert sp.box == PixelBox(6, 4, 13, 11)
+        boxes = scale_proposal([p, p], (10, 10), (20, 20))
+        assert boxes.dtype == np.int64 and boxes.tolist() == [[4, 6, 11, 13]] * 2
+        assert scale_proposal([p], (10, 10), (10, 10)).tolist() == [[2, 3, 5, 6]]
 
     def test_vanishing_mask_falls_back_to_box(self):
         bits = np.zeros((20, 20), dtype=bool)
         bits[7, 7] = True
         p = proposal_from_mask("p", BinaryMask(bits))
-        sp = scale_proposal(p, 20, 20, 3, 3)
-        assert sp.block.bits.all()  # an all-set block over the scaled box
-        assert (sp.origin, sp.frame, sp.box) == ((1, 1), (3, 3), PixelBox(1, 1, 1, 1))
+        assert scale_proposal([p], (20, 20), (3, 3)).tolist() == [[1, 1, 1, 1]]
+        # the block projects as that box, all set, in the 3 x 3 frame
+        got = project_one(NetGeometry(1, 1, 0.0), p.block, 3, 3, p.origin, p.frame, (3, 3))
+        want = np.zeros((3, 3), dtype=bool)
+        want[1, 1] = True
+        assert np.array_equal(got.bits, want)
 
 
-def upsample_then_project(p, src_h, src_w, dst_h, dst_w, g, fh, fw):
+def upsample_then_project(p, dst_h, dst_w, g, fh, fw):
     """The full-frame path scale_proposal replaced, kept here as the oracle:
     upsample the whole mask, fall back to the scaled box if it vanishes, and
     project the full-frame mask. Returns the scaled box and the feature mask."""
-    bits = resize_nearest(p.mask.bits, dst_h, dst_w)
-    if not bits.any():
-        bits = np.zeros((dst_h, dst_w), dtype=bool)
-        x0 = min(p.box.x0 * dst_w // src_w, dst_w - 1)
-        x1 = min(p.box.x1 * dst_w // src_w, dst_w - 1)
-        y0 = min(p.box.y0 * dst_h // src_h, dst_h - 1)
-        y1 = min(p.box.y1 * dst_h // src_h, dst_h - 1)
-        bits[y0 : y1 + 1, x0 : x1 + 1] = True
-    sp = proposal_from_mask(p.id, BinaryMask(bits))
-    return sp.box, project_one(g, sp.mask, fh, fw)
+    bits = built_scaled_mask(p, (dst_h, dst_w))
+    return bbox_of(BinaryMask(bits)), project_one(g, BinaryMask(bits), fh, fw)
 
 
 def random_source_mask(rng, kind: str, h: int, w: int) -> np.ndarray:
@@ -207,19 +207,15 @@ class TestBoxLocalScaling:
                 int(rng.integers(1, n + 1) if i % 2 == 0 else rng.integers(n, 3 * n + 2))
                 for n in (src_h, src_w)
             )
-            if (src_h, src_w) == (dst_h, dst_w):
-                continue
             fh = max(1, -(-dst_h // g.stride)) + int(rng.integers(0, 3))
             fw = max(1, -(-dst_w // g.stride)) + int(rng.integers(0, 3))
             bits = random_source_mask(rng, kind, src_h, src_w)
             p = proposal_from_mask(f"p{i}", BinaryMask(bits))
 
-            sp = scale_proposal(p, src_h, src_w, dst_h, dst_w)
-            dims = (src_h, src_w, dst_h, dst_w)
-            box, fmask = upsample_then_project(p, *dims, g, fh, fw)
-            assert sp.frame == (dst_h, dst_w)
-            assert sp.box == box
-            got = project_one(g, sp.block, fh, fw, sp.origin, sp.frame)
+            (y0, x0, y1, x1), = scale_proposal([p], (src_h, src_w), (dst_h, dst_w)).tolist()
+            box, fmask = upsample_then_project(p, dst_h, dst_w, g, fh, fw)
+            assert PixelBox(x0, y0, x1, y1) == box
+            got = project_one(g, p.block, fh, fw, p.origin, p.frame, (dst_h, dst_w))
             assert np.array_equal(got.bits, fmask.bits), (i, kind)
 
             seen["up"] += dst_h > src_h and dst_w > src_w
@@ -234,15 +230,14 @@ class TestBoxLocalScaling:
         for y, x in [(1, 0), (0, 7), (3, 3)]:
             bits[y, x] = True
         p = proposal_from_mask("p", BinaryMask(bits))
-        sp = scale_proposal(p, 8, 8, 4, 4)
-        assert sp.box == PixelBox(1, 1, 1, 1)
+        assert scale_proposal([p], (8, 8), (4, 4)).tolist() == [[1, 1, 1, 1]]
         assert bits[1::2, 1::2].sum() == 1  # only (3, 3) lies on the sampled grid
         # each axis alone sees set rows {1, 3} and set columns {3, 7} sampled,
         # which spans a box the scaled mask does not fill
         ys = xs = np.array([1, 3, 5, 7])
         rows, cols = np.flatnonzero(bits.any(1)[ys]), np.flatnonzero(bits.any(0)[xs])
         per_axis = PixelBox(int(cols[0]), int(rows[0]), int(cols[-1]), int(rows[-1]))
-        assert per_axis == PixelBox(1, 0, 3, 1) != sp.box
+        assert per_axis == PixelBox(1, 0, 3, 1) != PixelBox(1, 1, 1, 1)
 
     @pytest.mark.parametrize("scale", [45, 20])
     def test_design_features_byte_equal_on_scaled_scene(self, rng, scale):
@@ -254,21 +249,21 @@ class TestBoxLocalScaling:
             kind = ("pixel", "line", "border", "blob")[i % 4]
             bits = random_source_mask(rng, kind, 32, 32)
             p = proposal_from_mask(f"p{i}", BinaryMask(bits))
-            sp = scale_proposal(p, 32, 32, sh, sw)
+            boxes = scale_proposal([p], (32, 32), (sh, sw))
             scaled = resize_nearest(bits, sh, sw)
             if not scaled.any():
                 continue
             full = proposal_from_mask(p.id, BinaryMask(scaled))
             for design in ("A", "B"):
-                new = design_feature(conv, [sp], g, pyr, design)[0]
-                old = design_feature(conv, [full], g, pyr, design)[0]
+                new = design_feature(conv, [p], boxes, (sh, sw), g, pyr, design)[0]
+                old = design_feature(conv, *own_scale([full]), g, pyr, design)[0]
                 assert new.tobytes() == old.tobytes()
 
     def test_full_frame_consumers_accept_box_local(self, tmp_path):
         bits = np.zeros((10, 10), dtype=bool)
         bits[2:6, 3:7] = True
         bits[5, 7:9] = True  # an L, so the block is not all set
-        sp = scale_proposal(proposal_from_mask("p", BinaryMask(bits)), 10, 10, 20, 20)
+        sp = scaled_proposal(proposal_from_mask("p", BinaryMask(bits)), (20, 20))
         assert sp.frame != sp.block.bits.shape
         # .mask is the block padded into its frame: the full-frame proposal
         padded = np.zeros((20, 20), dtype=bool)
@@ -403,9 +398,9 @@ class TestDesignFeatureShapes:
         conv = FeatureMap(np.abs(random_map(rng, 4, 8, 8).values))
         p = proposal_from_mask("p", rect_mask(32, 32, 4, 24, 4, 24))
         pyr = PyramidSpec()
-        assert design_feature(conv, [p], g, pyr, "A").shape == (1, 2 * 50 * 4)
-        assert design_feature(conv, [p], g, pyr, "B").shape == (1, 50 * 4)
-        assert design_feature(conv, [p], g, pyr, "none").shape == (1, 50 * 4)
+        assert design_feature(conv, *own_scale([p]), g, pyr, "A").shape == (1, 2 * 50 * 4)
+        assert design_feature(conv, *own_scale([p]), g, pyr, "B").shape == (1, 50 * 4)
+        assert design_feature(conv, *own_scale([p]), g, pyr, "none").shape == (1, 50 * 4)
 
     def test_none_matches_design_b_with_full_mask(self, rng):
         net, g, image = toy_setup(rng)
@@ -413,8 +408,8 @@ class TestDesignFeatureShapes:
         p = proposal_from_mask("p", rect_mask(32, 32, 0, 31, 0, 31))
         pyr = PyramidSpec()
         assert np.array_equal(
-            design_feature(conv, [p], g, pyr, "none"),
-            design_feature(conv, [p], g, pyr, "B"),
+            design_feature(conv, *own_scale([p]), g, pyr, "none"),
+            design_feature(conv, *own_scale([p]), g, pyr, "B"),
         )
 
 

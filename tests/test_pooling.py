@@ -24,7 +24,7 @@ from cfmseg.pooling import (
     spp_pool,
     spp_pool_windows,
 )
-from conftest import extent_one, project_one, random_map, random_mask, rect_mask
+from conftest import extent_one, own_scale, project_one, random_map, random_mask, rect_mask
 from oracles import per_window_pool
 
 
@@ -303,7 +303,7 @@ class TestDesigns:
         g, conv = default_setup(rng)
         mask = rect_mask(32, 32, 0, 31, 0, 31)
         p = proposal_from_mask("p", mask)
-        box_f, seg_f = np.split(design_a_features(conv, [p], g, PyramidSpec())[0], 2)
+        box_f, seg_f = np.split(design_a_features(conv, *own_scale([p]), g, PyramidSpec())[0], 2)
         assert np.array_equal(box_f, seg_f)
 
     def test_design_a_pathways_differ_on_tight_interior_boxes(self, rng):
@@ -314,7 +314,7 @@ class TestDesigns:
         g, conv = default_setup(rng)
         mask = rect_mask(32, 32, 4, 27, 6, 25)
         p = proposal_from_mask("p", mask)
-        box_f, seg_f = np.split(design_a_features(conv, [p], g, PyramidSpec())[0], 2)
+        box_f, seg_f = np.split(design_a_features(conv, *own_scale([p]), g, PyramidSpec())[0], 2)
         assert not np.array_equal(box_f, seg_f)
 
     def test_design_a_sparse_mask_zeroes_segment_pathway(self, rng):
@@ -324,17 +324,17 @@ class TestDesigns:
         bits = np.zeros((32, 32), dtype=bool)
         bits[::4, ::4] = True
         p = proposal_from_mask("p", BinaryMask(bits))
-        box_f, seg_f = np.split(design_a_features(conv, [p], g, PyramidSpec((2, 1)))[0], 2)
+        box_f, seg_f = np.split(design_a_features(conv, *own_scale([p]), g, PyramidSpec((2, 1)))[0], 2)
         assert not seg_f.any()
         assert box_f.any()
 
     def test_design_lengths(self, rng):
         g, conv = default_setup(rng)
         p = proposal_from_mask("p", rect_mask(32, 32, 8, 23, 8, 23))
-        box_f, seg_f = np.split(design_a_features(conv, [p], g, PyramidSpec())[0], 2)
+        box_f, seg_f = np.split(design_a_features(conv, *own_scale([p]), g, PyramidSpec())[0], 2)
         assert box_f.size == 50 * conv.channels
         assert seg_f.size == 50 * conv.channels
-        b = design_b_features(conv, [p], g, PyramidSpec())[0]
+        b = design_b_features(conv, *own_scale([p]), g, PyramidSpec())[0]
         assert b.size == 50 * conv.channels
 
     def test_design_b_full_mask_is_plain_pool(self, rng):
@@ -343,7 +343,7 @@ class TestDesigns:
         p = proposal_from_mask("p", mask)
         window = extent_one(g, p.box, conv.height, conv.width)
         plain = spp_pool(conv, window, PyramidSpec())
-        got = design_b_features(conv, [p], g, PyramidSpec())[0]
+        got = design_b_features(conv, *own_scale([p]), g, PyramidSpec())[0]
         assert np.array_equal(got, plain.values)
 
     def test_design_b_zeroes_only_unset_finest_bins(self, rng):
@@ -355,7 +355,7 @@ class TestDesigns:
         pyr = PyramidSpec()
         window = extent_one(g, p.box, conv.height, conv.width)
         plain = spp_pool(conv, window, pyr)
-        got = design_b_features(conv, [p], g, pyr)[0]
+        got = design_b_features(conv, *own_scale([p]), g, pyr)[0]
         finest = pyr.levels[0]
         fmask = project_one(g, p.mask, conv.height, conv.width)
         grid = downsample_mask_to_grid([window_crop(fmask, window)], finest).reshape(-1)
