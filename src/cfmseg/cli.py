@@ -84,8 +84,9 @@ def cmd_mask_project(args) -> None:
             f"feature grid {args.fh}x{args.fw} exceeds mask {mask.height}x{mask.width}"
         )
     whole = (0, 0, args.fh - 1, args.fw - 1)  # a batch of one, cropped to the whole grid
+    box = (0, 0, mask.height - 1, mask.width - 1)  # unread: the identity drops no pixel
     fmask = BinaryMask(project_mask(g, [mask.bits], [(0, 0)], mask.bits.shape,
-                                    mask.bits.shape, args.fh, args.fw, [whole])[0])
+                                    mask.bits.shape, args.fh, args.fw, [whole], [box])[0])
     formats.save_mask(args.out, fmask)
     _print_json(
         {"set_cells": int(fmask.bits.sum()), "fh": args.fh, "fw": args.fw,

@@ -109,7 +109,7 @@ def scale_proposal(proposals: list[SegmentProposal], frame, scaled) -> np.ndarra
     `masking.scaled_boxes`, thin segments that vanish given their fallback box.
     No scaled mask is built; `masking.project_mask` reads the blocks."""
     blocks, origins = [p.block.bits for p in proposals], [p.origin for p in proposals]
-    return scaled_boxes(blocks, origins, frame, scaled)[0]
+    return scaled_boxes(blocks, origins, frame, scaled)
 
 
 class FeatureCache:

@@ -243,7 +243,7 @@ def _projected(conv: FeatureMap, proposals: Sequence[SegmentProposal], boxes,
         raise ValidationError(f"proposal {wrong[0]!r} frame is not {frame}")
     windows = feature_extent(g, boxes, conv.height, conv.width)
     crops = project_mask(g, [p.block.bits for p in proposals], [p.origin for p in proposals],
-                         frame, scaled, conv.height, conv.width, windows)
+                         frame, scaled, conv.height, conv.width, windows, boxes)
     return windows, crops
 
 
@@ -271,9 +271,8 @@ def design_b_features(conv: FeatureMap, proposals: Sequence[SegmentProposal], bo
     One `spp_pool_windows` pass pools every window.
     """
     windows, crops = _projected(conv, proposals, boxes, scaled, g)
-    grid = downsample_mask_to_grid(crops, pyr.levels[0]).reshape(len(crops), -1)
-    del crops  # before the pool, whose buffers are the larger
     values = spp_pool_windows(conv, windows, pyr)  # zeroed in place below
+    grid = downsample_mask_to_grid(crops, pyr.levels[0]).reshape(len(crops), -1)
     head = values[:, : grid.shape[1] * conv.channels].reshape(grid.shape + (-1,))
     head[~grid] = 0.0
     return values

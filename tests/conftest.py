@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cfmseg.core import BinaryMask, FeatureMap, PixelBox
-from cfmseg.masking import project_mask
+from cfmseg.masking import project_mask, scaled_boxes
 from cfmseg.netgeom import feature_extent
 from cfmseg.pipeline import scale_proposal
 from cfmseg.synth import derive_seed, random_scene_spec
@@ -39,8 +39,9 @@ def project_one(g, mask: BinaryMask, fh: int, fw: int, origin=(0, 0),
     cropped to the whole fh x fw grid."""
     whole = (0, 0, fh - 1, fw - 1)
     frame = frame or mask.bits.shape
-    (bits,) = project_mask(g, [mask.bits], [origin], frame, scaled or frame, fh, fw,
-                           [whole])
+    scaled = scaled or frame
+    (bits,) = project_mask(g, [mask.bits], [origin], frame, scaled, fh, fw, [whole],
+                           scaled_boxes([mask.bits], [origin], frame, scaled))
     return BinaryMask(bits)
 
 

@@ -155,11 +155,12 @@ def built_scaled_mask(p: SegmentProposal, scaled) -> np.ndarray:
 
 
 def per_block_project_mask(g: NetGeometry, blocks, origins, frame, scaled, fh: int,
-                           fw: int, windows) -> list[np.ndarray]:
+                           fw: int, windows, boxes=None) -> list[np.ndarray]:
     """Oracle in `project_mask`'s batch form: each block's resize built
     (`scaled_block`), then `reduceat_project_mask` of it in the scaled frame,
     one block at a time, each whole-grid vote cropped to its (y0, x0, y1, x1)
-    window."""
+    window. The scaled boxes are not read: a block that vanishes falls back to
+    a box built from its own."""
     crops = []
     for bits, origin, (y0, x0, y1, x1) in zip(blocks, origins, windows):
         grid = np.zeros((fh, fw), dtype=bool)

@@ -15,10 +15,11 @@ from cfmseg.core import (
     SegmentProposal,
     ValidationError,
     mask_iou,
+    nearest_indices,
     proposal_from_mask,
     resize_nearest,
 )
-from cfmseg.masking import _table
+from cfmseg.masking import _axis
 from cfmseg.netgeom import LayerSpec, compose_geometry
 from cfmseg.pipeline import PipelineConfig, ScoredRegion, paste
 from conftest import full_frame_iou, full_frame_paste, project_one
@@ -168,8 +169,8 @@ class TestProposalMemory:
 
 
 class TestAxisRunsCache:
-    """Each axis's table, whose column sums are the cells' runs, is cached per
-    (geometry, source length, scaled length, cell count)."""
+    """Each axis's banded table and the cells' runs are cached per (geometry,
+    source length, scaled length, cell count)."""
 
     def test_cached_tables_equal_fresh_ones(self, rng):
         for _ in range(300):
@@ -188,10 +189,17 @@ class TestAxisRunsCache:
             for n, cells in zip(frame, (fh, fw)):
                 dst = int(rng.choice([n, rng.integers(1, 3 * n + 1)]))
                 for _ in range(2):  # a miss, then a hit
-                    cached = _table(g, n, dst, cells)
-                    fresh = _table.__wrapped__(g, n, dst, cells)
-                    assert np.array_equal(cached, fresh) and not cached.flags.writeable
-                    assert cached.sum() == dst  # each scaled pixel votes for one cell
+                    cached = _axis(g, n, dst, cells)
+                    fresh = _axis.__wrapped__(g, n, dst, cells)
+                    for a, b in zip(cached, fresh):
+                        assert np.array_equal(a, b) and not a.flags.writeable
+                    first, band, runs = cached
+                    assert (np.diff(first) >= 0).all() and first.min() >= 0
+                    # each source pixel's band counts the scaled pixels that read it,
+                    # and each scaled pixel votes for one cell
+                    reads = np.bincount(nearest_indices(n, dst), minlength=n)
+                    assert np.array_equal(band.sum(axis=1), reads)
+                    assert runs.sum() == dst and len(runs) == cells
             # a box-local block reads the cached tables shifted by its origin
             bits = bits_in_box(rng, frame, random_box(rng, *frame))
             p = proposal_from_mask("p", BinaryMask(bits))

@@ -8,6 +8,7 @@ import pytest
 from cfmseg import cli, formats, synth, toynet
 from cfmseg.cli import main, write_scene_dir
 from cfmseg.core import MAX_SIDE, BinaryMask, FeatureMap, LabelMap
+from cfmseg.netgeom import compose_geometry, load_layers
 from cfmseg.pooling import PyramidSpec, feature_length
 from cfmseg.toynet import default_spec, spec_to_json
 
@@ -137,6 +138,29 @@ class TestBasicCommands:
                           "--mask", str(tmp_path / "m.pgm"), "--fh", "16", "--fw", "12",
                           "--out", str(tmp_path / "fm.pgm")])
         assert (report["fh"], report["fw"]) == (16, 12)
+
+    @pytest.mark.parametrize("shape", [(1, 4096), (4096, 1)], ids=["wide", "tall"])
+    def test_mask_project_fine_grid_memory(self, capjson, layers_file, tmp_path, shape):
+        # a one-pixel line onto a grid as fine as the line: the kernel's buffers
+        # grow with the line's pixels, not with its pixels times the grid's
+        # cells (a dense 4096 x 4096 table of float64s is 128 MiB)
+        from oracles import reduceat_project_mask
+
+        bits = np.zeros(shape, dtype=bool)
+        bits.flat[::3] = True
+        formats.save_mask(tmp_path / "m.pgm", BinaryMask(bits))
+        tracemalloc.start()
+        try:
+            capjson(["mask-project", "--geometry", layers_file, "--mask", str(tmp_path / "m.pgm"),
+                     "--fh", str(shape[0]), "--fw", str(shape[1]),
+                     "--out", str(tmp_path / "fm.pgm")])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20
+        g = compose_geometry(load_layers(layers_file))
+        want = reduceat_project_mask(g, BinaryMask(bits), *shape)
+        assert np.array_equal(formats.load_mask(tmp_path / "fm.pgm").bits, want.bits)
 
     def test_pursue(self, capjson, scene_dir):
         report = capjson(

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cfmseg.core import BinaryMask, SegmentProposal, ValidationError, nearest_indices
-from cfmseg.masking import project_mask, vote
+from cfmseg.masking import project_mask, scaled_boxes, vote
 from cfmseg.netgeom import LayerSpec, NetGeometry, compose_geometry, feature_extent
 from cfmseg.pipeline import scale_proposal
 from conftest import project_one, random_mask, random_map
@@ -235,7 +235,8 @@ class TestBatchProjection:
                 extent = self.extent((y, x), (h, w), frame, scaled)
                 windows.append(self.window(rng, g, extent, fh, fw,
                                            ("extent", "random")[case % 2]))
-            got = project_mask(g, blocks, origins, frame, scaled, fh, fw, windows)
+            got = project_mask(g, blocks, origins, frame, scaled, fh, fw, windows,
+                               scaled_boxes(blocks, origins, frame, scaled))
             want = per_block_project_mask(g, blocks, origins, frame, scaled, fh, fw, windows)
             assert len(got) == len(blocks)
             for a, b, (y0, x0, y1, x1) in zip(got, want, windows):
@@ -275,7 +276,8 @@ class TestBatchProjection:
         blocks.append(rng.random((300, 250)) < 0.5)
         origins.append((0, 50))
         windows.append((0, 0, fh - 1, fw - 1))
-        got = project_mask(g, blocks, origins, frame, scaled, fh, fw, windows)
+        got = project_mask(g, blocks, origins, frame, scaled, fh, fw, windows,
+                           scaled_boxes(blocks, origins, frame, scaled))
         want = per_block_project_mask(g, blocks, origins, frame, scaled, fh, fw, windows)
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
         assert got[-1].any() and not got[-1].all()
@@ -296,15 +298,16 @@ class TestBatchProjection:
                 bits[0, 0] = True
                 proposals.append(SegmentProposal(f"p{i}", BinaryMask(bits), origin=(y, x),
                                                  frame=src))
-            windows = feature_extent(g, scale_proposal(proposals, src, dst), fh, fw)
+            boxes = scale_proposal(proposals, src, dst)
+            windows = feature_extent(g, boxes, fh, fw)
             blocks, origins = [p.block.bits for p in proposals], [p.origin for p in proposals]
-            got = project_mask(g, blocks, origins, src, dst, fh, fw, windows)
+            got = project_mask(g, blocks, origins, src, dst, fh, fw, windows, boxes)
             want = per_block_project_mask(g, blocks, origins, src, dst, fh, fw, windows)
             assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
     def test_empty_batch(self):
-        assert project_mask(identity_geometry(), [], [], (4, 4), (4, 4), 4, 4, []) == []
+        assert project_mask(identity_geometry(), [], [], (4, 4), (4, 4), 4, 4, [], []) == []
 
     @pytest.mark.parametrize("origin, window, message", [
         ((0, 3), (0, 0, 3, 3), "frame"),  # a 2x2 block at column 3 of a 4x4 frame
@@ -316,7 +319,7 @@ class TestBatchProjection:
     def test_out_of_range_batch_rejected(self, origin, window, message):
         with pytest.raises(ValidationError, match=message):
             project_mask(identity_geometry(), [np.ones((2, 2), bool)], [origin], (4, 4),
-                         (4, 4), 4, 4, [window])
+                         (4, 4), 4, 4, [window], [(0, 0, 1, 1)])
 
 
 class TestResizeOracle:
@@ -369,7 +372,8 @@ class TestResizeOracle:
             boxes = scale_proposal(proposals, frame, scaled)
             windows = feature_extent(g, boxes, fh, fw)
             crops = project_mask(g, [p.block.bits for p in proposals],
-                                 [p.origin for p in proposals], frame, scaled, fh, fw, windows)
+                                 [p.origin for p in proposals], frame, scaled, fh, fw, windows,
+                                 boxes)
             for p, box, (y0, x0, y1, x1), crop in zip(proposals, boxes.tolist(), windows.tolist(),
                                                        crops):
                 built = built_scaled_mask(p, scaled)
