@@ -1,9 +1,15 @@
 """Per-category linear max-margin classifiers.
 
-Training is plain primal stochastic subgradient descent on the regularized
-hinge loss with the 1/(reg*t) step schedule, starting from zero. Sample
-order comes from a seeded generator, so a given (data, seed, hyperparameter)
-triple always yields the same model.
+Training is primal stochastic subgradient descent on the regularized hinge
+loss with the 1/(reg*t) step schedule, starting from zero (Pegasos,
+Shalev-Shwartz, Singer, Srebro & Cotter, Math. Programming 2011). Under that
+schedule the weights after step t are v_t / (reg*t), where v_t sums y*x over
+the steps so far whose sample violated the margin, so training accumulates v
+and divides once at the end. Sample order comes from a seeded generator, so
+a given (data, seed, hyperparameter) triple always yields the same model.
+Every dot product, in training and in scoring, is summed by numpy's einsum,
+whose sum order is numpy's own: no model or score byte depends on the BLAS
+kernel.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from .formats import (
     contained, dump_json, finite_number, int_fields, load_json, load_vector, save_vector,
 )
 
-GATHER_ROWS = 256  # training samples gathered into the float64 buffer at a time
+GATHER_ROWS = 32  # training samples gathered into the float64 buffer at a time
 SCORE_ROWS = 64  # feature rows cast into the float64 buffer at a time when scoring
 
 
@@ -103,6 +109,13 @@ def score(models, features) -> np.ndarray:
     return out
 
 
+def check_hyperparameters(reg: float, epochs: int) -> None:
+    """Reject a `reg` that is not a positive finite number and fewer than one
+    epoch: the weights are divided by reg * t."""
+    if not (np.isfinite(reg) and reg > 0) or epochs < 1:
+        raise ValidationError(f"bad hyperparameters reg={reg} epochs={epochs}")
+
+
 def train_svm(
     positives,
     negatives,
@@ -117,25 +130,25 @@ def train_svm(
     (N, d) feature matrix.
 
     Each epoch reads its permuted rows GATHER_ROWS at a time into one reused
-    float64 buffer, so the samples are never copied whole. `reg` and
-    `epochs` have no defaults here: `pipeline.train_category_models` holds
-    them.
+    float64 buffer, so the samples are never copied whole. Step t violates
+    when y * (v . x) < reg * (t - 1), and step 1 always does (w_0 = 0). A
+    block's margins against v are one einsum; v changes only at a violation,
+    and only then is the rest of the block read again. `reg` and `epochs`
+    have no defaults here: `pipeline.train_category_models` holds them.
     """
     feats = _feature_matrix(features)
     n_rows, dim = feats.shape
     pos, neg = _row_indices(positives, n_rows), _row_indices(negatives, n_rows)
-    if reg <= 0 or epochs < 1:
-        raise ValidationError(f"bad hyperparameters reg={reg} epochs={epochs}")
+    check_hyperparameters(reg, epochs)
     rows = np.concatenate([pos, neg])
     n = len(rows)
     y = np.where(np.arange(n) < len(pos), 1.0, -1.0)
     # the bias rides along as the buffer's always-1 last column so its step
     # shares the 1/(reg*t) damping, which it needs to converge
     buf = np.ones((min(n, GATHER_ROWS), dim + 1))
-    step = np.empty(dim + 1)
-    w = np.zeros(dim + 1)
+    v = np.zeros(dim + 1)
     rng = np.random.default_rng(seed)
-    t = 0
+    t = 0  # steps taken
     for epoch in range(epochs):
         order = rng.permutation(n)
         for start in range(0, n, GATHER_ROWS):
@@ -144,17 +157,24 @@ def train_svm(
             x[:, :dim] = feats[rows[block]]
             if epoch == 0 and not np.isfinite(x).all():  # epoch 0 reads each row once
                 raise ValidationError("feature rows must be finite")
-            for xi, yi in zip(x, y[block].tolist()):
-                t += 1
-                eta = 1.0 / (reg * t)
-                # a BLAS ddot, the one reduction whose sum order the kernel picks:
-                # einsum here would cost a Python call per sample
-                violates = yi * np.dot(w, xi) < 1.0
-                w *= 1.0 - eta * reg
-                if violates:
-                    np.multiply(xi, eta * yi, out=step)
-                    w += step
-    return LinearModel(w[:dim].astype(np.float32), w[dim], category)
+            signs = y[block]
+            floor = reg * np.arange(t, t + len(block))  # reg * (t - 1) for each step
+            at = 0
+            if t == 0:  # step 1: v is 0, so its margin 0 is not below reg * 0
+                v += signs[0] * x[0]
+                at = 1
+            while at < len(block):
+                margins = np.einsum("ij,j->i", x[at:], v)
+                margins *= signs[at:]
+                hits = np.flatnonzero(margins < floor[at:])
+                if not len(hits):
+                    break
+                at += int(hits[0])
+                v += signs[at] * x[at]
+                at += 1
+            t += len(block)
+    v /= reg * t
+    return LinearModel(v[:dim].astype(np.float32), v[dim], category)
 
 
 def save_model(path: Path | str, m: LinearModel) -> None:

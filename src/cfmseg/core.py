@@ -133,6 +133,17 @@ def proposal_from_mask(pid: str, mask: BinaryMask) -> SegmentProposal:
     return SegmentProposal(pid, mask)
 
 
+def _checked_map(arr: np.ndarray) -> np.ndarray:
+    """A (C, H, W) array of finite values, each dim at least 1, made read-only."""
+    if arr.ndim != 3:
+        raise ValidationError(f"feature map must be 3-D (C,H,W), got {arr.ndim}-D")
+    if min(arr.shape) < 1:
+        raise ValidationError(f"feature map dims must be >= 1, got {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ValidationError("feature map contains non-finite values")
+    return _readonly(arr)
+
+
 @dataclass(frozen=True, eq=False)
 class FeatureMap:
     """Dense activation tensor, channels x height x width, float32."""
@@ -140,14 +151,17 @@ class FeatureMap:
     values: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.values, dtype=np.float32)
-        if arr.ndim != 3:
-            raise ValidationError(f"feature map must be 3-D (C,H,W), got {arr.ndim}-D")
-        if min(arr.shape) < 1:
-            raise ValidationError(f"feature map dims must be >= 1, got {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ValidationError("feature map contains non-finite values")
-        object.__setattr__(self, "values", _readonly(arr))
+        object.__setattr__(self, "values", _checked_map(np.array(self.values, dtype=np.float32)))
+
+    @classmethod
+    def adopt(cls, values: np.ndarray) -> FeatureMap:
+        """The map of a float32 array that the library has just built and that
+        nothing else holds: checked as any map is, made read-only, not copied."""
+        if values.dtype != np.float32:
+            raise ValidationError(f"adopted feature map must be float32, got {values.dtype}")
+        fmap = object.__new__(cls)
+        object.__setattr__(fmap, "values", _checked_map(values))
+        return fmap
 
     @property
     def channels(self) -> int:

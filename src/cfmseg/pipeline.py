@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classify import LinearModel, row_norms, score, train_svm
+from .classify import LinearModel, check_hyperparameters, row_norms, score, train_svm
 from .core import (
     BinaryMask,
     FeatureMap,
@@ -152,14 +152,23 @@ def proposal_features(
     g: NetGeometry,
     cfg: PipelineConfig,
     threads: int = 1,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """The proposals' (N, length) float32 features, one design call per scale or chunk.
 
     Rows, in input order, are L2-normalized, which keeps classifier margins
-    comparable across categories and segment sizes.
+    comparable across categories and segment sizes. They are written into
+    `out`, a C-contiguous (N, length) float32 array, when it is given, and
+    into a new one otherwise. A design call whose proposals are consecutive
+    rows writes them in place; any other goes through its own batch.
     """
     frame = cache.image.height, cache.image.width
     _check_frames(proposals, *frame)
+    shape = len(proposals), feature_length(cache.net.spec.out_channels, cfg.pyramid, cfg.design)
+    if out is None:
+        out = np.empty(shape, np.float32)
+    elif out.shape != shape or out.dtype != np.float32 or not out.flags.c_contiguous:
+        raise ValidationError(f"out must be a C-contiguous {shape} float32 array")
     y0, x0, y1, x1 = box_array(proposals).T
     scales = assign_scale((y1 - y0 + 1) * (x1 - x0 + 1), min(frame), cfg.scales)
     jobs = []
@@ -172,20 +181,17 @@ def proposal_features(
         conv, scaled = cache.conv_map(s)
         chosen = [proposals[i] for i in members]
         boxes = scale_proposal(chosen, frame, scaled)
-        vecs = design_feature(conv, chosen, boxes, scaled, g, cfg.pyramid, cfg.design)
+        lo = members[0]  # members are ascending
+        rows = out[lo:lo + len(members)] if members[-1] - lo == len(members) - 1 else None
+        vecs = design_feature(conv, chosen, boxes, scaled, g, cfg.pyramid, cfg.design, rows)
         norms = row_norms(vecs)
         # in float32, by each norm rounded to float32; an all-zero row stays as it is
         np.divide(vecs, norms.astype(np.float32)[:, None], out=vecs,
                   where=(norms > 0.0)[:, None])
-        return members, vecs
+        if rows is None:
+            out[members] = vecs
 
-    done = _map_ordered(batch, jobs, threads)
-    if len(done) == 1:  # one scale in one chunk: its rows are already in input order
-        return done[0][1]
-    length = feature_length(cache.net.spec.out_channels, cfg.pyramid, cfg.design)
-    out = np.empty((len(proposals), length), np.float32)  # after the designs' peak
-    for members, vecs in done:
-        out[members] = vecs
+    _map_ordered(batch, jobs, threads)
     return out
 
 
@@ -308,16 +314,15 @@ def collect_training_pools(
     # each scene's proposals, then its object instances
     n_rows = sum(len(scene.proposals) + len(gts) for scene, gts in zip(scenes, scene_gts))
     length = feature_length(net.spec.out_channels, cfg.pyramid, cfg.design)
-    features = np.empty((n_rows, length), np.float32)  # no scene's rows are copied twice
+    features = np.empty((n_rows, length), np.float32)  # each scene's pass writes its slice
     start = 0
     for scene, gts in zip(scenes, scene_gts):
         props = [*scene.proposals, *(gt for _, gt in gts)]
         cache = FeatureCache(scene.image, net)
         # keyed by the proposal itself (identity), never by its id, which may repeat
         row = {p: i for i, p in enumerate(props, start=start)}
-        features[start:start + len(props)] = proposal_features(
-            props, cache, g, cfg, threads=threads
-        )
+        proposal_features(props, cache, g, cfg, threads=threads,
+                          out=features[start:start + len(props)])
         start += len(props)
 
         for c in object_categories:
@@ -350,6 +355,7 @@ def train_category_models(
     seed: int = 0,
     threads: int = 1,
 ) -> list[LinearModel]:
+    check_hyperparameters(reg, epochs)  # before any forward
     features, pools = collect_training_pools(
         scenes, object_categories, stuff_categories, net, g, cfg, threads=threads
     )

@@ -144,9 +144,10 @@ def spp_pool(f: FeatureMap, window: PixelBox, pyr: PyramidSpec) -> PooledFeature
 GATHER_CHUNK = 4096  # bins read per gather: bounds its (bins, channels) buffers
 
 
-def spp_pool_windows(f: FeatureMap, windows, pyr: PyramidSpec) -> np.ndarray:
+def spp_pool_windows(f: FeatureMap, windows, pyr: PyramidSpec, out=None) -> np.ndarray:
     """Pool every (y0, x0, y1, x1) window of one map, inclusive cell corners, to
-    the bytes `spp_pool` gives each: an (N, length) float32 array.
+    the bytes `spp_pool` gives each: an (N, length) float32 array, written into
+    `out` (C-contiguous, of that shape and dtype) when it is given.
 
     A bin of at least 2**ky rows and 2**kx columns (k = floor(log2(length)))
     is the max of four overlapping 2**ky x 2**kx blocks at its corners. The
@@ -158,7 +159,8 @@ def spp_pool_windows(f: FeatureMap, windows, pyr: PyramidSpec) -> np.ndarray:
     """
     win = np.array(windows, dtype=np.int64).reshape(-1, 4)
     row_of, col_of = _level_bins(pyr.levels)
-    out = np.empty((len(win), pyr.output_length(f.channels)), np.float32)
+    if out is None:
+        out = np.empty((len(win), pyr.output_length(f.channels)), np.float32)
     if not len(win):
         return out
     y0, x0, y1, x1 = win.T
@@ -248,7 +250,7 @@ def _projected(conv: FeatureMap, proposals: Sequence[SegmentProposal], boxes,
 
 
 def design_a_features(conv: FeatureMap, proposals: Sequence[SegmentProposal], boxes,
-                      scaled, g: NetGeometry, pyr: PyramidSpec) -> np.ndarray:
+                      scaled, g: NetGeometry, pyr: PyramidSpec, out=None) -> np.ndarray:
     """Two pooling pathways per window, plain box then masked segment: (N, 2L).
 
     The boxes pool in one `spp_pool_windows` pass. The pyramid reads no cell
@@ -261,17 +263,17 @@ def design_a_features(conv: FeatureMap, proposals: Sequence[SegmentProposal], bo
         for (y0, x0, y1, x1), crop in zip(windows.tolist(), crops)
     ]
     return np.concatenate([spp_pool_windows(conv, windows, pyr),
-                           np.array(segments, np.float32)], axis=1)
+                           np.array(segments, np.float32)], axis=1, out=out)
 
 
 def design_b_features(conv: FeatureMap, proposals: Sequence[SegmentProposal], boxes,
-                      scaled, g: NetGeometry, pyr: PyramidSpec) -> np.ndarray:
+                      scaled, g: NetGeometry, pyr: PyramidSpec, out=None) -> np.ndarray:
     """Single pathway: pool unmasked, then blank masked-out bins of the finest level,
     voted over window crops of the masks, never whole maps: (N, L) for one map.
     One `spp_pool_windows` pass pools every window.
     """
     windows, crops = _projected(conv, proposals, boxes, scaled, g)
-    values = spp_pool_windows(conv, windows, pyr)  # zeroed in place below
+    values = spp_pool_windows(conv, windows, pyr, out)  # zeroed in place below
     grid = downsample_mask_to_grid(crops, pyr.levels[0]).reshape(len(crops), -1)
     head = values[:, : grid.shape[1] * conv.channels].reshape(grid.shape + (-1,))
     head[~grid] = 0.0
@@ -279,19 +281,22 @@ def design_b_features(conv: FeatureMap, proposals: Sequence[SegmentProposal], bo
 
 
 def design_feature(conv: FeatureMap, proposals: Sequence[SegmentProposal], boxes,
-                   scaled, g: NetGeometry, pyr: PyramidSpec, design: str) -> np.ndarray:
+                   scaled, g: NetGeometry, pyr: PyramidSpec, design: str,
+                   out=None) -> np.ndarray:
     """The (N, length) float32 feature vectors of the proposals (non-empty, of one
     frame) on one map, under the named design. The map was computed from the
     frame resized to `scaled` (height, width), where the proposals' boxes are
-    `boxes`, an (N, 4) array of (y0, x0, y1, x1) (`pipeline.scale_proposal`)."""
+    `boxes`, an (N, 4) array of (y0, x0, y1, x1) (`pipeline.scale_proposal`).
+    They are written into `out`, a C-contiguous (N, length) float32 array, when
+    it is given."""
     # no lookup table: a wrapper swapped onto a module attribute must see each call
     if design == "A":
-        return design_a_features(conv, proposals, boxes, scaled, g, pyr)
+        return design_a_features(conv, proposals, boxes, scaled, g, pyr, out)
     if design == "B":
-        return design_b_features(conv, proposals, boxes, scaled, g, pyr)
+        return design_b_features(conv, proposals, boxes, scaled, g, pyr, out)
     if design == "none":
         windows = feature_extent(g, boxes, conv.height, conv.width)
-        return spp_pool_windows(conv, windows, pyr)
+        return spp_pool_windows(conv, windows, pyr, out)
     raise ValidationError(f"design must be one of {DESIGNS}")
 
 

@@ -170,7 +170,7 @@ def generate_scene(spec: SceneSpec) -> Scene:
         visible = owner == i
         if visible.any():
             instances.append(InstanceSegment(shape.category, BinaryMask(visible)))
-    return Scene(spec, FeatureMap(image), LabelMap(labels), instances)
+    return Scene(spec, FeatureMap.adopt(image), LabelMap(labels), instances)
 
 
 # ---------------------------------------------------------------------------

@@ -233,7 +233,7 @@ def forward(net: ToyNet, image: FeatureMap | NearestResize) -> FeatureMap:
             x = np.maximum(x, 0.0)
         else:
             x, ids = _maxpool(x, ids, layer, i)
-    return FeatureMap(_per_axis(x, ids, ids))
+    return FeatureMap.adopt(_per_axis(x, ids, ids))  # a new array: at least one conv
 
 
 def _per_axis(x: np.ndarray, index: list, ids: tuple) -> np.ndarray:

@@ -11,8 +11,8 @@ keep an earlier form of a package kernel: the projection that finds each
 block's runs (`axis_runs`) by binary search (`reduceat_project_mask`), the
 resize that builds each scaled block before projecting it
 (`scaled_proposal`, `per_block_project_mask`), pooling one window at a time
-(`per_window_pool`) and training on both classes copied whole to float64
-(`matrix_train_svm`). None of them is used by the package.
+(`per_window_pool`) and training one step at a time with a BLAS `np.dot`
+(`stepwise_train_svm`). None of them is used by the package.
 """
 
 import numpy as np
@@ -171,10 +171,15 @@ def per_block_project_mask(g: NetGeometry, blocks, origins, frame, scaled, fh: i
     return crops
 
 
-def per_window_pool(f: FeatureMap, windows, pyr: PyramidSpec) -> np.ndarray:
-    """Oracle: one `spp_pool` call per (y0, x0, y1, x1) window, stacked (N, length)."""
+def per_window_pool(f: FeatureMap, windows, pyr: PyramidSpec, out=None) -> np.ndarray:
+    """Oracle: one `spp_pool` call per (y0, x0, y1, x1) window, stacked (N, length),
+    copied into `out` when it is given."""
     rows = [spp_pool(f, PixelBox(x0, y0, x1, y1), pyr).values for y0, x0, y1, x1 in windows]
-    return np.array(rows, np.float32).reshape(len(rows), pyr.output_length(f.channels))
+    pooled = np.array(rows, np.float32).reshape(len(rows), pyr.output_length(f.channels))
+    if out is None:
+        return pooled
+    out[...] = pooled
+    return out
 
 
 def apply_mask(f: FeatureMap, m: BinaryMask) -> FeatureMap:
@@ -205,27 +210,32 @@ def einsum_scores(models: list[LinearModel], features) -> list[float]:
             for x in rows for w, m in zip(weights, models)]
 
 
-def matrix_train_svm(positives, negatives, *, reg: float, epochs: int, seed: int = 0,
-                     category: int = 0) -> LinearModel:
-    """The SVM trained on two (n, d) sample matrices copied whole to one float64
-    matrix, bias column included, visiting its rows in the same seeded order."""
-    pos, neg = np.asarray(positives), np.asarray(negatives)
-    (n_pos, dim), n = pos.shape, len(pos) + len(neg)
-    xa = np.ones((n, dim + 1))
-    xa[:n_pos, :dim], xa[n_pos:, :dim] = pos, neg
-    y = np.concatenate([np.ones(n_pos), -np.ones(n - n_pos)])
-    w = np.zeros(dim + 1, dtype=np.float64)
+def stepwise_train_svm(positives, negatives, features, *, reg: float, epochs: int,
+                       seed: int = 0, category: int = 0):
+    """The SVM trained one step at a time, as `classify.train_svm` did before it
+    took Pegasos's closed form: every step damps w by 1 - 1/t, and a step whose
+    sample has y * (w . x) < 1 (an `np.dot`) also adds y * x / (reg * t). Rows
+    are visited in the same seeded order. Returns the model and the steps t
+    (1-based, over all epochs) that violated."""
+    feats = np.asarray(features)
+    rows = np.concatenate([np.asarray(positives), np.asarray(negatives)])
+    n, dim = len(rows), feats.shape[1]
+    y = np.where(np.arange(n) < len(positives), 1.0, -1.0)
+    x = np.ones(dim + 1)  # the bias as the always-1 last column
+    w = np.zeros(dim + 1)
     rng = np.random.default_rng(seed)
-    t = 0
+    steps, t = [], 0
     for _ in range(epochs):
         for i in rng.permutation(n):
             t += 1
             eta = 1.0 / (reg * t)
-            violates = y[i] * np.dot(w, xa[i]) < 1.0
+            x[:dim] = feats[rows[i]]
+            violates = y[i] * np.dot(w, x) < 1.0
             w *= 1.0 - eta * reg
             if violates:
-                w += eta * y[i] * xa[i]
-    return LinearModel(w[:dim].astype(np.float32), w[dim], category)
+                w += x * (eta * y[i])
+                steps.append(t)
+    return LinearModel(w[:dim].astype(np.float32), w[dim], category), steps
 
 
 def loop_conv2d(x: np.ndarray, layer, w: np.ndarray, b: np.ndarray) -> np.ndarray:

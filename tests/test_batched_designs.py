@@ -347,6 +347,27 @@ class TestProposalFeaturesOracle:
         assert len(scales) < len(calls) <= 3 * len(scales) and sum(calls) == len(proposals)
 
 
+    @pytest.mark.parametrize("scales", [(64,), (128, 256, 512)])
+    def test_rows_written_into_a_given_matrix(self, rng, scales):
+        net, g = toy_net()
+        image = FeatureMap(rng.standard_normal((3, 32, 40)).astype(np.float32))
+        cfg = PipelineConfig(scales=scales, pyramid=PyramidSpec((4, 2, 1)))
+        proposals = random_proposals(rng, 40, 32, 40)
+        cache = FeatureCache(image, net)
+        want = pipeline.proposal_features(proposals, cache, g, cfg)
+        for threads in (1, 3):
+            matrix = np.full((len(proposals) + 2, want.shape[1]), np.nan, np.float32)
+            got = pipeline.proposal_features(proposals, cache, g, cfg, threads=threads,
+                                             out=matrix[1:-1])
+            assert np.shares_memory(got, matrix) and as_bytes(got) == as_bytes(want)
+            assert np.isnan(matrix[[0, -1]]).all()  # nothing outside the slice
+        n, length = want.shape
+        for bad in (np.empty((n, length)), np.empty((n + 1, length), np.float32),
+                    np.empty((length, n), np.float32).T):
+            with pytest.raises(ValidationError, match="out must be"):
+                pipeline.proposal_features(proposals, cache, g, cfg, out=bad)
+
+
 class TestProjectionPasses:
     """Designs A and B project each map's proposals in one pass: one feature_extent
     and one project_mask call per design call."""

@@ -62,6 +62,21 @@ class TestTrainSvm:
         assert not model.weights.any()
         assert len(set(margins(model, zeros).tolist())) == 1
 
+    def test_a_step_on_its_floor_does_not_violate(self):
+        # zero features and reg 1: each margin y * v_bias and each floor
+        # reg * (t - 1) is an exact integer, so ties occur; a step violates only
+        # strictly below its floor, and step 1 always
+        pos, neg = np.zeros(4, np.intp), np.zeros(2, np.intp)
+        model = train_svm(pos, neg, np.zeros((1, 3)), reg=1.0, epochs=3, seed=0)
+        y, v, t = [1] * 4 + [-1] * 2, 0, 0
+        rng = np.random.default_rng(0)
+        for _ in range(3):
+            for k in rng.permutation(6):
+                t += 1
+                if t == 1 or y[k] * v < t - 1:
+                    v += y[k]
+        assert model.bias == v / t and not model.weights.any()
+
     def test_deterministic_given_seed(self, rng):
         pos, neg = separable_clusters(rng, n=15)
         a = train_stacked(pos, neg, reg=1e-3, epochs=10, seed=42)
@@ -87,6 +102,13 @@ class TestTrainSvm:
     def test_length_mismatch_rejected(self, rng):
         with pytest.raises(ValidationError, match="differ in length"):
             train_svm([0], [1], [np.ones(3), np.ones(4)], reg=1e-3, epochs=2, seed=0)
+
+    @pytest.mark.parametrize("reg, epochs", [(np.nan, 2), (np.inf, 2), (0.0, 2), (-1e-3, 2),
+                                             (1e-3, 0)])
+    def test_bad_hyperparameters_rejected(self, rng, reg, epochs):
+        pos, neg = separable_clusters(rng, n=3)
+        with pytest.raises(ValidationError, match="hyperparameters"):
+            train_stacked(pos, neg, reg=reg, epochs=epochs, seed=0)
 
     def test_non_finite_features_rejected(self):
         with pytest.raises(ValidationError, match="finite"):

@@ -378,6 +378,20 @@ class TestErrorContract:
         assert err["error"] == "ValidationError" and "distinct" in err["message"]
         assert not (tmp_path / "models").exists()
 
+    @pytest.mark.parametrize("flag, value", [("--reg", "nan"), ("--reg", "inf"),
+                                             ("--reg", "0"), ("--epochs", "0")])
+    def test_train_bad_hyperparameter_rejected(self, capsys, monkeypatch, tmp_path,
+                                               scene_dir, net_file, flag, value):
+        # nan and inf used to train every epoch before failing, and 0 to run every
+        # training forward first
+        monkeypatch.setattr(toynet, "forward", None)  # any forward would raise TypeError
+        err = self.error(capsys, ["train", "--corpus", str(scene_dir.parent),
+                                  "--net", net_file, "--object-cats", "1",
+                                  "--stuff-cats", "4", "--scales", "64", flag, value,
+                                  "--out-dir", str(tmp_path / "models")])
+        assert err["error"] == "ValidationError" and "hyperparameters" in err["message"]
+        assert not (tmp_path / "models").exists()
+
     @pytest.mark.parametrize("purity_pos", ["0", "1.5"])
     def test_pursue_purity_pos_outside_unit_interval(self, capsys, scene_dir, purity_pos):
         err = self.error(capsys, ["pursue",

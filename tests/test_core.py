@@ -138,6 +138,17 @@ class TestTypes:
         with pytest.raises(ValidationError):
             FeatureMap(bad)
 
+    def test_adopted_map_is_checked_and_not_copied(self):
+        arr = np.zeros((2, 3, 4), dtype=np.float32)
+        fm = FeatureMap.adopt(arr)
+        assert fm.values is arr and not arr.flags.writeable
+        kept = np.zeros((1, 2, 2), dtype=np.float32)
+        assert FeatureMap(kept).values is not kept and kept.flags.writeable  # a copy
+        for bad in (np.zeros((2, 2), np.float32), np.zeros((1, 0, 2), np.float32),
+                    np.zeros((1, 2, 2)), np.full((1, 1, 1), np.nan, np.float32)):
+            with pytest.raises(ValidationError):
+                FeatureMap.adopt(bad)
+
     def test_values_are_immutable(self):
         fm = FeatureMap(np.zeros((1, 2, 2), dtype=np.float32))
         with pytest.raises(ValueError):

@@ -88,3 +88,19 @@ def test_no_module_imports_a_name_it_never_reads():
                     if name not in read and (path.stem, name) not in kept:
                         unread.append(f"{path.parent.name}/{path.name}:{node.lineno}: {name}")
     assert unread == []
+
+
+def test_classify_calls_no_blas_reduction():
+    # model and score bytes must not depend on the BLAS kernel, so every dot
+    # product in classify is an einsum, whose sum order numpy fixes
+    path = Path(cfmseg.__file__).resolve().parent / "classify.py"
+    blas = {"dot", "matmul", "inner", "vdot"}
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.BinOp | ast.AugAssign) and isinstance(node.op, ast.MatMult):
+            found.append(f"line {node.lineno}: @")
+        elif isinstance(node, ast.Attribute | ast.Name) and (
+            node.attr if isinstance(node, ast.Attribute) else node.id
+        ) in blas:
+            found.append(f"line {node.lineno}: {ast.unparse(node)}")
+    assert not found, found

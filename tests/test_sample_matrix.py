@@ -1,7 +1,7 @@
 """Features travel as one (N, length) matrix from the feature pass to the SVM:
-`train_svm`'s row-index contract, its byte identity with the whole-matrix
-trainer, the memory that training holds, and the empty-input errors of
-corpus training."""
+`train_svm`'s row-index contract, its agreement with the stepwise trainer,
+the memory that training holds, and the empty-input errors of corpus
+training."""
 
 import tracemalloc
 
@@ -13,13 +13,12 @@ from cfmseg.classify import GATHER_ROWS, LinearModel, train_svm
 from cfmseg.core import InstanceSegment, LabelMap, ValidationError, proposal_from_mask
 from cfmseg.netgeom import compose_geometry
 from cfmseg.pipeline import (
-    FeatureCache, PipelineConfig, TrainScene, collect_training_pools, proposal_features,
-    train_category_models,
+    PipelineConfig, TrainScene, collect_training_pools, train_category_models,
 )
 from cfmseg.pooling import PyramidSpec
 from cfmseg.toynet import default_spec, init_toynet
 from conftest import random_map, rect_mask
-from oracles import hinge_objective, matrix_train_svm
+from oracles import hinge_objective, stepwise_train_svm
 
 
 def clusters(rng, n, dim):
@@ -65,8 +64,8 @@ class TestTrainSvmMatrices:
         features, pos, neg = clusters(rng, 5, 4)
         features[neg[-1], 0] = np.nan
         model = train_svm(pos, neg[:-1], features, reg=1e-3, epochs=2, seed=0)
-        assert same_model(model, matrix_train_svm(
-            features[pos], features[neg[:-1]], reg=1e-3, epochs=2, seed=0))
+        assert same_model(model, train_svm(pos, neg[:-1], features[:-1], reg=1e-3,
+                                           epochs=2, seed=0))
 
     def test_one_dimensional_class_rejected(self, rng):
         features, pos, _ = clusters(rng, 5, 4)
@@ -111,16 +110,43 @@ class TestRowIndices:
                                           reg=1e-3, epochs=2, seed=0))
 
 
-class TestMatchesWholeMatrixTrainer:
-    """Equal weight and bias bytes to `oracles.matrix_train_svm`, which copies both
-    classes whole to one float64 matrix."""
+def closed_form(features, pos, neg, steps, *, reg, epochs, seed, category):
+    """The model that violations at `steps` give in Pegasos's closed form: v sums
+    y * x (bias column 1) over them in step order, in float64, and the model is
+    v / (reg * T) after T steps."""
+    rows = np.concatenate([pos, neg])
+    rng = np.random.default_rng(seed)
+    order = np.concatenate([rng.permutation(len(rows)) for _ in range(epochs)])
+    x = np.ones(features.shape[1] + 1)
+    v = np.zeros_like(x)
+    for t in steps:
+        k = order[t - 1]
+        x[:-1] = features[rows[k]]
+        v += (1.0 if k < len(pos) else -1.0) * x
+    v /= reg * len(order)
+    return LinearModel(v[:-1].astype(np.float32), v[-1], category)
 
-    @staticmethod
-    def check(features, pos, neg, epochs=3, seed=5):
-        got = train_svm(pos, neg, features, reg=1e-3, epochs=epochs, seed=seed, category=2)
-        want = matrix_train_svm(features[pos], features[neg], reg=1e-3, epochs=epochs,
-                                seed=seed, category=2)
-        assert same_model(got, want) and got.category == 2
+
+class TestMatchesWholeMatrixTrainer:
+    """`train_svm` against `oracles.stepwise_train_svm`, which reads the same
+    matrix one step at a time. The violation sequence must be the same: the
+    model equals, byte for byte, the closed form of the stepwise trainer's
+    violations. Weights and bias must agree with the stepwise trainer's within
+    RTOL of its largest weight (its float64 damping rounds once per step, and
+    float32 rounds each weight to within 6e-8 of itself)."""
+
+    RTOL = 1e-6
+
+    @classmethod
+    def check(cls, features, pos, neg, epochs=3, seed=5):
+        kw = dict(reg=1e-3, epochs=epochs, seed=seed, category=2)
+        got = train_svm(pos, neg, features, **kw)
+        want, steps = stepwise_train_svm(pos, neg, features, **kw)
+        assert same_model(got, closed_form(features, pos, neg, steps, **kw))
+        scale = max(np.abs(want.weights).max(), abs(want.bias))
+        assert np.abs(got.weights - want.weights).max() <= cls.RTOL * scale
+        assert abs(got.bias - want.bias) <= cls.RTOL * scale and got.category == 2
+        return steps
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("n_pos, n_neg", [
@@ -129,6 +155,8 @@ class TestMatchesWholeMatrixTrainer:
         (GATHER_ROWS // 2, GATHER_ROWS // 2),  # exactly one block
         (GATHER_ROWS, 1),  # one past a block
         (GATHER_ROWS, GATHER_ROWS + 1),  # one past two blocks
+        # one short of, at and one past 8 blocks of 32, and one past 16
+        (1, 254), (128, 128), (256, 1), (256, 257),
     ])
     def test_pool_sizes_around_the_block(self, rng, dtype, n_pos, n_neg):
         n = n_pos + n_neg
@@ -153,6 +181,12 @@ class TestMatchesWholeMatrixTrainer:
         self.check(features, order[:250], order[250:])
         self.check(features, order[::-1][:70], order[::-1][70:])
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_one_epoch(self, rng, dtype):
+        features = (rng.standard_normal((3 * GATHER_ROWS + 5, 8)) + 0.3).astype(dtype)
+        steps = self.check(features, np.arange(40), np.arange(40, len(features)), epochs=1)
+        assert steps[0] == 1 and len(steps) > 1  # step 1 always violates, and not alone
+
 
 def test_train_svm_holds_one_gather_buffer(rng):
     """A 3,000 x 1,600 float32 pool: training holds one GATHER_ROWS-row float64
@@ -172,7 +206,9 @@ def test_train_svm_holds_one_gather_buffer(rng):
 
 def test_training_holds_the_matrix_and_one_scene_pass(rng):
     """Dense-shaped input (~680 proposals per 64 x 64 scene, 1,600-long features):
-    training peaks at the one feature matrix plus one scene's feature pass."""
+    each scene's feature pass writes its rows into its slice of the one feature
+    matrix, so training peaks below that matrix plus one design batch's rows (a
+    scene's, at one scale and one thread) plus 1 MiB."""
     net = init_toynet(default_spec(3, seed=0))
     g = compose_geometry(net.spec.geometry_layers())
     cfg = PipelineConfig(scales=(64,), pyramid=PyramidSpec((6, 3, 2, 1)))
@@ -184,24 +220,17 @@ def test_training_holds_the_matrix_and_one_scene_pass(rng):
                                     jitter_seed=seed)
         scenes.append(TrainScene(scene.image, scene.labels, scene.instances, props))
     objects, stuff = list(synth.OBJECT_CATEGORIES), list(synth.STUFF_CATEGORIES)
-    scene_peak = 0
-    for s in scenes:  # each scene's pass alone: its matrix and the design's work
-        gts = [proposal_from_mask("gt", i.mask) for i in s.instances if i.category in objects]
-        tracemalloc.start()
-        try:
-            proposal_features([*s.proposals, *gts], FeatureCache(s.image, net), g, cfg)
-            scene_peak = max(scene_peak, tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
     features, pools = collect_training_pools(scenes, objects, stuff, net, g, cfg)
     assert len(features) > 2000 and all(map(all, pools.values()))
+    batch = max(len(s.proposals) + sum(i.category in objects for i in s.instances)
+                for s in scenes) * features.itemsize * features.shape[1]
     tracemalloc.start()
     try:
         train_category_models(scenes, objects, stuff, net, g, cfg, epochs=1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= features.nbytes + scene_peak + (1 << 20)
+    assert peak <= features.nbytes + batch + (1 << 20), (peak, features.nbytes, batch)
 
 
 class TestTrainingEmptyInputs:

@@ -1,9 +1,9 @@
-"""Score and feature-norm bytes that depend on neither the BLAS kernel nor
-how the rows are batched.
+"""Score, feature-norm and model bytes that depend on neither the BLAS kernel
+nor how the rows are batched.
 
-`classify.score` and `classify.row_norms` sum with numpy's einsum, whose
-order numpy fixes, not with a BLAS `ddot`, whose order the OpenBLAS kernel
-picks at run time. Child processes run the same computation under other
+`classify.score`, `classify.row_norms` and `classify.train_svm` sum with
+numpy's einsum, whose order numpy fixes, not with a BLAS `ddot`, whose order
+the OpenBLAS kernel picks at run time. Child processes run the same computation under other
 OpenBLAS kernels (`OPENBLAS_CORETYPE`) and with numpy's dispatched SIMD
 switched off (`NPY_DISABLE_CPU_FEATURES`); every run must give the same bytes.
 """
@@ -54,7 +54,16 @@ length = cfg.pyramid.output_length(net.spec.out_channels)
 scene_models = [classify.LinearModel(rng.standard_normal(length).astype(np.float32),
                                      0.0, c) for c in range(1, 4)]
 scored = pipeline.score_proposals(scene_models, props, scene.image, net, g, cfg)
+# a tie: after step 1 (row 0) the weights are all ones, so step 2 (y = -1)
+# violates when the sum of row 1 is above -2. It is -2 exactly, but a sum in
+# another order can lose the -2 against 2**60 before the two 2**60 cancel, and
+# OpenBLAS's ddot kernels differ in that order, so a BLAS check flips this step
+pool = np.ones((2, 1600), np.float32)
+pool[1] = 0.0
+pool[1, [1036, 840, 1072]] = 2.0**60, -2.0**60, -2.0
+trained = classify.train_svm([0], [1], pool, reg=1.0, epochs=1, seed=0)
 print(json.dumps({
+    "train_svm": digest(np.append(trained.weights.astype(np.float64), trained.bias)),
     "score": digest(classify.score(models, features)),
     "row_norms": digest(classify.row_norms(features)),
     "score_proposals": digest(np.array([r.score for r in scored])),
@@ -84,7 +93,7 @@ def test_bytes_do_not_depend_on_blas_kernel_or_simd():
     }
     if runs[fast]["ddot"] == runs["Prescott"]["ddot"]:
         pytest.skip(f"OPENBLAS_CORETYPE {fast} and Prescott give the same ddot here")
-    for key in ("score", "row_norms", "score_proposals"):
+    for key in ("score", "row_norms", "score_proposals", "train_svm"):
         assert len({run[key] for run in runs.values()}) == 1, (key, runs)
 
 

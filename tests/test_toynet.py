@@ -412,7 +412,8 @@ class TestForwardRegion:
         finally:
             tracemalloc.stop()
         assert (out.height, out.width) == (MAX_SIDE // 8, MAX_SIDE // 8)
-        assert peak < 24 * 2**20, peak
+        # the 8 MiB output, its finiteness scan and the compact maps; never a copy
+        assert peak < 12 * 2**20, peak
 
     def test_full_box_native_warp_equals_forward(self, rng):
         net = init_toynet(default_spec(3, seed=2))
