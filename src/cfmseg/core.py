@@ -7,7 +7,6 @@ read-only), so values can be shared freely across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -247,30 +246,21 @@ def box_array(proposals) -> np.ndarray:
     return np.array(boxes, np.int64).reshape(-1, 4)
 
 
-def mask_iou(a, b) -> float:
-    """IoU of two same-size masks, or of two proposals in one frame; 0 when
-    both are empty. Proposals with disjoint boxes read no bits; otherwise
-    only the overlap of their boxes is counted."""
-    masks = isinstance(a, BinaryMask)
-    fa, fb = (a.bits.shape, b.bits.shape) if masks else (a.frame, b.frame)
-    if fa != fb:
-        raise ValidationError(f"mask dimension mismatch: {fa} vs {fb}")
-    if masks:
-        a_in, b_in = a.bits, b.bits
-        areas = int(np.count_nonzero(a_in)) + int(np.count_nonzero(b_in))
-    else:
-        p, q = a.box, b.box
-        if p.x1 < q.x0 or q.x1 < p.x0 or p.y1 < q.y0 or q.y1 < p.y0:
-            return 0.0  # the fast path: most pairs in a dense scene are disjoint
-        y0, y1 = max(p.y0, q.y0), min(p.y1, q.y1) + 1
-        x0, x1 = max(p.x0, q.x0), min(p.x1, q.x1) + 1
-        (ay, ax), (by, bx) = a.origin, b.origin
-        a_in = a.block.bits[y0 - ay:y1 - ay, x0 - ax:x1 - ax]
-        b_in = b.block.bits[y0 - by:y1 - by, x0 - bx:x1 - bx]
-        areas = a.area + b.area
-    inter = int(np.count_nonzero(a_in & b_in))
-    union = areas - inter
-    return inter / union if union else 0.0
+def mask_iou(a: SegmentProposal, b: SegmentProposal) -> float:
+    """IoU of two proposals in one frame. Proposals with disjoint boxes read
+    no bits; otherwise only the overlap of their boxes is counted. A proposal
+    is never empty, so the union is never 0."""
+    if a.frame != b.frame:
+        raise ValidationError(f"mask dimension mismatch: {a.frame} vs {b.frame}")
+    p, q = a.box, b.box
+    if p.x1 < q.x0 or q.x1 < p.x0 or p.y1 < q.y0 or q.y1 < p.y0:
+        return 0.0  # the fast path: most pairs in a dense scene are disjoint
+    y0, y1 = max(p.y0, q.y0), min(p.y1, q.y1) + 1
+    x0, x1 = max(p.x0, q.x0), min(p.x1, q.x1) + 1
+    (ay, ax), (by, bx) = a.origin, b.origin
+    inter = int(np.count_nonzero(a.block.bits[y0 - ay:y1 - ay, x0 - ax:x1 - ax]
+                                 & b.block.bits[y0 - by:y1 - by, x0 - bx:x1 - bx]))
+    return inter / (a.area + b.area - inter)
 
 
 def suppress(items: list, threshold: float, pick=None) -> list[int]:
@@ -299,13 +289,6 @@ def suppress(items: list, threshold: float, pick=None) -> list[int]:
 def nearest_indices(src: int, out: int) -> np.ndarray:
     """Non-decreasing source index floor((dst + 0.5) * src / out) of each sample."""
     return np.minimum((2 * np.arange(out) * src + src) // (2 * out), src - 1)
-
-
-@lru_cache(maxsize=64)
-def index_map(src: int, dst: int) -> np.ndarray:
-    """Read-only `nearest_indices`, cached per (source, target) length: every
-    proposal of an image, and every forward of one size, reads the same maps."""
-    return _readonly(nearest_indices(src, dst))
 
 
 def resize_nearest(values: np.ndarray, out_h: int, out_w: int) -> np.ndarray:

@@ -5,18 +5,16 @@ nearest along each axis (ties go to the smaller index, out-of-range centers
 clamp to the border cell). A cell is set when the mean of its collected
 binary pixel votes reaches 0.5; cells that collect nothing stay unset.
 
-The pixels that vote are those of the nearest resize (`core.index_map`) of a
-segment's source frame to the scaled frame the map was computed from; no
+The pixels that vote are those of the nearest resize (`core.nearest_indices`)
+of a segment's source frame to the scaled frame the map was computed from; no
 scaled mask is built.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
-from .core import ValidationError, _readonly, index_map
+from .core import ValidationError, nearest_indices
 from .netgeom import NetGeometry
 
 TILE = 128  # source pixels per side of one product: bounds its cells and its cost per pixel
@@ -30,22 +28,20 @@ def _cell(g: NetGeometry, x):
     return -((g.offset_x2 + g.stride - 2 * x) // (2 * g.stride))
 
 
-@lru_cache(maxsize=64)
 def _axis(g: NetGeometry, src: int, dst: int, cells: int):
-    """One axis of the nearest resize of src pixels to dst, read-only. The scaled
+    """One axis of the nearest resize of src pixels to dst. The scaled
     pixels that read source pixel r, and the cells (`_cell`, clamped) they vote
     for, are consecutive: `first[r]` is the first of those cells (for a pixel
     none reads, the next read one's, so `first` never falls), and the float64
     `band[r, k]` counts those that vote for cell first[r] + k. `runs[i]` is the
     size of cell i's run in the scaled frame."""
     votes = np.clip(_cell(g, np.arange(dst, dtype=np.int64)), 0, cells - 1)
-    reads = index_map(src, dst)
+    reads = nearest_indices(src, dst)
     first = votes[np.minimum(np.searchsorted(reads, np.arange(src)), dst - 1)]
     layer = votes - first[reads]
     width = int(layer.max()) + 1
     band = np.bincount(reads * width + layer, minlength=src * width).reshape(src, width)
-    return tuple(_readonly(a) for a in (first, band.astype(np.float64),
-                                        np.bincount(votes, minlength=cells)))
+    return first, band.astype(np.float64), np.bincount(votes, minlength=cells)
 
 
 def _spans(axis, at, n: int, corner, cells: int) -> list[tuple[int, int, int, int]]:
@@ -102,7 +98,7 @@ def scaled_boxes(blocks, origins, frame, scaled) -> np.ndarray:
     origins = np.array(origins, np.int64).reshape(-1, 2)
     lo, hi = origins.copy(), origins + [b.shape for b in blocks] - 1
     # per axis and source pixel: the [start, end) of the scaled pixels reading it
-    (sy, ey), (sx, ex) = [[np.searchsorted(index_map(n, m), np.arange(n), side)
+    (sy, ey), (sx, ex) = [[np.searchsorted(nearest_indices(n, m), np.arange(n), side)
                            for side in ("left", "right")] for n, m in zip(frame, scaled)]
     vanished = np.zeros(len(blocks), bool)
     if frame[0] > scaled[0] or frame[1] > scaled[1]:

@@ -49,10 +49,6 @@ class NetGeometry:
         if float(2 * self.offset) != int(2 * self.offset):
             raise ValidationError(f"offset {self.offset} is not a half-integer")
 
-    def center(self, u: int) -> float:
-        """Image coordinate of the receptive-field center of feature index u."""
-        return u * self.stride + self.offset
-
     @property
     def offset_x2(self) -> int:
         """2*offset as an exact integer, for integer-only center comparisons."""

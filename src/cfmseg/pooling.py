@@ -154,8 +154,8 @@ def spp_pool_windows(f: FeatureMap, windows, pyr: PyramidSpec, out=None) -> np.n
     map, cropped to the windows' union, is walked one (ky, kx) level of such
     block maxima at a time: each row level comes from the one before, each
     column level from the one before within its row level, so at most three
-    map-sized buffers are live. Each level fills the bins of its (ky, kx)
-    with four reads each, GATHER_CHUNK bins at a time.
+    map-sized buffers are live. Each level takes its bins by their (ky, kx)
+    key and fills them with four reads each, GATHER_CHUNK bins at a time.
     """
     win = np.array(windows, dtype=np.int64).reshape(-1, 4)
     row_of, col_of = _level_bins(pyr.levels)
@@ -178,45 +178,36 @@ def spp_pool_windows(f: FeatureMap, windows, pyr: PyramidSpec, out=None) -> np.n
                       for a in (k, starts + shift, ends - (1 << k) + shift)])
     (ky, ya, yb), (kx, xa, xb) = reads
     levels_x = int(kx.max()) + 1
-    key = (ky * levels_x + kx).astype(np.int16)  # radix-sorted
-    # where each level's bins end in level order: a row per row level
-    stops = np.cumsum(np.bincount(key, minlength=levels_x * (int(ky.max()) + 1)))
+    key = (ky * levels_x + kx).astype(np.int16)  # each bin's (ky, kx) level
+    counts = np.bincount(key, minlength=levels_x * (int(ky.max()) + 1))
     del reads, ky, kx
-    order = np.argsort(key, kind="stable")  # level by level, each in output order
-    del key
-    # one at a time, so each unsorted array goes as its sorted copy comes
-    ya = ya.take(order)
-    yb = yb.take(order)
-    xa = xa.take(order)
-    xb = xb.take(order)
 
     # whole channel vectors as single items: taking them is a row copy each
     item = np.dtype((np.void, 4 * f.channels))
     out_items = out.reshape(-1, f.channels).view(item).ravel()
     region = f.values[:, top : int(y1.max()) + 1, left : int(x1.max()) + 1]
     rows = np.ascontiguousarray(region.transpose(1, 2, 0))  # (row, col, channel)
-    start = 0
-    for level_y, row_stops in enumerate(stops.reshape(-1, levels_x)):
+    for level_y, row_counts in enumerate(counts.reshape(-1, levels_x)):
         if level_y:  # maxima of 2**level_y rows from two of half as many
             half = 1 << (level_y - 1)
             rows = np.maximum(rows[:-half], rows[half:])
         blocks = rows
-        for level_x, stop in enumerate(row_stops):
-            if start == row_stops[-1]:
-                break  # no bins left at this row level
+        for level_x in range(len(np.trim_zeros(row_counts, "b"))):  # to the last with bins
             if level_x:
                 half = 1 << (level_x - 1)
                 blocks = np.maximum(blocks[:, :-half], blocks[:, half:])
+            if not row_counts[level_x]:
+                continue  # no bins at this level, but the next ones read its blocks
+            bins = np.flatnonzero(key == level_y * levels_x + level_x)
             cells, width = blocks.reshape(-1, f.channels).view(item).ravel(), blocks.shape[1]
-            for at in range(start, stop, GATHER_CHUNK):
-                span = slice(at, min(at + GATHER_CHUNK, stop))
+            for at in range(0, len(bins), GATHER_CHUNK):
+                span = bins[at : at + GATHER_CHUNK]
                 r0, r1, c0, c1 = ya[span] * width, yb[span] * width, xa[span], xb[span]
                 pooled = cells.take(r0 + c0).view(np.float32)
                 for corner in (r0 + c1, r1 + c0, r1 + c1):
                     np.maximum(pooled, cells.take(corner).view(np.float32), out=pooled)
                 pooled += 0.0  # -0.0 + 0.0 is +0.0, as in spp_pool
-                out_items[order[span]] = pooled.view(item)
-            start = stop
+                out_items[span] = pooled.view(item)
         del blocks  # before the next row level, so three buffers at most
     return out
 

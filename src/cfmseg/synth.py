@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import (
     BinaryMask,
@@ -188,19 +189,13 @@ def _shift_bits(bits: np.ndarray, dy: int, dx: int) -> np.ndarray:
 
 
 def _dilate(bits: np.ndarray) -> np.ndarray:
-    out = bits.copy()
-    for dy in (-1, 0, 1):
-        for dx in (-1, 0, 1):
-            out |= _shift_bits(bits, dy, dx)
-    return out
+    """Set where any pixel of the 3x3 neighbourhood is; outside the frame is unset."""
+    return sliding_window_view(np.pad(bits, 1), (3, 3)).any(axis=(2, 3))
 
 
 def _erode(bits: np.ndarray) -> np.ndarray:
-    out = bits.copy()
-    for dy in (-1, 0, 1):
-        for dx in (-1, 0, 1):
-            out &= _shift_bits(bits, dy, dx)
-    return out
+    """Set where all of the 3x3 neighbourhood is; outside the frame is unset."""
+    return sliding_window_view(np.pad(bits, 1), (3, 3)).all(axis=(2, 3))
 
 
 def toy_proposals(

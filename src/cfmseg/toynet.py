@@ -13,7 +13,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import FeatureMap, NearestResize, PixelBox, ValidationError, index_map, resize_nearest
+from .core import (
+    FeatureMap, NearestResize, PixelBox, ValidationError, nearest_indices, resize_nearest,
+)
 from .formats import int_fields, load_json
 from .netgeom import LayerSpec, layer_from_json
 
@@ -209,7 +211,7 @@ def forward(net: ToyNet, image: FeatureMap | NearestResize) -> FeatureMap:
 
     A `NearestResize` is never built. Its distinct rows and columns are its
     source resized to at most the source's size on each axis, and full-size
-    row i repeats row `index_map(that size, height)[i]` of those (columns
+    row i repeats row `nearest_indices(that size, height)[i]` of those (columns
     alike), so their run ids, read through that map, are the full map's.
     A `FeatureMap` is the resize to its own size, so it is its own compact map.
     """
@@ -224,8 +226,8 @@ def forward(net: ToyNet, image: FeatureMap | NearestResize) -> FeatureMap:
         src = image.source
         x = resize_nearest(src, min(src.shape[1], image.height), min(src.shape[2], image.width))
     runs = (_runs(x, 1), _runs(x, 2))
-    ids = (runs[0][index_map(x.shape[1], image.height)],
-           runs[1][index_map(x.shape[2], image.width)])
+    ids = (runs[0][nearest_indices(x.shape[1], image.height)],
+           runs[1][nearest_indices(x.shape[2], image.width)])
     x = _per_axis(x, [np.flatnonzero(np.diff(r, prepend=-1)) for r in runs], runs)  # run starts
     for i, (layer, params) in enumerate(zip(net.spec.layers, net.weights)):
         if isinstance(layer, ConvLayerSpec):

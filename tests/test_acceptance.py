@@ -18,7 +18,6 @@ from cfmseg.core import (
     FeatureMap,
     LabelMap,
     PixelBox,
-    mask_iou,
     proposal_from_mask,
 )
 from cfmseg.netgeom import LayerSpec, compose_geometry
@@ -38,7 +37,7 @@ from cfmseg.pursuit import (
     pursue,
 )
 from cfmseg.toynet import default_spec, init_toynet, spec_to_json
-from conftest import make_corpus, own_scale, project_one
+from conftest import full_frame_iou, make_corpus, own_scale, project_one
 from oracles import brute_force_geometry, brute_force_project
 
 
@@ -165,7 +164,8 @@ def _reference_pursuit(cands, cfg):
             c
             for c in pool
             if c is not best
-            and mask_iou(c.proposal.mask, best.proposal.mask) <= cfg.inhibit_iou
+            and full_frame_iou(c.proposal.mask.bits, best.proposal.mask.bits)
+            <= cfg.inhibit_iou
         ]
 
 
@@ -190,7 +190,8 @@ def test_criterion_04_pursuit_invariants():
                 assert a.purity > 0.6
                 assert a.area >= mean_area
                 for b in picks[i + 1 :]:
-                    assert mask_iou(a.proposal.mask, b.proposal.mask) <= 0.2
+                    iou = full_frame_iou(a.proposal.mask.bits, b.proposal.mask.bits)
+                    assert iou <= 0.2
         if len(cands) <= 6:
             small_sets += 1
             ref = _reference_pursuit(cands, cfg)

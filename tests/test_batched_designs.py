@@ -516,7 +516,7 @@ class TestMemoryGuard:
     def test_projection_holds_no_scaled_block(self, rng, scale):
         """The squares upscaled 4x or 8x: design B's projection stage, the
         boxes and the projected crops, peaks below 1.8 MiB above its output
-        (1.46 and 1.20 MiB here). Building the scaled blocks and their
+        (1.40 and 1.11 MiB here). Building the scaled blocks and their
         canvases peaked at 2.19 (scale 256) and 2.12 MiB (scale 512) above it."""
         proposals, cache, g = self.squares(rng)
         conv, scaled = cache.conv_map(scale)
@@ -525,7 +525,7 @@ class TestMemoryGuard:
             boxes = pipeline.scale_proposal(chosen, (64, 64), scaled)
             return pooling._projected(conv, chosen, boxes, scaled, g)
 
-        stage(proposals[:2])  # the map's and the resize's tables
+        stage(proposals[:2])  # first calls outside the trace
         tracemalloc.start()
         try:
             windows, crops = stage(proposals)
@@ -538,14 +538,14 @@ class TestMemoryGuard:
     @pytest.mark.parametrize("scale", [256, 512])
     def test_proposal_features_peak(self, rng, scale):
         """The squares through proposal_features: projected from their source
-        blocks, pooled by a pass that drops each unsorted index array as its
-        sorted copy is made, the call peaks below 6.5 MiB above its output
-        (5.07 and 6.01 MiB here; 7.55 and 8.49 MiB with the pool's arrays held
+        blocks, pooled by a pass that takes each pyramid level's bins by their
+        level key, the call peaks below 6.5 MiB above its output (5.14 and
+        5.89 MiB here; 7.55 and 8.49 MiB with the pool's arrays held
         together). Building the scaled blocks peaked at 7.39 MiB (scale 256)
         and 8.32 MiB (scale 512) above it."""
         proposals, cache, g = self.squares(rng)
         cfg = PipelineConfig(scales=(scale,))
-        pipeline.proposal_features(proposals[:2], cache, g, cfg)  # the map, plans, tables
+        pipeline.proposal_features(proposals[:2], cache, g, cfg)  # the map and the plans
         tracemalloc.start()
         try:
             out = pipeline.proposal_features(proposals, cache, g, cfg)

@@ -94,7 +94,6 @@ class TestMaskIouOracle:
             want = full_frame_iou(bits_a, bits_b)
             assert mask_iou(pa, pb) == want, (i, case)
             assert mask_iou(pb, pa) == want
-            assert mask_iou(BinaryMask(bits_a), BinaryMask(bits_b)) == want  # whole grids
             seen[case] += 1
             a, b = pa.box, pb.box
             disjoint += a.x1 < b.x0 or b.x1 < a.x0 or a.y1 < b.y0 or b.y1 < a.y0
@@ -117,8 +116,6 @@ class TestMaskIouOracle:
             b = SegmentProposal("b", block, frame=frame)
             with pytest.raises(ValidationError, match="mismatch"):
                 mask_iou(a, b)
-            with pytest.raises(ValidationError, match="mismatch"):
-                mask_iou(BinaryMask(np.ones(frame, dtype=bool)), block)
 
 
 class TestPasteOracle:
@@ -168,11 +165,11 @@ class TestProposalMemory:
         assert block_bytes < 0.02 * frame_bytes
 
 
-class TestAxisRunsCache:
-    """Each axis's banded table and the cells' runs are cached per (geometry,
-    source length, scaled length, cell count)."""
+class TestAxisTables:
+    """Each axis's banded table counts every scaled pixel once, and the cells'
+    runs cover the scaled frame."""
 
-    def test_cached_tables_equal_fresh_ones(self, rng):
+    def test_tables_match_resize_and_brute_force(self, rng):
         for _ in range(300):
             layers = [
                 LayerSpec(
@@ -188,19 +185,14 @@ class TestAxisRunsCache:
             fh, fw = (int(v) for v in rng.integers(1, 15, size=2))
             for n, cells in zip(frame, (fh, fw)):
                 dst = int(rng.choice([n, rng.integers(1, 3 * n + 1)]))
-                for _ in range(2):  # a miss, then a hit
-                    cached = _axis(g, n, dst, cells)
-                    fresh = _axis.__wrapped__(g, n, dst, cells)
-                    for a, b in zip(cached, fresh):
-                        assert np.array_equal(a, b) and not a.flags.writeable
-                    first, band, runs = cached
-                    assert (np.diff(first) >= 0).all() and first.min() >= 0
-                    # each source pixel's band counts the scaled pixels that read it,
-                    # and each scaled pixel votes for one cell
-                    reads = np.bincount(nearest_indices(n, dst), minlength=n)
-                    assert np.array_equal(band.sum(axis=1), reads)
-                    assert runs.sum() == dst and len(runs) == cells
-            # a box-local block reads the cached tables shifted by its origin
+                first, band, runs = _axis(g, n, dst, cells)
+                assert (np.diff(first) >= 0).all() and first.min() >= 0
+                # each source pixel's band counts the scaled pixels that read it,
+                # and each scaled pixel votes for one cell
+                reads = np.bincount(nearest_indices(n, dst), minlength=n)
+                assert np.array_equal(band.sum(axis=1), reads)
+                assert runs.sum() == dst and len(runs) == cells
+            # a box-local block reads the tables shifted by its origin
             bits = bits_in_box(rng, frame, random_box(rng, *frame))
             p = proposal_from_mask("p", BinaryMask(bits))
             got = project_one(g, p.block, fh, fw, p.origin, p.frame)

@@ -17,45 +17,38 @@ from cfmseg.core import (
     suppress,
 )
 from cfmseg.pursuit import Candidate, _draw
-from conftest import random_mask, rect_mask
+from conftest import full_frame_iou, random_mask, rect_mask
 
 
 class TestMaskIou:
     def test_identity_is_one(self):
-        m = rect_mask(4, 4, 1, 2, 1, 3)
-        assert mask_iou(m, m) == 1.0
+        (p,) = proposals(rect_mask(4, 4, 1, 2, 1, 3))
+        assert mask_iou(p, p) == 1.0
 
     def test_disjoint_is_zero(self):
-        a = rect_mask(4, 4, 0, 1, 0, 1)
-        b = rect_mask(4, 4, 2, 3, 2, 3)
+        a, b = proposals(rect_mask(4, 4, 0, 1, 0, 1), rect_mask(4, 4, 2, 3, 2, 3))
         assert mask_iou(a, b) == 0.0
 
     def test_shifted_blocks(self):
         # 2x2 blocks offset by one column: intersection 2, union 6
-        a = rect_mask(4, 4, 0, 1, 0, 1)
-        b = rect_mask(4, 4, 0, 1, 1, 2)
+        a, b = proposals(rect_mask(4, 4, 0, 1, 0, 1), rect_mask(4, 4, 0, 1, 1, 2))
         assert mask_iou(a, b) == pytest.approx(2 / 6)
 
-    def test_empty_union_is_zero(self):
-        a = BinaryMask(np.zeros((3, 3), dtype=bool))
-        assert mask_iou(a, a) == 0.0
-
     def test_dimension_mismatch_rejected(self):
-        a = rect_mask(4, 4, 0, 1, 0, 1)
-        b = rect_mask(4, 5, 0, 1, 0, 1)
+        a, b = proposals(rect_mask(4, 4, 0, 1, 0, 1), rect_mask(4, 5, 0, 1, 0, 1))
         with pytest.raises(ValidationError):
             mask_iou(a, b)
 
     def test_symmetry_and_monotonicity(self, rng):
         for _ in range(50):
-            a = random_mask(rng, 8, 8)
-            b = random_mask(rng, 8, 8)
-            assert mask_iou(a, b) == mask_iou(b, a)
+            a, b, extra = (random_mask(rng, 8, 8, density=d) for d in (0.5, 0.5, 0.2))
+            if not (a.bits.any() and b.bits.any()):
+                continue
+            pa, pb, pa2, pb2 = proposals(a, b, BinaryMask(a.bits | extra.bits),
+                                         BinaryMask(b.bits | extra.bits))
+            assert mask_iou(pa, pb) == mask_iou(pb, pa) == full_frame_iou(a.bits, b.bits)
             # adding pixels shared by both masks never lowers the score
-            extra = random_mask(rng, 8, 8, density=0.2)
-            a2 = BinaryMask(a.bits | extra.bits)
-            b2 = BinaryMask(b.bits | extra.bits)
-            assert mask_iou(a2, b2) >= mask_iou(a, b) - 1e-12
+            assert mask_iou(pa2, pb2) >= mask_iou(pa, pb) - 1e-12
 
 
 class TestBboxOf:
@@ -214,7 +207,7 @@ class TestSuppress:
     def test_iou_at_threshold_is_kept(self):
         a = rect_mask(4, 4, 0, 3, 0, 1)
         b = rect_mask(4, 4, 0, 3, 1, 2)  # 4 shared pixels of 12: IoU 1/3
-        assert mask_iou(a, b) == 1 / 3
+        assert mask_iou(*proposals(a, b)) == 1 / 3
         assert suppress(proposals(a, b), 1 / 3) == [0, 1]
         assert suppress(proposals(a, b), 0.33) == [0]
 

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+from collections import defaultdict
 from pathlib import Path
 
 import cfmseg
@@ -33,41 +34,51 @@ def test_label_bound_lives_in_core():
     assert found == []
 
 
-def _top_level_names(top) -> list:
-    """The names a top-level statement defines: a function, a class, or the
-    plain names an assignment binds (module constants)."""
-    if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-        return [top.name]
+def _definitions(top) -> list:
+    """The (statement, name, qualified name) of each definition a top-level
+    statement makes: a function, a class and each method or property in its
+    body, or the plain names an assignment binds (module constants). Dunder
+    methods are called by Python itself, so they are left out."""
+    if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        return [(top, top.name, top.name)]
+    if isinstance(top, ast.ClassDef):
+        return [(top, top.name, top.name)] + [
+            (node, node.name, f"{top.name}.{node.name}") for node in top.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not (node.name.startswith("__") and node.name.endswith("__"))
+        ]
     targets = top.targets if isinstance(top, ast.Assign) else (
         [top.target] if isinstance(top, ast.AnnAssign) else [])
-    return [node.id for t in targets for node in ast.walk(t) if isinstance(node, ast.Name)]
+    return [(top, node.id, node.id) for t in targets for node in ast.walk(t)
+            if isinstance(node, ast.Name)]
 
 
-def test_every_top_level_definition_has_a_caller():
+def test_every_definition_has_a_caller():
     # code that only tests reach belongs in tests/: a top-level function, class
-    # or module constant must be named in src/ outside its own definition, in
-    # perfbench/ or in pyproject.toml; perfbench is read as text, so no bytecode
-    # is written there
+    # or module constant, or a method or property of a class, must be named in
+    # src/ outside its own definition, in perfbench/ or in pyproject.toml;
+    # perfbench is read as text, so no bytecode is written there
     package = Path(cfmseg.__file__).resolve().parent
     root = package.parent.parent
     outside = "\n".join(path.read_text(encoding="utf-8") for path in
                         [*sorted((root / "perfbench").glob("*.py")), root / "pyproject.toml"])
-    defined, named = [], []  # defined: (module, statement, name); named likewise
+    defined, named = [], defaultdict(list)  # named: name -> each node that names it
     for path in sorted(package.glob("*.py")):
         for top in ast.parse(path.read_text(encoding="utf-8"), str(path)).body:
-            defined += [(path.stem, top, name) for name in _top_level_names(top)]
+            defined += [(path.stem, *d) for d in _definitions(top)]
             for node in ast.walk(top):
                 if isinstance(node, ast.Name):
-                    named.append((path.stem, top, node.id))
+                    named[node.id].append(node)
                 elif isinstance(node, ast.Attribute):
-                    named.append((path.stem, top, node.attr))
+                    named[node.attr].append(node)
                 elif isinstance(node, ast.alias):
-                    named.append((path.stem, top, node.name.rsplit(".", 1)[-1]))
-    unused = [
-        f"{module}.{name}" for module, top, name in defined
-        if not any(used == name and where is not top for _, where, used in named)
-        and not re.search(rf"\b{re.escape(name)}\b", outside)
-    ]
+                    named[node.name.rsplit(".", 1)[-1]].append(node)
+    unused = []
+    for module, statement, name, qualified in defined:
+        inside = {id(node) for node in ast.walk(statement)}
+        if all(id(node) in inside for node in named[name]) and (
+                not re.search(rf"\b{re.escape(name)}\b", outside)):
+            unused.append(f"{module}.{qualified}")
     assert unused == []
 
 

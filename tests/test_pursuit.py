@@ -4,7 +4,6 @@ import pytest
 from cfmseg.core import (
     BinaryMask,
     ValidationError,
-    mask_iou,
     proposal_from_mask,
 )
 from cfmseg import pursuit
@@ -19,7 +18,7 @@ from cfmseg.pursuit import (
     purity,
     stuff_samples,
 )
-from conftest import random_mask, rect_mask
+from conftest import full_frame_iou, random_mask, rect_mask
 
 GRID = 40  # image side for synthetic candidates
 
@@ -57,7 +56,7 @@ class TestPurity:
             clipped[b.y0 : b.y1 + 1, b.x0 : b.x1 + 1] = stuff.bits[
                 b.y0 : b.y1 + 1, b.x0 : b.x1 + 1
             ]
-            return mask_iou(seg.mask, BinaryMask(clipped))
+            return full_frame_iou(seg.mask.bits, clipped)
 
         checked = 0
         for _ in range(400):
@@ -134,7 +133,7 @@ class TestDeterministicPursuit:
         ))
         c = candidate("c", block(20, 22, 0, 9))               # 30
         d = candidate("d", block(30, 31, 0, 9))               # 20
-        assert mask_iou(a.proposal.mask, b.proposal.mask) == pytest.approx(0.9)
+        assert full_frame_iou(a.proposal.mask.bits, b.proposal.mask.bits) == pytest.approx(0.9)
         picked = pursue([a, b, c, d], PursuitConfig(), "deterministic")
         assert [x.proposal.id for x in picked] == ["a"]
 
@@ -182,7 +181,8 @@ def brute_force_pursuit(cands, cfg, seed=None):
         pool = [
             c for c in pool
             if c is not best
-            and mask_iou(c.proposal.mask, best.proposal.mask) <= cfg.inhibit_iou
+            and full_frame_iou(c.proposal.mask.bits, best.proposal.mask.bits)
+            <= cfg.inhibit_iou
         ]
 
 
@@ -229,7 +229,7 @@ class TestPursuitInvariants:
                     assert a.purity > cfg.purity_pos
                     for b in picks[i + 1 :]:
                         assert (
-                            mask_iou(a.proposal.mask, b.proposal.mask)
+                            full_frame_iou(a.proposal.mask.bits, b.proposal.mask.bits)
                             <= cfg.inhibit_iou
                         )
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cfmseg.core import MAX_SIDE, BinaryMask, ValidationError, mask_iou
+from cfmseg.core import MAX_SIDE, BinaryMask, ValidationError
 from cfmseg.pursuit import PursuitConfig, candidate_set, pursue
 from cfmseg.synth import (
     BandSpec,
@@ -14,7 +14,7 @@ from cfmseg.synth import (
     scene_proposals,
     toy_proposals,
 )
-from conftest import make_corpus
+from conftest import full_frame_iou, make_corpus
 
 
 def small_spec(shapes=(), bands=(), seed=0):
@@ -119,7 +119,7 @@ class TestToyProposals:
         props = toy_proposals(48, 48, scene.instances, jitter_seed=0)
         exact = [p for p in props if p.id.endswith("exact")]
         assert len(exact) == 1
-        assert mask_iou(exact[0].mask, scene.instances[0].mask) == 1.0
+        assert full_frame_iou(exact[0].mask.bits, scene.instances[0].mask.bits) == 1.0
 
     def test_grid_cells_give_low_iou_on_large_object(self):
         shape = ShapeSpec("rect", 1, 24, 24, 12, 12)
@@ -127,7 +127,7 @@ class TestToyProposals:
         props = toy_proposals(48, 48, scene.instances, grid_sizes=(16,),
                               jitter_seed=0)
         grid_ious = [
-            mask_iou(p.mask, scene.instances[0].mask)
+            full_frame_iou(p.mask.bits, scene.instances[0].mask.bits)
             for p in props
             if p.id.startswith("grid")
         ]
@@ -150,7 +150,7 @@ class TestToyProposals:
             scene = generate_scene(spec)
             props = scene_proposals(scene, seed=i)
             for inst in scene.instances:
-                ious = [mask_iou(p.mask, inst.mask) for p in props]
+                ious = [full_frame_iou(p.mask.bits, inst.mask.bits) for p in props]
                 assert any(0.5 <= v <= 1.0 for v in ious)
                 assert any(0.1 <= v <= 0.3 for v in ious)
 
