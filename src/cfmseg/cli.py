@@ -108,7 +108,8 @@ def cmd_pursue(args) -> None:
     proposals = formats.load_proposal_index(args.proposals)
     stuff = formats.load_mask(args.stuff)
     cfg = pursuit.PursuitConfig(**_given(args, "purity_pos", "inhibit_iou"))
-    cands = pursuit.candidate_set(proposals, stuff, cfg)
+    purities = [pursuit.purity(p, stuff) for p in proposals]
+    cands = pursuit.candidate_set(proposals, purities, cfg)
     picks = pursuit.pursue(cands, cfg, args.mode, args.seed)
     _print_json(
         {

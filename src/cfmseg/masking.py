@@ -28,65 +28,55 @@ def _cell(g: NetGeometry, x):
     return -((g.offset_x2 + g.stride - 2 * x) // (2 * g.stride))
 
 
+def _edges(index, n: int) -> np.ndarray:
+    """The [edges[v], edges[v + 1]) run of each value v < n in a non-decreasing
+    index array: (n + 1,) int64, one search."""
+    return np.searchsorted(index, np.arange(n + 1))
+
+
 def _axis(g: NetGeometry, src: int, dst: int, cells: int):
-    """One axis of the nearest resize of src pixels to dst. The scaled
-    pixels that read source pixel r, and the cells (`_cell`, clamped) they vote
-    for, are consecutive: `first[r]` is the first of those cells (for a pixel
-    none reads, the next read one's, so `first` never falls), and the float64
-    `band[r, k]` counts those that vote for cell first[r] + k. `runs[i]` is the
-    size of cell i's run in the scaled frame."""
+    """One axis of the nearest resize of src pixels to dst, as two float64 edge
+    arrays in the scaled frame: `spans`, the scaled pixels that read each
+    source pixel, and `bounds`, the run of scaled pixels that vote for each
+    cell (`_cell`, clamped)."""
     votes = np.clip(_cell(g, np.arange(dst, dtype=np.int64)), 0, cells - 1)
-    reads = nearest_indices(src, dst)
-    first = votes[np.minimum(np.searchsorted(reads, np.arange(src)), dst - 1)]
-    layer = votes - first[reads]
-    width = int(layer.max()) + 1
-    band = np.bincount(reads * width + layer, minlength=src * width).reshape(src, width)
-    return first, band.astype(np.float64), np.bincount(votes, minlength=cells)
+    return _edges(nearest_indices(src, dst), src).astype(float), _edges(votes, cells).astype(float)
+
+
+def overlap(starts, ends, lo, hi) -> np.ndarray:
+    """The (..., ranges, spans) table of how long each [starts, ends) span
+    overlaps each [lo, hi) range; leading axes broadcast."""
+    table = np.minimum(ends[..., None, :], hi[..., :, None])
+    table -= np.maximum(starts[..., None, :], lo[..., :, None])
+    return np.maximum(table, 0, out=table)
 
 
 def _spans(axis, at, n: int, corner, cells: int) -> list[tuple[int, int, int, int]]:
     """A stack's tiles of at most TILE source pixels along one axis of an `_axis`,
-    in order: each one's first pixel, its length and the [lo, hi) of the cells,
+    in order: each one's offset in the block, its length and the [lo, hi) of the cells,
     counted from corner[j] and fewer than `cells`, that its pixels vote for."""
-    first, band, _ = axis
-    spans = []
-    for r in range(0, n, TILE):
-        k = min(TILE, n - r)
-        lo = min(max(int((first[at + r] - corner).min()), 0), cells)
-        hi = min(max(int((first[at + r + k - 1] - corner).max()) + band.shape[1], lo), cells)
-        spans.append((r, k, lo, hi))
-    return spans
+    spans, bounds = axis
+    cuts = [*range(0, n, TILE), n]
+    edges = spans[at[:, None] + cuts]  # tile t reads [edges[:, t], edges[:, t + 1])
+    lo = (bounds.searchsorted(edges[:, :-1], "right") - corner[:, None]).min(axis=0) - 1
+    hi = (bounds.searchsorted(edges[:, 1:]) - corner[:, None]).max(axis=0)
+    return [(r, end - r, min(max(a, 0), cells), min(max(b, a, 0), cells))
+            for r, end, a, b in zip(cuts, cuts[1:], lo.tolist(), hi.tolist())]
 
 
 def _table(axis, at, n: int, corner, cells: int) -> np.ndarray:
     """The table Aᵀ of a stack over `cells` cells, (m, cells, n) float64: entry
     [j, i, p] counts the scaled pixels that read source pixel at[j] + p of an
     `_axis` and vote for cell corner[j] + i."""
-    first, band, _ = axis
-    pixels = at[:, None] + np.arange(n)
-    cell = (first[pixels] - corner[:, None])[:, None, :]  # each pixel's first
-    table = np.zeros((len(at), cells, n))
-    for k in range(band.shape[1]):
-        np.copyto(table, band[pixels, k][:, None, :],
-                  where=np.arange(-k, cells - k)[:, None] == cell)
-    return table
+    spans, bounds = axis
+    edges = spans[at[:, None] + np.arange(n + 1)]
+    runs = bounds[corner[:, None] + np.arange(cells + 1)]
+    return overlap(edges[:, :-1], edges[:, 1:], runs[:, :-1], runs[:, 1:])
 
 
-def vote(bits: np.ndarray, rows, cols) -> np.ndarray:
-    """Set each rectangle rows[j] x cols[i] in which at least half the bits are set.
-
-    bits is (..., h, w), leading axes a batch that shares the ranges; rows and cols
-    are (starts, ends) of [start, end) ranges. An empty rectangle stays unset.
-    Exact counts: an integer summed-area table.
-    """
-    table = np.zeros(bits.shape[:-2] + (bits.shape[-2] + 1, bits.shape[-1] + 1), np.int32)
-    table[..., 1:, 1:] = bits
-    np.cumsum(table, axis=-2, out=table)  # in place: a fresh cumsum output is slower
-    np.cumsum(table, axis=-1, out=table)
-    strips = table[..., rows[1], :] - table[..., rows[0], :]  # column prefix sums
-    counts = strips[..., cols[1]] - strips[..., cols[0]]  # of each row range
-    sizes = np.outer(rows[1] - rows[0], cols[1] - cols[0])
-    return (2 * counts >= sizes) & (sizes > 0)
+def vote(counts, sizes) -> np.ndarray:
+    """Set each cell whose count is above 0 and at least half its size (the half rule)."""
+    return (counts > 0) & (2 * counts >= sizes)
 
 
 def scaled_boxes(blocks, origins, frame, scaled) -> np.ndarray:
@@ -98,8 +88,8 @@ def scaled_boxes(blocks, origins, frame, scaled) -> np.ndarray:
     origins = np.array(origins, np.int64).reshape(-1, 2)
     lo, hi = origins.copy(), origins + [b.shape for b in blocks] - 1
     # per axis and source pixel: the [start, end) of the scaled pixels reading it
-    (sy, ey), (sx, ex) = [[np.searchsorted(nearest_indices(n, m), np.arange(n), side)
-                           for side in ("left", "right")] for n, m in zip(frame, scaled)]
+    (sy, ey), (sx, ex) = [(e[:-1], e[1:]) for e in
+                          (_edges(nearest_indices(n, m), n) for n, m in zip(frame, scaled))]
     vanished = np.zeros(len(blocks), bool)
     if frame[0] > scaled[0] or frame[1] > scaled[1]:
         for j, (bits, (y, x)) in enumerate(zip(blocks, origins.tolist())):
@@ -126,12 +116,13 @@ def project_mask(g: NetGeometry, blocks, origins, frame, scaled, fh: int, fw: in
     (y0, x0, y1, x1) inclusive cell corners. Equal frames are the identity
     resize. boxes[i] is the block's box in the scaled frame (`scaled_boxes`).
 
-    Per axis, `_axis` gives the banded table A (rows) and B (columns), A[r, i]
-    the number of scaled pixels that read source pixel r and vote for cell i,
-    and a window's counts are A[block rows, window rows]ᵀ · bits · B[block
-    columns, window columns], summed in float64: every count is an integer of
-    at most the scaled frame's pixels, so every sum is exact in any order. A
-    cell is set when its count is above 0 and at least half its run. Blocks of
+    Per axis, `_axis` gives the scaled pixels that read each source pixel and
+    the run of each cell, and their `overlap` is the table A (rows) and B
+    (columns), A[r, i] the number of scaled pixels that read source pixel r and
+    vote for cell i. A window's counts are A[block rows, window rows]ᵀ · bits ·
+    B[block columns, window columns], summed in float64: every count is an
+    integer of at most the scaled frame's pixels, so every sum is exact in any
+    order. A cell is set by `vote` over its run. Blocks of
     one (block, window) shape are stacked, at most 2**16 source pixels and
     2**13 window cells at a time, and each stack is multiplied in tiles of
     TILE x TILE source pixels, each only with the cells it votes for
@@ -157,6 +148,8 @@ def project_mask(g: NetGeometry, blocks, origins, frame, scaled, fh: int, fw: in
         raise ValidationError(f"each window must lie in the {fh}x{fw} grid")
     crops = [None] * len(blocks)
     axis_y, axis_x = _axis(g, frame[0], scaled[0], fh), _axis(g, frame[1], scaled[1], fw)
+    (read_y, runs_y), (read_x, runs_x) = [(np.diff(spans) > 0, np.diff(bounds))
+                                          for spans, bounds in (axis_y, axis_x)]
     vanished = np.zeros(len(blocks), bool)
     keys = np.concatenate([shapes, windows[:, 2:] - windows[:, :2] + 1], axis=1)
     order = np.lexsort(keys.T[::-1])
@@ -178,15 +171,15 @@ def project_mask(g: NetGeometry, blocks, origins, frame, scaled, fh: int, fw: in
                     b = _table(axis_x, x + c, k, x0 + l0, l1 - l0).transpose(0, 2, 1)
                     tile = bits[:, r : r + n, c : c + k].astype(np.float64)
                     counts[:, t0 - top : t1 - top, l0 - left : l1 - left] += a @ tile @ b
-            sizes = (axis_y[2][y0[:, None] + np.arange(top, bottom)][:, :, None]
-                     * axis_x[2][x0[:, None] + np.arange(left, right)][:, None, :])
+            sizes = (runs_y[y0[:, None] + np.arange(top, bottom)][:, :, None]
+                     * runs_x[x0[:, None] + np.arange(left, right)][:, None, :])
             votes = np.zeros((len(members), wh, ww), bool)
-            votes[:, top:bottom, left:right] = (counts > 0) & (2 * counts >= sizes)
+            votes[:, top:bottom, left:right] = vote(counts, sizes)
             for j, crop in zip(members.tolist(), votes):
                 crops[j] = crop
             if frame[0] > scaled[0] or frame[1] > scaled[1]:  # a block may keep no set pixel
-                read = (axis_y[1][y[:, None] + np.arange(h)].any(axis=2)[:, :, None]
-                        & axis_x[1][x[:, None] + np.arange(w)].any(axis=2)[:, None, :])
+                read = (read_y[y[:, None] + np.arange(h)][:, :, None]
+                        & read_x[x[:, None] + np.arange(w)][:, None, :])
                 vanished[members] = bits.any(axis=(1, 2)) & ~(bits & read).any(axis=(1, 2))
     fell = np.flatnonzero(vanished)
     if fell.size:

@@ -18,7 +18,7 @@ import numpy as np
 from .core import FeatureMap, PixelBox, SegmentProposal, ValidationError
 from .core import _readonly
 from .formats import dump_json, save_vector
-from .masking import project_mask, vote
+from .masking import overlap, project_mask, vote
 from .netgeom import NetGeometry, feature_extent
 
 DEFAULT_LEVELS = (6, 3, 2, 1)
@@ -214,14 +214,19 @@ def spp_pool_windows(f: FeatureMap, windows, pyr: PyramidSpec, out=None) -> np.n
 
 def downsample_mask_to_grid(crops: list[np.ndarray], n: int) -> np.ndarray:
     """At-least-half vote of each window's feature-mask cells (crops[i]) over its
-    n x n bins: one vote per crop shape, over the stack of that shape's crops."""
+    n x n bins: one vote per crop shape, over the stack of that shape's crops,
+    counted as a · crops · bᵀ in float64 (exact) from each axis's `overlap` of
+    unit cells with bins."""
     by_shape = defaultdict(list)
     for i, crop in enumerate(crops):
         by_shape[crop.shape].append(i)
     grid = np.empty((len(crops), n, n), bool)
-    for shape, members in by_shape.items():  # no padding: memory is the crops' own
-        (rows, _), (cols, _), _ = _pyramid_plan(*shape, (n,))
-        grid[members] = vote(np.stack([crops[i] for i in members]), rows, cols)
+    for (h, w), members in by_shape.items():  # no padding: memory is the crops' own
+        (rows, _), (cols, _), _ = _pyramid_plan(h, w, (n,))
+        a, b = (overlap(np.arange(k, dtype=np.float64), np.arange(1.0, k + 1), *spans)
+                for k, spans in ((h, rows), (w, cols)))
+        counts = a @ np.array([crops[i] for i in members], np.float64) @ b.T
+        grid[members] = vote(counts, np.outer(rows[1] - rows[0], cols[1] - cols[0]))
     return grid
 
 

@@ -64,13 +64,13 @@ def purity(seg: SegmentProposal, stuff: BinaryMask) -> float:
 
 
 def candidate_set(
-    proposals: list[SegmentProposal], stuff: BinaryMask, cfg: PursuitConfig
+    proposals: list[SegmentProposal], purities: list[float], cfg: PursuitConfig
 ) -> list[Candidate]:
-    """Proposals whose purity strictly exceeds the positive threshold."""
+    """Proposals whose purity (purities[i]) strictly exceeds the positive threshold."""
     return [
         Candidate(p, p.area, score)
-        for p in proposals
-        if (score := purity(p, stuff)) > cfg.purity_pos
+        for p, score in zip(proposals, purities, strict=True)
+        if score > cfg.purity_pos
     ]
 
 
@@ -157,7 +157,6 @@ def stuff_samples(
     if cfg.purity_pos <= PURITY_NEG:
         raise ValidationError(f"purity_pos {cfg.purity_pos} must exceed {PURITY_NEG}")
     scores = [purity(p, stuff_gt) for p in proposals]
-    pure = [p for p, s in zip(proposals, scores) if s > cfg.purity_pos]
-    picks = pursue(candidate_set(pure, stuff_gt, cfg), cfg, mode, seed)
+    picks = pursue(candidate_set(proposals, scores, cfg), cfg, mode, seed)
     negatives = [p for p, s in zip(proposals, scores) if s < PURITY_NEG]
     return [c.proposal for c in picks], negatives

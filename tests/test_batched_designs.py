@@ -233,6 +233,20 @@ class TestProjectionOracle:
                                   project_mask(g, m, fh, fw).bits)
 
 
+class TestGridVote:
+    @pytest.mark.parametrize("n", [1, 2, 3, 6])
+    def test_every_crop_shape_matches_summed_area_table(self, rng, n):
+        """Every crop shape from 1 x 1 to 3n x 3n, those shorter than the grid
+        with overlapping bins, each a stack of crops from empty to full."""
+        for h in range(1, 3 * n + 1):
+            for w in range(1, 3 * n + 1):
+                crops = [rng.random((h, w)) < d for d in (0.0, 0.3, 0.5, 0.7, 1.0)]
+                got = pooling.downsample_mask_to_grid(crops, n)
+                window = PixelBox(0, 0, w - 1, h - 1)
+                want = [downsample_mask_to_grid(BinaryMask(c), window, n) for c in crops]
+                assert np.array_equal(got, want), (h, w)
+
+
 # signed maps: design A's masked-out cells hold -0.0 products, and zeros outrank
 # the negative cells a mask keeps
 MAPS = {"": rectified_map, "-signed": random_map}
@@ -516,7 +530,7 @@ class TestMemoryGuard:
     def test_projection_holds_no_scaled_block(self, rng, scale):
         """The squares upscaled 4x or 8x: design B's projection stage, the
         boxes and the projected crops, peaks below 1.8 MiB above its output
-        (1.40 and 1.11 MiB here). Building the scaled blocks and their
+        (1.59 and 1.16 MiB here). Building the scaled blocks and their
         canvases peaked at 2.19 (scale 256) and 2.12 MiB (scale 512) above it."""
         proposals, cache, g = self.squares(rng)
         conv, scaled = cache.conv_map(scale)

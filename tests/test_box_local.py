@@ -19,7 +19,7 @@ from cfmseg.core import (
     proposal_from_mask,
     resize_nearest,
 )
-from cfmseg.masking import _axis
+from cfmseg.masking import _axis, _cell, _table
 from cfmseg.netgeom import LayerSpec, compose_geometry
 from cfmseg.pipeline import PipelineConfig, ScoredRegion, paste
 from conftest import full_frame_iou, full_frame_paste, project_one
@@ -166,11 +166,13 @@ class TestProposalMemory:
 
 
 class TestAxisTables:
-    """Each axis's banded table counts every scaled pixel once, and the cells'
-    runs cover the scaled frame."""
+    """Each entry of an axis's table counts the scaled pixels that read a source
+    pixel and vote for a cell, for stacks of source runs against cell runs."""
+
+    RESIZES = (("same", "same"), ("up", "up"), ("down", "down"), ("up", "down"))
 
     def test_tables_match_resize_and_brute_force(self, rng):
-        for _ in range(300):
+        for trial in range(300):
             layers = [
                 LayerSpec(
                     "conv" if rng.random() < 0.5 else "pool",
@@ -181,17 +183,24 @@ class TestAxisTables:
                 for _ in range(int(rng.integers(1, 4)))
             ]
             g = compose_geometry(layers)
-            frame = tuple(int(v) for v in rng.integers(1, 40, size=2))
+            frame = tuple(int(v) for v in rng.integers(2, 40, size=2))
             fh, fw = (int(v) for v in rng.integers(1, 15, size=2))
-            for n, cells in zip(frame, (fh, fw)):
-                dst = int(rng.choice([n, rng.integers(1, 3 * n + 1)]))
-                first, band, runs = _axis(g, n, dst, cells)
-                assert (np.diff(first) >= 0).all() and first.min() >= 0
-                # each source pixel's band counts the scaled pixels that read it,
-                # and each scaled pixel votes for one cell
-                reads = np.bincount(nearest_indices(n, dst), minlength=n)
-                assert np.array_equal(band.sum(axis=1), reads)
-                assert runs.sum() == dst and len(runs) == cells
+            kinds = self.RESIZES[trial % 4]
+            if rng.random() < 0.5:  # a mixed resize either way round
+                kinds = kinds[::-1]
+            for n, cells, kind in zip(frame, (fh, fw), kinds):
+                dst = {"same": n, "up": int(rng.integers(n + 1, 3 * n + 1)),
+                       "down": int(rng.integers(1, n))}[kind]
+                want = np.zeros((cells, n))
+                votes = np.clip(_cell(g, np.arange(dst)), 0, cells - 1)
+                np.add.at(want, (votes, nearest_indices(n, dst)), 1)
+                # a stack of three: runs of k source pixels against runs of m cells
+                k, m = int(rng.integers(1, n + 1)), int(rng.integers(1, cells + 1))
+                at = rng.integers(0, n - k + 1, size=3)
+                corner = rng.integers(0, cells - m + 1, size=3)
+                got = _table(_axis(g, n, dst, cells), at, k, corner, m)
+                for table, a, c in zip(got, at, corner):
+                    assert np.array_equal(table, want[c : c + m, a : a + k])
             # a box-local block reads the tables shifted by its origin
             bits = bits_in_box(rng, frame, random_box(rng, *frame))
             p = proposal_from_mask("p", BinaryMask(bits))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cfmseg.core import BinaryMask, SegmentProposal, ValidationError, nearest_indices
-from cfmseg.masking import project_mask, scaled_boxes, vote
+from cfmseg.masking import TILE, overlap, project_mask, scaled_boxes, vote
 from cfmseg.netgeom import LayerSpec, NetGeometry, compose_geometry, feature_extent
 from cfmseg.pipeline import scale_proposal
 from conftest import project_one, random_mask, random_map
@@ -305,6 +305,34 @@ class TestBatchProjection:
             want = per_block_project_mask(g, blocks, origins, src, dst, fh, fw, windows)
             assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
+    @pytest.mark.parametrize("factor", [1.0, 1.7, 2.5, 0.4])
+    def test_tiled_stacks_under_resizes(self, rng, factor):
+        """Stacks of same-shape blocks, 120-320 pixels a side, so each is cut
+        into tiles of TILE pixels, at different origins, with one window shape
+        per stack, under the identity, two upscales and a downscale."""
+        g = compose_geometry([LayerSpec("conv", 3, 2, 1)] * 3)  # stride 8
+        frame = (400, 400)
+        scaled = tuple(int(n * factor) for n in frame)
+        fh, fw = (-(-n // 8) for n in scaled)
+        stacked = 0
+        for i in range(4):
+            h = int(rng.integers(120, 321 - 120 * (i % 2)))  # odd i: small enough to stack
+            w = int(rng.integers(TILE + 1, max(TILE + 2, 321 - 150 * (i % 2))))
+            blocks = [rng.random((h, w)) < rng.uniform(0.2, 0.8) for _ in range(12)]
+            origins = [tuple(int(rng.integers(0, n - k + 1)) for n, k in zip(frame, (h, w)))
+                       for _ in blocks]
+            boxes = scaled_boxes(blocks, origins, frame, scaled)
+            extents = feature_extent(g, boxes, fh, fw)
+            size = (extents[:, 2:] - extents[:, :2]).max(axis=0)  # one window shape
+            corner = np.minimum(extents[:, :2], np.array([fh, fw]) - 1 - size)
+            windows = np.concatenate([corner, corner + size], axis=1)
+            got = project_mask(g, blocks, origins, frame, scaled, fh, fw, windows, boxes)
+            want = per_block_project_mask(g, blocks, origins, frame, scaled, fh, fw, windows)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+            assert any(a.any() for a in got)
+            # at least two blocks per product under both stack bounds
+            stacked += min((1 << 16) // (h * w), (1 << 13) // int((size + 1).prod())) > 1
+        assert stacked
 
     def test_empty_batch(self):
         assert project_mask(identity_geometry(), [], [], (4, 4), (4, 4), 4, 4, [], []) == []
@@ -391,20 +419,38 @@ class TestResizeOracle:
         assert min(seen.values()) >= 20, seen
 
 
+def range_vote(bits: np.ndarray, rows, cols) -> np.ndarray:
+    """`vote` over each rectangle rows[j] x cols[i] of bits, rows and cols the
+    (starts, ends) of [start, end) ranges, counted through the `overlap` of the
+    unit pixels with the ranges."""
+    a, b = (overlap(np.arange(n, dtype=np.float64), np.arange(1.0, n + 1), *ranges)
+            for n, ranges in zip(bits.shape, (rows, cols)))
+    return vote(a @ bits @ b.T, np.outer(rows[1] - rows[0], cols[1] - cols[0]))
+
+
 class TestVote:
+    def test_overlap_lengths(self):
+        starts, ends = np.array([0, 3, 3, 6]), np.array([3, 3, 6, 9])  # one span empty
+        lo, hi = np.array([2, 4, 9]), np.array([5, 4, 12])  # one range empty
+        assert overlap(starts, ends, lo, hi).tolist() == [[1, 0, 2, 0], [0, 0, 0, 0],
+                                                          [0, 0, 0, 0]]
+
     def test_exactly_half_is_set_less_is_not(self):
         bits = np.zeros((2, 4), dtype=bool)
         bits[0, :2] = True  # left 2x2 rectangle: 2 of 4 entries set
         bits[1, 2] = True   # right 2x2 rectangle: 1 of 4 entries set
         rows = (np.array([0]), np.array([2]))
         cols = (np.array([0, 2]), np.array([2, 4]))
-        assert vote(bits, rows, cols).tolist() == [[True, False]]
+        assert range_vote(bits, rows, cols).tolist() == [[True, False]]
+        assert vote(np.array([0, 1, 2, 2]), np.array([0, 4, 4, 5])).tolist() == [
+            False, False, True, False
+        ]
 
     def test_empty_rectangle_stays_unset(self):
         bits = np.ones((3, 3), dtype=bool)
         rows = (np.array([0, 2, 3]), np.array([2, 2, 3]))
         cols = (np.array([0, 1]), np.array([3, 1]))
-        assert vote(bits, rows, cols).tolist() == [
+        assert range_vote(bits, rows, cols).tolist() == [
             [True, False], [False, False], [False, False]
         ]
 
@@ -414,7 +460,7 @@ class TestVote:
         rows = cols = (np.array([0, 2, 4]), np.array([2, 4, 6]))
         expected = np.zeros((3, 3), dtype=bool)
         expected[1, 1] = True
-        assert np.array_equal(vote(bits, rows, cols), expected)
+        assert np.array_equal(range_vote(bits, rows, cols), expected)
 
 
 class TestApplyMask:

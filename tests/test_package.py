@@ -115,3 +115,20 @@ def test_classify_calls_no_blas_reduction():
         ) in blas:
             found.append(f"line {node.lineno}: {ast.unparse(node)}")
     assert not found, found
+
+
+def test_half_rule_written_once():
+    # both mask votes, the projection's and design B's grid, keep a cell at
+    # least half covered through masking.vote; a second copy of the rule can drift
+    found = []
+    for path in sorted(Path(cfmseg.__file__).resolve().parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Compare) and any(
+                isinstance(op, ast.GtE | ast.LtE) for op in node.ops
+            ) and any(
+                isinstance(side, ast.BinOp) and isinstance(side.op, ast.Mult)
+                and 2 in [v.value for v in (side.left, side.right) if isinstance(v, ast.Constant)]
+                for side in (node.left, *node.comparators)
+            ):
+                found.append(f"{path.name}:{node.lineno}")
+    assert len(found) == 1 and found[0].startswith("masking.py:"), found

@@ -3,7 +3,7 @@ import sys
 import numpy as np
 import pytest
 
-from cfmseg import pipeline, synth
+from cfmseg import pipeline, pursuit, synth
 from cfmseg.classify import LinearModel
 from cfmseg.core import (
     BinaryMask,
@@ -41,6 +41,7 @@ from cfmseg.pursuit import (
     label_object_samples,
     overlap_label,
     pursue,
+    purity,
     stuff_samples,
 )
 from cfmseg.toynet import default_spec, forward, init_toynet
@@ -280,7 +281,7 @@ class TestBoxLocalScaling:
         assert (labels == 1).sum() == sp.area and (labels == 2).any()
 
         stuff = rect_mask(20, 20, 4, 19, 0, 19)
-        cands = candidate_set(local, stuff, cfg)
+        cands = candidate_set(local, [purity(p, stuff) for p in local], cfg)
         assert [c.purity for c in cands] == [
             full_frame_iou(m, stuff.bits & box_bits(p.box)) for p, m in zip(local, full)
         ]
@@ -572,6 +573,19 @@ class TestTrainingPools:
         negatives = [v.tobytes() for _, neg in unique.values() for v in unique_x[neg]]
         assert len(set(negatives)) > 10
         assert all(len(unique[c][0]) for c in (4, 5))  # pursuit picked stuff positives
+
+    def test_one_purity_per_proposal_per_stuff_category(self, monkeypatch):
+        corpus = synth.CorpusConfig()
+        scene = synth.generate_scene(synth.random_scene_spec(corpus, 3))
+        props = synth.scene_proposals(scene, 4)
+        net = init_toynet(default_spec(3, seed=0))
+        g = compose_geometry(net.spec.geometry_layers())
+        calls = []  # the stuff category each purity is taken against
+        monkeypatch.setattr(pursuit, "purity", lambda p, stuff: (
+            calls.append(int(scene.labels.labels[stuff.bits][0])) or purity(p, stuff)))
+        train = [TrainScene(scene.image, scene.labels, scene.instances, props)]
+        collect_training_pools(train, [1, 2, 3], [4, 5], net, g, small_cfg(scales=(64,)))
+        assert sorted(calls) == [4] * len(props) + [5] * len(props)
 
     def test_other_category_instance_labels_nothing(self, rng):
         net, g, image = toy_setup(rng)

@@ -27,6 +27,11 @@ def block(y0, y1, x0, x1, h=GRID, w=GRID):
     return rect_mask(h, w, y0, y1, x0, x1)
 
 
+def candidates_of(proposals, stuff, cfg):
+    """`candidate_set` of the proposals' purities against the stuff mask."""
+    return candidate_set(proposals, [purity(p, stuff) for p in proposals], cfg)
+
+
 def candidate(pid, mask, purity_score=1.0):
     p = proposal_from_mask(pid, mask)
     return Candidate(p, p.area, purity_score)
@@ -80,12 +85,12 @@ class TestCandidateSet:
     def test_no_contact_empty(self):
         proposals = [proposal_from_mask("a", block(0, 3, 0, 3))]
         stuff = block(20, 30, 20, 30)
-        assert candidate_set(proposals, stuff, PursuitConfig()) == []
+        assert candidates_of(proposals, stuff, PursuitConfig()) == []
 
     def test_perfect_proposals_retained(self):
         stuff = block(5, 14, 5, 14)
         proposals = [proposal_from_mask(f"p{i}", block(5, 14, 5, 14)) for i in range(3)]
-        cands = candidate_set(proposals, stuff, PursuitConfig())
+        cands = candidates_of(proposals, stuff, PursuitConfig())
         assert len(cands) == 3
         assert all(c.purity == 1.0 for c in cands)
 
@@ -100,13 +105,9 @@ class TestCandidateSet:
         stuff_60 = np.zeros((GRID, 100), dtype=bool)
         stuff_60[0, :60] = True
         seg_60 = proposal_from_mask("lo", rect_mask(GRID, 100, 0, 0, 0, 99))
-        cands = candidate_set(
-            [seg_61, seg_60],
-            BinaryMask(stuff_61),
-            PursuitConfig(),
-        )
+        cands = candidates_of([seg_61, seg_60], BinaryMask(stuff_61), PursuitConfig())
         assert [c.proposal.id for c in cands] == ["hi", "lo"]
-        cands = candidate_set([seg_60], BinaryMask(stuff_60), PursuitConfig())
+        cands = candidates_of([seg_60], BinaryMask(stuff_60), PursuitConfig())
         assert cands == []
 
 
@@ -357,8 +358,7 @@ class TestStuffSamples:
             y1, x1 = (int(v) for v in rng.integers((y0 + 3, x0 + 3), GRID, size=2))
             proposals.append(proposal_from_mask(f"p{i}", block(y0, y1, x0, x1)))
         cfg = PursuitConfig()
-        # the formula with purity computed twice per proposal
-        cands = candidate_set(proposals, stuff, cfg)
+        cands = candidates_of(proposals, stuff, cfg)
         want_pos = [c.proposal.id for c in pursue(cands, cfg, mode, seed=3)]
         want_neg = [p.id for p in proposals if purity(p, stuff) < pursuit.PURITY_NEG]
         calls = []
@@ -367,7 +367,7 @@ class TestStuffSamples:
         assert [p.id for p in pos] == want_pos and want_pos
         assert [p.id for p in neg] == want_neg and want_neg
         assert 0 < len(cands) < len(proposals)
-        assert len(calls) <= len(proposals) + len(cands)
+        assert len(calls) == len(proposals)  # candidate_set reads the same purities
 
     def test_unknown_mode_rejected(self):
         stuff = block(0, 19, 0, 39)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cfmseg.core import MAX_SIDE, BinaryMask, ValidationError
-from cfmseg.pursuit import PursuitConfig, candidate_set, pursue
+from cfmseg.pursuit import PursuitConfig, candidate_set, pursue, purity
 from cfmseg.synth import (
     BandSpec,
     STUFF_CATEGORIES,
@@ -173,7 +173,7 @@ class TestCorpus:
             props = scene_proposals(scene, seed=i)
             for c in STUFF_CATEGORIES:
                 stuff = BinaryMask(scene.labels.labels == c)
-                cands = candidate_set(props, stuff, pursuit_cfg)
+                cands = candidate_set(props, [purity(p, stuff) for p in props], pursuit_cfg)
                 picks = pursue(cands, pursuit_cfg, "deterministic")
                 assert picks, f"no pursuit picks for stuff {c} in scene {i}"
 
