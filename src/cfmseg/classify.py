@@ -7,9 +7,13 @@ schedule the weights after step t are v_t / (reg*t), where v_t sums y*x over
 the steps so far whose sample violated the margin, so training accumulates v
 and divides once at the end. Sample order comes from a seeded generator, so
 a given (data, seed, hyperparameter) triple always yields the same model.
-Every dot product, in training and in scoring, is summed by numpy's einsum,
-whose sum order is numpy's own: no model or score byte depends on the BLAS
-kernel.
+Each step's margin is first screened in float32 against a proven error
+bound, and only a step too close to its floor to be settled that way (or
+whose float32 margin overflowed) is rechecked in float64, so every decision
+is the float64 margin's. A pre-pass over the samples takes each row's norm
+for the bound and rejects a non-finite row. Every dot product, in training
+and in scoring, is summed by numpy's einsum, whose sum order is numpy's own:
+no model or score byte depends on the BLAS kernel.
 """
 
 from __future__ import annotations
@@ -25,8 +29,10 @@ from .formats import (
     contained, dump_json, finite_number, int_fields, load_json, load_vector, save_vector,
 )
 
-GATHER_ROWS = 32  # training samples gathered into the float64 buffer at a time
+GATHER_ROWS = 64  # training samples gathered and screened at a time
 SCORE_ROWS = 64  # feature rows cast into the float64 buffer at a time when scoring
+U32 = 2.0**-24  # the unit roundoff of float32
+TINY32 = 2.0**-149  # the least float32 subnormal, twice any float32 underflow error
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,6 +122,26 @@ def check_hyperparameters(reg: float, epochs: int) -> None:
         raise ValidationError(f"bad hyperparameters reg={reg} epochs={epochs}")
 
 
+def _gamma(k: int, u: float) -> float:
+    """gamma_k(u) = k*u / (1 - k*u), the relative error bound of k roundings
+    of unit roundoff u; infinite once k*u reaches 1."""
+    return k * u / (1 - k * u) if k * u < 1 else np.inf
+
+
+def _sample_norms(feats: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """||[x, 1]|| of each sample row, the rows cast GATHER_ROWS at a time into
+    one reused float64 buffer whose last column is 1. Rejects a non-finite row."""
+    buf = np.ones((min(len(rows), GATHER_ROWS), feats.shape[1] + 1))
+    out = np.empty(len(rows))
+    for start in range(0, len(rows), GATHER_ROWS):
+        x = buf[:len(rows[start:start + GATHER_ROWS])]
+        x[:, :-1] = feats[rows[start:start + GATHER_ROWS]]
+        if not np.isfinite(x).all():
+            raise ValidationError("feature rows must be finite")
+        np.einsum("ij,ij->i", x, x, out=out[start:start + len(x)])
+    return np.sqrt(out, out=out)
+
+
 def train_svm(
     positives,
     negatives,
@@ -129,52 +155,103 @@ def train_svm(
     """One category's classifier from two lists of row indices into one
     (N, d) feature matrix.
 
-    Each epoch reads its permuted rows GATHER_ROWS at a time into one reused
-    float64 buffer, so the samples are never copied whole. Step t violates
-    when y * (v . x) < reg * (t - 1), and step 1 always does (w_0 = 0). A
-    block's margins against v are one einsum; v changes only at a violation,
-    and only then is the rest of the block read again. `reg` and `epochs`
-    have no defaults here: `pipeline.train_category_models` holds them.
+    Step t violates when y * m < reg * (t - 1), where m is the float64 einsum
+    of the row [x, 1] against v; step 1 always does (w_0 = 0; its floor is
+    taken as +inf). v changes only at a violation, so the model depends only
+    on which steps violate, and each step is settled by a float32 screen: one
+    einsum of the gathered float32 rows of a block (GATHER_ROWS at a time)
+    against float32(v[:d]), plus v[d] in float64, gives m~. With
+    gap = y * m~ - reg * (t - 1) and the bound s of the row, the step violates
+    if gap < -s and does not if gap >= s; otherwise, or if m~ is not finite,
+    its row is cast into a (1, d + 1) float64 buffer and m is taken exactly as
+    above. So the decisions, and v, are those of the
+    float64 margins alone. v is summed in float64 from the float64 rows, and
+    only after a violation is the rest of the block screened again.
+
+    The bound. With u the unit roundoff (u32 = 2^-24, u64 = 2^-53) and
+    gamma_k(u) = k*u / (1 - k*u), and P = sum |x_i v_i| + |v_d|, which is at
+    most ||[x, 1]|| * ||v|| (Cauchy-Schwarz):
+    - rounding v[:d], and x when the matrix is not float32, to float32 moves
+      each product by at most (2*u32 + u32^2) |x_i v_i|;
+    - the float32 dot, summed in any order, is off by gamma_d(u32) times the
+      sum of its |products|, which are at most (1 + u32)^2 |x_i v_i|;
+    - adding v[d] in float64 rounds once (u64 |m~|), and the exact m is off
+      the true dot by gamma_{d+1}(u64) P;
+    so |m~ - m| <= delta P with delta = (2*u32 + 2*gamma_{d+1}(u32)) (1 + 1e-6).
+    The (1 + 1e-6) rounds up the float64 norms, the products forming s and the
+    subtraction forming gap, each within gamma_{d+3}(u64), far below 1e-6 while
+    d + 1 < 2^24 (beyond that gamma_{d+1}(u32) is infinite and every step is
+    checked exactly). Underflow is absolute, not relative: an entry of v or x
+    that goes subnormal or to zero in float32 moves a product by at most
+    2^-150 times the other factor, and a subnormal product by at most 2^-150,
+    so eps = 2^-149 (d + sqrt(d + 1) (||[x, 1]|| + ||v||)) covers them with
+    room for the sums they pass through. s = delta ||[x, 1]|| ||v|| + eps.
+    A float32 overflow makes m~ infinite or NaN, which is always rechecked; a
+    NaN s (an infinite norm times 0) fails both tests and is rechecked too.
+
+    ||[x, 1]|| comes from one pass over the samples, GATHER_ROWS at a time
+    through one reused float64 buffer, which also rejects a non-finite row;
+    ||v|| is refreshed with float32(v[:d]) at each violation. `reg` and
+    `epochs` have no defaults here: `pipeline.train_category_models` holds them.
     """
     feats = _feature_matrix(features)
-    n_rows, dim = feats.shape
+    n_rows = len(feats)
     pos, neg = _row_indices(positives, n_rows), _row_indices(negatives, n_rows)
     check_hyperparameters(reg, epochs)
     rows = np.concatenate([pos, neg])
-    n = len(rows)
-    y = np.where(np.arange(n) < len(pos), 1.0, -1.0)
-    # the bias rides along as the buffer's always-1 last column so its step
-    # shares the 1/(reg*t) damping, which it needs to converge
-    buf = np.ones((min(n, GATHER_ROWS), dim + 1))
+    y = np.where(np.arange(len(rows)) < len(pos), 1.0, -1.0)
+    v, t = _violation_sum(feats, rows, y, _sample_norms(feats, rows), reg, epochs, seed)
+    v /= reg * t
+    return LinearModel(v[:-1].astype(np.float32), v[-1], category)
+
+
+@np.errstate(over="ignore", invalid="ignore")  # a float32 overflow is rechecked, not reported
+def _violation_sum(feats, rows, y, norms, reg: float, epochs: int, seed: int):
+    """v, the float64 sum of y * [x, 1] over the violating steps, and the
+    number of steps, screened as `train_svm` describes."""
+    n, dim = len(rows), feats.shape[1]
+    # the float64 [x, 1] of a step being rechecked or taken: the bias rides
+    # along as the always-1 last column so its step shares the 1/(reg*t)
+    # damping, which it needs to converge
+    row = np.ones((1, dim + 1))
+    delta = (2 * U32 + 2 * _gamma(dim + 1, U32)) * (1 + 1e-6)
+    tiny = TINY32 * np.sqrt(dim + 1)
     v = np.zeros(dim + 1)
+    v32, a, b = np.zeros(dim, np.float32), tiny, TINY32 * dim  # s = a * ||[x, 1]|| + b
     rng = np.random.default_rng(seed)
     t = 0  # steps taken
-    for epoch in range(epochs):
+    for _ in range(epochs):
         order = rng.permutation(n)
         for start in range(0, n, GATHER_ROWS):
             block = order[start:start + GATHER_ROWS]
-            x = buf[:len(block)]
-            x[:, :dim] = feats[rows[block]]
-            if epoch == 0 and not np.isfinite(x).all():  # epoch 0 reads each row once
-                raise ValidationError("feature rows must be finite")
-            signs = y[block]
+            x32 = np.asarray(feats[rows[block]], dtype=np.float32)
+            signs, row_norm = y[block], norms[block]
             floor = reg * np.arange(t, t + len(block))  # reg * (t - 1) for each step
+            if t == 0:  # step 1 violates (w_0 = 0), though v = 0 gives it margin 0
+                floor[0] = np.inf
             at = 0
-            if t == 0:  # step 1: v is 0, so its margin 0 is not below reg * 0
-                v += signs[0] * x[0]
-                at = 1
             while at < len(block):
-                margins = np.einsum("ij,j->i", x[at:], v)
-                margins *= signs[at:]
-                hits = np.flatnonzero(margins < floor[at:])
-                if not len(hits):
-                    break
-                at += int(hits[0])
-                v += signs[at] * x[at]
+                gap = np.add(np.einsum("ij,j->i", x32[at:], v32), v[dim], dtype=np.float64)
+                gap *= signs[at:]
+                gap -= floor[at:]
+                bound = row_norm[at:] * a
+                bound += b
+                bound += 0 * gap  # NaN where m~ is not finite: recheck it
+                for k in np.flatnonzero(~(gap >= bound)).tolist():  # in step order
+                    row[0, :dim] = feats[rows[block[at + k]]]
+                    if (gap[k] < -bound[k]
+                            or signs[at + k] * np.einsum("ij,j->i", row, v)[0] < floor[at + k]):
+                        break
+                else:
+                    break  # no step left in the block violates
+                at += k
+                v += signs[at] * row[0]
+                v32 = v[:dim].astype(np.float32)
+                norm = np.sqrt(np.einsum("i,i->", v, v))
+                a, b = delta * norm + tiny, tiny * norm + TINY32 * dim
                 at += 1
             t += len(block)
-    v /= reg * t
-    return LinearModel(v[:dim].astype(np.float32), v[dim], category)
+    return v, t
 
 
 def save_model(path: Path | str, m: LinearModel) -> None:

@@ -12,13 +12,15 @@ import argparse
 import dataclasses
 import json
 import sys
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
 
 from . import classify, formats, netgeom, pipeline, pooling, pursuit, synth, toynet
-from .core import BinaryMask, InstanceSegment, PixelBox, ValidationError, proposal_from_mask
+from .core import (
+    MAX_SIDE, BinaryMask, InstanceSegment, PixelBox, ValidationError, proposal_from_mask,
+)
 from .masking import project_mask
 from .formats import FormatError
 
@@ -194,6 +196,9 @@ def cmd_infer(args) -> None:
 def cmd_paste(args) -> None:
     if min(args.width, args.height) < 1:
         raise ValidationError(f"paste size {args.width}x{args.height} is below 1x1")
+    if max(args.width, args.height) > MAX_SIDE:  # before the label map is allocated
+        raise ValidationError(
+            f"paste sides must be at most {MAX_SIDE}, got {args.width}x{args.height}")
     cfg = _pipeline_config(args)
     scored = formats.load_json(
         args.scored, partial(_scored_regions, Path(args.scored).parent)
@@ -317,7 +322,12 @@ def read_scene_dir(path: Path) -> pipeline.TrainScene:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The whole argparse tree, built once per process. `set_defaults` binds
+    each `cmd_*` handler when the tree is built, so a test that patches a
+    handler would not reach it; tests patch what the handlers read at call
+    time instead (`cli.project_mask`, `cli.pipeline.benchmark`)."""
     parser = argparse.ArgumentParser(
         prog="cfmseg",
         description="Segment-mask features on shared convolutional maps.",

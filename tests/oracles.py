@@ -6,13 +6,15 @@ against every cell, the masking over the whole map, the training
 objective from its definition, the scores by one einsum per row and model,
 the convolution by explicit broadcast steps in its documented order, the
 forward pass on full maps with a per-cell max-pool, and the IoU by one pass
-per category. Four
+per category. Five
 keep an earlier form of a package kernel: the projection that finds each
 block's runs (`axis_runs`) by binary search (`reduceat_project_mask`), the
 resize that builds each scaled block before projecting it
 (`scaled_proposal`, `per_block_project_mask`), pooling one window at a time
-(`per_window_pool`) and training one step at a time with a BLAS `np.dot`
-(`stepwise_train_svm`). None of them is used by the package.
+(`per_window_pool`), training one step at a time with a BLAS `np.dot`
+(`stepwise_train_svm`) and training through the closed form with every
+margin taken in float64 (`exact_train_svm`). None of them is used by the
+package.
 """
 
 import numpy as np
@@ -236,6 +238,49 @@ def stepwise_train_svm(positives, negatives, features, *, reg: float, epochs: in
                 w += x * (eta * y[i])
                 steps.append(t)
     return LinearModel(w[:dim].astype(np.float32), w[dim], category), steps
+
+
+def exact_train_svm(positives, negatives, features, *, reg: float, epochs: int,
+                    seed: int = 0, category: int = 0) -> LinearModel:
+    """The SVM trained through Pegasos's closed form with every margin in
+    float64, as `classify.train_svm` did before its float32 screen: each
+    epoch casts its permuted rows 32 at a time into a float64 buffer whose
+    last column is 1, a block's margins against v are one
+    `np.einsum("ij,j->i")`, step t violates when y * (v . [x, 1]) <
+    reg * (t - 1), step 1 always, and only after a violation is the rest of
+    the block read again. The model is v / (reg * T)."""
+    feats = np.asarray(features)
+    rows = np.concatenate([np.asarray(positives), np.asarray(negatives)])
+    n, dim = len(rows), feats.shape[1]
+    y = np.where(np.arange(n) < len(positives), 1.0, -1.0)
+    buf = np.ones((min(n, 32), dim + 1))
+    v = np.zeros(dim + 1)
+    rng = np.random.default_rng(seed)
+    t = 0
+    for _ in range(epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, 32):
+            block = order[start:start + 32]
+            x = buf[:len(block)]
+            x[:, :dim] = feats[rows[block]]
+            signs = y[block]
+            floor = reg * np.arange(t, t + len(block))
+            at = 0
+            if t == 0:
+                v += signs[0] * x[0]
+                at = 1
+            while at < len(block):
+                margins = np.einsum("ij,j->i", x[at:], v)
+                margins *= signs[at:]
+                hits = np.flatnonzero(margins < floor[at:])
+                if not len(hits):
+                    break
+                at += int(hits[0])
+                v += signs[at] * x[at]
+                at += 1
+            t += len(block)
+    v /= reg * t
+    return LinearModel(v[:dim].astype(np.float32), v[dim], category)
 
 
 def loop_conv2d(x: np.ndarray, layer, w: np.ndarray, b: np.ndarray) -> np.ndarray:

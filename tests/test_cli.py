@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -59,6 +62,25 @@ class TestBasicCommands:
     def test_geometry(self, capjson, layers_file):
         report = capjson(["geometry", "--layers", layers_file])
         assert report == {"stride": 4, "rf_size": 7, "offset": 0.0}
+
+    def test_one_parser_serves_every_call(self, capsys, tmp_path, layers_file):
+        # the parser is built once per process, so the second main() call reuses
+        # the first one's tree; each must print what a fresh process prints
+        (tmp_path / "scored.json").write_text("[]")
+        calls = [["geometry", "--layers", layers_file],
+                 ["paste", "--scored", str(tmp_path / "scored.json"), "--width", "4",
+                  "--height", "3", "--out", str(tmp_path / "labels.cfml")]]
+        printed = []
+        for argv in calls:
+            assert main(argv) == 0
+            printed.append(capsys.readouterr().out)
+        assert cli.build_parser() is cli.build_parser()
+        src = str(Path(cli.__file__).resolve().parents[1])
+        for argv, out in zip(calls, printed):
+            fresh = subprocess.run([sys.executable, "-m", "cfmseg.cli", *argv],
+                                   env={**os.environ, "PYTHONPATH": src},
+                                   capture_output=True, text=True, timeout=60)
+            assert fresh.returncode == 0 and fresh.stdout == out, fresh.stderr
 
     def test_unknown_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as err:
@@ -512,6 +534,25 @@ class TestErrorContract:
                                   "--width", str(width), "--height", str(height),
                                   "--out", str(tmp_path / "labels.cfml")])
         assert err["error"] == "ValidationError" and "paste size" in err["message"]
+
+    @pytest.mark.parametrize("width, height", [(100_000, 100_000), (MAX_SIDE + 1, 8),
+                                               (8, MAX_SIDE + 1)])
+    def test_paste_size_above_max_side_rejected(self, capsys, tmp_path, width, height):
+        # an empty region list passes the frame check, so a 10^5 x 10^5 paste used
+        # to reach np.zeros and die in numpy's _ArrayMemoryError
+        (tmp_path / "scored.json").write_text("[]")
+        argv = ["paste", "--scored", str(tmp_path / "scored.json"),
+                "--out", str(tmp_path / "labels.cfml")]
+        tracemalloc.start()
+        try:
+            err = self.error(capsys, [*argv, "--width", str(width), "--height", str(height)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert err["error"] == "ValidationError" and str(MAX_SIDE) in err["message"]
+        assert peak < 8 << 20  # rejected before the label map is allocated
+        assert not (tmp_path / "labels.cfml").exists()
+        assert main([*argv, "--width", str(MAX_SIDE), "--height", "1"]) == 0  # the bound itself
 
     def test_non_integer_region_category_paste(self, capsys, tmp_path):
         # "category": 1.9 used to paint category 1

@@ -103,9 +103,10 @@ def test_no_module_imports_a_name_it_never_reads():
 
 def test_classify_calls_no_blas_reduction():
     # model and score bytes must not depend on the BLAS kernel, so every dot
-    # product in classify is an einsum, whose sum order numpy fixes
+    # product in classify is an einsum, whose sum order numpy fixes; any
+    # `linalg` call is flagged too (`np.linalg.norm` of a vector is a BLAS dot)
     path = Path(cfmseg.__file__).resolve().parent / "classify.py"
-    blas = {"dot", "matmul", "inner", "vdot"}
+    blas = {"dot", "matmul", "inner", "vdot", "linalg"}
     found = []
     for node in ast.walk(ast.parse(path.read_text(), str(path))):
         if isinstance(node, ast.BinOp | ast.AugAssign) and isinstance(node.op, ast.MatMult):

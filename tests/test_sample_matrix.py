@@ -18,7 +18,7 @@ from cfmseg.pipeline import (
 from cfmseg.pooling import PyramidSpec
 from cfmseg.toynet import default_spec, init_toynet
 from conftest import random_map, rect_mask
-from oracles import hinge_objective, stepwise_train_svm
+from oracles import exact_train_svm, hinge_objective, stepwise_train_svm
 
 
 def clusters(rng, n, dim):
@@ -141,6 +141,7 @@ class TestMatchesWholeMatrixTrainer:
     def check(cls, features, pos, neg, epochs=3, seed=5):
         kw = dict(reg=1e-3, epochs=epochs, seed=seed, category=2)
         got = train_svm(pos, neg, features, **kw)
+        assert same_model(got, exact_train_svm(pos, neg, features, **kw))
         want, steps = stepwise_train_svm(pos, neg, features, **kw)
         assert same_model(got, closed_form(features, pos, neg, steps, **kw))
         scale = max(np.abs(want.weights).max(), abs(want.bias))
@@ -151,11 +152,14 @@ class TestMatchesWholeMatrixTrainer:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("n_pos, n_neg", [
         (1, 1),  # one sample per class
+        # 31, 32, 33 and 65 samples: around half a block of 64, and one past a block
+        (1, 30), (16, 16), (32, 1), (32, 33),
         (1, GATHER_ROWS - 2),  # a pool one short of a block
         (GATHER_ROWS // 2, GATHER_ROWS // 2),  # exactly one block
         (GATHER_ROWS, 1),  # one past a block
         (GATHER_ROWS, GATHER_ROWS + 1),  # one past two blocks
-        # one short of, at and one past 8 blocks of 32, and one past 16
+        # 255, 256, 257 and 513 samples: one short of, at and one past four blocks
+        # of 64, and one past eight
         (1, 254), (128, 128), (256, 1), (256, 257),
     ])
     def test_pool_sizes_around_the_block(self, rng, dtype, n_pos, n_neg):
@@ -188,20 +192,106 @@ class TestMatchesWholeMatrixTrainer:
         assert steps[0] == 1 and len(steps) > 1  # step 1 always violates, and not alone
 
 
+def seed_for(order) -> int:
+    """A seed whose first epoch visits the samples in `order`."""
+    return next(s for s in range(10_000)
+                if np.random.default_rng(s).permutation(len(order)).tolist() == list(order))
+
+
+class TestScreenedTrainer:
+    """`train_svm` screens each step with a float32 margin and rechecks only
+    the close calls in float64; `oracles.exact_train_svm` takes every margin
+    in float64. On pools built so that the screen alone would decide a step
+    wrongly, the models must still be the same bytes."""
+
+    @staticmethod
+    def check(pos, neg, features, **kw):
+        kw = {"reg": 1e-3, "epochs": 3, "seed": 4, "category": 1, **kw}
+        got = train_svm(pos, neg, features, **kw)
+        assert same_model(got, exact_train_svm(pos, neg, features, **kw))
+        return got
+
+    def test_margins_on_opposite_sides_of_the_floor(self):
+        # every product of a = 1 + 2**-12 with itself is 1 + 2**-11 + 2**-24, which
+        # float32 rounds to 1 + 2**-11 (a tie, to even), and 8 of them sum exactly
+        # in any order. Step 1 takes row 0 (v = [a.., 1]); step 2 is row 1, -a..,
+        # with y = -1: y * m is 7 + 2**-8 + 2**-21 in float64 and 7 + 2**-8 from
+        # float32, and the floor reg * 1 lies between them
+        a = np.float32(1 + 2**-12)
+        features = np.array([[a] * 8, [-a] * 8], np.float32)
+        reg = 7 + 2**-8 + 2**-22
+        screen = -(float(np.einsum("j,j->", features[1], features[0])) + 1)
+        assert screen < reg <= -(float(features[1].astype(float) @ features[0]) + 1)
+        model = self.check([0], [1], features, reg=reg, epochs=1, seed=seed_for([0, 1]))
+        assert model.bias == 1 / (2 * reg)  # step 2 did not violate
+
+    def test_float32_overflow_is_rechecked(self):
+        # row 1 against v = [row 0, 1]: the products are +-1e60, beyond float32,
+        # so the screen's margin is NaN; in float64 they cancel, m = 1 < reg * 1
+        features = np.array([[1e30, 1e30], [1e30, -1e30]], np.float32)
+        model = self.check([0, 1], [0], features, reg=2.0, epochs=1, seed=seed_for([0, 1, 2]))
+        assert model.bias == 1 / (3 * 2.0)  # v[d] = 1 + 1 - 1: step 2 violated
+
+    def test_float32_underflow_is_rechecked(self):
+        # after rows 0 (y = 1) and 2 (y = -1) violate, v = [row 0 - row 2, 0]; row
+        # 1's products, 2e-60, are 0 in float32, so the screen's margin is 0,
+        # below the floor 2 * reg, while the float64 margin 16 * 2e-60 is above it
+        features = np.full((3, 16), 1e-30, np.float32)
+        features[2] = -1e-30
+        m = float(features[1].astype(float) @ (features[0].astype(float) - features[2]))
+        model = self.check([0, 1], [2], features, reg=m / 4, epochs=1,
+                           seed=seed_for([0, 2, 1]))
+        assert model.bias == 0.0  # step 3 did not violate
+
+    @pytest.mark.parametrize("reg", [1.0, 0.5, 1e-3])
+    def test_all_zero_rows(self, reg):
+        # each margin is the bias alone, and ties with the floor occur
+        self.check(np.arange(5), np.arange(5, 8), np.zeros((8, 6), np.float32), reg=reg,
+                   epochs=4)
+
+    def test_tiny_reg(self, rng):
+        features = rng.standard_normal((50, 30)).astype(np.float32)
+        self.check(np.arange(20), np.arange(20, 50), features, reg=1e-12, epochs=3)
+
+    def test_blas_order_tie(self):
+        # test_score_bytes's tie: a sum in another order can lose the -2 against
+        # 2**60 before the two 2**60 cancel, and flip step 2
+        pool = np.ones((2, 1600), np.float32)
+        pool[1] = 0.0
+        pool[1, [1036, 840, 1072]] = 2.0**60, -2.0**60, -2.0
+        self.check([0], [1], pool, reg=1.0, epochs=1, seed=0)
+
+    @pytest.mark.parametrize("n", [1, 7, GATHER_ROWS, GATHER_ROWS + 3])
+    def test_one_row_einsum_equals_its_row_of_many(self, rng, n):
+        # the recheck takes one row's margin from a (1, d + 1) buffer; the exact
+        # trainer took it as one row of a block's einsum
+        dim = 1601
+        block = np.ones((n, dim))
+        block[:, :-1] = rng.standard_normal((n, dim - 1)).astype(np.float32)
+        v = rng.standard_normal(dim) * 10.0 ** rng.integers(-3, 4, dim)
+        one = np.ones((1, dim))
+        for at in range(n):
+            many = np.einsum("ij,j->i", block[at:], v)
+            for k in range(at, n):
+                one[0] = block[k]
+                assert np.einsum("ij,j->i", one, v)[0].tobytes() == many[k - at].tobytes()
+
+
 def test_train_svm_holds_one_gather_buffer(rng):
-    """A 3,000 x 1,600 float32 pool: training holds one GATHER_ROWS-row float64
-    buffer (bias column included) and one block of gathered float32 rows, never a
-    copy of the pool."""
-    n, dim = 3000, 1600
+    """A 6,400 x 1,600 float32 pool, dense's stuff-pool size: training holds one
+    GATHER_ROWS-row float64 buffer (bias column included) and one block of
+    gathered float32 rows, never a copy of the pool, and peaks below 2 MiB."""
+    n, dim = 6400, 1600
     pool = rng.standard_normal((n, dim), dtype=np.float32)
     tracemalloc.start()
     try:
-        train_svm(np.arange(1000), np.arange(1000, n), pool, reg=1e-4, epochs=1, seed=0)
+        train_svm(np.arange(30), np.arange(30, n), pool, reg=1e-4, epochs=1, seed=0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     buffer, block = GATHER_ROWS * (dim + 1) * 8, GATHER_ROWS * dim * 4
     assert peak <= buffer + block + (1 << 20)
+    assert peak < 2 << 20
 
 
 def test_training_holds_the_matrix_and_one_scene_pass(rng):
