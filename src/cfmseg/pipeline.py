@@ -11,6 +11,8 @@ import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,7 +35,7 @@ from .core import (
 )
 from .masking import scaled_boxes
 from .netgeom import NetGeometry
-from .pooling import DESIGNS, PyramidSpec, design_feature, feature_length, spp_pool
+from .pooling import DESIGNS, PyramidSpec, design_feature, feature_length, out_array, spp_pool
 from .pursuit import PursuitConfig, label_object_samples, stuff_samples
 from . import toynet
 
@@ -63,17 +65,27 @@ class PipelineConfig:
         object.__setattr__(self, "scales", scales)
 
 
-@dataclass(frozen=True, eq=False)
-class ScoredRegion:
+class _Region(NamedTuple):
     proposal: SegmentProposal
     category: int
     score: float
 
-    def __post_init__(self):
-        if not math.isfinite(self.score):
+
+class ScoredRegion(_Region):
+    """One proposal's score under one category's model, an immutable
+    (proposal, category, score) tuple. Its constructor rejects a non-finite
+    score and a category outside 0..MAX_LABEL. `score_proposals` checks its
+    whole score matrix once instead and builds its regions with
+    `tuple.__new__`, which skips the constructor, as `_make` and `_replace` do."""
+
+    __slots__ = ()
+
+    def __new__(cls, proposal: SegmentProposal, category: int, score: float):
+        if not math.isfinite(score):
             raise ValidationError("region score must be finite")
-        if not 0 <= self.category <= MAX_LABEL:
-            raise ValidationError(f"region category {self.category} outside 0..{MAX_LABEL}")
+        if not 0 <= category <= MAX_LABEL:
+            raise ValidationError(f"region category {category} outside 0..{MAX_LABEL}")
+        return super().__new__(cls, proposal, category, score)
 
 
 def assign_scale(areas, image_shorter_edge: int, scales):
@@ -164,11 +176,8 @@ def proposal_features(
     """
     frame = cache.image.height, cache.image.width
     _check_frames(proposals, *frame)
-    shape = len(proposals), feature_length(cache.net.spec.out_channels, cfg.pyramid, cfg.design)
-    if out is None:
-        out = np.empty(shape, np.float32)
-    elif out.shape != shape or out.dtype != np.float32 or not out.flags.c_contiguous:
-        raise ValidationError(f"out must be a C-contiguous {shape} float32 array")
+    length = feature_length(cache.net.spec.out_channels, cfg.pyramid, cfg.design)
+    out = out_array(out, (len(proposals), length))
     y0, x0, y1, x1 = box_array(proposals).T
     scales = assign_scale((y1 - y0 + 1) * (x1 - x0 + 1), min(frame), cfg.scales)
     jobs = []
@@ -185,9 +194,9 @@ def proposal_features(
         rows = out[lo:lo + len(members)] if members[-1] - lo == len(members) - 1 else None
         vecs = design_feature(conv, chosen, boxes, scaled, g, cfg.pyramid, cfg.design, rows)
         norms = row_norms(vecs)
-        # in float32, by each norm rounded to float32; an all-zero row stays as it is
-        np.divide(vecs, norms.astype(np.float32)[:, None], out=vecs,
-                  where=(norms > 0.0)[:, None])
+        # in float32, by each norm rounded to float32; an all-zero row is divided
+        # by 1, which keeps every byte, -0.0 included
+        vecs /= np.where(norms > 0.0, norms.astype(np.float32), 1)[:, None]
         if rows is None:
             out[members] = vecs
 
@@ -205,7 +214,11 @@ def score_proposals(
     threads: int = 1,
 ) -> list[ScoredRegion]:
     """Score every proposal against every category model: one region per
-    proposal and model, proposal-major, in model order."""
+    proposal and model, proposal-major, in model order.
+
+    The (N, K) score matrix is checked to be finite once; the models checked
+    their categories. The N*K regions are then built in bulk, without a
+    check or a Python call per region."""
     expected = feature_length(net.spec.out_channels, cfg.pyramid, cfg.design)
     for m in models:
         if m.weights.size != expected:
@@ -215,11 +228,12 @@ def score_proposals(
             )
     cache = FeatureCache(image, net)
     features = proposal_features(proposals, cache, g, cfg, threads=threads)
-    return [
-        ScoredRegion(p, m.category, s)
-        for p, row in zip(proposals, score(models, features).tolist())
-        for m, s in zip(models, row)
-    ]
+    margins = score(models, features)
+    if not np.isfinite(margins).all():
+        raise ValidationError("region score must be finite")
+    fields = zip([p for p in proposals for _ in models],
+                 [m.category for m in models] * len(proposals), margins.ravel().tolist())
+    return list(map(tuple.__new__, repeat(ScoredRegion), fields))
 
 
 def paste(

@@ -144,10 +144,21 @@ def spp_pool(f: FeatureMap, window: PixelBox, pyr: PyramidSpec) -> PooledFeature
 GATHER_CHUNK = 4096  # bins read per gather: bounds its (bins, channels) buffers
 
 
+def out_array(out, shape: tuple[int, int]) -> np.ndarray:
+    """`out` if it is a C-contiguous float32 array of the given shape, a new
+    one if it is None; any other `out` is rejected."""
+    if out is None:
+        return np.empty(shape, np.float32)
+    if out.shape != shape or out.dtype != np.float32 or not out.flags.c_contiguous:
+        raise ValidationError(f"out must be a C-contiguous {shape} float32 array")
+    return out
+
+
 def spp_pool_windows(f: FeatureMap, windows, pyr: PyramidSpec, out=None) -> np.ndarray:
     """Pool every (y0, x0, y1, x1) window of one map, inclusive cell corners, to
     the bytes `spp_pool` gives each: an (N, length) float32 array, written into
-    `out` (C-contiguous, of that shape and dtype) when it is given.
+    `out` when it is given. Any other `out` than a C-contiguous float32 array
+    of that shape is rejected.
 
     A bin of at least 2**ky rows and 2**kx columns (k = floor(log2(length)))
     is the max of four overlapping 2**ky x 2**kx blocks at its corners. The
@@ -155,12 +166,14 @@ def spp_pool_windows(f: FeatureMap, windows, pyr: PyramidSpec, out=None) -> np.n
     block maxima at a time: each row level comes from the one before, each
     column level from the one before within its row level, so at most three
     map-sized buffers are live. Each level takes its bins by their (ky, kx)
-    key and fills them with four reads each, GATHER_CHUNK bins at a time.
+    key and fills them GATHER_CHUNK bins at a time, reading only distinct
+    corners: a bin one row (ky = 0) or one column (kx = 0) long has its two
+    corners on that axis in one place, so level (0, 0) reads one block a bin,
+    (0, kx) and (ky, 0) two, and every other level four.
     """
     win = np.array(windows, dtype=np.int64).reshape(-1, 4)
     row_of, col_of = _level_bins(pyr.levels)
-    if out is None:
-        out = np.empty((len(win), pyr.output_length(f.channels)), np.float32)
+    out = out_array(out, (len(win), pyr.output_length(f.channels)))
     if not len(win):
         return out
     y0, x0, y1, x1 = win.T
@@ -200,11 +213,14 @@ def spp_pool_windows(f: FeatureMap, windows, pyr: PyramidSpec, out=None) -> np.n
                 continue  # no bins at this level, but the next ones read its blocks
             bins = np.flatnonzero(key == level_y * levels_x + level_x)
             cells, width = blocks.reshape(-1, f.channels).view(item).ravel(), blocks.shape[1]
+            # at level 0 of an axis a bin's second span starts where its first does
+            ys, xs = (ya, yb) if level_y else (ya,), (xa, xb) if level_x else (xa,)
             for at in range(0, len(bins), GATHER_CHUNK):
                 span = bins[at : at + GATHER_CHUNK]
-                r0, r1, c0, c1 = ya[span] * width, yb[span] * width, xa[span], xb[span]
-                pooled = cells.take(r0 + c0).view(np.float32)
-                for corner in (r0 + c1, r1 + c0, r1 + c1):
+                cols = [x[span] for x in xs]
+                first, *rest = [y[span] * width + c for y in ys for c in cols]
+                pooled = cells.take(first).view(np.float32)
+                for corner in rest:
                     np.maximum(pooled, cells.take(corner).view(np.float32), out=pooled)
                 pooled += 0.0  # -0.0 + 0.0 is +0.0, as in spp_pool
                 out_items[span] = pooled.view(item)

@@ -10,6 +10,7 @@ from cfmseg.core import (
     FeatureMap,
     InstanceSegment,
     LabelMap,
+    MAX_LABEL,
     MAX_SIDE,
     PixelBox,
     SegmentProposal,
@@ -391,6 +392,61 @@ class TestScoreProposals:
         a = score_proposals([model], proposals, image, net, g, cfg, threads=1)
         b = score_proposals([model], proposals, image, net, g, cfg, threads=4)
         assert [r.score for r in a] == [r.score for r in b]
+
+    def test_non_finite_score_matrix_rejected(self, rng, monkeypatch):
+        net, g, image = toy_setup(rng)
+        cfg = small_cfg()
+        dim = feature_length(net.spec.out_channels, cfg.pyramid, cfg.design)
+        models = [LinearModel(np.zeros(dim, dtype=np.float32), 0.0, c) for c in (1, 2)]
+        p = proposal_from_mask("p", rect_mask(32, 32, 4, 20, 6, 22))
+        monkeypatch.setattr(pipeline, "score", lambda *a: np.array([[0.5, np.nan]]))
+        with pytest.raises(ValidationError, match="region score must be finite"):
+            score_proposals(models, [p], image, net, g, cfg)
+
+    def test_bulk_regions_match_one_by_one(self, rng):
+        """A 128 x 128 scene with grid proposals of 8, 16 and 32 pixels, as the
+        dense benchmark draws them, against five models: each bulk region is the
+        region the constructor builds from the same proposal, category and score."""
+        scene = synth.generate_scene(synth.random_scene_spec(synth.CorpusConfig(128, 128), 4))
+        proposals = synth.toy_proposals(128, 128, scene.instances, grid_sizes=(8, 16, 32),
+                                        jitter_seed=4)
+        net, g, _ = toy_setup(rng)
+        cfg = PipelineConfig(scales=(128,))
+        dim = feature_length(net.spec.out_channels, cfg.pyramid, cfg.design)
+        models = [LinearModel(rng.standard_normal(dim).astype(np.float32), 0.25 * c, c)
+                  for c in (5, 1, 3, 2, 4)]
+        scored = score_proposals(models, proposals, scene.image, net, g, cfg)
+        features = pipeline.proposal_features(proposals, FeatureCache(scene.image, net), g, cfg)
+        one_by_one = [ScoredRegion(p, m.category, s)
+                      for p, row in zip(proposals, pipeline.score(models, features).tolist())
+                      for m, s in zip(models, row)]
+        assert len(proposals) > 300 and len(scored) == 5 * len(proposals)
+        for got, want in zip(scored, one_by_one, strict=True):
+            assert type(got) is ScoredRegion and got.proposal is want.proposal
+            assert type(got.category) is int and got.category == want.category
+            assert type(got.score) is float
+            assert np.float64(got.score).tobytes() == np.float64(want.score).tobytes()
+
+
+class TestScoredRegion:
+    def test_valid_region_is_an_immutable_tuple(self):
+        p = proposal_from_mask("p", rect_mask(8, 8, 1, 4, 2, 5))
+        r = ScoredRegion(p, 3, -0.5)
+        assert (r.proposal, r.category, r.score) == tuple(r) == (p, 3, -0.5)
+        with pytest.raises(AttributeError):
+            r.score = 1.0
+
+    @pytest.mark.parametrize("score", [np.nan, np.inf, -np.inf])
+    def test_non_finite_score_rejected(self, score):
+        p = proposal_from_mask("p", rect_mask(8, 8, 1, 4, 2, 5))
+        with pytest.raises(ValidationError, match="region score must be finite"):
+            ScoredRegion(p, 1, score)
+
+    @pytest.mark.parametrize("category", [-1, MAX_LABEL + 1])
+    def test_category_out_of_range_rejected(self, category):
+        p = proposal_from_mask("p", rect_mask(8, 8, 1, 4, 2, 5))
+        with pytest.raises(ValidationError, match=f"region category {category} outside"):
+            ScoredRegion(p, category, 0.5)
 
 
 class TestDesignFeatureShapes:

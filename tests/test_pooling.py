@@ -190,9 +190,23 @@ class TestSppPoolWindows:
                             size=(c, h, w))
         return FeatureMap(values)
 
+    @staticmethod
+    def corner_levels(height: int, width: int, pyr: PyramidSpec) -> dict[str, int]:
+        """The window's bins by the corners the pool reads: a bin one cell long on
+        an axis (level 0 there) has one corner on that axis, a longer one two."""
+        out = dict.fromkeys(("(0, 0)", "(0, kx)", "(ky, 0)", "(ky, kx)"), 0)
+        for n in pyr.levels:
+            rows, cols = ([e - s == 1 for s, e in formula_bins(m, n)] for m in (height, width))
+            for one_row in rows:
+                for one_col in cols:
+                    key = f"({'0' if one_row else 'ky'}, {'0' if one_col else 'kx'})"
+                    out[key] += 1
+        return out
+
     def test_matches_per_window_pool(self, rng):
         kinds = ("any", "edges", "thin", "short")
-        seen = {"one cell": 0, "overlapping bins": 0, "whole map": 0, "-0.0 read": 0}
+        seen = {"one cell": 0, "overlapping bins": 0, "whole map": 0, "-0.0 read": 0,
+                "(0, 0)": 0, "(0, kx)": 0, "(ky, 0)": 0, "(ky, kx)": 0}
         for case in range(400):
             c = int(rng.integers(1, 9))
             h, w = (int(v) for v in rng.integers(1, 48, size=2))
@@ -215,6 +229,9 @@ class TestSppPoolWindows:
                                             for b in boxes)
             seen["whole map"] += (PixelBox(0, 0, w - 1, h - 1) in boxes)
             seen["-0.0 read"] += bool(np.signbit(f.values[f.values == 0]).any())
+            for b in boxes:
+                for key, count in self.corner_levels(b.height, b.width, pyr).items():
+                    seen[key] += count
         assert min(seen.values()) >= 100, seen
 
     def test_windows_outside_the_map_rejected(self, rng):
@@ -222,6 +239,18 @@ class TestSppPoolWindows:
         for window in [(0, 0, 5, 5), (0, 0, 4, 6), (-1, 0, 2, 2), (3, 0, 2, 2)]:
             with pytest.raises(ValidationError, match="windows"):
                 spp_pool_windows(f, [(0, 0, 4, 5), window], PyramidSpec((2, 1)))
+
+    @pytest.mark.parametrize("bad", ["wider", "float64", "transposed"])
+    def test_bad_out_rejected(self, rng, bad):
+        f, pyr = random_map(rng, 3, 6, 7), PyramidSpec((2, 1))
+        windows = [(0, 0, 5, 6), (1, 2, 3, 3)]
+        out = {"wider": np.zeros((2, 30), np.float32),
+               "float64": np.zeros((2, 15)),
+               "transposed": np.zeros((15, 2), np.float32).T}[bad]
+        before = out.copy()
+        with pytest.raises(ValidationError, match=r"out must be a C-contiguous \(2, 15\)"):
+            spp_pool_windows(f, windows, pyr, out)
+        assert np.array_equal(out, before)  # nothing written
 
     def test_no_windows(self, rng):
         out = spp_pool_windows(random_map(rng, 3, 4, 4), [], PyramidSpec((2, 1)))

@@ -151,13 +151,18 @@ class TestMatchesWholeMatrixTrainer:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("n_pos, n_neg", [
+        # pools sized from the block, named by their place around it, so that a
+        # new GATHER_ROWS moves their sizes but not their names
+        pytest.param(1, GATHER_ROWS - 2, id="one-short-of-a-block"),
+        pytest.param(GATHER_ROWS // 2, GATHER_ROWS // 2, id="one-block"),
+        pytest.param(GATHER_ROWS, 1, id="one-past-a-block"),
+        pytest.param(GATHER_ROWS, GATHER_ROWS + 1, id="one-past-two-blocks"),
+        # fixed sizes, named by their values
         (1, 1),  # one sample per class
         # 31, 32, 33 and 65 samples: around half a block of 64, and one past a block
         (1, 30), (16, 16), (32, 1), (32, 33),
-        (1, GATHER_ROWS - 2),  # a pool one short of a block
-        (GATHER_ROWS // 2, GATHER_ROWS // 2),  # exactly one block
-        (GATHER_ROWS, 1),  # one past a block
-        (GATHER_ROWS, GATHER_ROWS + 1),  # one past two blocks
+        # 63, 64, 65 and 129 samples: around one block of 64, and one past two
+        (1, 62), (32, 32), (64, 1), (64, 65),
         # 255, 256, 257 and 513 samples: one short of, at and one past four blocks
         # of 64, and one past eight
         (1, 254), (128, 128), (256, 1), (256, 257),
