@@ -111,16 +111,16 @@ def cmd_pursue(args) -> None:
     stuff = formats.load_mask(args.stuff)
     cfg = pursuit.PursuitConfig(**_given(args, "purity_pos", "inhibit_iou"))
     purities = [pursuit.purity(p, stuff) for p in proposals]
-    cands = pursuit.candidate_set(proposals, purities, cfg)
-    picks = pursuit.pursue(cands, cfg, args.mode, args.seed)
+    cands = pursuit.candidate_set(purities, cfg)
+    picks = pursuit.pursue([proposals[i] for i in cands], cfg, args.mode, args.seed)
     _print_json(
         {
             "mode": args.mode,
             "candidates": [
-                {"id": c.proposal.id, "area": c.area, "purity": c.purity}
-                for c in cands
+                {"id": proposals[i].id, "area": proposals[i].area, "purity": purities[i]}
+                for i in cands
             ],
-            "selected": [c.proposal.id for c in picks],
+            "selected": [p.id for p in picks],
         }
     )
 
@@ -247,7 +247,7 @@ def _iou_json(ious: np.ndarray) -> list:
 def _write_overlay(path: str, labeled) -> None:
     """Gray-level visualization of a label map (not a loadable mask)."""
     top = max(int(labeled.labels.max()), 1)
-    gray = (labeled.labels.astype(np.float64) * (255.0 / top)).astype(np.uint8)
+    gray = (labeled.labels.astype(np.int64) * 255 // top).astype(np.uint8)  # uint16 would overflow
     header = f"P5\n{labeled.width} {labeled.height}\n255\n".encode("ascii")
     Path(path).write_bytes(header + gray.tobytes())
 

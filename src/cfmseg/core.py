@@ -46,11 +46,6 @@ class BinaryMask:
     def width(self) -> int:
         return self.bits.shape[1]
 
-    @property
-    def area(self) -> int:
-        """Number of set pixels."""
-        return int(self.bits.sum())
-
 
 @dataclass(frozen=True)
 class PixelBox:

@@ -343,8 +343,8 @@ def collect_training_pools(
             pos, neg = pools[c]
             instances = [gt for category, gt in gts if category == c]
             pos.extend(row[gt] for gt in instances)
-            samples = label_object_samples(scene.proposals, instances)
-            neg.extend(row[s.proposal] for s in samples if s.label < 0)
+            labels = label_object_samples(scene.proposals, instances)
+            neg.extend(row[p] for p, label in zip(scene.proposals, labels) if label == -1)
 
         for c in stuff_categories:
             pos, neg = pools[c]

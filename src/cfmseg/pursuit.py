@@ -37,19 +37,8 @@ class PursuitConfig:
             raise ValidationError(f"purity_pos must be in (0,1]: {self.purity_pos}")
         if not 0.0 < self.inhibit_iou < 1.0:
             raise ValidationError(f"inhibit_iou must be in (0,1): {self.inhibit_iou}")
-
-
-@dataclass(frozen=True, eq=False)
-class Candidate:
-    proposal: SegmentProposal
-    area: int
-    purity: float
-
-    def __post_init__(self):
-        if self.area < 1:
-            raise ValidationError("candidate area must be >= 1")
-        if not 0.0 <= self.purity <= 1.0:
-            raise ValidationError(f"purity {self.purity} outside [0,1]")
+        if self.min_area is not None and not 0.0 <= self.min_area < float("inf"):
+            raise ValidationError(f"min_area must be None or finite and >= 0: {self.min_area}")
 
 
 def purity(seg: SegmentProposal, stuff: BinaryMask) -> float:
@@ -59,25 +48,18 @@ def purity(seg: SegmentProposal, stuff: BinaryMask) -> float:
     b = seg.box  # the block spans exactly the box
     crop = stuff.bits[b.y0:b.y1 + 1, b.x0:b.x1 + 1]  # a view: counted in place
     inter = int(np.count_nonzero(seg.block.bits & crop))
-    union = seg.area + int(np.count_nonzero(crop)) - inter
-    return inter / union if union else 0.0
+    return inter / (seg.area + int(np.count_nonzero(crop)) - inter)  # a proposal is never empty
 
 
-def candidate_set(
-    proposals: list[SegmentProposal], purities: list[float], cfg: PursuitConfig
-) -> list[Candidate]:
-    """Proposals whose purity (purities[i]) strictly exceeds the positive threshold."""
-    return [
-        Candidate(p, p.area, score)
-        for p, score in zip(proposals, purities, strict=True)
-        if score > cfg.purity_pos
-    ]
+def candidate_set(purities: list[float], cfg: PursuitConfig) -> list[int]:
+    """Ascending positions of the purities that strictly exceed the positive threshold."""
+    return [i for i, score in enumerate(purities) if score > cfg.purity_pos]
 
 
 def pursue(
-    cands: list[Candidate], cfg: PursuitConfig, mode: str, seed: int = 0
-) -> list[Candidate]:
-    """Suppression over the candidates at or above the area floor.
+    cands: list[SegmentProposal], cfg: PursuitConfig, mode: str, seed: int = 0
+) -> list[SegmentProposal]:
+    """Suppression over the candidate proposals at or above the area floor.
 
     Smaller candidates are never picked, so they never inhibit anything
     either. "deterministic" picks the largest remaining candidate (ties by
@@ -94,15 +76,14 @@ def pursue(
     eligible = [c for c in cands if c.area >= floor]
     pick = None  # suppress's own rule: the first remaining
     if mode == "deterministic":  # largest first, ties by id (a stable sort keeps twins' order)
-        eligible.sort(key=lambda c: (-c.area, c.proposal.id))
+        eligible.sort(key=lambda c: (-c.area, c.id))
     else:
         draw = partial(_draw, np.random.default_rng(seed))
         pick = lambda remaining: remaining[draw([eligible[i] for i in remaining])]
-    kept = suppress([c.proposal for c in eligible], cfg.inhibit_iou, pick)
-    return [eligible[i] for i in kept]
+    return [eligible[i] for i in suppress(eligible, cfg.inhibit_iou, pick)]
 
 
-def _draw(rng: np.random.Generator, eligible: list[Candidate]) -> int:
+def _draw(rng: np.random.Generator, eligible: list[SegmentProposal]) -> int:
     areas = np.array([c.area for c in eligible], dtype=np.float64)
     return int(rng.choice(len(eligible), p=areas / areas.sum()))
 
@@ -119,27 +100,19 @@ def overlap_label(iou: float) -> int | None:
     return None
 
 
-@dataclass(frozen=True, eq=False)
-class LabeledSample:
-    proposal: SegmentProposal
-    label: int  # +1 or -1
-
-
 def label_object_samples(
     proposals: list[SegmentProposal], instances: list[SegmentProposal]
-) -> list[LabeledSample]:
-    """Label proposals by their best mask IoU against one category's instances.
+) -> list[int | None]:
+    """Each proposal's `overlap_label` of its best mask IoU against one
+    category's instances, in input order.
 
     `instances` are that category's ground-truth instances, already made
     box-local proposals by the caller.
     """
-    samples = []
-    for p in proposals:
-        best = max((mask_iou(p, gt) for gt in instances), default=0.0)
-        label = overlap_label(best)
-        if label is not None:
-            samples.append(LabeledSample(p, label))
-    return samples
+    return [
+        overlap_label(max((mask_iou(p, gt) for gt in instances), default=0.0))
+        for p in proposals
+    ]
 
 
 def stuff_samples(
@@ -157,6 +130,5 @@ def stuff_samples(
     if cfg.purity_pos <= PURITY_NEG:
         raise ValidationError(f"purity_pos {cfg.purity_pos} must exceed {PURITY_NEG}")
     scores = [purity(p, stuff_gt) for p in proposals]
-    picks = pursue(candidate_set(proposals, scores, cfg), cfg, mode, seed)
-    negatives = [p for p, s in zip(proposals, scores) if s < PURITY_NEG]
-    return [c.proposal for c in picks], negatives
+    picks = pursue([proposals[i] for i in candidate_set(scores, cfg)], cfg, mode, seed)
+    return picks, [p for p, s in zip(proposals, scores) if s < PURITY_NEG]

@@ -31,7 +31,6 @@ from cfmseg.pipeline import (
 )
 from cfmseg.pooling import PyramidSpec, design_a_features, spp_pool
 from cfmseg.pursuit import (
-    Candidate,
     PursuitConfig,
     overlap_label,
     pursue,
@@ -132,14 +131,15 @@ def test_criterion_03_spp_contract():
 
 
 def _random_candidates(rng, n, grid=24):
-    cands = []
+    """Random proposals and, by id, the purity drawn for each above the 0.6 bound."""
+    cands, purities = [], {}
     for i in range(n):
         bits = rng.random((grid, grid)) < rng.uniform(0.05, 0.5)
         if not bits.any():
             continue
-        p = proposal_from_mask(f"c{i:02d}", BinaryMask(bits))
-        cands.append(Candidate(p, p.area, float(rng.uniform(0.601, 1.0))))
-    return cands
+        cands.append(proposal_from_mask(f"c{i:02d}", BinaryMask(bits)))
+        purities[cands[-1].id] = float(rng.uniform(0.601, 1.0))
+    return cands, purities
 
 
 def _reference_pursuit(cands, cfg):
@@ -156,7 +156,7 @@ def _reference_pursuit(cands, cfg):
         best = eligible[0]
         for c in eligible[1:]:
             if c.area > best.area or (
-                c.area == best.area and c.proposal.id < best.proposal.id
+                c.area == best.area and c.id < best.id
             ):
                 best = c
         chosen.append(best)
@@ -164,7 +164,7 @@ def _reference_pursuit(cands, cfg):
             c
             for c in pool
             if c is not best
-            and full_frame_iou(c.proposal.mask.bits, best.proposal.mask.bits)
+            and full_frame_iou(c.mask.bits, best.mask.bits)
             <= cfg.inhibit_iou
         ]
 
@@ -177,7 +177,7 @@ def test_criterion_04_pursuit_invariants():
     trial = 0
     while stochastic_runs < 1000:
         trial += 1
-        cands = _random_candidates(rng, int(rng.integers(1, 21)))
+        cands, purities = _random_candidates(rng, int(rng.integers(1, 21)))
         if not cands:
             continue
         mean_area = sum(c.area for c in cands) / len(cands)
@@ -187,15 +187,15 @@ def test_criterion_04_pursuit_invariants():
         stochastic_runs += 1
         for picks in (det, sto):
             for i, a in enumerate(picks):
-                assert a.purity > 0.6
+                assert purities[a.id] > 0.6
                 assert a.area >= mean_area
                 for b in picks[i + 1 :]:
-                    iou = full_frame_iou(a.proposal.mask.bits, b.proposal.mask.bits)
+                    iou = full_frame_iou(a.mask.bits, b.mask.bits)
                     assert iou <= 0.2
         if len(cands) <= 6:
             small_sets += 1
             ref = _reference_pursuit(cands, cfg)
-            assert [c.proposal.id for c in det] == [c.proposal.id for c in ref]
+            assert [c.id for c in det] == [c.id for c in ref]
     assert small_sets >= 50
     report(
         "criterion 4",
@@ -208,8 +208,7 @@ def test_criterion_05_stochastic_proportionality():
     def rect(pid, y0, y1, x0, x1):
         bits = np.zeros((20, 20), dtype=bool)
         bits[y0 : y1 + 1, x0 : x1 + 1] = True
-        p = proposal_from_mask(pid, BinaryMask(bits))
-        return Candidate(p, p.area, 1.0)
+        return proposal_from_mask(pid, BinaryMask(bits))
 
     big = rect("big", 0, 9, 0, 9)        # area 100
     s1 = rect("s1", 12, 16, 0, 9)        # area 50

@@ -273,6 +273,30 @@ class TestEndToEndCli:
         )
         assert [run["proposals"] for run in report["runs"]] == [1, 3]
 
+    def test_infer_overlay_maps_the_largest_label_to_255(self, capjson, monkeypatch,
+                                                          tmp_path, scene_dir, net_file):
+        # 25 * (255.0 / 25) is just below 255, so a truncated float level read 254
+        labels = np.arange(28, dtype=np.uint16).reshape(4, 7) % 26
+        monkeypatch.setattr(cli.pipeline, "predict_scene", lambda *a, **kw: LabelMap(labels))
+        models = tmp_path / "models"
+        models.mkdir()
+        formats.save_vector(models / "w.cfmt", np.zeros(3, dtype=np.float32))
+        (models / "category_025.json").write_text(json.dumps(
+            {"category": 25, "bias": 0.0, "weights": "w.cfmt"}))
+        overlay = tmp_path / "overlay.pgm"
+        report = capjson(["infer", "--models", str(models),
+                          "--image", str(scene_dir / "image.cfmt"),
+                          "--proposals", str(scene_dir / "proposals.json"),
+                          "--net", net_file, "--out-labels", str(tmp_path / "pred.cfml"),
+                          "--overlay", str(overlay)])
+        assert report["overlay"] == str(overlay)
+        header = b"P5\n7 4\n255\n"  # width, height, maxval
+        data = overlay.read_bytes()
+        assert data[:len(header)] == header and len(data) == len(header) + labels.size
+        gray = np.frombuffer(data[len(header):], dtype=np.uint8).reshape(labels.shape)
+        assert (gray[labels == 0] == 0).all() and (gray[labels == 25] == 255).all()
+        assert np.array_equal(gray, labels.astype(np.int64) * 255 // 25)
+
     def test_outputs_identical_across_threads(self, capjson, net_file, tmp_path,
                                               scene_dir):
         outs = {}

@@ -16,7 +16,7 @@ from cfmseg.core import (
     resize_nearest,
     suppress,
 )
-from cfmseg.pursuit import Candidate, _draw
+from cfmseg.pursuit import _draw
 from conftest import full_frame_iou, random_mask, rect_mask
 
 
@@ -178,7 +178,7 @@ def loop_suppress(items, threshold, pick=None):
 
 def largest(cands) -> int:
     """A pick rule: the largest-area candidate, ties by id, the first of twins."""
-    return min(range(len(cands)), key=lambda i: (-cands[i].area, cands[i].proposal.id))
+    return min(range(len(cands)), key=lambda i: (-cands[i].area, cands[i].id))
 
 
 class TestSuppress:
@@ -238,7 +238,6 @@ class TestSuppress:
                 bits[y0, x0] = True  # never empty
                 masks.append(BinaryMask(bits))
             items = proposals(*masks)
-            cands = [Candidate(p, p.area, 1.0) for p in items]
             threshold = float(rng.choice([-0.1, 0.0, 0.05, 0.2, 0.3, 0.5, 0.9]))
             rules = [None, largest, partial(_draw, np.random.default_rng(trial))]
             twins = [None, largest, partial(_draw, np.random.default_rng(trial))]
@@ -248,7 +247,7 @@ class TestSuppress:
                 def pick_with(r, log):
                     def pick(remaining):
                         log.append(list(remaining))
-                        return remaining[r([cands[i] for i in remaining])]
+                        return remaining[r([items[i] for i in remaining])]
                     return None if r is None else pick
 
                 expect = loop_suppress(items, threshold, pick_with(rule, seen["loop"]))

@@ -282,28 +282,28 @@ class TestBoxLocalScaling:
         assert (labels == 1).sum() == sp.area and (labels == 2).any()
 
         stuff = rect_mask(20, 20, 4, 19, 0, 19)
-        cands = candidate_set(local, [purity(p, stuff) for p in local], cfg)
-        assert [c.purity for c in cands] == [
+        purities = [purity(p, stuff) for p in local]
+        cands = [local[i] for i in candidate_set(purities, cfg)]
+        assert purities == [
             full_frame_iou(m, stuff.bits & box_bits(p.box)) for p, m in zip(local, full)
         ]
+        assert cands == local  # both purities are above purity_pos
         picks = pursue(cands, cfg, "deterministic")
         big = max(range(2), key=lambda i: cands[i].area)
         keep_both = full_frame_iou(*full) <= cfg.inhibit_iou
-        assert [c.proposal.id for c in picks] == (
-            [cands[big].proposal.id, cands[1 - big].proposal.id][: 1 + keep_both]
+        assert [c.id for c in picks] == (
+            [cands[big].id, cands[1 - big].id][: 1 + keep_both]
         )
-        assert [p.id for p in stuff_samples(local, stuff, cfg)[0]] == [
-            c.proposal.id for c in picks
-        ]
+        assert [p.id for p in stuff_samples(local, stuff, cfg)[0]] == [c.id for c in picks]
 
         inst = rect_mask(20, 20, 4, 11, 6, 15)
         gt = proposal_from_mask("gt", inst)
-        got = [(s.proposal.id, s.label) for s in label_object_samples(local, [gt])]
+        got = list(zip([p.id for p in local], label_object_samples(local, [gt])))
         want = [
             (p.id, overlap_label(full_frame_iou(m, inst.bits)))
             for p, m in zip(local, full)
         ]
-        assert got == [w for w in want if w[1] is not None]
+        assert got == want  # one label per proposal, None included
 
         save_proposal_index(tmp_path / "proposals.json", local)
         loaded = load_proposal_index(tmp_path / "proposals.json")

@@ -9,7 +9,6 @@ from cfmseg.core import (
 from cfmseg import pursuit
 from cfmseg.pursuit import (
     PURSUIT_MODES,
-    Candidate,
     PursuitConfig,
     candidate_set,
     label_object_samples,
@@ -28,13 +27,8 @@ def block(y0, y1, x0, x1, h=GRID, w=GRID):
 
 
 def candidates_of(proposals, stuff, cfg):
-    """`candidate_set` of the proposals' purities against the stuff mask."""
-    return candidate_set(proposals, [purity(p, stuff) for p in proposals], cfg)
-
-
-def candidate(pid, mask, purity_score=1.0):
-    p = proposal_from_mask(pid, mask)
-    return Candidate(p, p.area, purity_score)
+    """The proposals `candidate_set` keeps by their purities against the stuff mask."""
+    return [proposals[i] for i in candidate_set([purity(p, stuff) for p in proposals], cfg)]
 
 
 class TestPurity:
@@ -91,8 +85,8 @@ class TestCandidateSet:
         stuff = block(5, 14, 5, 14)
         proposals = [proposal_from_mask(f"p{i}", block(5, 14, 5, 14)) for i in range(3)]
         cands = candidates_of(proposals, stuff, PursuitConfig())
-        assert len(cands) == 3
-        assert all(c.purity == 1.0 for c in cands)
+        assert cands == proposals
+        assert all(purity(c, stuff) == 1.0 for c in cands)
 
     def test_threshold_is_strict(self):
         # purities 0.61 and 0.6 land on either side of the strict bound
@@ -106,43 +100,49 @@ class TestCandidateSet:
         stuff_60[0, :60] = True
         seg_60 = proposal_from_mask("lo", rect_mask(GRID, 100, 0, 0, 0, 99))
         cands = candidates_of([seg_61, seg_60], BinaryMask(stuff_61), PursuitConfig())
-        assert [c.proposal.id for c in cands] == ["hi", "lo"]
+        assert [c.id for c in cands] == ["hi", "lo"]
         cands = candidates_of([seg_60], BinaryMask(stuff_60), PursuitConfig())
         assert cands == []
+
+    def test_ascending_positions_above_a_strict_bound(self):
+        cfg = PursuitConfig(purity_pos=0.5)
+        purities = [0.9, 0.5, 0.0, 1.0, 0.5000001, 0.49, 0.5]
+        assert candidate_set(purities, cfg) == [0, 3, 4]
+        assert candidate_set([], cfg) == []
 
 
 class TestDeterministicPursuit:
     def test_single_candidate_selected(self):
-        c = candidate("a", block(0, 9, 0, 9))
+        c = proposal_from_mask("a", block(0, 9, 0, 9))
         assert pursue([c], PursuitConfig(), "deterministic") == [c]
 
     def test_stops_below_mean_area(self):
         # areas 100, 90, 10; no overlap; mean 66.7 keeps the 10 out
         cands = [
-            candidate("a", block(0, 9, 0, 9)),       # 100
-            candidate("b", block(0, 9, 11, 19)),     # 90
-            candidate("c", block(20, 20, 0, 9)),     # 10
+            proposal_from_mask("a", block(0, 9, 0, 9)),       # 100
+            proposal_from_mask("b", block(0, 9, 11, 19)),     # 90
+            proposal_from_mask("c", block(20, 20, 0, 9)),     # 10
         ]
         picked = pursue(cands, PursuitConfig(), "deterministic")
-        assert [c.proposal.id for c in picked] == ["a", "b"]
+        assert [c.id for c in picked] == ["a", "b"]
 
     def test_inhibition_removes_overlap(self):
         # areas 100, 90 overlapping (IoU 0.5 > 0.2), then 30 and 20 below mean 60
-        a = candidate("a", block(0, 9, 0, 9))                 # 100
-        b = candidate("b", BinaryMask(
+        a = proposal_from_mask("a", block(0, 9, 0, 9))        # 100
+        b = proposal_from_mask("b", BinaryMask(
             block(0, 9, 0, 9).bits & ~block(0, 0, 0, 9).bits  # rows 1..9 = 90
         ))
-        c = candidate("c", block(20, 22, 0, 9))               # 30
-        d = candidate("d", block(30, 31, 0, 9))               # 20
-        assert full_frame_iou(a.proposal.mask.bits, b.proposal.mask.bits) == pytest.approx(0.9)
+        c = proposal_from_mask("c", block(20, 22, 0, 9))      # 30
+        d = proposal_from_mask("d", block(30, 31, 0, 9))      # 20
+        assert full_frame_iou(a.mask.bits, b.mask.bits) == pytest.approx(0.9)
         picked = pursue([a, b, c, d], PursuitConfig(), "deterministic")
-        assert [x.proposal.id for x in picked] == ["a"]
+        assert [x.id for x in picked] == ["a"]
 
     def test_tie_breaks_on_smaller_id(self):
-        a = candidate("z", block(0, 9, 0, 9))
-        b = candidate("a", block(0, 9, 20, 29))
+        a = proposal_from_mask("z", block(0, 9, 0, 9))
+        b = proposal_from_mask("a", block(0, 9, 20, 29))
         picked = pursue([a, b], PursuitConfig(), "deterministic")
-        assert picked[0].proposal.id == "a"
+        assert picked[0].id == "a"
 
     def test_empty_input(self):
         assert pursue([], PursuitConfig(), "deterministic") == []
@@ -175,49 +175,51 @@ def brute_force_pursuit(cands, cfg, seed=None):
             best = big[0]
             for c in big[1:]:
                 if c.area > best.area or (
-                    c.area == best.area and c.proposal.id < best.proposal.id
+                    c.area == best.area and c.id < best.id
                 ):
                     best = c
         chosen.append(best)
         pool = [
             c for c in pool
             if c is not best
-            and full_frame_iou(c.proposal.mask.bits, best.proposal.mask.bits)
+            and full_frame_iou(c.mask.bits, best.mask.bits)
             <= cfg.inhibit_iou
         ]
 
 
 def random_candidates(rng, n, grid=24):
-    cands = []
+    """Random proposals and, by id, the purity drawn for each above the 0.6 bound."""
+    cands, purities = [], {}
     for i in range(n):
         m = random_mask(rng, grid, grid, density=float(rng.uniform(0.05, 0.5)))
         if not m.bits.any():
             continue
-        cands.append(candidate(f"c{i:02d}", m, float(rng.uniform(0.601, 1.0))))
-    return cands
+        cands.append(proposal_from_mask(f"c{i:02d}", m))
+        purities[cands[-1].id] = float(rng.uniform(0.601, 1.0))
+    return cands, purities
 
 
 class TestPursuitInvariants:
     def test_matches_brute_force_on_small_sets(self, rng):
         cfg = PursuitConfig()
         for _ in range(200):
-            cands = random_candidates(rng, int(rng.integers(0, 7)))
+            cands, _ = random_candidates(rng, int(rng.integers(0, 7)))
             got = pursue(cands, cfg, "deterministic")
             want = brute_force_pursuit(cands, cfg)
-            assert [c.proposal.id for c in got] == [c.proposal.id for c in want]
+            assert [c.id for c in got] == [c.id for c in want]
 
     def test_stochastic_matches_brute_force_draws(self, rng):
         for trial in range(200):
             cfg = PursuitConfig(min_area=None if trial % 2 else 0.0)
-            cands = random_candidates(rng, int(rng.integers(0, 9)))
+            cands, _ = random_candidates(rng, int(rng.integers(0, 9)))
             got = pursue(cands, cfg, "stochastic", trial)
             want = brute_force_pursuit(cands, cfg, seed=trial)
-            assert [c.proposal.id for c in got] == [c.proposal.id for c in want]
+            assert [c.id for c in got] == [c.id for c in want]
 
     def test_selection_invariants_both_modes(self, rng):
         cfg = PursuitConfig()
         for trial in range(100):
-            cands = random_candidates(rng, int(rng.integers(1, 21)))
+            cands, purities = random_candidates(rng, int(rng.integers(1, 21)))
             if not cands:
                 continue
             mean_area = sum(c.area for c in cands) / len(cands)
@@ -227,20 +229,20 @@ class TestPursuitInvariants:
             ):
                 for i, a in enumerate(picks):
                     assert a.area >= mean_area
-                    assert a.purity > cfg.purity_pos
+                    assert purities[a.id] > cfg.purity_pos
                     for b in picks[i + 1 :]:
                         assert (
-                            full_frame_iou(a.proposal.mask.bits, b.proposal.mask.bits)
+                            full_frame_iou(a.mask.bits, b.mask.bits)
                             <= cfg.inhibit_iou
                         )
 
     def test_deterministic_is_reachable_stochastically(self, rng):
         cfg = PursuitConfig()
-        cands = random_candidates(rng, 8)
-        want = [c.proposal.id for c in pursue(cands, cfg, "deterministic")]
+        cands, _ = random_candidates(rng, 8)
+        want = [c.id for c in pursue(cands, cfg, "deterministic")]
         seen = False
         for seed in range(2000):
-            got = [c.proposal.id for c in pursue(cands, cfg, "stochastic", seed)]
+            got = [c.id for c in pursue(cands, cfg, "stochastic", seed)]
             if got == want:
                 seen = True
                 break
@@ -249,41 +251,41 @@ class TestPursuitInvariants:
 
 class TestStochasticPursuit:
     def test_single_candidate_always_selected(self):
-        c = candidate("only", block(0, 9, 0, 9))
+        c = proposal_from_mask("only", block(0, 9, 0, 9))
         for seed in range(20):
             assert pursue([c], PursuitConfig(), "stochastic", seed) == [c]
 
     def test_reproducible_by_seed(self, rng):
-        cands = random_candidates(rng, 12)
+        cands, _ = random_candidates(rng, 12)
         a = pursue(cands, PursuitConfig(), "stochastic", 123)
         b = pursue(cands, PursuitConfig(), "stochastic", 123)
-        assert [c.proposal.id for c in a] == [c.proposal.id for c in b]
+        assert [c.id for c in a] == [c.id for c in b]
 
     def test_equal_area_pair_order_is_uniform(self):
-        a = candidate("a", block(0, 9, 0, 9))
-        b = candidate("b", block(0, 9, 20, 29))
+        a = proposal_from_mask("a", block(0, 9, 0, 9))
+        b = proposal_from_mask("b", block(0, 9, 20, 29))
         first_a = 0
         runs = 20000
         for seed in range(runs):
             picks = pursue([a, b], PursuitConfig(), "stochastic", seed)
-            assert {c.proposal.id for c in picks} == {"a", "b"}
-            if picks[0].proposal.id == "a":
+            assert {c.id for c in picks} == {"a", "b"}
+            if picks[0].id == "a":
                 first_a += 1
         assert first_a / runs == pytest.approx(0.5, abs=0.01)
 
     def test_first_pick_proportional_to_area(self):
         # areas 100, 50, 50 with the floor overridden so all are eligible
         cands = [
-            candidate("big", block(0, 9, 0, 9)),
-            candidate("s1", block(20, 24, 0, 9)),
-            candidate("s2", block(30, 34, 0, 9)),
+            proposal_from_mask("big", block(0, 9, 0, 9)),
+            proposal_from_mask("s1", block(20, 24, 0, 9)),
+            proposal_from_mask("s2", block(30, 34, 0, 9)),
         ]
         cfg = PursuitConfig(min_area=0.0)
         hits = 0
         runs = 20000
         for seed in range(runs):
             picks = pursue(cands, cfg, "stochastic", seed)
-            if picks[0].proposal.id == "big":
+            if picks[0].id == "big":
                 hits += 1
         assert hits / runs == pytest.approx(0.5, abs=0.015)
 
@@ -304,10 +306,19 @@ class TestSampleLabeling:
         half = proposal_from_mask("half", block(5, 5, 0, 4))          # IoU 0.5
         fifth = proposal_from_mask("neg", block(5, 5, 0, 1))          # IoU 0.2
         graze = proposal_from_mask("skip", block(5, 5, 9, 29))        # IoU 1/30
-        samples = label_object_samples([exact, half, fifth, graze], gt)
-        by_id = {s.proposal.id: s.label for s in samples}
-        assert by_id == {"pos": 1, "half": 1, "neg": -1}
-        assert label_object_samples([exact], []) == []  # no instance: IoU 0
+        labels = label_object_samples([exact, half, fifth, graze], gt)
+        assert labels == [1, 1, -1, None]  # one entry per proposal, in input order
+        assert label_object_samples([exact], []) == [None]  # no instance: IoU 0
+        assert label_object_samples([], gt) == []
+
+    def test_label_object_samples_one_entry_per_proposal(self):
+        # the best IoU over two instances; None entries keep their places
+        gts = [proposal_from_mask("gl", block(5, 5, 0, 9)),
+               proposal_from_mask("gr", block(5, 5, 30, 39))]
+        far = proposal_from_mask("far", block(20, 20, 0, 9))   # IoU 0 with both
+        right = proposal_from_mask("r", block(5, 5, 30, 31))   # IoU 0.2 with gr
+        left = proposal_from_mask("l", block(5, 5, 0, 9))      # IoU 1 with gl
+        assert label_object_samples([far, right, far, left], gts) == [None, -1, None, 1]
 
 
 class TestStuffSamples:
@@ -359,7 +370,7 @@ class TestStuffSamples:
             proposals.append(proposal_from_mask(f"p{i}", block(y0, y1, x0, x1)))
         cfg = PursuitConfig()
         cands = candidates_of(proposals, stuff, cfg)
-        want_pos = [c.proposal.id for c in pursue(cands, cfg, mode, seed=3)]
+        want_pos = [c.id for c in pursue(cands, cfg, mode, seed=3)]
         want_neg = [p.id for p in proposals if purity(p, stuff) < pursuit.PURITY_NEG]
         calls = []
         monkeypatch.setattr(pursuit, "purity", lambda *a: calls.append(1) or purity(*a))
@@ -393,3 +404,11 @@ class TestPursuitConfig:
     @pytest.mark.parametrize("purity_pos", [1e-9, 0.25, 1.0])
     def test_purity_pos_in_unit_interval_accepted(self, purity_pos):
         assert PursuitConfig(purity_pos=purity_pos).purity_pos == purity_pos
+
+    @pytest.mark.parametrize("min_area", [float("nan"), float("inf"), -1.0])
+    def test_min_area_outside_finite_nonnegative_rejected(self, min_area):
+        with pytest.raises(ValidationError, match="min_area"):
+            PursuitConfig(min_area=min_area)
+
+    def test_zero_min_area_accepted(self):
+        assert PursuitConfig(min_area=0.0).min_area == 0.0

@@ -173,8 +173,8 @@ class TestCorpus:
             props = scene_proposals(scene, seed=i)
             for c in STUFF_CATEGORIES:
                 stuff = BinaryMask(scene.labels.labels == c)
-                cands = candidate_set(props, [purity(p, stuff) for p in props], pursuit_cfg)
-                picks = pursue(cands, pursuit_cfg, "deterministic")
+                cands = candidate_set([purity(p, stuff) for p in props], pursuit_cfg)
+                picks = pursue([props[i] for i in cands], pursuit_cfg, "deterministic")
                 assert picks, f"no pursuit picks for stuff {c} in scene {i}"
 
 
